@@ -150,8 +150,10 @@ def cmd_detect(args) -> int:
         try:
             x = float(line)
         except ValueError:
+            x = math.nan
+        if not math.isfinite(x):
             print(
-                f"line {line_no}: could not parse {line.strip()!r} as a number",
+                f"line {line_no}: could not parse {line.strip()!r} as a finite number",
                 file=sys.stderr,
             )
             return EXIT_RUNTIME

@@ -37,11 +37,13 @@ class CalibrationError(ValueError):
 class StoppingRule(Protocol):
     """Per-sample stopping rule usable by the Monte Carlo estimators.
 
-    ``alarm_mask`` returns the alarm verdicts for a contiguous block of
+    ``alarm_mask`` returns the alarm verdicts, shaped like ``x``, for the
     samples ``x`` observed at 1-based ``times``; it may consume ``rng`` for
-    independent randomization.  ``memoryless`` declares that the verdict
-    distribution does not depend on the time index (fixed-time rules are
-    per-sample but not memoryless).
+    independent randomization.  The estimators pass 2-D blocks (one row per
+    trial, one column per time step) with ``times`` broadcast to ``x``'s
+    shape, so verdicts must be elementwise.  ``memoryless`` declares that
+    the verdict distribution does not depend on the time index (fixed-time
+    rules are per-sample but not memoryless).
     """
 
     memoryless: bool

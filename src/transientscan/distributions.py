@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from statistics import NormalDist
 from typing import ClassVar, Literal
 
@@ -93,10 +94,19 @@ class DistributionPair(ABC):
         """l(x) = f1(x) / f0(x); requires f0(x) > 0."""
         return np.exp(self.log_likelihood_ratio(x))
 
+    @cached_property
     def _lr_calibration_sample(self) -> np.ndarray:
+        """Sorted F0 likelihood ratios of the calibration sample, drawn once
+        per pair, so every tail and quantile comes from one empirical measure."""
         rng = np.random.default_rng(np.random.SeedSequence(self.mc_calibration_seed))
         x = self.sample("nominal", rng, self.mc_calibration_samples)
-        return np.exp(self.log_likelihood_ratio(x))
+        return np.sort(np.exp(self.log_likelihood_ratio(x)))
+
+    def __getstate__(self):
+        # the cached sample is cheap to redraw and large to send to workers
+        state = dict(self.__dict__)
+        state.pop("_lr_calibration_sample", None)
+        return state
 
     def lr_tail_prob_f0(self, alpha: float, *, strict: bool = False) -> float:
         """P(l(X) >= alpha) for X ~ F0 (P(l(X) > alpha) when strict).
@@ -105,10 +115,9 @@ class DistributionPair(ABC):
         """
         if alpha < 0.0:
             raise ValueError(f"alpha must be nonnegative, got {alpha}")
-        lr = self._lr_calibration_sample()
-        if strict:
-            return float(np.mean(lr > alpha))
-        return float(np.mean(lr >= alpha))
+        lr = self._lr_calibration_sample
+        side = "right" if strict else "left"
+        return float(lr.size - np.searchsorted(lr, alpha, side=side)) / lr.size
 
     def lr_quantile_f0(self, p: float) -> float:
         """Smallest threshold a with P(l(X) > a) <= p under F0.
@@ -125,7 +134,7 @@ class DistributionPair(ABC):
         """
         if not 0.0 < p < 1.0:
             raise ValueError(f"p must be in (0, 1), got {p}")
-        lr = np.sort(self._lr_calibration_sample())
+        lr = self._lr_calibration_sample
         n = lr.size
         # Smallest sample value v with #{lr > v} <= p*n is the order
         # statistic lr[j-1], j = ceil(n - p*n).

@@ -16,10 +16,11 @@ Estimated quantities, each with a standard error:
   * detect-first / detect-any probabilities and missed-onset counts from
     monitored runs.
 
-Reproducibility contract: every trial draws from its own generator keyed by
-``(seed, stream tag, trial index)``, and aggregation reduces per-trial
-records in trial order.  Results are therefore bit-identical for any worker
-count; workers only split the fixed chunking of the trial range.
+Reproducibility contract: the trial range is cut into fixed chunks of
+``_CHUNK`` trials, and each chunk draws from one generator keyed by
+``(seed, stream tag, chunk index)``.  Aggregation reduces per-trial records
+in trial order.  Results are therefore bit-identical for any worker count;
+workers only split the fixed chunking of the trial range.
 
 Standard errors: exact binomial for probabilities, sample standard
 deviation for means, delta method for the bound ratio.
@@ -49,9 +50,14 @@ STREAM_ONSET = 2
 STREAM_HISTORY = 3
 STREAM_SCHEDULE = 4
 
-#: dispatch chunk count: chunk boundaries are a fixed function of the trial
+#: trials per generator: chunk boundaries are a fixed function of the trial
 #: count only, so outputs can never depend on the worker count
-_N_CHUNKS = 64
+_CHUNK = 256
+#: columns of a chunk's first block for rules without a run-length budget;
+#: calibrated rules start at ``eta`` columns, their mean run length
+_MIN_BLOCK = 16
+#: most samples one block draws (1 MiB of float64), whatever the block width
+_MAX_BLOCK_SAMPLES = 1 << 17
 
 _CENSORED = -1
 
@@ -159,38 +165,31 @@ class CriteriaReport:
                 raise ValueError(f"{name} has a negative standard error")
 
 
-def trial_rng(seed, stream: int, trial: int) -> np.random.Generator:
-    """Generator for one trial, keyed by (seed, stream, trial index)."""
-    entropy = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
-    base_key = seed.spawn_key if isinstance(seed, np.random.SeedSequence) else ()
-    ss = np.random.SeedSequence(entropy, spawn_key=(*base_key, stream, trial))
-    return np.random.default_rng(ss)
-
-
-def _seed_key(seed) -> tuple:
-    """Picklable (entropy, spawn_key) form of a seed for worker dispatch."""
+def _seed_sequence(seed, *key) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
-        return (seed.entropy, tuple(seed.spawn_key))
-    return (seed, ())
+        return np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, *key))
+    return np.random.SeedSequence(seed, spawn_key=key)
 
 
-def _rng_from_key(key: tuple, stream: int, trial: int) -> np.random.Generator:
-    entropy, spawn_key = key
-    ss = np.random.SeedSequence(entropy, spawn_key=(*spawn_key, stream, trial))
-    return np.random.default_rng(ss)
+def trial_rng(seed, *key) -> np.random.Generator:
+    """Generator keyed by ``key`` under ``seed`` (an int or a SeedSequence).
+
+    The estimators draw chunk ``c`` of a stream from ``trial_rng(seed,
+    stream, c)``.
+    """
+    return np.random.default_rng(_seed_sequence(seed, *key))
 
 
 def _chunk_ranges(n_trials: int) -> list[tuple[int, int]]:
-    chunk = max(1, -(-n_trials // _N_CHUNKS))
-    return [(lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
+    return [(lo, min(lo + _CHUNK, n_trials)) for lo in range(0, n_trials, _CHUNK)]
 
 
 def _map_chunks(fn, n_trials: int, n_workers: int) -> list:
     """Run fn(lo, hi) over the fixed chunking, in chunk order."""
     ranges = _chunk_ranges(n_trials)
-    if n_workers <= 1:
+    if n_workers <= 1 or len(ranges) == 1:
         return [fn(lo, hi) for lo, hi in ranges]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(n_workers, len(ranges))) as pool:
         return list(pool.map(_call_range, [(fn, lo, hi) for lo, hi in ranges]))
 
 
@@ -213,46 +212,138 @@ def _mean_se(values: np.ndarray) -> Estimate:
 
 
 # ---------------------------------------------------------------------------
-# Pure-nominal run-length simulation (false-alarm side)
+# The simulate-and-score kernel
 
 
-def _f0_chunk(
+def _first_stops(mask: np.ndarray, ends_run: np.ndarray) -> np.ndarray:
+    """Column of each row's first stop in a block of alarm verdicts, -1 for none.
+
+    ``ends_run`` marks the block's columns where an alarm ends the run:
+    every column in single-shot mode, the onset columns in restart mode.
+    """
+    stops = mask & ends_run
+    return np.where(stops.any(axis=1), stops.argmax(axis=1), -1)
+
+
+def _simulate_chunk(
     lo: int,
     hi: int,
     *,
     rule: StoppingRule,
     pair: DistributionPair,
-    seed_key: tuple,
-    max_horizon: int,
-    first_block: int,
+    schedule: ChangeSchedule,
+    mode: Mode,
+    seed,
+    stream: int,
+    record_at: int | None,
 ):
+    """Stop times of trials lo..hi-1, and one recorded sample per trial.
+
+    A stop is 0 for an initial stop, the stopping time, or ``_CENSORED``
+    when the horizon ran out first.  The recorded sample is the one at time
+    ``record_at``, or the stopping sample when that is None; NaN where the
+    trial never drew it.  Blocks of ``(active trials x columns)`` samples
+    are drawn until every trial has ended.
+    """
+    rng = trial_rng(seed, stream, lo // _CHUNK)
     n = hi - lo
-    taus = np.empty(n, dtype=np.int64)
-    lrs = np.empty(n, dtype=float)
+    horizon = schedule.horizon
+    stop = np.full(n, _CENSORED, dtype=np.int64)
+    recorded = np.full(n, np.nan)
     pi0 = getattr(rule, "initial_stop_prob", 0.0)
-    for k in range(n):
-        rng = _rng_from_key(seed_key, STREAM_RUN_LENGTH, lo + k)
-        if pi0 > 0.0 and rng.random() < pi0:
-            taus[k] = 0
-            lrs[k] = 0.0
-            continue
-        t0 = 0
-        block = first_block
-        taus[k] = _CENSORED
-        lrs[k] = math.nan
-        while t0 < max_horizon:
-            nb = min(block, max_horizon - t0)
-            x = pair.sample("nominal", rng, nb)
-            times = np.arange(t0 + 1, t0 + nb + 1, dtype=np.int64)
-            hits = np.nonzero(rule.alarm_mask(times, x, rng))[0]
-            if hits.size:
-                j = int(hits[0])
-                taus[k] = t0 + j + 1
-                lrs[k] = float(np.exp(pair.log_likelihood_ratio(x[j])))
-                break
-            t0 += nb
-            block = min(block * 4, 1 << 16)
-    return taus, lrs
+    if pi0 > 0.0:
+        stop[rng.random(n) < pi0] = 0
+    is_f1 = np.zeros(horizon, dtype=bool)
+    is_f1[schedule.affected_times() - 1] = True
+    if mode == "restart":
+        ends_run = np.zeros(horizon, dtype=bool)
+        ends_run[np.asarray(schedule.onsets, dtype=np.int64) - 1] = True
+    else:
+        ends_run = np.ones(horizon, dtype=bool)
+    eta = getattr(rule, "eta", None)
+    block = _MIN_BLOCK if eta is None else max(_MIN_BLOCK, math.ceil(eta))
+    active = np.flatnonzero(stop == _CENSORED)
+    t0 = 0
+    while active.size and t0 < horizon:
+        nb = min(block, horizon - t0, max(1, _MAX_BLOCK_SAMPLES // active.size))
+        x = np.asarray(pair.sample("nominal", rng, (active.size, nb)), dtype=float)
+        f1_cols = np.flatnonzero(is_f1[t0 : t0 + nb])
+        if f1_cols.size:
+            x[:, f1_cols] = pair.sample("alternative", rng, (active.size, f1_cols.size))
+        times = np.broadcast_to(np.arange(t0 + 1, t0 + nb + 1, dtype=np.int64), x.shape)
+        first = _first_stops(rule.alarm_mask(times, x, rng), ends_run[t0 : t0 + nb])
+        done = first >= 0
+        if record_at is None:
+            recorded[active[done]] = x[done, first[done]]
+        elif t0 < record_at <= t0 + nb:
+            recorded[active] = x[:, record_at - t0 - 1]
+        stop[active[done]] = t0 + 1 + first[done]
+        active = active[~done]
+        t0 += nb
+        block *= 2
+    return stop, recorded
+
+
+def _simulate(
+    rule: StoppingRule,
+    pair: DistributionPair,
+    schedule: ChangeSchedule,
+    mode: Mode,
+    n_trials: int,
+    seed,
+    stream: int,
+    *,
+    n_workers: int = 1,
+    record_at: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial stops and recorded samples (see :func:`_simulate_chunk`)."""
+    if mode not in ("single_shot", "restart"):
+        raise ValueError(f"unknown mode {mode!r}")
+    fn = partial(
+        _simulate_chunk,
+        rule=rule,
+        pair=pair,
+        schedule=schedule,
+        mode=mode,
+        seed=seed,
+        stream=stream,
+        record_at=record_at,
+    )
+    parts = _map_chunks(fn, n_trials, n_workers)
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+class _Scores(NamedTuple):
+    """Monitored runs scored from their stops.
+
+    ``hits[i]`` counts runs that stopped exactly on onset i and
+    ``survivors[i]`` runs still going, undetected, when it arrived.
+    ``detected_at`` is per trial the index of the onset the run stopped on
+    (-1 for none), ``missed`` the onsets it passed before its end.
+    """
+
+    hits: np.ndarray
+    survivors: np.ndarray
+    detected_at: np.ndarray
+    missed: np.ndarray
+
+
+def _score(stop: np.ndarray, schedule: ChangeSchedule) -> _Scores:
+    # A restart run stops only on an onset, so every onset before its end
+    # passed with no alarm at it; a single-shot run ends at its first alarm.
+    # Either way the onsets before the end are the missed ones.
+    onsets = np.asarray(schedule.onsets, dtype=np.int64)
+    end = np.where(stop == _CENSORED, schedule.horizon + 1, stop)
+    missed = np.searchsorted(onsets, end)
+    reached = np.searchsorted(onsets, end, side="right")
+    detected = reached > missed
+    survivors = np.cumsum(np.bincount(reached, minlength=onsets.size + 1)[::-1])[::-1][1:]
+    hits = np.bincount(missed[detected], minlength=onsets.size)
+    return _Scores(hits, survivors, np.where(detected, missed, -1), missed)
+
+
+# ---------------------------------------------------------------------------
+# Pure-nominal run-length simulation (false-alarm side)
 
 
 def simulate_run_lengths(
@@ -271,23 +362,22 @@ def simulate_run_lengths(
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if max_horizon < 1:
         raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
-    eta = getattr(rule, "eta", None)
-    first_block = 256 if eta is None else max(256, int(1.25 * eta))
-    fn = partial(
-        _f0_chunk,
-        rule=rule,
-        pair=pair,
-        seed_key=_seed_key(seed),
-        max_horizon=max_horizon,
-        first_block=first_block,
+    stop, x_stop = _simulate(
+        rule,
+        pair,
+        ChangeSchedule(onsets=(), duration=1, horizon=max_horizon),
+        "single_shot",
+        n_trials,
+        seed,
+        STREAM_RUN_LENGTH,
+        n_workers=n_workers,
     )
-    parts = _map_chunks(fn, n_trials, n_workers)
-    taus = np.concatenate([p[0] for p in parts])
-    lrs = np.concatenate([p[1] for p in parts])
-    keep = taus != _CENSORED
-    return RunLengthSample(
-        taus=taus[keep].astype(float), lrs=lrs[keep], censored=int((~keep).sum())
-    )
+    keep = stop != _CENSORED
+    taus = stop[keep]
+    lrs = np.zeros(taus.size)
+    moved = taus > 0
+    lrs[moved] = np.exp(pair.log_likelihood_ratio(x_stop[keep][moved]))
+    return RunLengthSample(taus=taus.astype(float), lrs=lrs, censored=int((~keep).sum()))
 
 
 def estimate_arl(
@@ -399,109 +489,6 @@ def geometric_gof_pvalue(taus: np.ndarray, p: float, *, min_expected: float = 5.
 # Monitored runs over schedules
 
 
-def _monitor_arrays(
-    rule: StoppingRule,
-    pair: DistributionPair,
-    schedule: ChangeSchedule,
-    mode: Mode,
-    rng: np.random.Generator,
-):
-    """One monitored run; returns (tau, first_det, n_false, missed, survived, hit).
-
-    tau / first_det use -1 for "never".  ``survived[i]`` means the run was
-    still being monitored with no prior detection when onset i arrived;
-    ``hit[i]`` means the stop landed exactly on onset i.
-    """
-    onsets = np.asarray(schedule.onsets, dtype=np.int64)
-    s = onsets.size
-    pi0 = getattr(rule, "initial_stop_prob", 0.0)
-    if pi0 > 0.0 and rng.random() < pi0:
-        return 0, -1, 0, 0, np.zeros(s, bool), np.zeros(s, bool)
-    x = generate_sequence(pair, schedule, rng)
-    times = np.arange(1, schedule.horizon + 1, dtype=np.int64)
-    mask = rule.alarm_mask(times, x, rng)
-    alarm_times = times[mask]
-    onset_set = np.isin(alarm_times, onsets)
-    if mode == "single_shot":
-        if alarm_times.size:
-            tau = int(alarm_times[0])
-            detected = bool(onset_set[0])
-        else:
-            tau = _CENSORED
-            detected = False
-        first_det = tau if detected else _CENSORED
-        end = tau if tau != _CENSORED else schedule.horizon + 1
-        survived = np.ones(s, bool) if tau == _CENSORED else onsets <= tau
-        hit = onsets == tau
-        n_false = int(tau != _CENSORED and not detected)
-        missed = int((onsets < end).sum())
-        return tau, first_det, n_false, missed, survived, hit
-    if mode != "restart":
-        raise ValueError(f"unknown mode {mode!r}")
-    detections = alarm_times[onset_set]
-    if detections.size:
-        first_det = int(detections[0])
-        n_false = int((~onset_set[alarm_times <= first_det]).sum())
-        end = first_det
-    else:
-        first_det = _CENSORED
-        n_false = int((~onset_set).sum())
-        end = schedule.horizon + 1
-    survived = onsets <= end
-    hit = onsets == first_det
-    alarmed_at_onset = mask[onsets - 1] if s else np.zeros(0, bool)
-    missed = int(((onsets < end) & ~alarmed_at_onset).sum())
-    tau = first_det
-    return tau, first_det, n_false, missed, survived, hit
-
-
-def _monitor_chunk(
-    lo: int,
-    hi: int,
-    *,
-    rule: StoppingRule,
-    pair: DistributionPair,
-    schedule: ChangeSchedule,
-    mode: Mode,
-    seed_key: tuple,
-):
-    n = hi - lo
-    s = schedule.s
-    taus = np.empty(n, dtype=np.int64)
-    first_det = np.empty(n, dtype=np.int64)
-    n_false = np.empty(n, dtype=np.int64)
-    missed = np.empty(n, dtype=np.int64)
-    survived = np.empty((n, s), dtype=bool)
-    hit = np.empty((n, s), dtype=bool)
-    for k in range(n):
-        rng = _rng_from_key(seed_key, STREAM_MONITOR, lo + k)
-        taus[k], first_det[k], n_false[k], missed[k], survived[k], hit[k] = _monitor_arrays(
-            rule, pair, schedule, mode, rng
-        )
-    return taus, first_det, n_false, missed, survived, hit
-
-
-def _monitor_trials(
-    rule: StoppingRule,
-    pair: DistributionPair,
-    schedule: ChangeSchedule,
-    mode: Mode,
-    n_trials: int,
-    seed,
-    n_workers: int = 1,
-):
-    fn = partial(
-        _monitor_chunk,
-        rule=rule,
-        pair=pair,
-        schedule=schedule,
-        mode=mode,
-        seed_key=_seed_key(seed),
-    )
-    parts = _map_chunks(fn, n_trials, n_workers)
-    return tuple(np.concatenate([p[i] for p in parts]) for i in range(6))
-
-
 def monitor_sequence(
     rule: StoppingRule,
     x: np.ndarray,
@@ -569,7 +556,12 @@ def run_monitoring(
     *,
     trial: int = 0,
 ) -> TrialOutcome:
-    """Generate one stream for the schedule and score a monitored run on it."""
+    """Generate one stream for the schedule and score a monitored run on it.
+
+    The stream is a standalone draw from ``trial_rng(seed, STREAM_MONITOR,
+    trial)``; it does not replay trial ``trial`` of an estimator, whose
+    trials share one generator per chunk.
+    """
     rng = trial_rng(seed, STREAM_MONITOR, trial)
     pi0 = getattr(detector, "initial_stop_prob", 0.0)
     if pi0 > 0.0 and rng.random() < pi0:
@@ -647,11 +639,12 @@ def estimate_pollak(
     """
     if schedule.s == 0:
         return PollakEstimate(0.0, 0.0, (), (), ())
-    _, _, _, _, survived, hit = _monitor_trials(
-        detector, pair, schedule, mode, n_trials, seed, n_workers
+    stop, _ = _simulate(
+        detector, pair, schedule, mode, n_trials, seed, STREAM_MONITOR, n_workers=n_workers
     )
+    scores = _score(stop, schedule)
     return _pollak_from_counts(
-        hit.sum(axis=0), survived.sum(axis=0), schedule.onsets, min_survivors, on_degenerate
+        scores.hits, scores.survivors, schedule.onsets, min_survivors, on_degenerate
     )
 
 
@@ -783,20 +776,18 @@ def _history_records(detector, pair, schedule, index, n_trials, seed):
     onset = schedule.onsets[index - 1]
     if onset < 2:
         raise ValueError("history conditioning needs at least one pre-onset sample")
-    feats = np.empty(n_trials, dtype=float)
-    survived = np.empty(n_trials, dtype=bool)
-    hit = np.empty(n_trials, dtype=bool)
-    for k in range(n_trials):
-        rng = trial_rng(seed, STREAM_HISTORY, k)
-        x = generate_sequence(pair, schedule, rng)
-        times = np.arange(1, schedule.horizon + 1, dtype=np.int64)
-        mask = detector.alarm_mask(times, x, rng)
-        alarm_idx = np.nonzero(mask)[0]
-        tau = int(alarm_idx[0]) + 1 if alarm_idx.size else _CENSORED
-        feats[k] = x[onset - 2]
-        survived[k] = tau == _CENSORED or tau >= onset
-        hit[k] = tau == onset
-    return feats, survived, hit
+    stop, feats = _simulate(
+        detector,
+        pair,
+        schedule,
+        "single_shot",
+        n_trials,
+        seed,
+        STREAM_HISTORY,
+        record_at=onset - 1,
+    )
+    survived = (stop == _CENSORED) | (stop >= onset)
+    return feats, survived, stop == onset
 
 
 def history_independence_pvalue(
@@ -857,24 +848,16 @@ def evaluate_criteria(
     which for a memoryless rule estimates the same conditional as the
     single-shot run.
     """
-    taus, first_det, _n_false, missed, survived, hit = _monitor_trials(
-        detector, pair, schedule, mode, n_trials, seed, n_workers
+    stop, _ = _simulate(
+        detector, pair, schedule, mode, n_trials, seed, STREAM_MONITOR, n_workers=n_workers
     )
-    detect_any = float((first_det != _CENSORED).mean())
-    if schedule.s:
-        first_onset = schedule.onsets[0]
-        detect_first = float((first_det == first_onset).mean())
-        pollak = _pollak_from_counts(
-            hit.sum(axis=0),
-            survived.sum(axis=0),
-            schedule.onsets,
-            min_survivors,
-            on_degenerate,
-        )
-    else:
-        detect_first = 0.0
-        pollak = PollakEstimate(0.0, 0.0, (), (), ())
-    avg_missed = _mean_se(missed.astype(float))
+    scores = _score(stop, schedule)
+    detect_any = float((scores.detected_at >= 0).mean())
+    detect_first = float((scores.detected_at == 0).mean())
+    pollak = _pollak_from_counts(
+        scores.hits, scores.survivors, schedule.onsets, min_survivors, on_degenerate
+    )
+    avg_missed = _mean_se(scores.missed.astype(float))
     horizon = arl_horizon if arl_horizon is not None else max(int(20 * detector.eta), 1000)
     sample = simulate_run_lengths(
         detector, pair, arl_trials or n_trials, horizon, seed, n_workers=n_workers
@@ -986,17 +969,15 @@ def detect_first_any_curves(
     eta_list = list(eta_list)
     if not eta_list:
         raise ValueError("eta_list must be nonempty")
-    entropy = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
-    base_key = seed.spawn_key if isinstance(seed, np.random.SeedSequence) else ()
+    entropy = _seed_sequence(seed).entropy
     label = seed_label if seed_label is not None else (
         entropy if isinstance(entropy, int) else 0
     )
     rows = []
     for gi, eta in enumerate(eta_list):
         det = calibrate(pair, float(eta))
-        sub_seed = np.random.SeedSequence(entropy, spawn_key=(*base_key, gi))
         rep = evaluate_criteria(
-            det, pair, schedule, n_trials=n_trials, seed=sub_seed, mode=mode,
+            det, pair, schedule, n_trials=n_trials, seed=_seed_sequence(seed, gi), mode=mode,
             n_workers=n_workers,
         )
         rows.append(

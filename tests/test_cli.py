@@ -88,6 +88,16 @@ def test_detect_reports_bad_line(tmp_path, capsys):
     assert "line 2" in err and "abc" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_detect_rejects_non_finite_lines(tmp_path, capsys, value):
+    src = tmp_path / "bad.txt"
+    src.write_text(f"0.25\n{value}\n1.5\n")
+    code, out, err = run_cli(capsys, "detect", "--eta", "100", "--input", str(src))
+    assert code == 2
+    assert "line 2" in err and value in err
+    assert out.strip().split("\n")[1:] == ["1,0.77880078307140488,continue"]
+
+
 def test_detect_flag_exclusivity(tmp_path, capsys):
     src = tmp_path / "obs.txt"
     src.write_text("0.5\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -180,6 +181,25 @@ def test_calibrate_two_point_pair(two_point_pair):
     x = two_point_pair.sample("nominal", rng, n)
     hits = det.alarm_mask(np.arange(1, n + 1), x, rng)
     assert abs(hits.mean() - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / n) + 0.005
+
+
+def test_calibration_sample_is_drawn_once_per_pair(two_point_pair, monkeypatch):
+    pair_cls = type(two_point_pair)
+    draws = []
+    original = pair_cls.sample
+
+    def counting_sample(self, which, rng, size=None):
+        draws.append(size)
+        return original(self, which, rng, size)
+
+    monkeypatch.setattr(pair_cls, "sample", counting_sample)
+    det = calibrate(two_point_pair, 4.0)
+    det.per_sample_alarm_prob()
+    two_point_pair.lr_quantile_f0(0.1)
+    assert draws == [two_point_pair.mc_calibration_samples]
+    # workers get the pair without the cached sample
+    clone = pickle.loads(pickle.dumps(two_point_pair))
+    assert clone == two_point_pair and "_lr_calibration_sample" not in vars(clone)
 
 
 def test_boundary_step_uses_rng(two_point_pair):

@@ -26,6 +26,8 @@ from transientscan import (
 )
 from transientscan.distributions import norm_upper_quantile, norm_upper_tail
 from transientscan.metrics import (
+    _first_stops,
+    _score,
     detect_first_any_curves,
     history_independence_pvalue,
     trial_rng,
@@ -356,6 +358,65 @@ def test_detect_any_zero_without_onsets():
     assert rep.pollak_estimate.value == 0.0
 
 
+@pytest.mark.parametrize("mode", ["single_shot", "restart"])
+def test_kernel_scoring_matches_monitor_sequence(mode):
+    # onsets at t = 1 and at the horizon; eta = 3 alarms often enough that
+    # single-shot rows stop before, on and between onsets
+    det = calibrate(PAIR, 3.0)
+    sched = ChangeSchedule(onsets=(1, 5, 9), duration=1, horizon=9)
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(400, sched.horizon))
+    x[0] = -10.0  # never alarms: censored in both modes
+    x[1] = [10.0] + [-10.0] * 8  # alarms at t = 1 only
+    x[2] = [-10.0] * 8 + [10.0]  # alarms at the horizon only
+    times = np.broadcast_to(np.arange(1, sched.horizon + 1), x.shape)
+    ends_run = np.ones(sched.horizon, dtype=bool)
+    if mode == "restart":
+        ends_run[:] = False
+        ends_run[np.asarray(sched.onsets) - 1] = True
+    first = _first_stops(det.alarm_mask(times, x, rng), ends_run)
+    # row 0 of the scored stops is an initial stop
+    stop = np.concatenate([[0], np.where(first >= 0, first + 1, -1)])
+    scores = _score(stop, sched)
+    initial = run_monitoring(
+        dataclasses.replace(det, initial_stop_prob=1.0), PAIR, sched, mode, seed=38
+    )
+    reference = [initial] + [monitor_sequence(det, row, sched, mode) for row in x]
+    assert {out.tau for out in reference} >= {0, None, 1, sched.horizon}
+    hits = np.zeros(sched.s, dtype=int)
+    survivors = np.zeros(sched.s, dtype=int)
+    for k, out in enumerate(reference):
+        assert stop[k] == (-1 if out.tau is None else out.tau)
+        det_at = scores.detected_at[k]
+        assert out.first_detection_time == (sched.onsets[det_at] if det_at >= 0 else None)
+        assert scores.missed[k] == out.missed_onsets_before_detection
+        end = sched.horizon + 1 if out.tau is None else out.tau
+        survivors += np.asarray(sched.onsets) <= end
+        hits += np.asarray(sched.onsets) == out.first_detection_time
+    assert np.array_equal(scores.hits, hits)
+    assert np.array_equal(scores.survivors, survivors)
+
+
+def test_restart_runs_stop_drawing_at_their_first_detection(monkeypatch):
+    drawn = []
+    original = GaussianMeanShift.sample
+
+    def counting_sample(self, which, rng, size=None):
+        drawn.append(int(np.prod(size)))
+        return original(self, which, rng, size)
+
+    monkeypatch.setattr(GaussianMeanShift, "sample", counting_sample)
+    det = calibrate(PAIR, 5.0)
+    sched = make_schedule(10_000, 100, 1, "even_grid")
+    n = 300
+    est = estimate_pollak(
+        det, PAIR, sched, n, seed=39, mode="restart", on_degenerate="exclude"
+    )
+    # detection at an onset has probability ~0.56, so runs end near t = 200
+    assert est.survivors[0] == n
+    assert sum(drawn) < n * sched.horizon / 10
+
+
 # ---------------------------------------------------------------------------
 # history independence (memorylessness seen from the data)
 
@@ -417,3 +478,10 @@ def test_worker_count_does_not_change_results():
     a = estimate_pollak(det, PAIR, sched, 500, seed=29, min_survivors=10, n_workers=1)
     b = estimate_pollak(det, PAIR, sched, 500, seed=29, min_survivors=10, n_workers=2)
     assert a == b
+    # 257 trials cross the first chunk boundary
+    long = make_schedule(400, 4, 1, "even_grid")
+    reports = [
+        evaluate_criteria(det, PAIR, long, n_trials=257, seed=40, mode="restart", n_workers=w)
+        for w in (1, 2)
+    ]
+    assert reports[0] == reports[1]

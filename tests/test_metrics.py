@@ -66,12 +66,12 @@ def test_arl_always_alarm_is_exact():
 
 
 def test_arl_matches_geometric_moments():
-    eta = 10.0
-    est = estimate_arl(calibrate(PAIR, eta), PAIR, 20_000, 1000, seed=42)
-    tol = 3.0 * math.sqrt(eta**2 - eta) / math.sqrt(20_000)
+    eta, n = 10.0, 1_000_000
+    est = estimate_arl(calibrate(PAIR, eta), PAIR, n, 1000, seed=42)
+    tol = 3.0 * math.sqrt(eta**2 - eta) / math.sqrt(n)
     assert abs(est.mean - eta) <= tol
     assert est.censored == 0
-    assert est.std_error == pytest.approx(math.sqrt(eta**2 - eta) / math.sqrt(20_000), rel=0.1)
+    assert est.std_error == pytest.approx(math.sqrt(eta**2 - eta) / math.sqrt(n), rel=0.1)
 
 
 def test_arl_rejects_short_horizon():

@@ -12,12 +12,11 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .detector import ShewhartDetector, calibrate
 from .distributions import GaussianMeanShift
 from .harness import ExperimentConfig, load_preset, preset_names, run_experiment
+from .metrics import trial_rng
 from .sequence_model import make_schedule, generate_sequence, write_sequence_csv
 
 EXIT_OK = 0
@@ -140,7 +139,7 @@ def cmd_detect(args) -> int:
         det = ShewhartDetector(pair=pair, alpha=args.alpha, eta=max(implied_eta, 1.0))
     else:
         det = calibrate(pair, args.eta)
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+    rng = trial_rng(args.seed)
     alarmed = False
     print("t,lr,verdict")
     t = 0
@@ -172,7 +171,7 @@ def cmd_simulate(args) -> int:
     onsets = None
     if args.onsets is not None:
         onsets = tuple(int(v) for v in args.onsets.split(","))
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+    rng = trial_rng(args.seed)
     schedule = make_schedule(
         args.horizon, args.s, args.T, args.placement, rng=rng, onsets=onsets
     )

@@ -54,6 +54,12 @@ def norm_upper_quantile(p: float) -> float:
     return -_STD_NORMAL.inv_cdf(p)
 
 
+def _tail_fraction(lr: np.ndarray, alpha: float, strict: bool = False) -> float:
+    """Fraction of the sorted sample ``lr`` at or above alpha (above, when strict)."""
+    side = "right" if strict else "left"
+    return float(lr.size - np.searchsorted(lr, alpha, side=side)) / lr.size
+
+
 def _check_which(which: str) -> None:
     if which not in ("nominal", "alternative"):
         raise ValueError(f"which must be 'nominal' or 'alternative', got {which!r}")
@@ -94,18 +100,27 @@ class DistributionPair(ABC):
         """l(x) = f1(x) / f0(x); requires f0(x) > 0."""
         return np.exp(self.log_likelihood_ratio(x))
 
+    def _sorted_lr_sample(self, which: Which, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        x = self.sample(which, rng, self.mc_calibration_samples)
+        return np.sort(np.exp(self.log_likelihood_ratio(x)))
+
     @cached_property
     def _lr_calibration_sample(self) -> np.ndarray:
         """Sorted F0 likelihood ratios of the calibration sample, drawn once
         per pair, so every tail and quantile comes from one empirical measure."""
-        rng = np.random.default_rng(np.random.SeedSequence(self.mc_calibration_seed))
-        x = self.sample("nominal", rng, self.mc_calibration_samples)
-        return np.sort(np.exp(self.log_likelihood_ratio(x)))
+        return self._sorted_lr_sample("nominal", self.mc_calibration_seed)
+
+    @cached_property
+    def _lr_f1_sample(self) -> np.ndarray:
+        """Sorted F1 likelihood ratios for the detection tail, drawn once per pair."""
+        return self._sorted_lr_sample("alternative", self.mc_calibration_seed + 1)
 
     def __getstate__(self):
-        # the cached sample is cheap to redraw and large to send to workers
+        # the cached samples are cheap to redraw and large to send to workers
         state = dict(self.__dict__)
         state.pop("_lr_calibration_sample", None)
+        state.pop("_lr_f1_sample", None)
         return state
 
     def lr_tail_prob_f0(self, alpha: float, *, strict: bool = False) -> float:
@@ -115,9 +130,7 @@ class DistributionPair(ABC):
         """
         if alpha < 0.0:
             raise ValueError(f"alpha must be nonnegative, got {alpha}")
-        lr = self._lr_calibration_sample
-        side = "right" if strict else "left"
-        return float(lr.size - np.searchsorted(lr, alpha, side=side)) / lr.size
+        return _tail_fraction(self._lr_calibration_sample, alpha, strict)
 
     def lr_quantile_f0(self, p: float) -> float:
         """Smallest threshold a with P(l(X) > a) <= p under F0.
@@ -145,10 +158,7 @@ class DistributionPair(ABC):
         """P(l(X) >= alpha) for X ~ F1: the per-sample detection probability."""
         if alpha < 0.0:
             raise ValueError(f"alpha must be nonnegative, got {alpha}")
-        rng = np.random.default_rng(np.random.SeedSequence(self.mc_calibration_seed + 1))
-        x = self.sample("alternative", rng, self.mc_calibration_samples)
-        lr = np.exp(self.log_likelihood_ratio(x))
-        return float(np.mean(lr >= alpha))
+        return _tail_fraction(self._lr_f1_sample, alpha)
 
     def to_config(self) -> dict:
         raise NotImplementedError

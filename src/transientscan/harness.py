@@ -23,15 +23,15 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .distributions import DistributionPair, pair_from_config
 from .metrics import (
     CSV_COLUMNS,
     STREAM_SCHEDULE,
     CurveRow,
+    _seed_sequence,
     detect_first_any_curves,
+    trial_rng,
 )
 from .sequence_model import make_schedule
 
@@ -122,9 +122,7 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def build_schedule(self):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(self.master_seed, spawn_key=(STREAM_SCHEDULE,))
-        )
+        rng = trial_rng(self.master_seed, STREAM_SCHEDULE)
         return make_schedule(
             self.horizon, self.s, self.T, self.placement, rng=rng, onsets=self.onsets
         )
@@ -139,9 +137,8 @@ def run_eta_sweep(config: ExperimentConfig, *, n_workers: int = 1) -> list[Curve
         config.eta_grid,
         config.n_trials,
         config.mode,
-        np.random.SeedSequence(config.master_seed),
+        config.master_seed,
         n_workers=n_workers,
-        seed_label=config.master_seed,
     )
 
 
@@ -160,9 +157,8 @@ def run_mu_sweep(config: ExperimentConfig, *, n_workers: int = 1) -> list[CurveR
                 config.eta_grid,
                 config.n_trials,
                 config.mode,
-                np.random.SeedSequence(config.master_seed, spawn_key=(100 + mi,)),
+                _seed_sequence(config.master_seed, 100 + mi),
                 n_workers=n_workers,
-                seed_label=config.master_seed,
             )
         )
     return rows

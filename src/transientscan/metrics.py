@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Literal, NamedTuple
 
@@ -136,7 +136,6 @@ class CriteriaReport:
     """All criteria estimates for one detector on one schedule."""
 
     pollak_estimate: Estimate
-    lorden_estimate: Estimate
     arl_to_false_alarm: Estimate
     optimality_ceiling: Estimate
     detect_first_prob: Estimate
@@ -152,17 +151,10 @@ class CriteriaReport:
             est = getattr(self, name)
             if not 0.0 <= est.value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {est.value}")
-        for name in (
-            "pollak_estimate",
-            "lorden_estimate",
-            "arl_to_false_alarm",
-            "optimality_ceiling",
-            "detect_first_prob",
-            "detect_any_prob",
-            "avg_missed",
-        ):
-            if getattr(self, name).std_error < 0.0:
-                raise ValueError(f"{name} has a negative standard error")
+        for f in fields(self):
+            est = getattr(self, f.name)
+            if isinstance(est, Estimate) and est.std_error < 0.0:
+                raise ValueError(f"{f.name} has a negative standard error")
 
 
 def _seed_sequence(seed, *key) -> np.random.SeedSequence:
@@ -190,12 +182,7 @@ def _map_chunks(fn, n_trials: int, n_workers: int) -> list:
     if n_workers <= 1 or len(ranges) == 1:
         return [fn(lo, hi) for lo, hi in ranges]
     with ProcessPoolExecutor(max_workers=min(n_workers, len(ranges))) as pool:
-        return list(pool.map(_call_range, [(fn, lo, hi) for lo, hi in ranges]))
-
-
-def _call_range(job):
-    fn, lo, hi = job
-    return fn(lo, hi)
+        return list(pool.map(fn, *zip(*ranges)))
 
 
 def _binomial_se(p: float, n: int) -> float:
@@ -576,6 +563,11 @@ def run_monitoring(
 # Criteria estimators
 
 
+def _check_on_degenerate(on_degenerate: str) -> None:
+    if on_degenerate not in ("raise", "exclude"):
+        raise ValueError(f"on_degenerate must be 'raise' or 'exclude', got {on_degenerate!r}")
+
+
 def _pollak_from_counts(
     hits: np.ndarray,
     survivors: np.ndarray,
@@ -637,6 +629,7 @@ def estimate_pollak(
     on unit-duration changes every term is schedule-invariant, so any
     schedule attains it (property-tested, not assumed silently).
     """
+    _check_on_degenerate(on_degenerate)
     if schedule.s == 0:
         return PollakEstimate(0.0, 0.0, (), (), ())
     stop, _ = _simulate(
@@ -718,6 +711,7 @@ def estimate_lorden(
     ``n_history_bins`` quantile bins of the last pre-onset sample.  That is
     a labeled approximation, not an exact worst case.
     """
+    _check_on_degenerate(on_degenerate)
     if getattr(detector, "memoryless", False):
         return estimate_pollak(
             detector,
@@ -730,33 +724,23 @@ def estimate_lorden(
             on_degenerate=on_degenerate,
             n_workers=n_workers,
         )
-    if schedule.s == 0:
-        return PollakEstimate(0.0, 0.0, (), (), ())
     per_onset = []
     degenerate = []
     total = 0.0
     var = 0.0
     for index in range(1, schedule.s + 1):
-        feats, survived, hit = _history_records(
-            detector, pair, schedule, index, n_trials, seed
+        trials, hits = _history_bins(
+            detector, pair, schedule, index, n_trials, seed, n_history_bins, n_workers
         )
-        if int(survived.sum()) < max(min_survivors, n_history_bins * 2):
+        if int(trials.sum()) < max(min_survivors, n_history_bins * 2):
             degenerate.append(schedule.onsets[index - 1])
             per_onset.append(Estimate(math.nan, math.nan))
             continue
-        f = feats[survived]
-        h = hit[survived]
-        edges = np.quantile(f, np.linspace(0, 1, n_history_bins + 1)[1:-1])
-        bins = np.searchsorted(edges, f)
-        worst, worst_se = math.inf, 0.0
-        for b in range(n_history_bins):
-            sel = bins == b
-            m = int(sel.sum())
-            if m == 0:
-                continue
-            p = float(h[sel].mean())
-            if p < worst:
-                worst, worst_se = p, _binomial_se(p, m)
+        filled = trials > 0
+        p = hits[filled] / trials[filled]
+        b = int(np.argmin(p))  # the first of equally bad bins
+        worst = float(p[b])
+        worst_se = _binomial_se(worst, int(trials[filled][b]))
         per_onset.append(Estimate(worst, worst_se))
         total += worst
         var += worst_se * worst_se
@@ -771,8 +755,9 @@ def estimate_lorden(
     )
 
 
-def _history_records(detector, pair, schedule, index, n_trials, seed):
-    """Per-trial (pre-onset feature, survived, hit) for one onset."""
+def _history_bins(detector, pair, schedule, index, n_trials, seed, n_bins, n_workers=1):
+    """Trials that reached onset ``index`` and the detections at it, per
+    quantile bin of the last pre-onset sample (both arrays of length n_bins)."""
     onset = schedule.onsets[index - 1]
     if onset < 2:
         raise ValueError("history conditioning needs at least one pre-onset sample")
@@ -784,10 +769,16 @@ def _history_records(detector, pair, schedule, index, n_trials, seed):
         n_trials,
         seed,
         STREAM_HISTORY,
+        n_workers=n_workers,
         record_at=onset - 1,
     )
     survived = (stop == _CENSORED) | (stop >= onset)
-    return feats, survived, stop == onset
+    f = feats[survived]
+    if f.size == 0:
+        return np.zeros(n_bins, dtype=np.int64), np.zeros(n_bins, dtype=np.int64)
+    bins = np.searchsorted(np.quantile(f, np.linspace(0, 1, n_bins + 1)[1:-1]), f)
+    hit = stop[survived] == onset
+    return np.bincount(bins, minlength=n_bins), np.bincount(bins[hit], minlength=n_bins)
 
 
 def history_independence_pvalue(
@@ -806,17 +797,10 @@ def history_independence_pvalue(
     For a memoryless rule detection is independent of any pre-onset
     feature, so small p-values indicate a broken memorylessness contract.
     """
-    feats, survived, hit = _history_records(detector, pair, schedule, index, n_trials, seed)
-    f = feats[survived]
-    h = hit[survived]
-    edges = np.quantile(f, np.linspace(0, 1, n_bins + 1)[1:-1])
-    bins = np.searchsorted(edges, f)
-    table = np.zeros((2, n_bins), dtype=np.int64)
-    for b in range(n_bins):
-        sel = bins == b
-        table[0, b] = int(h[sel].sum())
-        table[1, b] = int((~h[sel]).sum())
-    table = table[:, table.sum(axis=0) > 0]
+    trials, hits = _history_bins(detector, pair, schedule, index, n_trials, seed, n_bins)
+    if not trials.any():
+        raise DegenerateEstimateError(f"no trial reached onset {schedule.onsets[index - 1]}")
+    table = np.stack([hits, trials - hits])[:, trials > 0]
     if table.shape[1] < 2 or table.sum(axis=1).min() == 0:
         return 1.0
     return float(scipy_stats.chi2_contingency(table)[1])
@@ -848,6 +832,7 @@ def evaluate_criteria(
     which for a memoryless rule estimates the same conditional as the
     single-shot run.
     """
+    _check_on_degenerate(on_degenerate)
     stop, _ = _simulate(
         detector, pair, schedule, mode, n_trials, seed, STREAM_MONITOR, n_workers=n_workers
     )
@@ -868,10 +853,8 @@ def evaluate_criteria(
     bound = estimate_optimality_ceiling(
         detector, pair, schedule.s, sample.n, horizon, seed, sample=sample
     )
-    pollak_est = Estimate(pollak.value, pollak.std_error)
     return CriteriaReport(
-        pollak_estimate=pollak_est,
-        lorden_estimate=pollak_est,  # memoryless rule: worst case over histories is the plain value
+        pollak_estimate=Estimate(pollak.value, pollak.std_error),
         arl_to_false_alarm=Estimate(arl.mean, arl.std_error),
         optimality_ceiling=bound,
         detect_first_prob=Estimate(detect_first, _binomial_se(detect_first, n_trials)),
@@ -887,15 +870,19 @@ def evaluate_criteria(
 # ---------------------------------------------------------------------------
 # Sweep rows (the report schema shared with the experiment harness)
 
-CSV_COLUMNS = (
-    "eta,mu1,s,T,mode,detect_first,detect_first_se,detect_any,detect_any_se,"
-    "avg_missed,avg_missed_se,arl,arl_se,pollak,pollak_se,bound,bound_se,"
-    "n_trials,seed"
-)
+
+def _csv_cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{v:.17g}"
 
 
 @dataclass(frozen=True)
 class CurveRow:
+    """One report row; its fields, in order, are the CSV columns."""
+
     eta: float
     mu1: float
     s: int
@@ -917,39 +904,10 @@ class CurveRow:
     seed: int
 
     def to_csv_line(self) -> str:
-        def fmt(v):
-            if isinstance(v, (int, np.integer)):
-                return str(int(v))
-            return f"{v:.17g}"
+        return ",".join(_csv_cell(getattr(self, f.name)) for f in fields(self))
 
-        return ",".join(
-            [
-                fmt(self.eta),
-                fmt(self.mu1),
-                str(self.s),
-                str(self.T),
-                self.mode,
-                *[
-                    fmt(v)
-                    for v in (
-                        self.detect_first,
-                        self.detect_first_se,
-                        self.detect_any,
-                        self.detect_any_se,
-                        self.avg_missed,
-                        self.avg_missed_se,
-                        self.arl,
-                        self.arl_se,
-                        self.pollak,
-                        self.pollak_se,
-                        self.bound,
-                        self.bound_se,
-                    )
-                ],
-                str(self.n_trials),
-                str(self.seed),
-            ]
-        )
+
+CSV_COLUMNS = ",".join(f.name for f in fields(CurveRow))
 
 
 def detect_first_any_curves(
@@ -961,18 +919,17 @@ def detect_first_any_curves(
     seed,
     *,
     n_workers: int = 1,
-    seed_label: int | None = None,
 ) -> list[CurveRow]:
     """One report row per eta: detect-first / detect-any probabilities,
     missed-onset averages, the run-length mean, the conditional-detection
-    sum, and the optimality ceiling, all from independent trials."""
+    sum, and the optimality ceiling, all from independent trials.  A row's
+    ``seed`` is the entropy of ``seed`` (0 when that is not an int)."""
     eta_list = list(eta_list)
     if not eta_list:
         raise ValueError("eta_list must be nonempty")
     entropy = _seed_sequence(seed).entropy
-    label = seed_label if seed_label is not None else (
-        entropy if isinstance(entropy, int) else 0
-    )
+    label = entropy if isinstance(entropy, int) else 0
+    mu1 = float(getattr(pair, "mean1", math.nan))
     rows = []
     for gi, eta in enumerate(eta_list):
         det = calibrate(pair, float(eta))
@@ -982,25 +939,11 @@ def detect_first_any_curves(
         )
         rows.append(
             CurveRow(
-                eta=float(eta),
-                mu1=float(getattr(pair, "mean1", math.nan)),
-                s=schedule.s,
-                T=schedule.duration,
-                mode=mode,
-                detect_first=rep.detect_first_prob.value,
-                detect_first_se=rep.detect_first_prob.std_error,
-                detect_any=rep.detect_any_prob.value,
-                detect_any_se=rep.detect_any_prob.std_error,
-                avg_missed=rep.avg_missed.value,
-                avg_missed_se=rep.avg_missed.std_error,
-                arl=rep.arl_to_false_alarm.value,
-                arl_se=rep.arl_to_false_alarm.std_error,
-                pollak=rep.pollak_estimate.value,
-                pollak_se=rep.pollak_estimate.std_error,
-                bound=rep.optimality_ceiling.value,
-                bound_se=rep.optimality_ceiling.std_error,
-                n_trials=n_trials,
-                seed=label,
+                float(eta), mu1, schedule.s, schedule.duration, mode,
+                # each estimate fills its (value, value_se) column pair
+                *rep.detect_first_prob, *rep.detect_any_prob, *rep.avg_missed,
+                *rep.arl_to_false_alarm, *rep.pollak_estimate, *rep.optimality_ceiling,
+                n_trials, label,
             )
         )
     return rows

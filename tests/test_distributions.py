@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -280,3 +281,23 @@ def test_mc_fallback_matches_closed_form():
         est = mc_pair.lr_tail_prob_f0(target)
         se = math.sqrt(p * (1 - p) / mc_pair.mc_calibration_samples)
         assert abs(est - p) <= 4 * se
+
+
+def test_f1_tail_fallback_is_drawn_once_per_pair(two_point_pair, monkeypatch):
+    draws = []
+    original = type(two_point_pair).sample
+
+    def counting_sample(self, which, rng, size=None):
+        draws.append((which, size))
+        return original(self, which, rng, size)
+
+    monkeypatch.setattr(type(two_point_pair), "sample", counting_sample)
+    n = two_point_pair.mc_calibration_samples
+    # the atom l(1) = 0.6 / 0.2 as the pair computes it (exp rounds it below 3)
+    atom = two_point_pair.likelihood_ratio(1.0)
+    assert abs(two_point_pair.lr_tail_prob_f1(atom) - 0.6) <= 3 * math.sqrt(0.6 * 0.4 / n)
+    assert two_point_pair.lr_tail_prob_f1(0.5) == 1.0
+    assert draws == [("alternative", n)]
+    # workers get the pair without the cached sample
+    clone = pickle.loads(pickle.dumps(two_point_pair))
+    assert "_lr_f1_sample" not in vars(clone)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +136,13 @@ def test_report_csv_is_deterministic_and_embeds_provenance():
     assert lines[1] == "# master_seed=99"
     assert lines[3] == CSV_COLUMNS
     assert len(lines) == 4 + len(cfg.eta_grid)
+
+
+def test_readme_schema_block_lists_the_csv_columns():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Report CSV schema", 1)[1]
+    block = section.split("```", 2)[1]
+    assert "".join(block.split()) == CSV_COLUMNS
 
 
 def test_worker_count_leaves_csv_bytes_unchanged():

@@ -36,6 +36,17 @@ from transientscan.metrics import (
 PAIR = GaussianMeanShift(mean0=0.0, mean1=1.0, sigma=1.0)
 
 
+@dataclasses.dataclass(frozen=True)
+class AlternatingThresholdRule:
+    """Per-sample rule whose threshold alternates with time: not memoryless,
+    and its detections are random (module level, so workers can unpickle it)."""
+
+    memoryless = False
+
+    def alarm_mask(self, times, x, rng):
+        return x > np.where(times % 2 == 0, 0.5, 1.5)
+
+
 def detect_prob(mu, eta):
     # closed-form per-onset detection probability for the unit Gaussian pair
     return norm_upper_tail(norm_upper_quantile(1.0 / eta) - mu)
@@ -226,6 +237,24 @@ def test_pollak_degenerate_onset_policy():
     assert abs(est.value - detect_prob(1.0, 5.0)) <= 4 * est.std_error
 
 
+@pytest.mark.parametrize("estimator", ["pollak", "lorden", "criteria"])
+@pytest.mark.parametrize("policy", ["rasie", "Exclude", ""])
+def test_unknown_degenerate_policy_is_rejected(estimator, policy):
+    det = calibrate(PAIR, 5.0)
+    sched = ChangeSchedule(onsets=(3, 200), duration=1, horizon=200)
+    call = {
+        "pollak": lambda: estimate_pollak(det, PAIR, sched, 300, seed=13, on_degenerate=policy),
+        "lorden": lambda: estimate_lorden(
+            FixedTimeRule(5), PAIR, sched, 300, seed=13, on_degenerate=policy
+        ),
+        "criteria": lambda: evaluate_criteria(
+            det, PAIR, sched, n_trials=300, seed=13, on_degenerate=policy
+        ),
+    }[estimator]
+    with pytest.raises(ValueError, match="on_degenerate"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # the optimality ceiling
 
@@ -343,7 +372,6 @@ def test_criteria_report_fields_are_consistent():
     det = calibrate(PAIR, 10.0)
     sched = make_schedule(500, 5, 1, "even_grid")
     rep = evaluate_criteria(det, PAIR, sched, n_trials=3000, seed=23, mode="restart")
-    assert rep.lorden_estimate == rep.pollak_estimate
     assert 0.0 <= rep.detect_first_prob.value <= rep.detect_any_prob.value <= 1.0
     assert abs(rep.arl_to_false_alarm.value - 10.0) <= 4 * rep.arl_to_false_alarm.std_error
     assert rep.n_trials == 3000 and rep.mode == "restart"
@@ -448,6 +476,8 @@ def test_lorden_binned_worst_case_for_time_dependent_rules():
     # stopping before the onset leaves nothing to condition on
     with pytest.raises(DegenerateEstimateError):
         estimate_lorden(FixedTimeRule(4), PAIR, sched, 2000, seed=35)
+    with pytest.raises(DegenerateEstimateError):
+        history_independence_pvalue(FixedTimeRule(4), PAIR, sched, 1, 2000, seed=35)
 
 
 # ---------------------------------------------------------------------------
@@ -485,3 +515,12 @@ def test_worker_count_does_not_change_results():
         for w in (1, 2)
     ]
     assert reports[0] == reports[1]
+    # a non-memoryless rule takes the binned history path
+    short = ChangeSchedule(onsets=(3, 6), duration=1, horizon=8)
+    lordens = [
+        estimate_lorden(
+            AlternatingThresholdRule(), PAIR, short, 257, seed=41, min_survivors=20, n_workers=w
+        )
+        for w in (1, 2)
+    ]
+    assert lordens[0] == lordens[1] and not lordens[0].degenerate_onsets

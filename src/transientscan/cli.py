@@ -37,14 +37,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _eta_flag(text: str) -> float:
     value = float(text)
-    if value < 1.0:
-        raise argparse.ArgumentTypeError(f"eta must be >= 1, got {value}")
+    if not 1.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"eta must be >= 1 and finite, got {value}")
     return value
 
 
 def _alpha_flag(text: str) -> float:
+    # inf is accepted (its F0 tail is 0, so the implied eta is inf); NaN is not
     value = float(text)
-    if value < 0.0:
+    if not value >= 0.0:
         raise argparse.ArgumentTypeError(f"alpha must be nonnegative, got {value}")
     return value
 
@@ -141,7 +142,9 @@ def cmd_detect(args) -> int:
         det = calibrate(pair, args.eta)
     rng = trial_rng(args.seed)
     alarmed = False
-    print("t,lr,verdict")
+    # looked up per run, not at import: callers may swap sys.stdout
+    write = sys.stdout.write
+    write("t,lr,verdict\n")
     t = 0
     for line_no, line in enumerate(_detect_lines(args), start=1):
         if not line.strip():
@@ -158,7 +161,7 @@ def cmd_detect(args) -> int:
             return EXIT_RUNTIME
         t += 1
         decision = det.step(x, rng)
-        print(f"{t},{decision.lr_value:.17g},{decision.verdict}")
+        write(f"{t},{decision.lr_value:.17g},{decision.verdict}\n")
         if decision.verdict == "alarm":
             alarmed = True
             if not args.restart:

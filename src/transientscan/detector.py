@@ -17,7 +17,7 @@ samples).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Literal, Protocol, runtime_checkable
+from typing import ClassVar, Iterable, Literal, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -53,8 +53,7 @@ class StoppingRule(Protocol):
     ) -> np.ndarray: ...
 
 
-@dataclass(frozen=True)
-class StepDecision:
+class StepDecision(NamedTuple):
     verdict: Verdict
     lr_value: float
 
@@ -86,9 +85,10 @@ class ShewhartDetector:
     memoryless: ClassVar[bool] = True
 
     def __post_init__(self):
-        if self.eta < 1.0:
+        # written so that NaN fails; eta = inf (a threshold with zero F0 tail) passes
+        if not self.eta >= 1.0:
             raise ValueError(f"eta must be >= 1, got {self.eta}")
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if not 0.0 <= self.initial_stop_prob <= 1.0:
             raise ValueError(f"initial_stop_prob must be in [0, 1], got {self.initial_stop_prob}")
@@ -109,6 +109,8 @@ class ShewhartDetector:
         ``rng`` is consulted only when the ratio lands exactly on a
         configured boundary atom.
         """
+        # np.exp as in alarm_mask: math.exp differs in the last bit on some
+        # inputs, and the two must agree on every verdict
         lr = float(np.exp(self.pair.log_likelihood_ratio(x)))
         if self.randomize_boundary is None:
             alarmed = lr >= self.alpha
@@ -174,7 +176,7 @@ def calibrate(
     ``randomize_boundary`` is set so the per-sample alarm probability is
     exactly 1/eta anyway.
     """
-    if eta < 1.0:
+    if not eta >= 1.0:
         raise ValueError(f"eta must be >= 1, got {eta}")
     if eta == 1.0:
         return ShewhartDetector(

@@ -212,8 +212,11 @@ class GaussianMeanShift(DistributionPair):
         return rng.normal(mu, self.sigma, size)
 
     def log_likelihood_ratio(self, x):
-        out = self._shift * (np.asarray(x, dtype=float) - self._midpoint) / self.sigma**2
-        return out if out.ndim else float(out)
+        # A float (np.float64 included) skips the 0-d array round trip; both
+        # paths round the same IEEE operations, so they agree bit for bit.
+        x = float(x) if isinstance(x, float) else np.asarray(x, dtype=float)
+        out = self._shift * (x - self._midpoint) / self.sigma**2
+        return out if getattr(out, "ndim", 0) else float(out)
 
     def lr_tail_prob_f0(self, alpha: float, *, strict: bool = False) -> float:
         # Continuous ratio: the strict and closed tails coincide.

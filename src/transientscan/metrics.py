@@ -35,7 +35,6 @@ from functools import partial
 from typing import Literal, NamedTuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .detector import ShewhartDetector, StoppingRule, calibrate
 from .distributions import DistributionPair
@@ -469,6 +468,8 @@ def geometric_gof_pvalue(taus: np.ndarray, p: float, *, min_expected: float = 5.
         expected = np.concatenate([expected[:-2], [expected[-2] + expected[-1]]])
     stat = float(((observed - expected) ** 2 / expected).sum())
     df = len(expected) - 1
+    from scipy import stats as scipy_stats  # deferred: scipy.stats dominates the import time
+
     return float(scipy_stats.chi2.sf(stat, df))
 
 
@@ -803,6 +804,8 @@ def history_independence_pvalue(
     table = np.stack([hits, trials - hits])[:, trials > 0]
     if table.shape[1] < 2 or table.sum(axis=1).min() == 0:
         return 1.0
+    from scipy import stats as scipy_stats  # deferred, as in geometric_gof_pvalue
+
     return float(scipy_stats.chi2_contingency(table)[1])
 
 

@@ -1,9 +1,16 @@
+import io
 import json
 import math
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import transientscan
 from transientscan import ChangeSchedule, GaussianMeanShift, calibrate, monitor_sequence
 from transientscan.cli import main
 from transientscan.sequence_model import read_sequence_csv
@@ -47,6 +54,24 @@ def test_calibrate_rejects_eta_below_one(capsys):
     code, _, err = run_cli(capsys, "calibrate", "--eta", "0.5")
     assert code == 1
     assert "eta must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("calibrate", "--eta", "nan"),
+        ("calibrate", "--eta", "inf"),
+        ("detect", "--eta", "nan"),
+        ("detect", "--eta", "inf"),
+        ("detect", "--alpha", "nan"),
+    ],
+    ids=" ".join,
+)
+def test_non_finite_thresholds_are_usage_errors(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("9.9\n"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == "" and "must be" in err
 
 
 def test_unknown_flag_is_a_usage_error(capsys):
@@ -96,6 +121,29 @@ def test_detect_rejects_non_finite_lines(tmp_path, capsys, value):
     assert code == 2
     assert "line 2" in err and value in err
     assert out.strip().split("\n")[1:] == ["1,0.77880078307140488,continue"]
+
+
+def test_detect_accepts_infinite_alpha(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("9.9\n40\n"))
+    code, out, _ = run_cli(capsys, "detect", "--alpha", "inf")
+    assert code == 11
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["continue"] * 2
+
+
+def test_detect_writes_each_verdict_as_the_library_computes_it(capsys, monkeypatch):
+    xs = np.random.default_rng(20261018).normal(0.0, 1.5, 2000)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{v:.17g}\n" for v in xs)))
+    code, out, _ = run_cli(capsys, "detect", "--eta", "20", "--restart")
+    det = calibrate(PAIR, 20.0)
+    times = np.arange(1, xs.size + 1)
+    mask = det.alarm_mask(times, xs, np.random.default_rng(0))
+    lr = np.exp(PAIR.log_likelihood_ratio(xs))
+    expected = [
+        f"{t},{float(v):.17g},{'alarm' if hit else 'continue'}"
+        for t, v, hit in zip(times, lr, mask)
+    ]
+    assert mask.any() and code == 10
+    assert out.splitlines() == ["t,lr,verdict", *expected]
 
 
 def test_detect_flag_exclusivity(tmp_path, capsys):
@@ -281,3 +329,59 @@ def test_round_trip_matches_library_monitoring(tmp_path, capsys):
     assert [t for t, _ in outcome.alarms] == [t for t in cli_alarms if t <= outcome.tau]
     for t, kind in outcome.alarms:
         assert kind == ("true_onset" if t in schedule.onsets else "false_alarm")
+
+
+# ---------------------------------------------------------------------------
+# cold start and the README's examples
+
+
+def test_cold_start_does_not_import_scipy_stats():
+    probe = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import transientscan, transientscan.cli\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported at start-up'\n"
+        "from transientscan import metrics\n"
+        "pair = transientscan.GaussianMeanShift(0.0, 1.0, 1.0)\n"
+        "taus = np.random.default_rng(1).geometric(0.2, 500)\n"
+        "p_gof = metrics.geometric_gof_pvalue(taus, 0.2)\n"
+        "sched = transientscan.make_schedule(horizon=40, s=2, duration=1)\n"
+        "det = transientscan.calibrate(pair, 20.0)\n"
+        "p_hist = metrics.history_independence_pvalue(det, pair, sched, 1, 600, 3)\n"
+        "assert 0.0 <= p_gof <= 1.0 and 0.0 <= p_hist <= 1.0, (p_gof, p_hist)\n"
+        "assert 'scipy.stats' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(transientscan.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def _readme_example(command):
+    """The README "Command line" block for ``command``, as its stdin, argv,
+    expected stdout and expected exit code."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    blocks = [b.split("```", 1)[0] for b in section.split("```sh\n")[1:]]
+    (block,) = [b for b in blocks if f"transientscan {command} " in b.split("\n", 1)[0]]
+    first, *lines = block.rstrip("\n").split("\n")
+    stdin = ""
+    if " | " in first:  # printf 'a\nb\n' | transientscan ...
+        feed, first = first.split(" | ", 1)
+        stdin = shlex.split(feed.removeprefix("$ "))[1].replace("\\n", "\n")
+    argv = shlex.split(first.removeprefix("$ "))[1:]
+    code = 0
+    if "$ echo $?" in lines:
+        at = lines.index("$ echo $?")
+        code, lines = int(lines[at + 1]), lines[:at]
+    return stdin, argv, "".join(f"{line}\n" for line in lines), code
+
+
+@pytest.mark.parametrize("command", ["calibrate", "detect"])
+def test_readme_command_line_examples_run_as_shown(capsys, monkeypatch, command):
+    stdin, argv, expected_out, expected_code = _readme_example(command)
+    assert argv[0] == command
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, _ = run_cli(capsys, *argv)
+    assert (out, code) == (expected_out, expected_code)

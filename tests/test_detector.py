@@ -66,6 +66,23 @@ def test_threshold_nondecreasing_in_eta():
     assert alphas == sorted(alphas)
 
 
+@pytest.mark.parametrize("alpha, eta", [(math.nan, 2.0), (1.0, math.nan), (math.nan, math.nan)])
+def test_detector_rejects_nan_thresholds(alpha, eta):
+    with pytest.raises(ValueError):
+        ShewhartDetector(pair=PAIR, alpha=alpha, eta=eta)
+
+
+def test_calibrate_rejects_nan_eta():
+    with pytest.raises(ValueError, match="eta must be >= 1"):
+        calibrate(PAIR, math.nan)
+
+
+def test_infinite_threshold_is_valid():
+    # what ``detect --alpha`` builds when the threshold's tail is 0
+    det = ShewhartDetector(pair=PAIR, alpha=math.inf, eta=math.inf)
+    assert det.step(40.0).verdict == "continue"
+
+
 def test_detector_field_validation():
     with pytest.raises(ValueError):
         ShewhartDetector(pair=PAIR, alpha=-1.0, eta=2.0)
@@ -112,8 +129,11 @@ def test_alarm_mask_agrees_with_step():
     xs = rng.normal(size=500)
     times = np.arange(1, 501)
     mask = det.alarm_mask(times, xs, rng)
-    scalar = np.array([det.step(x).verdict == "alarm" for x in xs])
-    assert np.array_equal(mask, scalar)
+    lr = np.exp(PAIR.log_likelihood_ratio(xs))
+    for values in (xs, xs.tolist()):  # np.float64 items, then Python floats
+        decisions = [det.step(x) for x in values]
+        assert np.array_equal(mask, [d.verdict == "alarm" for d in decisions])
+        assert [d.lr_value for d in decisions] == [float(v) for v in lr]
 
 
 # ---------------------------------------------------------------------------

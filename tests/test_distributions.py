@@ -1,9 +1,10 @@
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from transientscan import GaussianMeanShift, pair_from_config
@@ -109,6 +110,26 @@ def test_likelihood_ratio_stable_for_extreme_samples():
 def test_likelihood_ratio_monotone_when_mean_increases(x1, x2):
     lo, hi = min(x1, x2), max(x1, x2)
     assert PAIR.log_likelihood_ratio(lo) <= PAIR.log_likelihood_ratio(hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mean0=st.floats(-1e6, 1e6),
+    mean1=st.floats(-1e6, 1e6),
+    sigma=st.floats(1e-3, 1e3),
+    x=st.floats(-1e6, 1e6),
+)
+def test_log_likelihood_ratio_is_the_same_bits_for_scalars_and_arrays(mean0, mean1, sigma, x):
+    # scalars take a Python-float path, arrays the numpy one: same formula, same rounding
+    assume(mean0 != mean1)
+    pair = GaussianMeanShift(mean0, mean1, sigma)
+    from_float = pair.log_likelihood_ratio(x)
+    from_numpy = pair.log_likelihood_ratio(np.float64(x))
+    (from_array,) = pair.log_likelihood_ratio(np.array([x]))
+    assert type(from_float) is float and type(from_numpy) is float
+    bits = struct.pack("<d", from_float)
+    assert struct.pack("<d", from_numpy) == bits
+    assert struct.pack("<d", from_array) == bits
 
 
 # ---------------------------------------------------------------------------

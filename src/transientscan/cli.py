@@ -105,7 +105,6 @@ def build_parser() -> _Parser:
     src.add_argument("--preset", help=f"named built-in config: {', '.join(preset_names())}")
     p_exp.add_argument("--out-dir", default="experiment-out")
     p_exp.add_argument("--name", default="report", help="basename for the output files")
-    p_exp.add_argument("--sweep", choices=["auto", "eta", "mu"], default="auto")
     p_exp.add_argument("--workers", type=int, default=1)
     return parser
 
@@ -191,11 +190,7 @@ def cmd_experiment(args) -> int:
     else:
         config = ExperimentConfig.from_json_file(args.config)
     csv_path, meta_path = run_experiment(
-        config,
-        args.out_dir,
-        sweep=args.sweep,
-        n_workers=args.workers,
-        name=args.name,
+        config, args.out_dir, n_workers=args.workers, name=args.name
     )
     print(f"wrote {csv_path} and {meta_path}")
     return EXIT_OK

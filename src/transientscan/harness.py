@@ -209,19 +209,13 @@ def run_experiment(
     config: ExperimentConfig,
     out_dir,
     *,
-    sweep: str = "auto",
     n_workers: int = 1,
     name: str = "report",
 ) -> tuple[Path, Path]:
-    """Run the configured sweep and write artifacts under ``out_dir``."""
-    if sweep == "auto":
-        sweep = "mu" if config.mu1_grid is not None else "eta"
-    if sweep == "eta":
-        rows = run_eta_sweep(config, n_workers=n_workers)
-    elif sweep == "mu":
-        rows = run_mu_sweep(config, n_workers=n_workers)
-    else:
-        raise ValueError(f"sweep must be 'auto', 'eta' or 'mu', got {sweep!r}")
+    """Run the configured sweep and write artifacts under ``out_dir``: one
+    row per ``mu1_grid`` mean when that is set, else one per ``eta_grid`` value."""
+    sweep = run_mu_sweep if config.mu1_grid is not None else run_eta_sweep
+    rows = sweep(config, n_workers=n_workers)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return write_report(rows, config, out_dir / f"{name}.csv", n_workers=n_workers)

@@ -59,6 +59,9 @@ _MIN_BLOCK = 16
 _MAX_BLOCK_SAMPLES = 1 << 17
 
 _CENSORED = -1
+#: quantile bins of the last pre-onset sample in the history-conditioned
+#: estimators (:func:`estimate_lorden`, :func:`history_independence_pvalue`)
+_HISTORY_BINS = 4
 
 
 class DegenerateEstimateError(RuntimeError):
@@ -221,21 +224,22 @@ def _simulate_chunk(
     mode: Mode,
     seed,
     stream: int,
-    record_at: int | None,
+    record_at: np.ndarray | None,
 ):
-    """Stop times of trials lo..hi-1, and one recorded sample per trial.
+    """Stop times of trials lo..hi-1, and the samples recorded per trial.
 
     A stop is 0 for an initial stop, the stopping time, or ``_CENSORED``
-    when the horizon ran out first.  The recorded sample is the one at time
-    ``record_at``, or the stopping sample when that is None; NaN where the
-    trial never drew it.  Blocks of ``(active trials x columns)`` samples
-    are drawn until every trial has ended.
+    when the horizon ran out first.  With ``record_at`` None the recorded
+    sample is the stopping one; otherwise ``record_at`` holds increasing
+    1-based times and each gets one column.  NaN marks a sample the trial
+    never drew.  Blocks of ``(active trials x columns)`` samples are drawn
+    until every trial has ended.
     """
     rng = trial_rng(seed, stream, lo // _CHUNK)
     n = hi - lo
     horizon = schedule.horizon
     stop = np.full(n, _CENSORED, dtype=np.int64)
-    recorded = np.full(n, np.nan)
+    recorded = np.full(n if record_at is None else (n, record_at.size), np.nan)
     pi0 = getattr(rule, "initial_stop_prob", 0.0)
     if pi0 > 0.0:
         stop[rng.random(n) < pi0] = 0
@@ -261,8 +265,9 @@ def _simulate_chunk(
         done = first >= 0
         if record_at is None:
             recorded[active[done]] = x[done, first[done]]
-        elif t0 < record_at <= t0 + nb:
-            recorded[active] = x[:, record_at - t0 - 1]
+        else:
+            a, b = np.searchsorted(record_at, (t0, t0 + nb), side="right")
+            recorded[active, a:b] = x[:, record_at[a:b] - t0 - 1]
         stop[active[done]] = t0 + 1 + first[done]
         active = active[~done]
         t0 += nb
@@ -280,7 +285,7 @@ def _simulate(
     stream: int,
     *,
     n_workers: int = 1,
-    record_at: int | None = None,
+    record_at: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial stops and recorded samples (see :func:`_simulate_chunk`)."""
     if mode not in ("single_shot", "restart"):
@@ -439,13 +444,14 @@ def estimate_optimality_ceiling(
     return Estimate(value, se)
 
 
-def geometric_gof_pvalue(taus: np.ndarray, p: float, *, min_expected: float = 5.0) -> float:
+def geometric_gof_pvalue(taus: np.ndarray, p: float) -> float:
     """Chi-square goodness of fit of positive run lengths against a
     geometric law with success probability p (known, not fitted).
 
     Bins 1, 2, ... are merged from the right into a single tail bin so
-    every expected count is at least ``min_expected``.
+    every expected count is at least 5.
     """
+    min_expected = 5.0
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
     taus = np.asarray(taus)
@@ -541,16 +547,14 @@ def run_monitoring(
     schedule: ChangeSchedule,
     mode: Mode,
     seed,
-    *,
-    trial: int = 0,
 ) -> TrialOutcome:
     """Generate one stream for the schedule and score a monitored run on it.
 
     The stream is a standalone draw from ``trial_rng(seed, STREAM_MONITOR,
-    trial)``; it does not replay trial ``trial`` of an estimator, whose
-    trials share one generator per chunk.
+    0)``; it does not replay a trial of an estimator, whose trials share
+    one generator per chunk.
     """
-    rng = trial_rng(seed, STREAM_MONITOR, trial)
+    rng = trial_rng(seed, STREAM_MONITOR, 0)
     pi0 = getattr(detector, "initial_stop_prob", 0.0)
     if pi0 > 0.0 and rng.random() < pi0:
         return TrialOutcome(
@@ -571,21 +575,24 @@ def _check_on_degenerate(on_degenerate: str) -> None:
 
 def _pollak_from_counts(
     hits: np.ndarray,
+    trials: np.ndarray,
     survivors: np.ndarray,
     onsets: tuple[int, ...],
     min_survivors: int,
     on_degenerate: str,
 ) -> PollakEstimate:
+    """Sum the per-onset terms ``hits / trials`` (binomial standard errors)
+    over the onsets reached by at least ``min_survivors`` trials."""
     per_onset = []
     degenerate = []
     total = 0.0
     var = 0.0
     for i, onset in enumerate(onsets):
-        m = int(survivors[i])
-        if m < min_survivors:
+        if int(survivors[i]) < min_survivors:
             degenerate.append(onset)
             per_onset.append(Estimate(math.nan, math.nan))
             continue
+        m = int(trials[i])
         p = float(hits[i]) / m
         se = _binomial_se(p, m)
         per_onset.append(Estimate(p, se))
@@ -638,7 +645,8 @@ def estimate_pollak(
     )
     scores = _score(stop, schedule)
     return _pollak_from_counts(
-        scores.hits, scores.survivors, schedule.onsets, min_survivors, on_degenerate
+        scores.hits, scores.survivors, scores.survivors, schedule.onsets, min_survivors,
+        on_degenerate,
     )
 
 
@@ -696,7 +704,6 @@ def estimate_lorden(
     n_trials: int,
     seed,
     *,
-    n_history_bins: int = 4,
     min_survivors: int = 100,
     on_degenerate: str = "raise",
     n_workers: int = 1,
@@ -709,8 +716,10 @@ def estimate_lorden(
 
     For non-memoryless rules the essential infimum over histories is not
     directly simulable; it is approximated by the minimum over
-    ``n_history_bins`` quantile bins of the last pre-onset sample.  That is
-    a labeled approximation, not an exact worst case.
+    ``_HISTORY_BINS`` (4) quantile bins of the last pre-onset sample.  That
+    is a labeled approximation, not an exact worst case.  One simulation
+    serves every onset; ``survivors`` counts the trials that reached each,
+    and an onset needs at least ``max(min_survivors, 2 * _HISTORY_BINS)``.
     """
     _check_on_degenerate(on_degenerate)
     if getattr(detector, "memoryless", False):
@@ -725,42 +734,28 @@ def estimate_lorden(
             on_degenerate=on_degenerate,
             n_workers=n_workers,
         )
-    per_onset = []
-    degenerate = []
-    total = 0.0
-    var = 0.0
-    for index in range(1, schedule.s + 1):
-        trials, hits = _history_bins(
-            detector, pair, schedule, index, n_trials, seed, n_history_bins, n_workers
-        )
-        if int(trials.sum()) < max(min_survivors, n_history_bins * 2):
-            degenerate.append(schedule.onsets[index - 1])
-            per_onset.append(Estimate(math.nan, math.nan))
-            continue
-        filled = trials > 0
-        p = hits[filled] / trials[filled]
-        b = int(np.argmin(p))  # the first of equally bad bins
-        worst = float(p[b])
-        worst_se = _binomial_se(worst, int(trials[filled][b]))
-        per_onset.append(Estimate(worst, worst_se))
-        total += worst
-        var += worst_se * worst_se
-    if degenerate and on_degenerate == "raise":
-        raise DegenerateEstimateError(f"onsets {degenerate} have too few survivors")
-    return PollakEstimate(
-        value=total,
-        std_error=math.sqrt(var),
-        per_onset=tuple(per_onset),
-        survivors=(),
-        degenerate_onsets=tuple(degenerate),
+    trials, hits = _history_bins(
+        detector, pair, schedule, schedule.onsets, n_trials, seed, n_workers
+    )
+    # empty bins never win; argmin takes the first of equally bad bins
+    p = np.divide(hits, trials, out=np.full(trials.shape, np.inf), where=trials > 0)
+    worst = (np.arange(schedule.s), p.argmin(axis=1))
+    return _pollak_from_counts(
+        hits[worst], trials[worst], trials.sum(axis=1), schedule.onsets,
+        max(min_survivors, 2 * _HISTORY_BINS), on_degenerate,
     )
 
 
-def _history_bins(detector, pair, schedule, index, n_trials, seed, n_bins, n_workers=1):
-    """Trials that reached onset ``index`` and the detections at it, per
-    quantile bin of the last pre-onset sample (both arrays of length n_bins)."""
-    onset = schedule.onsets[index - 1]
-    if onset < 2:
+def _history_bins(detector, pair, schedule, onsets, n_trials, seed, n_workers=1):
+    """Trials that reached each of ``onsets`` and the detections at it, in
+    each of ``_HISTORY_BINS`` (4) quantile bins of the last pre-onset sample:
+    two ``(len(onsets), 4)`` count arrays from one simulation for all onsets."""
+    onsets = np.asarray(onsets, dtype=np.int64)
+    trials = np.zeros((onsets.size, _HISTORY_BINS), dtype=np.int64)
+    hits = np.zeros_like(trials)
+    if onsets.size == 0:
+        return trials, hits
+    if onsets.min() < 2:
         raise ValueError("history conditioning needs at least one pre-onset sample")
     stop, feats = _simulate(
         detector,
@@ -771,15 +766,17 @@ def _history_bins(detector, pair, schedule, index, n_trials, seed, n_bins, n_wor
         seed,
         STREAM_HISTORY,
         n_workers=n_workers,
-        record_at=onset - 1,
+        record_at=onsets - 1,
     )
-    survived = (stop == _CENSORED) | (stop >= onset)
-    f = feats[survived]
-    if f.size == 0:
-        return np.zeros(n_bins, dtype=np.int64), np.zeros(n_bins, dtype=np.int64)
-    bins = np.searchsorted(np.quantile(f, np.linspace(0, 1, n_bins + 1)[1:-1]), f)
-    hit = stop[survived] == onset
-    return np.bincount(bins, minlength=n_bins), np.bincount(bins[hit], minlength=n_bins)
+    edges = np.linspace(0, 1, _HISTORY_BINS + 1)[1:-1]
+    for k, onset in enumerate(onsets):
+        survived = (stop == _CENSORED) | (stop >= onset)
+        f = feats[survived, k]
+        if f.size:
+            bins = np.searchsorted(np.quantile(f, edges), f)
+            trials[k] = np.bincount(bins, minlength=_HISTORY_BINS)
+            hits[k] = np.bincount(bins[stop[survived] == onset], minlength=_HISTORY_BINS)
+    return trials, hits
 
 
 def history_independence_pvalue(
@@ -789,18 +786,18 @@ def history_independence_pvalue(
     index: int,
     n_trials: int,
     seed,
-    *,
-    n_bins: int = 4,
 ) -> float:
     """Chi-square p-value for dependence of detection-at-onset on the last
-    pre-onset sample, among trials that reached the onset.
+    pre-onset sample, among trials that reached the onset, over
+    ``_HISTORY_BINS`` (4) quantile bins of that sample.
 
     For a memoryless rule detection is independent of any pre-onset
     feature, so small p-values indicate a broken memorylessness contract.
     """
-    trials, hits = _history_bins(detector, pair, schedule, index, n_trials, seed, n_bins)
+    onset = schedule.onsets[index - 1]
+    (trials,), (hits,) = _history_bins(detector, pair, schedule, (onset,), n_trials, seed)
     if not trials.any():
-        raise DegenerateEstimateError(f"no trial reached onset {schedule.onsets[index - 1]}")
+        raise DegenerateEstimateError(f"no trial reached onset {onset}")
     table = np.stack([hits, trials - hits])[:, trials > 0]
     if table.shape[1] < 2 or table.sum(axis=1).min() == 0:
         return 1.0
@@ -817,8 +814,6 @@ def evaluate_criteria(
     n_trials: int,
     seed,
     mode: Mode = "restart",
-    arl_trials: int | None = None,
-    arl_horizon: int | None = None,
     min_survivors: int = 20,
     on_degenerate: str = "exclude",
     n_workers: int = 1,
@@ -827,8 +822,8 @@ def evaluate_criteria(
 
     Monitored-run quantities come from ``n_trials`` runs in the requested
     mode; the run-length mean and the optimality ceiling come from a
-    separate pure-F0 simulation (``arl_trials`` runs, default the same
-    count, horizon defaulting to 20x eta).
+    separate pure-F0 simulation of ``n_trials`` runs over a horizon of
+    ``max(int(20 * eta), 1000)``.
 
     In restart mode the conditional-detection terms condition on "no
     detection before the onset" (false alarms do not end a restart run),
@@ -843,29 +838,25 @@ def evaluate_criteria(
     detect_any = float((scores.detected_at >= 0).mean())
     detect_first = float((scores.detected_at == 0).mean())
     pollak = _pollak_from_counts(
-        scores.hits, scores.survivors, schedule.onsets, min_survivors, on_degenerate
+        scores.hits, scores.survivors, scores.survivors, schedule.onsets, min_survivors,
+        on_degenerate,
     )
     avg_missed = _mean_se(scores.missed.astype(float))
-    horizon = arl_horizon if arl_horizon is not None else max(int(20 * detector.eta), 1000)
-    sample = simulate_run_lengths(
-        detector, pair, arl_trials or n_trials, horizon, seed, n_workers=n_workers
-    )
-    arl = estimate_arl(
-        detector, pair, sample.n, horizon, seed, sample=sample
-    )
+    horizon = max(int(20 * detector.eta), 1000)
+    sample = simulate_run_lengths(detector, pair, n_trials, horizon, seed, n_workers=n_workers)
     bound = estimate_optimality_ceiling(
         detector, pair, schedule.s, sample.n, horizon, seed, sample=sample
     )
     return CriteriaReport(
         pollak_estimate=Estimate(pollak.value, pollak.std_error),
-        arl_to_false_alarm=Estimate(arl.mean, arl.std_error),
+        arl_to_false_alarm=_mean_se(sample.taus),
         optimality_ceiling=bound,
         detect_first_prob=Estimate(detect_first, _binomial_se(detect_first, n_trials)),
         detect_any_prob=Estimate(detect_any, _binomial_se(detect_any, n_trials)),
         avg_missed=avg_missed,
         n_trials=n_trials,
         mode=mode,
-        arl_censored=arl.censored,
+        arl_censored=sample.censored,
         degenerate_onsets=pollak.degenerate_onsets,
     )
 

@@ -1,6 +1,8 @@
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from transientscan import (
@@ -150,6 +152,19 @@ def test_worker_count_leaves_csv_bytes_unchanged():
     one = render_report_csv(run_eta_sweep(cfg, n_workers=1), cfg)
     two = render_report_csv(run_eta_sweep(cfg, n_workers=2), cfg)
     assert one == two
+
+
+ACCEPTANCE_CSV_SHA256 = "eec9a60c93af65fe75fc5c32b9224d938c9f61929d83c6ecdc5cb8483b34f1fb"
+
+
+def test_acceptance_preset_report_bytes_are_pinned():
+    cfg = load_preset("acceptance")
+    digest = hashlib.sha256(render_report_csv(run_eta_sweep(cfg), cfg).encode("utf-8")).hexdigest()
+    assert digest == ACCEPTANCE_CSV_SHA256, (
+        "the acceptance preset's report CSV changed: the Monte Carlo streams or the "
+        f"report format differ (numpy {np.__version__}). If the change is intended, "
+        "update ACCEPTANCE_CSV_SHA256 and record the new hash in CHANGES.md."
+    )
 
 
 def test_write_report_artifacts(tmp_path):

@@ -480,6 +480,28 @@ def test_lorden_binned_worst_case_for_time_dependent_rules():
         history_independence_pvalue(FixedTimeRule(4), PAIR, sched, 1, 2000, seed=35)
 
 
+def test_lorden_draws_one_history_for_all_onsets(monkeypatch):
+    drawn = []
+    original = GaussianMeanShift.sample
+
+    def counting_sample(self, which, rng, size=None):
+        drawn.append(int(np.prod(size)))
+        return original(self, which, rng, size)
+
+    monkeypatch.setattr(GaussianMeanShift, "sample", counting_sample)
+    sched = ChangeSchedule(onsets=(3, 6, 9), duration=1, horizon=10)
+    rule = AlternatingThresholdRule()
+    estimate_lorden(rule, PAIR, sched, 600, seed=42, on_degenerate="exclude")
+    lorden_draws = sum(drawn)
+    drawn.clear()
+    history_independence_pvalue(rule, PAIR, sched, sched.s, 600, seed=42)
+    # one simulation of the history stream serves every onset
+    assert lorden_draws == sum(drawn) > 0
+    # survivors count the trials that reached each onset
+    hit = estimate_lorden(FixedTimeRule(5), PAIR, ChangeSchedule((5,), 1, 8), 2000, seed=33)
+    assert hit.survivors == (2000,)
+
+
 # ---------------------------------------------------------------------------
 # sweep rows and worker determinism
 

@@ -40,10 +40,11 @@ class StoppingRule(Protocol):
     ``alarm_mask`` returns the alarm verdicts, shaped like ``x``, for the
     samples ``x`` observed at 1-based ``times``; it may consume ``rng`` for
     independent randomization.  The estimators pass 2-D blocks (one row per
-    trial, one column per time step) with ``times`` broadcast to ``x``'s
-    shape, so verdicts must be elementwise.  ``memoryless`` declares that
-    the verdict distribution does not depend on the time index (fixed-time
-    rules are per-sample but not memoryless).
+    trial, one column per time drawn) with ``times`` broadcast to ``x``'s
+    shape, so verdicts must be elementwise.  Restart mode relies on this
+    per-sample contract: it draws and decides the onset samples only.
+    ``memoryless`` declares that the verdict distribution does not depend
+    on the time index (fixed-time rules are per-sample but not memoryless).
     """
 
     memoryless: bool

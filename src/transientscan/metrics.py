@@ -18,9 +18,12 @@ Estimated quantities, each with a standard error:
 
 Reproducibility contract: the trial range is cut into fixed chunks of
 ``_CHUNK`` trials, and each chunk draws from one generator keyed by
-``(seed, stream tag, chunk index)``.  Aggregation reduces per-trial records
-in trial order.  Results are therefore bit-identical for any worker count;
-workers only split the fixed chunking of the trial range.
+``(seed, stream tag, chunk index)``.  A restart chunk draws the initial-stop
+uniforms, then per block one F1 matrix of onset samples and whatever
+``alarm_mask`` consumes; a single-shot block covers consecutive time steps.
+Aggregation reduces per-trial records in trial order.  Results are
+therefore bit-identical for any worker count; workers only split the fixed
+chunking of the trial range.
 
 Standard errors: exact binomial for probabilities, sample standard
 deviation for means, delta method for the bound ratio.
@@ -204,14 +207,9 @@ def _mean_se(values: np.ndarray) -> Estimate:
 # The simulate-and-score kernel
 
 
-def _first_stops(mask: np.ndarray, ends_run: np.ndarray) -> np.ndarray:
-    """Column of each row's first stop in a block of alarm verdicts, -1 for none.
-
-    ``ends_run`` marks the block's columns where an alarm ends the run:
-    every column in single-shot mode, the onset columns in restart mode.
-    """
-    stops = mask & ends_run
-    return np.where(stops.any(axis=1), stops.argmax(axis=1), -1)
+def _first_stops(mask: np.ndarray) -> np.ndarray:
+    """Column of each row's first alarm in a block of verdicts, -1 for none."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
 
 
 def _simulate_chunk(
@@ -229,11 +227,12 @@ def _simulate_chunk(
     """Stop times of trials lo..hi-1, and the samples recorded per trial.
 
     A stop is 0 for an initial stop, the stopping time, or ``_CENSORED``
-    when the horizon ran out first.  With ``record_at`` None the recorded
-    sample is the stopping one; otherwise ``record_at`` holds increasing
-    1-based times and each gets one column.  NaN marks a sample the trial
-    never drew.  Blocks of ``(active trials x columns)`` samples are drawn
-    until every trial has ended.
+    when the horizon ran out first.  The recorded sample is the stopping
+    one, or with ``record_at`` (increasing 1-based times, single-shot only)
+    one column per time; NaN marks a sample never drawn.  ``mode`` chooses
+    the columns drawn, each able to end a run: every time step, or the
+    onsets.  A restart chunk draws the initial-stop uniforms, then per block
+    one F1 matrix of onset samples and whatever ``alarm_mask`` consumes.
     """
     rng = trial_rng(seed, stream, lo // _CHUNK)
     n = hi - lo
@@ -243,34 +242,34 @@ def _simulate_chunk(
     pi0 = getattr(rule, "initial_stop_prob", 0.0)
     if pi0 > 0.0:
         stop[rng.random(n) < pi0] = 0
+    restart = mode == "restart"
+    cols = np.asarray(schedule.onsets, dtype=np.int64) - 1 if restart else np.arange(horizon)
     is_f1 = np.zeros(horizon, dtype=bool)
     is_f1[schedule.affected_times() - 1] = True
-    if mode == "restart":
-        ends_run = np.zeros(horizon, dtype=bool)
-        ends_run[np.asarray(schedule.onsets, dtype=np.int64) - 1] = True
-    else:
-        ends_run = np.ones(horizon, dtype=bool)
     eta = getattr(rule, "eta", None)
     block = _MIN_BLOCK if eta is None else max(_MIN_BLOCK, math.ceil(eta))
     active = np.flatnonzero(stop == _CENSORED)
-    t0 = 0
-    while active.size and t0 < horizon:
-        nb = min(block, horizon - t0, max(1, _MAX_BLOCK_SAMPLES // active.size))
-        x = np.asarray(pair.sample("nominal", rng, (active.size, nb)), dtype=float)
-        f1_cols = np.flatnonzero(is_f1[t0 : t0 + nb])
-        if f1_cols.size:
-            x[:, f1_cols] = pair.sample("alternative", rng, (active.size, f1_cols.size))
-        times = np.broadcast_to(np.arange(t0 + 1, t0 + nb + 1, dtype=np.int64), x.shape)
-        first = _first_stops(rule.alarm_mask(times, x, rng), ends_run[t0 : t0 + nb])
+    c0 = 0
+    while active.size and c0 < cols.size:
+        nb = min(block, cols.size - c0, max(1, _MAX_BLOCK_SAMPLES // active.size))
+        block_cols = cols[c0 : c0 + nb]
+        if restart:
+            x = np.asarray(pair.sample("alternative", rng, (active.size, nb)), dtype=float)
+        else:
+            x = np.asarray(pair.sample("nominal", rng, (active.size, nb)), dtype=float)
+            f1_cols = np.flatnonzero(is_f1[block_cols])
+            if f1_cols.size:
+                x[:, f1_cols] = pair.sample("alternative", rng, (active.size, f1_cols.size))
+        first = _first_stops(rule.alarm_mask(np.broadcast_to(block_cols + 1, x.shape), x, rng))
         done = first >= 0
         if record_at is None:
             recorded[active[done]] = x[done, first[done]]
         else:
-            a, b = np.searchsorted(record_at, (t0, t0 + nb), side="right")
-            recorded[active, a:b] = x[:, record_at[a:b] - t0 - 1]
-        stop[active[done]] = t0 + 1 + first[done]
+            a, b = np.searchsorted(record_at, (c0, c0 + nb), side="right")
+            recorded[active, a:b] = x[:, record_at[a:b] - c0 - 1]
+        stop[active[done]] = block_cols[first[done]] + 1
         active = active[~done]
-        t0 += nb
+        c0 += nb
         block *= 2
     return stop, recorded
 

@@ -7,6 +7,7 @@ suite; enable it with ``pytest --full-scale`` or TRANSIENTSCAN_FULL_SCALE=1.
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import full_scale_enabled
@@ -172,6 +173,63 @@ def test_criterion_6_missed_counts_grow_with_the_budget(detection_curves_rows):
     missed = [r.avg_missed for r in detection_curves_rows]
     ok = count_decreases(missed) <= 1
     _report(6, ok, f"avg_missed by eta: {[round(v, 3) for v in missed]}")
+
+
+#: two-sided z for each closed-form check on the detection_curves preset:
+#: 6 rows x 5 cells, Bonferroni at a family level of 1e-3
+REFEREE_Z = norm_upper_quantile(1e-3 / (2 * 6 * 5))
+
+
+def restart_exact_cells(pair, eta, s, n):
+    """(value, exact SE) per checked column of a restart row of the
+    calibrated Shewhart rule, each SE taken at the true value."""
+    p0 = 1.0 / eta
+    p1 = pair.lr_tail_prob_f1(calibrate(pair, eta).alpha)
+    q = 1.0 - p1
+    # missed onsets: min(G - 1, s) for G ~ Geometric(p1), so P(M >= k) = q^k
+    k = np.arange(1, s + 1)
+    missed = float((q**k).sum())
+    missed_var = float(((2 * k - 1) * q**k).sum()) - missed**2
+    # bound: s * mean(l_tau) / mean(tau) under F0, where tau ~ Geometric(p0)
+    # and l_tau is independent of tau with E[l_tau] = p1 / p0 and, for the
+    # Gaussian pair, E[l_tau^2] = exp(a^2) * Q(c - 2a) / p0 (shift a, cut c)
+    a = (pair.mean1 - pair.mean0) / pair.sigma
+    c = norm_upper_quantile(p0)
+    l2 = math.exp(a * a) * norm_upper_tail(c - 2 * a) / p0
+    bound_rel_var = l2 / (p1 / p0) ** 2 - 1.0 + (1.0 - p0)
+    detect_any = 1.0 - q**s
+    return {
+        "detect_first": (p1, math.sqrt(p1 * q / n)),
+        "detect_any": (detect_any, math.sqrt(detect_any * (1.0 - detect_any) / n)),
+        "avg_missed": (missed, math.sqrt(missed_var / n)),
+        "arl": (eta, math.sqrt((eta * eta - eta) / n)),
+        "bound": (s * p1, s * p1 * math.sqrt(bound_rel_var / n)),
+    }
+
+
+def test_detection_curves_cells_match_the_restart_closed_forms(detection_curves_rows):
+    # every restart cell of the calibrated rule has an exact referee; a
+    # cell whose exact SE is 0 must match exactly
+    config = load_preset("detection_curves")
+    assert config.mode == "restart" and len(detection_curves_rows) == 6  # as REFEREE_Z counts
+    problems = []
+    details = []
+    for row in detection_curves_rows:
+        cells = restart_exact_cells(config.pair, row.eta, row.s, row.n_trials)
+        zs = []
+        for name, (exact, se) in cells.items():
+            value = getattr(row, name)
+            if se == 0.0:
+                ok = value == exact
+                zs.append("exact" if ok else "off")
+            else:
+                z = (value - exact) / se
+                ok = abs(z) <= REFEREE_Z
+                zs.append(f"{z:+.2f}")
+            if not ok:
+                problems.append(f"{name} at eta={row.eta:g}: {value} vs exact {exact}")
+        details.append(f"eta={row.eta:g} z={zs}")
+    _report("5-6 exact", not problems, "; ".join(details + problems))
 
 
 def test_criterion_7_mean_sweep_matches_closed_form():

@@ -154,7 +154,7 @@ def test_worker_count_leaves_csv_bytes_unchanged():
     assert one == two
 
 
-ACCEPTANCE_CSV_SHA256 = "eec9a60c93af65fe75fc5c32b9224d938c9f61929d83c6ecdc5cb8483b34f1fb"
+ACCEPTANCE_CSV_SHA256 = "b66fcba2aab85dc34d834cc05590d773256974d30d5149283b9a7c3e2add0539"
 
 
 def test_acceptance_preset_report_bytes_are_pinned():

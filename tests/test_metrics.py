@@ -26,8 +26,10 @@ from transientscan import (
 )
 from transientscan.distributions import norm_upper_quantile, norm_upper_tail
 from transientscan.metrics import (
+    STREAM_MONITOR,
     _first_stops,
     _score,
+    _simulate,
     detect_first_any_curves,
     history_independence_pvalue,
     trial_rng,
@@ -45,6 +47,18 @@ class AlternatingThresholdRule:
 
     def alarm_mask(self, times, x, rng):
         return x > np.where(times % 2 == 0, 0.5, 1.5)
+
+
+@dataclasses.dataclass(frozen=True)
+class AlarmAtTimesRule:
+    """Alarms at a fixed set of times whatever the data: time-dependent but
+    data-independent, so every run of a schedule has the same stop."""
+
+    at: tuple[int, ...]
+    memoryless = False
+
+    def alarm_mask(self, times, x, rng):
+        return np.isin(times, self.at)
 
 
 def detect_prob(mu, eta):
@@ -398,13 +412,13 @@ def test_kernel_scoring_matches_monitor_sequence(mode):
     x[1] = [10.0] + [-10.0] * 8  # alarms at t = 1 only
     x[2] = [-10.0] * 8 + [10.0]  # alarms at the horizon only
     times = np.broadcast_to(np.arange(1, sched.horizon + 1), x.shape)
-    ends_run = np.ones(sched.horizon, dtype=bool)
-    if mode == "restart":
-        ends_run[:] = False
-        ends_run[np.asarray(sched.onsets) - 1] = True
-    first = _first_stops(det.alarm_mask(times, x, rng), ends_run)
+    mask = det.alarm_mask(times, x, rng)
+    # a single-shot run ends at its first alarm, a restart run at its first
+    # alarm among the onset columns
+    cols = np.arange(sched.horizon) if mode == "single_shot" else np.asarray(sched.onsets) - 1
+    first = _first_stops(mask[:, cols])
     # row 0 of the scored stops is an initial stop
-    stop = np.concatenate([[0], np.where(first >= 0, first + 1, -1)])
+    stop = np.concatenate([[0], np.where(first >= 0, cols[first] + 1, -1)])
     scores = _score(stop, sched)
     initial = run_monitoring(
         dataclasses.replace(det, initial_stop_prob=1.0), PAIR, sched, mode, seed=38
@@ -443,6 +457,63 @@ def test_restart_runs_stop_drawing_at_their_first_detection(monkeypatch):
     # detection at an onset has probability ~0.56, so runs end near t = 200
     assert est.survivors[0] == n
     assert sum(drawn) < n * sched.horizon / 10
+
+
+def test_restart_runs_draw_only_their_onset_samples(monkeypatch):
+    drawn = []
+    original = GaussianMeanShift.sample
+
+    def counting_sample(self, which, rng, size=None):
+        drawn.append(int(np.prod(size)))
+        return original(self, which, rng, size)
+
+    monkeypatch.setattr(GaussianMeanShift, "sample", counting_sample)
+    sched = make_schedule(10_000, 100, 1, "even_grid")
+    n = 300
+    estimate_pollak(
+        calibrate(PAIR, 5.0), PAIR, sched, n, seed=39, mode="restart", on_degenerate="exclude"
+    )
+    assert 0 < sum(drawn) <= n * sched.s
+    # a rule that never alarms on an onset runs every trial to the horizon
+    drawn.clear()
+    never = estimate_pollak(
+        FixedTimeRule(2), PAIR, sched, n, seed=39, mode="restart", on_degenerate="exclude"
+    )
+    assert never.value == 0.0
+    assert sum(drawn) == n * sched.s
+
+
+@pytest.mark.parametrize("T", [1, 3])
+@pytest.mark.parametrize("at", [(), (1,), (2, 3), (2, 3, 6), (7, 12), (12,), (10, 11, 12)])
+def test_restart_stops_of_a_time_dependent_rule_match_monitor_sequence(T, at):
+    # one onset at t = 1 and the last window ending at the horizon (the last
+    # onset is the horizon itself when T = 1)
+    horizon = 12
+    sched = ChangeSchedule(onsets=(1, 6, horizon - T + 1), duration=T, horizon=horizon)
+    rule = AlarmAtTimesRule(at)
+    stop, _ = _simulate(rule, PAIR, sched, "restart", 300, 43, STREAM_MONITOR)
+    expected = monitor_sequence(rule, np.zeros(horizon), sched, "restart").tau
+    assert (stop == (-1 if expected is None else expected)).all()
+
+
+def test_restart_alarm_mask_sees_only_onset_times():
+    seen = []
+    det = calibrate(PAIR, 20.0)
+
+    class RecordingRule:
+        memoryless = True
+
+        def alarm_mask(self, times, x, rng):
+            assert times.shape == x.shape
+            seen.append(np.unique(times))
+            return det.alarm_mask(times, x, rng)
+
+    sched = make_schedule(600, 10, 3, "even_grid")
+    est = estimate_pollak(
+        RecordingRule(), PAIR, sched, 1000, seed=44, mode="restart", on_degenerate="exclude"
+    )
+    assert est.survivors[0] == 1000
+    assert set(np.concatenate(seen).tolist()) <= set(sched.onsets)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,11 @@ class StoppingRule(Protocol):
     shape, so verdicts must be elementwise.  Restart mode relies on this
     per-sample contract: it draws and decides the onset samples only.
     ``memoryless`` declares that the verdict distribution does not depend
-    on the time index (fixed-time rules are per-sample but not memoryless).
+    on the time index (fixed-time rules are per-sample but not memoryless),
+    and a memoryless rule's verdicts must not depend on ``times`` at all:
+    when every sample of a run has one law, the estimators cut all of a
+    chunk's runs from one flat 1-D stream and pass ``times`` as zeros
+    shaped like ``x``.
     """
 
     memoryless: bool

@@ -18,9 +18,14 @@ Estimated quantities, each with a standard error:
 
 Reproducibility contract: the trial range is cut into fixed chunks of
 ``_CHUNK`` trials, and each chunk draws from one generator keyed by
-``(seed, stream tag, chunk index)``.  A restart chunk draws the initial-stop
-uniforms, then per block one F1 matrix of onset samples and whatever
-``alarm_mask`` consumes; a single-shot block covers consecutive time steps.
+``(seed, stream tag, chunk index)``.  A chunk draws the initial-stop
+uniforms first.  A memoryless rule on columns of one law (pure-F0 runs, and
+restart runs, which see only F1 onset samples) takes the flat layout: the
+chunk's trials cut consecutive segments, in trial order, from one stream
+drawn a buffer at a time, each buffer followed by whatever ``alarm_mask``
+consumes.  Every other run takes the block layout: one block of samples
+per step for the trials still running (consecutive time steps, or in
+restart mode the onset samples), then whatever ``alarm_mask`` consumes.
 Aggregation reduces per-trial records in trial order.  Results are
 therefore bit-identical for any worker count; workers only split the fixed
 chunking of the trial range.
@@ -56,7 +61,8 @@ STREAM_SCHEDULE = 4
 #: count only, so outputs can never depend on the worker count
 _CHUNK = 256
 #: columns of a chunk's first block for rules without a run-length budget;
-#: calibrated rules start at ``eta`` columns, their mean run length
+#: calibrated rules start at ``eta`` columns, their mean run length.  Also
+#: the flat layout's first mean gap where ``eta`` does not give it
 _MIN_BLOCK = 16
 #: most samples one block draws (1 MiB of float64), whatever the block width
 _MAX_BLOCK_SAMPLES = 1 << 17
@@ -212,6 +218,43 @@ def _first_stops(mask: np.ndarray) -> np.ndarray:
     return np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
 
 
+def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float):
+    """Renewal runs of a memoryless rule on i.i.d. samples: ``n`` trials
+    take consecutive segments of one flat stream, each ending at an alarm.
+
+    Returns per trial the 0-based index within its segment of the stopping
+    sample (-1 for a trial that saw ``limit`` samples without an alarm and
+    consumed exactly those) and that sample's value.  Each buffer holds the
+    remaining trials times the mean gap between alarms (``gap`` until an
+    alarm is seen, then the observed samples per alarm), capped per trial at
+    ``limit`` and in all at ``_MAX_BLOCK_SAMPLES``.
+    """
+    at = np.full(n, -1, dtype=np.int64)
+    x_at = np.full(n, np.nan)
+    done = carry = drawn = alarms = 0
+    while done < n:
+        if alarms:
+            gap = drawn / alarms
+        size = min(_MAX_BLOCK_SAMPLES, max(1, math.ceil((n - done) * min(gap, limit))))
+        x = np.asarray(pair.sample(law, rng, size), dtype=float)
+        hit = np.flatnonzero(rule.alarm_mask(np.zeros(size, dtype=np.int64), x, rng))
+        drawn += size
+        alarms += hit.size
+        # alarm-free samples before each alarm and after the last: a run of
+        # r holds r // limit censored trials, then (before an alarm) one
+        # trial that stops on it after r % limit samples
+        runs = np.diff(np.concatenate(([-1], hit, [size]))) - 1
+        runs[0] += carry
+        censored, rest = np.divmod(runs, limit)
+        ends = done + np.cumsum(censored + 1) - 1  # trial of each stop, then the next trial
+        k = np.searchsorted(ends[:-1], n)  # stops past the chunk's last trial are dropped
+        at[ends[:k]] = rest[:k]
+        x_at[ends[:k]] = x[hit[:k]]
+        done = int(ends[-1])
+        carry = int(rest[-1])
+    return at, x_at
+
+
 def _simulate_chunk(
     lo: int,
     hi: int,
@@ -231,8 +274,19 @@ def _simulate_chunk(
     one, or with ``record_at`` (increasing 1-based times, single-shot only)
     one column per time; NaN marks a sample never drawn.  ``mode`` chooses
     the columns drawn, each able to end a run: every time step, or the
-    onsets.  A restart chunk draws the initial-stop uniforms, then per block
-    one F1 matrix of onset samples and whatever ``alarm_mask`` consumes.
+    onsets.  A chunk draws the initial-stop uniforms first.
+
+    Flat layout: when every drawn column has one law (restart runs see only
+    F1 onset samples, runs on an empty single-shot schedule only F0) and
+    the rule is memoryless, a run is a renewal, so the chunk's trials take
+    consecutive segments of one flat stream (see :func:`_flat_stops`); each
+    buffer draws its samples, then whatever ``alarm_mask`` consumes.
+
+    Block layout, otherwise (and always with ``record_at``): the trials
+    still running are simulated together, one ``(trials x columns)`` block
+    at a time; a block draws an F0 matrix whose affected columns are redrawn
+    from F1 (restart: one F1 matrix of onset samples), then whatever
+    ``alarm_mask`` consumes.
     """
     rng = trial_rng(seed, stream, lo // _CHUNK)
     n = hi - lo
@@ -244,11 +298,22 @@ def _simulate_chunk(
         stop[rng.random(n) < pi0] = 0
     restart = mode == "restart"
     cols = np.asarray(schedule.onsets, dtype=np.int64) - 1 if restart else np.arange(horizon)
+    eta = getattr(rule, "eta", None)
+    active = np.flatnonzero(stop == _CENSORED)
+    one_law = restart or not schedule.onsets
+    if one_law and record_at is None and getattr(rule, "memoryless", False):
+        if cols.size:
+            law = "alternative" if restart else "nominal"
+            # eta is the mean gap of F0 runs; F1 alarms come sooner
+            gap = _MIN_BLOCK if eta is None or restart else eta
+            at, x_at = _flat_stops(rule, pair, law, rng, active.size, cols.size, gap)
+            done = at >= 0
+            stop[active[done]] = cols[at[done]] + 1
+            recorded[active[done]] = x_at[done]
+        return stop, recorded
     is_f1 = np.zeros(horizon, dtype=bool)
     is_f1[schedule.affected_times() - 1] = True
-    eta = getattr(rule, "eta", None)
     block = _MIN_BLOCK if eta is None else max(_MIN_BLOCK, math.ceil(eta))
-    active = np.flatnonzero(stop == _CENSORED)
     c0 = 0
     while active.size and c0 < cols.size:
         nb = min(block, cols.size - c0, max(1, _MAX_BLOCK_SAMPLES // active.size))
@@ -567,9 +632,12 @@ def run_monitoring(
 # Criteria estimators
 
 
-def _check_on_degenerate(on_degenerate: str) -> None:
+def _check_degenerate_policy(on_degenerate: str, min_survivors: int) -> None:
     if on_degenerate not in ("raise", "exclude"):
         raise ValueError(f"on_degenerate must be 'raise' or 'exclude', got {on_degenerate!r}")
+    if min_survivors < 1:
+        # an onset no trial reached has no conditional detection to estimate
+        raise ValueError(f"min_survivors must be >= 1, got {min_survivors}")
 
 
 def _pollak_from_counts(
@@ -581,22 +649,21 @@ def _pollak_from_counts(
     on_degenerate: str,
 ) -> PollakEstimate:
     """Sum the per-onset terms ``hits / trials`` (binomial standard errors)
-    over the onsets reached by at least ``min_survivors`` trials."""
-    per_onset = []
-    degenerate = []
-    total = 0.0
-    var = 0.0
-    for i, onset in enumerate(onsets):
-        if int(survivors[i]) < min_survivors:
-            degenerate.append(onset)
-            per_onset.append(Estimate(math.nan, math.nan))
-            continue
-        m = int(trials[i])
-        p = float(hits[i]) / m
-        se = _binomial_se(p, m)
-        per_onset.append(Estimate(p, se))
-        total += p
-        var += se * se
+    over the onsets reached by at least ``min_survivors`` trials.
+
+    The sums run in onset order (``cumsum``, not the pairwise ``sum``), so
+    the last bit of the value and its standard error is fixed.
+    """
+    ok = np.asarray(survivors) >= min_survivors
+    m = np.asarray(trials)[ok]
+    p = np.asarray(hits)[ok] / m
+    se = np.sqrt(p * (1.0 - p) / m)
+    total = float(np.cumsum(p)[-1]) if p.size else 0.0
+    var = float(np.cumsum(se * se)[-1]) if p.size else 0.0
+    terms = iter(map(Estimate, p.tolist(), se.tolist()))
+    nan = Estimate(math.nan, math.nan)
+    per_onset = [next(terms) if k else nan for k in ok.tolist()]
+    degenerate = [onset for onset, k in zip(onsets, ok.tolist()) if not k]
     if degenerate and on_degenerate == "raise":
         raise DegenerateEstimateError(
             f"onsets {degenerate} were reached by fewer than {min_survivors} trials; "
@@ -607,7 +674,7 @@ def _pollak_from_counts(
         value=total,
         std_error=math.sqrt(var),
         per_onset=tuple(per_onset),
-        survivors=tuple(int(v) for v in survivors),
+        survivors=tuple(np.asarray(survivors).tolist()),
         degenerate_onsets=tuple(degenerate),
     )
 
@@ -636,7 +703,7 @@ def estimate_pollak(
     on unit-duration changes every term is schedule-invariant, so any
     schedule attains it (property-tested, not assumed silently).
     """
-    _check_on_degenerate(on_degenerate)
+    _check_degenerate_policy(on_degenerate, min_survivors)
     if schedule.s == 0:
         return PollakEstimate(0.0, 0.0, (), (), ())
     stop, _ = _simulate(
@@ -720,7 +787,7 @@ def estimate_lorden(
     serves every onset; ``survivors`` counts the trials that reached each,
     and an onset needs at least ``max(min_survivors, 2 * _HISTORY_BINS)``.
     """
-    _check_on_degenerate(on_degenerate)
+    _check_degenerate_policy(on_degenerate, min_survivors)
     if getattr(detector, "memoryless", False):
         return estimate_pollak(
             detector,
@@ -829,7 +896,7 @@ def evaluate_criteria(
     which for a memoryless rule estimates the same conditional as the
     single-shot run.
     """
-    _check_on_degenerate(on_degenerate)
+    _check_degenerate_policy(on_degenerate, min_survivors)
     stop, _ = _simulate(
         detector, pair, schedule, mode, n_trials, seed, STREAM_MONITOR, n_workers=n_workers
     )

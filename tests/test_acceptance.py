@@ -232,6 +232,44 @@ def test_detection_curves_cells_match_the_restart_closed_forms(detection_curves_
     _report("5-6 exact", not problems, "; ".join(details + problems))
 
 
+#: the acceptance preset's referee: 2 rows x 5 cells, Bonferroni at the
+#: same family level of 1e-3, so each check's two-sided level is 1e-4
+ACCEPTANCE_REFEREE_LEVEL = 1e-3 / (2 * 5)
+
+
+def test_acceptance_cells_match_the_restart_closed_forms():
+    # the detection_curves referee on the second shipped restart preset.  At
+    # 300 runs a probability cell can sit far from normal (detect_any at
+    # eta = 10 expects 0.016 misses), so detect_first and detect_any take
+    # the exact binomial test; the other cells the z test at the true SE
+    from scipy import stats as scipy_stats
+
+    config = load_preset("acceptance")
+    rows = run_eta_sweep(config)
+    assert config.mode == "restart" and len(rows) == 2  # as the level counts
+    z_max = norm_upper_quantile(ACCEPTANCE_REFEREE_LEVEL / 2)
+    problems = []
+    details = []
+    for row in rows:
+        n = row.n_trials
+        cells = restart_exact_cells(config.pair, row.eta, row.s, n)
+        checks = []
+        for name, (exact, se) in cells.items():
+            value = getattr(row, name)
+            if name in ("detect_first", "detect_any"):
+                pvalue = scipy_stats.binomtest(round(value * n), n, exact).pvalue
+                ok = pvalue >= ACCEPTANCE_REFEREE_LEVEL
+                checks.append(f"p={pvalue:.3g}")
+            else:
+                z = (value - exact) / se
+                ok = abs(z) <= z_max
+                checks.append(f"z={z:+.2f}")
+            if not ok:
+                problems.append(f"{name} at eta={row.eta:g}: {value} vs exact {exact}")
+        details.append(f"eta={row.eta:g} {checks}")
+    _report("acceptance exact", not problems, "; ".join(details + problems))
+
+
 def test_criterion_7_mean_sweep_matches_closed_form():
     config = load_preset("mean_sweep")
     rows = run_mu_sweep(config)

@@ -154,7 +154,7 @@ def test_worker_count_leaves_csv_bytes_unchanged():
     assert one == two
 
 
-ACCEPTANCE_CSV_SHA256 = "b66fcba2aab85dc34d834cc05590d773256974d30d5149283b9a7c3e2add0539"
+ACCEPTANCE_CSV_SHA256 = "5daad0f8e00ba822341ae75009a88fe2c97ed07c66e79ab3dd9d8ae5303e5f02"
 
 
 def test_acceptance_preset_report_bytes_are_pinned():

@@ -25,9 +25,13 @@ from transientscan import (
     simulate_run_lengths,
 )
 from transientscan.distributions import norm_upper_quantile, norm_upper_tail
+from transientscan import metrics
 from transientscan.metrics import (
+    _CHUNK,
     STREAM_MONITOR,
+    Estimate,
     _first_stops,
+    _pollak_from_counts,
     _score,
     _simulate,
     detect_first_any_curves,
@@ -251,6 +255,39 @@ def test_pollak_degenerate_onset_policy():
     assert abs(est.value - detect_prob(1.0, 5.0)) <= 4 * est.std_error
 
 
+def pollak_loop(hits, trials, survivors, onsets, min_survivors):
+    """The per-onset loop that sums the Pollak terms in onset order."""
+    per_onset, degenerate, total, var = [], [], 0.0, 0.0
+    for i, onset in enumerate(onsets):
+        if int(survivors[i]) < min_survivors:
+            degenerate.append(onset)
+            per_onset.append(Estimate(math.nan, math.nan))
+            continue
+        m = int(trials[i])
+        p = float(hits[i]) / m
+        se = math.sqrt(p * (1.0 - p) / m)
+        per_onset.append(Estimate(p, se))
+        total += p
+        var += se * se
+    return total, math.sqrt(var), tuple(per_onset), tuple(int(v) for v in survivors), tuple(
+        degenerate
+    )
+
+
+def test_pollak_from_counts_matches_the_onset_loop():
+    # same arithmetic in the same order, so equal to the last bit (repr)
+    rng = np.random.default_rng(50)
+    for k in range(100):
+        s = int(rng.integers(1, 150))
+        survivors = rng.integers(0, 400, s)
+        trials = np.maximum(survivors - rng.integers(0, 3, s), 1)
+        hits = rng.binomial(trials, rng.random(s))
+        floor = 1 + k % 60
+        est = _pollak_from_counts(hits, trials, survivors, tuple(range(1, s + 1)), floor, "exclude")
+        got = (est.value, est.std_error, est.per_onset, est.survivors, est.degenerate_onsets)
+        assert repr(got) == repr(pollak_loop(hits, trials, survivors, range(1, s + 1), floor))
+
+
 @pytest.mark.parametrize("estimator", ["pollak", "lorden", "criteria"])
 @pytest.mark.parametrize("policy", ["rasie", "Exclude", ""])
 def test_unknown_degenerate_policy_is_rejected(estimator, policy):
@@ -266,6 +303,24 @@ def test_unknown_degenerate_policy_is_rejected(estimator, policy):
         ),
     }[estimator]
     with pytest.raises(ValueError, match="on_degenerate"):
+        call()
+
+
+@pytest.mark.parametrize("estimator", ["pollak", "lorden", "criteria"])
+def test_min_survivors_below_one_is_rejected(estimator):
+    # an onset that no trial reaches would divide zero hits by zero trials
+    det = calibrate(PAIR, 5.0)
+    sched = ChangeSchedule(onsets=(3, 200), duration=1, horizon=200)
+    call = {
+        "pollak": lambda: estimate_pollak(det, PAIR, sched, 300, seed=13, min_survivors=0),
+        "lorden": lambda: estimate_lorden(
+            FixedTimeRule(5), PAIR, sched, 300, seed=13, min_survivors=0
+        ),
+        "criteria": lambda: evaluate_criteria(
+            det, PAIR, sched, n_trials=300, seed=13, min_survivors=0
+        ),
+    }[estimator]
+    with pytest.raises(ValueError, match="min_survivors"):
         call()
 
 
@@ -501,7 +556,9 @@ def test_restart_alarm_mask_sees_only_onset_times():
     det = calibrate(PAIR, 20.0)
 
     class RecordingRule:
-        memoryless = True
+        # not memoryless, so restart runs take the block layout, whose
+        # times are the onset times (the flat layout passes no times)
+        memoryless = False
 
         def alarm_mask(self, times, x, rng):
             assert times.shape == x.shape
@@ -514,6 +571,126 @@ def test_restart_alarm_mask_sees_only_onset_times():
     )
     assert est.survivors[0] == 1000
     assert set(np.concatenate(seen).tolist()) <= set(sched.onsets)
+
+
+# ---------------------------------------------------------------------------
+# flat layout: memoryless runs on one-law columns cut one stream
+
+#: two-sided z of each statistical check below: level 1e-4 per check
+Z_CHECK = norm_upper_quantile(1e-4 / 2)
+
+
+@dataclasses.dataclass(frozen=True)
+class BlockLayout:
+    """The wrapped rule's verdicts, declared not memoryless: every run
+    takes the block layout."""
+
+    rule: object
+    memoryless = False
+
+    def alarm_mask(self, times, x, rng):
+        return self.rule.alarm_mask(times, x, rng)
+
+
+def replay_flat_stops(rule, law, limit, n, seed, stream):
+    """Stop index within each trial's segment (-1 censored, None an initial
+    stop) and its sample, by walking each chunk's stream one sample at a
+    time.  Valid for rules whose alarm_mask draws nothing: then the buffer
+    ends of the kernel do not move any sample."""
+    pi0 = rule.initial_stop_prob
+    at, xs = [], []
+    for c, lo in enumerate(range(0, n, _CHUNK)):
+        m = min(_CHUNK, n - lo)
+        rng = trial_rng(seed, stream, c)
+        initial = rng.random(m) < pi0 if pi0 > 0.0 else np.zeros(m, dtype=bool)
+        x = PAIR.sample(law, rng, m * limit)  # more than the chunk can use
+        alarm = rule.alarm_mask(np.zeros(x.size, dtype=np.int64), x, rng)
+        pos = 0
+        for k in range(m):
+            seg = alarm[pos : pos + limit]
+            if initial[k]:
+                at.append(None)
+                xs.append(math.nan)
+            elif seg.any():
+                j = int(seg.argmax())
+                at.append(j)
+                xs.append(x[pos + j])
+                pos += j + 1
+            else:
+                at.append(-1)
+                xs.append(math.nan)
+                pos += limit
+    return at, np.array(xs)
+
+
+@pytest.mark.parametrize(
+    "mode,limit",
+    [("single_shot", 1), ("single_shot", 6), ("single_shot", 12), ("restart", 1), ("restart", 3)],
+)
+@pytest.mark.parametrize("pi0", [0.0, 0.3])
+def test_flat_runs_cut_one_stream_in_trial_order(monkeypatch, mode, limit, pi0):
+    # 600 trials run as chunks of 256, 256 and 88, each in buffers of at
+    # most 7 samples, so runs carry across buffer ends; a censored trial
+    # uses exactly `limit` samples and the next one starts right after them
+    monkeypatch.setattr(metrics, "_MAX_BLOCK_SAMPLES", 7)
+    rule = calibrate(PAIR, 4.0, initial_stop_prob=pi0)
+    if mode == "restart":
+        onsets = tuple(range(5, 5 * limit + 1, 5))
+        sched = ChangeSchedule(onsets=onsets, duration=1, horizon=onsets[-1])
+        law, cols = "alternative", np.asarray(onsets) - 1
+    else:
+        sched = ChangeSchedule(onsets=(), duration=1, horizon=limit)
+        law, cols = "nominal", np.arange(limit)
+    stop, recorded = _simulate(rule, PAIR, sched, mode, 600, 45, STREAM_MONITOR)
+    at, x_at = replay_flat_stops(rule, law, limit, 600, 45, STREAM_MONITOR)
+    expected = [0 if a is None else -1 if a < 0 else int(cols[a]) + 1 for a in at]
+    assert stop.tolist() == expected
+    assert np.array_equal(recorded, x_at, equal_nan=True)
+    assert (stop == -1).any() and (stop > 0).any() and (stop == 0).any() == (pi0 > 0)
+
+
+def test_flat_censoring_matches_the_exact_probability():
+    n, horizon = 20_000, 10
+    sample = simulate_run_lengths(calibrate(PAIR, 50.0), PAIR, n, horizon, seed=46)
+    q = (1.0 - 1.0 / 50.0) ** horizon
+    assert abs(sample.censored - n * q) <= Z_CHECK * math.sqrt(n * q * (1.0 - q))
+    assert sample.n + sample.censored == n
+    assert (sample.taus >= 1).all() and (sample.taus <= horizon).all()
+
+
+def test_flat_initial_stops_keep_the_run_length_law():
+    n, eta, pi0 = 20_000, 20.0, 0.3
+    sample = simulate_run_lengths(
+        calibrate(PAIR, eta, initial_stop_prob=pi0), PAIR, n, 1000, seed=47
+    )
+    initial = sample.taus == 0
+    assert abs(initial.sum() - n * pi0) <= Z_CHECK * math.sqrt(n * pi0 * (1.0 - pi0))
+    assert (sample.lrs[initial] == 0.0).all() and (sample.lrs[~initial] > 0.0).all()
+    moved = sample.taus[~initial]
+    assert abs(moved.mean() - eta) <= Z_CHECK * math.sqrt(eta * eta - eta) / math.sqrt(moved.size)
+    assert sample.censored == 0
+
+
+def test_flat_and_block_layouts_agree_in_law():
+    det = calibrate(PAIR, 10.0)
+    n = 20_000
+    flat = simulate_run_lengths(det, PAIR, n, 1000, seed=48)
+    block = simulate_run_lengths(BlockLayout(det), PAIR, n, 1000, seed=48)
+    assert flat.censored == block.censored == 0
+    for a, b in ((flat.taus, block.taus), (flat.lrs, block.lrs)):  # ARL and E0[l_tau]
+        se = math.hypot(a.std(ddof=1) / math.sqrt(a.size), b.std(ddof=1) / math.sqrt(b.size))
+        assert abs(a.mean() - b.mean()) <= Z_CHECK * se
+
+
+def test_flat_restart_with_small_s_matches_the_closed_form():
+    # s = 3 restart runs are censored often; 20,000 trials run as 79 chunks
+    det = calibrate(PAIR, 10.0)
+    sched = make_schedule(30, 3, 1, "even_grid")
+    n = 20_000
+    rep = evaluate_criteria(det, PAIR, sched, n_trials=n, seed=49, mode="restart")
+    p1 = PAIR.lr_tail_prob_f1(det.alpha)
+    for est, exact in ((rep.detect_first_prob, p1), (rep.detect_any_prob, 1.0 - (1.0 - p1) ** 3)):
+        assert abs(est.value - exact) <= Z_CHECK * math.sqrt(exact * (1.0 - exact) / n)
 
 
 # ---------------------------------------------------------------------------

@@ -31,15 +31,16 @@ therefore bit-identical for any worker count; workers only split the fixed
 chunking of the trial range.
 
 Standard errors: exact binomial for probabilities, sample standard
-deviation for means, delta method for the bound ratio.
+deviation for means, delta method for the bound ratio.  Each run-length
+sample takes its moments once; they serve its ARL and the ceiling of every
+schedule, which is linear in ``s``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cached_property, partial
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -94,6 +95,7 @@ class RunLengthSample:
 
     Initial stops (time 0, no sample consumed) carry a ratio value of 0, so
     expectations pick up the ``(1 - initial_stop_prob)`` factor they should.
+    The estimators share :attr:`moments`, taken once per sample.
     """
 
     taus: np.ndarray
@@ -103,6 +105,21 @@ class RunLengthSample:
     @property
     def n(self) -> int:
         return int(self.taus.size)
+
+    @cached_property
+    def moments(self) -> tuple[float, float, float, float, float]:
+        """``(mean_lr, mean_tau, var_lr, var_tau, cov)`` of ``(lrs, taus)``, with
+        ``ddof=1`` spreads, bit-identical to the numpy reductions one by one.
+        All NaN for an empty sample; the spreads are 0 for one run."""
+        if self.n == 0:
+            return (math.nan,) * 5
+        x = np.stack((self.lrs, self.taus))
+        mean = x.mean(axis=1)
+        d = x - mean[:, None]
+        dof = max(self.n - 1, 1)
+        cov = np.dot(d, d.T.conj())  # np.cov's own steps, so its last bit
+        cov *= np.true_divide(1, dof)
+        return (*mean.tolist(), *((d * d).sum(axis=1) / dof).tolist(), float(cov[0, 1]))
 
 
 @dataclass(frozen=True)
@@ -192,6 +209,7 @@ def _map_chunks(fn, n_trials: int, n_workers: int) -> list:
     ranges = _chunk_ranges(n_trials)
     if n_workers <= 1 or len(ranges) == 1:
         return [fn(lo, hi) for lo, hi in ranges]
+    from concurrent.futures import ProcessPoolExecutor  # deferred: it loads multiprocessing
     with ProcessPoolExecutor(max_workers=min(n_workers, len(ranges))) as pool:
         return list(pool.map(fn, *zip(*ranges)))
 
@@ -202,11 +220,8 @@ def _binomial_se(p: float, n: int) -> float:
 
 def _mean_se(values: np.ndarray) -> Estimate:
     n = values.size
-    if n == 0:
-        return Estimate(math.nan, math.nan)
-    mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return Estimate(mean, se)
+    return Estimate(float(values.mean()), se)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +477,8 @@ def estimate_arl(
         sample = simulate_run_lengths(
             detector, pair, n_trials, max_horizon, seed, n_workers=n_workers
         )
-    mean, se = _mean_se(sample.taus)
+    _, mean, _, var, _ = sample.moments
+    se = math.sqrt(var) / math.sqrt(sample.n) if sample.n else math.nan
     return ArlEstimate(mean, se, sample.censored)
 
 
@@ -482,7 +498,8 @@ def estimate_optimality_ceiling(
     Both expectations are estimated under pure F0 from the same runs;
     censored runs are excluded from both means.  The standard error of the
     ratio comes from the delta method with the empirical covariance of
-    (l_tau, tau).
+    (l_tau, tau), both read from ``sample.moments``, taken once per sample.
+    The ceiling is linear in ``s``: so is its standard error.
     """
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
@@ -493,14 +510,10 @@ def estimate_optimality_ceiling(
     n = sample.n
     if n == 0:
         raise DegenerateEstimateError("all runs were censored; cannot form the bound")
-    mean_lr = float(sample.lrs.mean())
-    mean_tau = float(sample.taus.mean())
+    mean_lr, mean_tau, var_lr, var_tau, cov = sample.moments
     value = s * mean_lr / mean_tau
     if n < 2 or value == 0.0:
         return Estimate(value, 0.0)
-    var_lr = float(sample.lrs.var(ddof=1))
-    var_tau = float(sample.taus.var(ddof=1))
-    cov = float(np.cov(sample.lrs, sample.taus, ddof=1)[0, 1])
     rel_var = (
         var_lr / mean_lr**2 + var_tau / mean_tau**2 - 2.0 * cov / (mean_lr * mean_tau)
     ) / n
@@ -573,35 +586,25 @@ def monitor_sequence(
     onsets = set(schedule.onsets)
     times = np.arange(1, schedule.horizon + 1, dtype=np.int64)
     mask = rule.alarm_mask(times, x, rng)
-    alarm_times = [int(t) for t in times[mask]]
     alarms: list[tuple[int, str]] = []
     first_detection = None
     tau: int | None = None
-    for t in alarm_times:
+    for t in times[mask].tolist():
         kind = "true_onset" if t in onsets else "false_alarm"
         alarms.append((t, kind))
-        if mode == "single_shot":
-            tau = t
-            if kind == "true_onset":
-                first_detection = t
-            break
         if kind == "true_onset":
             first_detection = t
+        if mode == "single_shot" or kind == "true_onset":
             tau = t
             break
-    end = first_detection if first_detection is not None else (
-        tau if tau is not None else schedule.horizon + 1
-    )
-    if mode == "restart":
-        alarmed = set(alarm_times)
-        missed = sum(1 for g in schedule.onsets if g < end and g not in alarmed)
-    else:
-        missed = sum(1 for g in schedule.onsets if g < end)
+    # as in _score: every onset before the run's end passed with no alarm at
+    # it (a restart run ends on the first onset it alarms at)
+    end = tau if tau is not None else schedule.horizon + 1
     return TrialOutcome(
         tau=tau,
         alarms=tuple(alarms),
         first_detection_time=first_detection,
-        missed_onsets_before_detection=missed,
+        missed_onsets_before_detection=sum(1 for g in schedule.onsets if g < end),
     )
 
 
@@ -910,12 +913,13 @@ def evaluate_criteria(
     avg_missed = _mean_se(scores.missed.astype(float))
     horizon = max(int(20 * detector.eta), 1000)
     sample = simulate_run_lengths(detector, pair, n_trials, horizon, seed, n_workers=n_workers)
+    arl = estimate_arl(detector, pair, sample.n, horizon, seed, sample=sample)
     bound = estimate_optimality_ceiling(
         detector, pair, schedule.s, sample.n, horizon, seed, sample=sample
     )
     return CriteriaReport(
         pollak_estimate=Estimate(pollak.value, pollak.std_error),
-        arl_to_false_alarm=_mean_se(sample.taus),
+        arl_to_false_alarm=Estimate(arl.mean, arl.std_error),
         optimality_ceiling=bound,
         detect_first_prob=Estimate(detect_first, _binomial_se(detect_first, n_trials)),
         detect_any_prob=Estimate(detect_any, _binomial_se(detect_any, n_trials)),

@@ -192,8 +192,7 @@ def generate_sequence(
 def write_sequence_csv(path, x: np.ndarray) -> None:
     """Dump a sequence as single-column decimal text, 17 significant digits."""
     with open(path, "w", encoding="utf-8") as f:
-        for v in x:
-            f.write(f"{v:.17g}\n")
+        f.write("".join(f"{v:.17g}\n" for v in np.asarray(x, dtype=float).tolist()))
 
 
 def read_sequence_csv(path) -> np.ndarray:

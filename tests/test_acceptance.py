@@ -175,11 +175,6 @@ def test_criterion_6_missed_counts_grow_with_the_budget(detection_curves_rows):
     _report(6, ok, f"avg_missed by eta: {[round(v, 3) for v in missed]}")
 
 
-#: two-sided z for each closed-form check on the detection_curves preset:
-#: 6 rows x 5 cells, Bonferroni at a family level of 1e-3
-REFEREE_Z = norm_upper_quantile(1e-3 / (2 * 6 * 5))
-
-
 def restart_exact_cells(pair, eta, s, n):
     """(value, exact SE) per checked column of a restart row of the
     calibrated Shewhart rule, each SE taken at the true value."""
@@ -207,59 +202,34 @@ def restart_exact_cells(pair, eta, s, n):
     }
 
 
-def test_detection_curves_cells_match_the_restart_closed_forms(detection_curves_rows):
-    # every restart cell of the calibrated rule has an exact referee; a
-    # cell whose exact SE is 0 must match exactly
-    config = load_preset("detection_curves")
-    assert config.mode == "restart" and len(detection_curves_rows) == 6  # as REFEREE_Z counts
-    problems = []
-    details = []
-    for row in detection_curves_rows:
-        cells = restart_exact_cells(config.pair, row.eta, row.s, row.n_trials)
-        zs = []
-        for name, (exact, se) in cells.items():
-            value = getattr(row, name)
-            if se == 0.0:
-                ok = value == exact
-                zs.append("exact" if ok else "off")
-            else:
-                z = (value - exact) / se
-                ok = abs(z) <= REFEREE_Z
-                zs.append(f"{z:+.2f}")
-            if not ok:
-                problems.append(f"{name} at eta={row.eta:g}: {value} vs exact {exact}")
-        details.append(f"eta={row.eta:g} z={zs}")
-    _report("5-6 exact", not problems, "; ".join(details + problems))
+def referee_restart_rows(config, rows, level):
+    """Check every cell of the restart ``rows`` against
+    :func:`restart_exact_cells`, each check at the two-sided ``level``.
 
-
-#: the acceptance preset's referee: 2 rows x 5 cells, Bonferroni at the
-#: same family level of 1e-3, so each check's two-sided level is 1e-4
-ACCEPTANCE_REFEREE_LEVEL = 1e-3 / (2 * 5)
-
-
-def test_acceptance_cells_match_the_restart_closed_forms():
-    # the detection_curves referee on the second shipped restart preset.  At
-    # 300 runs a probability cell can sit far from normal (detect_any at
-    # eta = 10 expects 0.016 misses), so detect_first and detect_any take
-    # the exact binomial test; the other cells the z test at the true SE
+    ``detect_first`` and ``detect_any`` take the exact binomial test: their
+    misses can be Poisson-rare (``detect_any`` at eta 100 over 2,000 runs
+    expects 0.12), and a z check at the true SE would fail on 2 of them,
+    about 0.7% of redraws.  The other cells take the z test at the true SE;
+    a cell whose exact SE is 0 must match exactly.  Returns one detail line
+    per row and the failed checks.
+    """
     from scipy import stats as scipy_stats
 
-    config = load_preset("acceptance")
-    rows = run_eta_sweep(config)
-    assert config.mode == "restart" and len(rows) == 2  # as the level counts
-    z_max = norm_upper_quantile(ACCEPTANCE_REFEREE_LEVEL / 2)
-    problems = []
+    z_max = norm_upper_quantile(level / 2)
     details = []
+    problems = []
     for row in rows:
         n = row.n_trials
-        cells = restart_exact_cells(config.pair, row.eta, row.s, n)
         checks = []
-        for name, (exact, se) in cells.items():
+        for name, (exact, se) in restart_exact_cells(config.pair, row.eta, row.s, n).items():
             value = getattr(row, name)
             if name in ("detect_first", "detect_any"):
                 pvalue = scipy_stats.binomtest(round(value * n), n, exact).pvalue
-                ok = pvalue >= ACCEPTANCE_REFEREE_LEVEL
+                ok = pvalue >= level
                 checks.append(f"p={pvalue:.3g}")
+            elif se == 0.0:
+                ok = value == exact
+                checks.append("exact" if ok else "off")
             else:
                 z = (value - exact) / se
                 ok = abs(z) <= z_max
@@ -267,6 +237,31 @@ def test_acceptance_cells_match_the_restart_closed_forms():
             if not ok:
                 problems.append(f"{name} at eta={row.eta:g}: {value} vs exact {exact}")
         details.append(f"eta={row.eta:g} {checks}")
+    return details, problems
+
+
+#: per-check two-sided level of the closed-form referees: Bonferroni at a
+#: family level of 1e-3 over each preset's rows x 5 cells
+DETECTION_CURVES_REFEREE_LEVEL = 1e-3 / (6 * 5)
+ACCEPTANCE_REFEREE_LEVEL = 1e-3 / (2 * 5)
+
+
+def test_detection_curves_cells_match_the_restart_closed_forms(detection_curves_rows):
+    # every restart cell of the calibrated rule has an exact referee
+    config = load_preset("detection_curves")
+    assert config.mode == "restart" and len(detection_curves_rows) == 6  # as the level counts
+    details, problems = referee_restart_rows(
+        config, detection_curves_rows, DETECTION_CURVES_REFEREE_LEVEL
+    )
+    _report("5-6 exact", not problems, "; ".join(details + problems))
+
+
+def test_acceptance_cells_match_the_restart_closed_forms():
+    # the same referee on the second shipped restart preset
+    config = load_preset("acceptance")
+    rows = run_eta_sweep(config)
+    assert config.mode == "restart" and len(rows) == 2  # as the level counts
+    details, problems = referee_restart_rows(config, rows, ACCEPTANCE_REFEREE_LEVEL)
     _report("acceptance exact", not problems, "; ".join(details + problems))
 
 

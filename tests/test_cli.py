@@ -358,6 +358,29 @@ def test_cold_start_does_not_import_scipy_stats():
     assert done.returncode == 0, done.stderr
 
 
+def test_cold_start_does_not_import_the_process_pool():
+    # the pool is imported only when an estimator splits chunks over workers
+    probe = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import transientscan, transientscan.cli\n"
+        "pool = ('concurrent.futures.process', 'multiprocessing')\n"
+        "assert not [m for m in pool if m in sys.modules], 'process pool imported at start-up'\n"
+        "pair = transientscan.GaussianMeanShift(0.0, 1.0, 1.0)\n"
+        "det = transientscan.calibrate(pair, 10.0)\n"
+        "one = transientscan.simulate_run_lengths(det, pair, 300, 200, 4)\n"
+        "assert not [m for m in pool if m in sys.modules], 'process pool imported by one worker'\n"
+        "two = transientscan.simulate_run_lengths(det, pair, 300, 200, 4, n_workers=2)\n"
+        "assert all(m in sys.modules for m in pool)\n"
+        "assert np.array_equal(one.taus, two.taus) and np.array_equal(one.lrs, two.lrs)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(transientscan.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def _readme_example(command):
     """The README "Command line" block for ``command``, as its stdin, argv,
     expected stdout and expected exit code."""

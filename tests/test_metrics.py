@@ -366,6 +366,92 @@ def test_bound_dominates_pollak_for_a_quick_battery():
             assert pollak.value <= bound.value + slack, (name, s)
 
 
+def _run_length_samples():
+    """Seeded samples of 0, 1, 2 and more runs: random ones with initial
+    stops (tau 0, ratio 0) and heavy-tailed ratios, and simulated ones whose
+    short horizons censor some or all runs."""
+    rng = np.random.default_rng(31)
+    samples = []
+    for n in (0, 1, 2, 3, 5, 17, 256, 1001, *rng.integers(4, 3000, 40)):
+        taus = rng.integers(0, 40, n).astype(float)
+        lrs = np.where(taus > 0, np.exp(rng.normal(0.0, 2.0, n)), 0.0)
+        samples.append(metrics.RunLengthSample(taus, lrs, censored=int(rng.integers(0, 3))))
+    rules = (
+        (calibrate(PAIR, 20.0, initial_stop_prob=0.2), 15),
+        (BernoulliStopRule(0.3), 6),
+        (FixedTimeRule(5), 4),  # every run censored
+    )
+    for rule, horizon in rules:
+        for n in (1, 2, 300):
+            samples.append(simulate_run_lengths(rule, PAIR, n, horizon, seed=n))
+    assert {s.n for s in samples} >= {0, 1, 2} and any(s.censored for s in samples)
+    return samples
+
+
+def test_moments_match_the_numpy_reductions_bit_for_bit():
+    for sample in _run_length_samples():
+        assert sample.moments is sample.moments  # taken once per sample
+        mean_lr, mean_tau, var_lr, var_tau, cov = sample.moments
+        if sample.n == 0:
+            assert all(math.isnan(v) for v in sample.moments)
+            continue
+        assert mean_lr == float(sample.lrs.mean())
+        assert mean_tau == float(sample.taus.mean())
+        if sample.n == 1:
+            assert (var_lr, var_tau, cov) == (0.0, 0.0, 0.0)
+            continue
+        assert var_lr == float(sample.lrs.var(ddof=1))
+        assert var_tau == float(sample.taus.var(ddof=1))
+        assert cov == float(np.cov(sample.lrs, sample.taus, ddof=1)[0, 1])
+        arl = estimate_arl(None, PAIR, sample.n, 1, seed=0, sample=sample)
+        se = float(sample.taus.std(ddof=1) / math.sqrt(sample.n))
+        assert arl == (float(sample.taus.mean()), se, sample.censored)
+
+
+def test_empty_and_one_run_samples_keep_their_estimates():
+    fixed = FixedTimeRule(5)
+    empty = simulate_run_lengths(fixed, PAIR, 3, 4, seed=0)
+    arl = estimate_arl(fixed, PAIR, 3, 4, seed=0, sample=empty)
+    assert math.isnan(arl.mean) and math.isnan(arl.std_error) and arl.censored == 3
+    with pytest.raises(DegenerateEstimateError):
+        estimate_optimality_ceiling(fixed, PAIR, 2, 3, 4, seed=0, sample=empty)
+    det = calibrate(PAIR, 10.0)
+    one = simulate_run_lengths(det, PAIR, 1, 200, seed=0)
+    (tau,), (lr,) = one.taus, one.lrs
+    assert estimate_arl(det, PAIR, 1, 200, seed=0, sample=one) == (tau, 0.0, 0)
+    ceiling = estimate_optimality_ceiling(det, PAIR, 3, 1, 200, seed=0, sample=one)
+    assert ceiling == (3 * lr / tau, 0.0)
+
+
+def test_ceiling_is_linear_in_s_over_one_sample():
+    det = calibrate(PAIR, 10.0)
+    sample = simulate_run_lengths(det, PAIR, 2000, 200, seed=32)
+    mean_lr, mean_tau, *_ = sample.moments
+    ratio = mean_lr / mean_tau
+    rel_se = None
+    for s in (1, 3, 10):
+        est = estimate_optimality_ceiling(det, PAIR, s, 2000, 200, seed=32, sample=sample)
+        assert est.value == pytest.approx(s * ratio, rel=1e-15, abs=0.0)
+        rel_se = rel_se or est.std_error / est.value
+        assert est.std_error / est.value == pytest.approx(rel_se, rel=1e-15, abs=0.0)
+    assert rel_se > 0.0
+
+
+def test_criteria_arl_is_estimate_arl_on_the_same_runs():
+    det = calibrate(PAIR, 10.0)
+    sched = make_schedule(40, 4, 1, "even_grid")
+    horizon = max(int(20 * det.eta), 1000)  # evaluate_criteria's F0 horizon
+    for n in (1, 2, 300):
+        rep = evaluate_criteria(det, PAIR, sched, n_trials=n, seed=33)
+        sample = simulate_run_lengths(det, PAIR, n, horizon, seed=33)
+        arl = estimate_arl(det, PAIR, n, horizon, seed=33, sample=sample)
+        assert rep.arl_to_false_alarm == (arl.mean, arl.std_error)
+        assert rep.arl_censored == arl.censored
+        assert rep.optimality_ceiling == estimate_optimality_ceiling(
+            det, PAIR, sched.s, n, horizon, seed=33, sample=sample
+        )
+
+
 # ---------------------------------------------------------------------------
 # monitored runs
 

@@ -111,7 +111,9 @@ class ExperimentConfig:
             return cls.from_dict(json.load(f))
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
+        # field by field, not dataclasses.asdict: that deep-copies the pair,
+        # which to_config replaces anyway
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         out["pair"] = self.pair.to_config()
         out["eta_grid"] = list(self.eta_grid)
         out["mu1_grid"] = list(self.mu1_grid) if self.mu1_grid is not None else None
@@ -122,7 +124,12 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def build_schedule(self):
-        rng = trial_rng(self.master_seed, STREAM_SCHEDULE)
+        # only uniform_random placement draws: the other placements get no generator
+        rng = (
+            trial_rng(self.master_seed, STREAM_SCHEDULE)
+            if self.placement == "uniform_random"
+            else None
+        )
         return make_schedule(
             self.horizon, self.s, self.T, self.placement, rng=rng, onsets=self.onsets
         )

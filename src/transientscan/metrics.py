@@ -34,6 +34,14 @@ Standard errors: exact binomial for probabilities, sample standard
 deviation for means, delta method for the bound ratio.  Each run-length
 sample takes its moments once; they serve its ARL and the ceiling of every
 schedule, which is linear in ``s``.
+
+Fixed costs per call: a schedule derives its onset array and F1 column
+mask once (read-only cached properties of :class:`ChangeSchedule`), and
+every chunk and scoring pass reads them.  A call of one chunk returns that
+chunk's arrays as they are.  Scoring is one pass over the stops: the
+per-onset hits and survivors, each run's missed onsets, and from those
+counts the conditional-detection sum; only :func:`estimate_pollak` also
+builds the per-onset terms, which the criteria report does not carry.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
+from operator import attrgetter
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -207,7 +216,7 @@ def _chunk_ranges(n_trials: int) -> list[tuple[int, int]]:
 def _map_chunks(fn, n_trials: int, n_workers: int) -> list:
     """Run fn(lo, hi) over the fixed chunking, in chunk order."""
     ranges = _chunk_ranges(n_trials)
-    if n_workers <= 1 or len(ranges) == 1:
+    if n_workers <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
     from concurrent.futures import ProcessPoolExecutor  # deferred: it loads multiprocessing
     with ProcessPoolExecutor(max_workers=min(n_workers, len(ranges))) as pool:
@@ -219,9 +228,15 @@ def _binomial_se(p: float, n: int) -> float:
 
 
 def _mean_se(values: np.ndarray) -> Estimate:
+    """Mean and its standard error from one mean: bit-identical to
+    ``values.mean()`` and ``values.std(ddof=1) / sqrt(n)``, whose own steps
+    these are (integer values sum exactly, as the float copy would)."""
     n = values.size
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return Estimate(float(values.mean()), se)
+    mean = values.mean()
+    if n < 2:
+        return Estimate(float(mean), 0.0)
+    d = values - mean
+    return Estimate(float(mean), math.sqrt((d * d).sum() / (n - 1)) / math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +246,14 @@ def _mean_se(values: np.ndarray) -> Estimate:
 def _first_stops(mask: np.ndarray) -> np.ndarray:
     """Column of each row's first alarm in a block of verdicts, -1 for none."""
     return np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
+
+
+def _row_times(times: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The block's times, one row repeated over ``shape``: a read-only view,
+    as ``np.broadcast_to`` gives, without its checks (half the cost)."""
+    view = np.ndarray(shape, times.dtype, times, strides=(0, times.itemsize))
+    view.flags.writeable = False
+    return view
 
 
 def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float):
@@ -252,17 +275,20 @@ def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float):
             gap = drawn / alarms
         size = min(_MAX_BLOCK_SAMPLES, max(1, math.ceil((n - done) * min(gap, limit))))
         x = np.asarray(pair.sample(law, rng, size), dtype=float)
-        hit = np.flatnonzero(rule.alarm_mask(np.zeros(size, dtype=np.int64), x, rng))
+        hit = rule.alarm_mask(np.zeros(size, dtype=np.int64), x, rng).nonzero()[0]
         drawn += size
         alarms += hit.size
-        # alarm-free samples before each alarm and after the last: a run of
-        # r holds r // limit censored trials, then (before an alarm) one
-        # trial that stops on it after r % limit samples
-        runs = np.diff(np.concatenate(([-1], hit, [size]))) - 1
+        # alarm-free samples before each alarm and after the last (the first
+        # run continues the carry): a run of r holds r // limit censored
+        # trials, then (before an alarm) one trial that stops on it after
+        # r % limit samples
+        runs = np.append(hit, size)
+        runs[1:] -= hit + 1
         runs[0] += carry
         censored, rest = np.divmod(runs, limit)
-        ends = done + np.cumsum(censored + 1) - 1  # trial of each stop, then the next trial
-        k = np.searchsorted(ends[:-1], n)  # stops past the chunk's last trial are dropped
+        ends = (censored + 1).cumsum()
+        ends += done - 1  # trial of each stop, then the next trial
+        k = ends[:-1].searchsorted(n)  # stops past the chunk's last trial are dropped
         at[ends[:k]] = rest[:k]
         x_at[ends[:k]] = x[hit[:k]]
         done = int(ends[-1])
@@ -305,16 +331,15 @@ def _simulate_chunk(
     """
     rng = trial_rng(seed, stream, lo // _CHUNK)
     n = hi - lo
-    horizon = schedule.horizon
     stop = np.full(n, _CENSORED, dtype=np.int64)
     recorded = np.full(n if record_at is None else (n, record_at.size), np.nan)
     pi0 = getattr(rule, "initial_stop_prob", 0.0)
     if pi0 > 0.0:
         stop[rng.random(n) < pi0] = 0
     restart = mode == "restart"
-    cols = np.asarray(schedule.onsets, dtype=np.int64) - 1 if restart else np.arange(horizon)
+    cols = schedule.onset_times - 1 if restart else np.arange(schedule.horizon)
     eta = getattr(rule, "eta", None)
-    active = np.flatnonzero(stop == _CENSORED)
+    active = (stop == _CENSORED).nonzero()[0]
     one_law = restart or not schedule.onsets
     if one_law and record_at is None and getattr(rule, "memoryless", False):
         if cols.size:
@@ -322,12 +347,12 @@ def _simulate_chunk(
             # eta is the mean gap of F0 runs; F1 alarms come sooner
             gap = _MIN_BLOCK if eta is None or restart else eta
             at, x_at = _flat_stops(rule, pair, law, rng, active.size, cols.size, gap)
-            done = at >= 0
-            stop[active[done]] = cols[at[done]] + 1
-            recorded[active[done]] = x_at[done]
+            hit = (at >= 0).nonzero()[0]
+            rows = active[hit]
+            stop[rows] = cols[at[hit]] + 1
+            recorded[rows] = x_at[hit]
         return stop, recorded
-    is_f1 = np.zeros(horizon, dtype=bool)
-    is_f1[schedule.affected_times() - 1] = True
+    is_f1 = schedule.f1_columns
     block = _MIN_BLOCK if eta is None else max(_MIN_BLOCK, math.ceil(eta))
     c0 = 0
     while active.size and c0 < cols.size:
@@ -337,17 +362,19 @@ def _simulate_chunk(
             x = np.asarray(pair.sample("alternative", rng, (active.size, nb)), dtype=float)
         else:
             x = np.asarray(pair.sample("nominal", rng, (active.size, nb)), dtype=float)
-            f1_cols = np.flatnonzero(is_f1[block_cols])
+            f1_cols = is_f1[block_cols].nonzero()[0]
             if f1_cols.size:
                 x[:, f1_cols] = pair.sample("alternative", rng, (active.size, f1_cols.size))
-        first = _first_stops(rule.alarm_mask(np.broadcast_to(block_cols + 1, x.shape), x, rng))
+        first = _first_stops(rule.alarm_mask(_row_times(block_cols + 1, x.shape), x, rng))
         done = first >= 0
+        hit = done.nonzero()[0]
+        rows, at = active[hit], first[hit]
         if record_at is None:
-            recorded[active[done]] = x[done, first[done]]
+            recorded[rows] = x[hit, at]
         else:
             a, b = np.searchsorted(record_at, (c0, c0 + nb), side="right")
             recorded[active, a:b] = x[:, record_at[a:b] - c0 - 1]
-        stop[active[done]] = block_cols[first[done]] + 1
+        stop[rows] = block_cols[at] + 1
         active = active[~done]
         c0 += nb
         block *= 2
@@ -366,20 +393,19 @@ def _simulate(
     n_workers: int = 1,
     record_at: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial stops and recorded samples (see :func:`_simulate_chunk`)."""
+    """Per-trial stops and recorded samples (see :func:`_simulate_chunk`).
+    A call of one chunk returns that chunk's arrays as they are."""
     if mode not in ("single_shot", "restart"):
         raise ValueError(f"unknown mode {mode!r}")
-    fn = partial(
-        _simulate_chunk,
-        rule=rule,
-        pair=pair,
-        schedule=schedule,
-        mode=mode,
-        seed=seed,
-        stream=stream,
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    kwargs = dict(
+        rule=rule, pair=pair, schedule=schedule, mode=mode, seed=seed, stream=stream,
         record_at=record_at,
     )
-    parts = _map_chunks(fn, n_trials, n_workers)
+    if n_trials <= _CHUNK:
+        return _simulate_chunk(0, n_trials, **kwargs)
+    parts = _map_chunks(partial(_simulate_chunk, **kwargs), n_trials, n_workers)
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
@@ -402,12 +428,13 @@ def _score(stop: np.ndarray, schedule: ChangeSchedule) -> _Scores:
     # A restart run stops only on an onset, so every onset before its end
     # passed with no alarm at it; a single-shot run ends at its first alarm.
     # Either way the onsets before the end are the missed ones.
-    onsets = np.asarray(schedule.onsets, dtype=np.int64)
+    onsets = schedule.onset_times
     end = np.where(stop == _CENSORED, schedule.horizon + 1, stop)
-    missed = np.searchsorted(onsets, end)
-    reached = np.searchsorted(onsets, end, side="right")
+    missed = onsets.searchsorted(end)
+    reached = onsets.searchsorted(end, side="right")
     detected = reached > missed
-    survivors = np.cumsum(np.bincount(reached, minlength=onsets.size + 1)[::-1])[::-1][1:]
+    # runs that reached onset i: all but those that reached fewer than i + 1
+    survivors = stop.size - np.bincount(reached, minlength=onsets.size + 1).cumsum()[:-1]
     hits = np.bincount(missed[detected], minlength=onsets.size)
     return _Scores(hits, survivors, np.where(detected, missed, -1), missed)
 
@@ -428,8 +455,6 @@ def simulate_run_lengths(
     """Run the rule on pure-F0 streams; collect stopping times and the
     likelihood ratio of the stopping sample.  Runs that reach the horizon
     without alarming are censored: counted, excluded from the arrays."""
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if max_horizon < 1:
         raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
     stop, x_stop = _simulate(
@@ -443,11 +468,13 @@ def simulate_run_lengths(
         n_workers=n_workers,
     )
     keep = stop != _CENSORED
-    taus = stop[keep]
-    lrs = np.zeros(taus.size)
-    moved = taus > 0
-    lrs[moved] = np.exp(pair.log_likelihood_ratio(x_stop[keep][moved]))
-    return RunLengthSample(taus=taus.astype(float), lrs=lrs, censored=int((~keep).sum()))
+    censored = int(stop.size - np.count_nonzero(keep))
+    if censored:
+        stop, x_stop = stop[keep], x_stop[keep]
+    lrs = np.zeros(stop.size)
+    moved = stop > 0
+    lrs[moved] = np.exp(pair.log_likelihood_ratio(x_stop[moved]))
+    return RunLengthSample(taus=stop.astype(float), lrs=lrs, censored=censored)
 
 
 def estimate_arl(
@@ -511,6 +538,11 @@ def estimate_optimality_ceiling(
     if n == 0:
         raise DegenerateEstimateError("all runs were censored; cannot form the bound")
     mean_lr, mean_tau, var_lr, var_tau, cov = sample.moments
+    if mean_tau == 0.0:
+        raise DegenerateEstimateError(
+            "every uncensored run was an initial stop (mean run length 0); "
+            "cannot form the bound"
+        )
     value = s * mean_lr / mean_tau
     if n < 2 or value == 0.0:
         return Estimate(value, 0.0)
@@ -643,14 +675,26 @@ def _check_degenerate_policy(on_degenerate: str, min_survivors: int) -> None:
         raise ValueError(f"min_survivors must be >= 1, got {min_survivors}")
 
 
-def _pollak_from_counts(
+class _PollakSum(NamedTuple):
+    """The conditional-detection sum and the per-onset terms it adds up:
+    ``p`` and ``se`` hold the terms of the onsets where ``estimable``."""
+
+    value: float
+    std_error: float
+    degenerate_onsets: tuple[int, ...]
+    estimable: np.ndarray
+    p: np.ndarray
+    se: np.ndarray
+
+
+def _pollak_sum(
     hits: np.ndarray,
     trials: np.ndarray,
     survivors: np.ndarray,
-    onsets: tuple[int, ...],
+    onsets: np.ndarray | tuple[int, ...],
     min_survivors: int,
     on_degenerate: str,
-) -> PollakEstimate:
+) -> _PollakSum:
     """Sum the per-onset terms ``hits / trials`` (binomial standard errors)
     over the onsets reached by at least ``min_survivors`` trials.
 
@@ -661,24 +705,36 @@ def _pollak_from_counts(
     m = np.asarray(trials)[ok]
     p = np.asarray(hits)[ok] / m
     se = np.sqrt(p * (1.0 - p) / m)
-    total = float(np.cumsum(p)[-1]) if p.size else 0.0
-    var = float(np.cumsum(se * se)[-1]) if p.size else 0.0
-    terms = iter(map(Estimate, p.tolist(), se.tolist()))
-    nan = Estimate(math.nan, math.nan)
-    per_onset = [next(terms) if k else nan for k in ok.tolist()]
-    degenerate = [onset for onset, k in zip(onsets, ok.tolist()) if not k]
+    total = float(p.cumsum()[-1]) if p.size else 0.0
+    var = float((se * se).cumsum()[-1]) if p.size else 0.0
+    degenerate = tuple(np.asarray(onsets)[~ok].tolist())
     if degenerate and on_degenerate == "raise":
         raise DegenerateEstimateError(
-            f"onsets {degenerate} were reached by fewer than {min_survivors} trials; "
+            f"onsets {list(degenerate)} were reached by fewer than {min_survivors} trials; "
             "their conditional detection probability is not estimable "
             "(pass on_degenerate='exclude' to drop them from the sum)"
         )
+    return _PollakSum(total, math.sqrt(var), degenerate, ok, p, se)
+
+
+def _pollak_from_counts(
+    hits: np.ndarray,
+    trials: np.ndarray,
+    survivors: np.ndarray,
+    onsets: np.ndarray | tuple[int, ...],
+    min_survivors: int,
+    on_degenerate: str,
+) -> PollakEstimate:
+    """:func:`_pollak_sum` with its per-onset terms, NaN where excluded."""
+    total = _pollak_sum(hits, trials, survivors, onsets, min_survivors, on_degenerate)
+    terms = iter(map(Estimate, total.p.tolist(), total.se.tolist()))
+    nan = Estimate(math.nan, math.nan)
     return PollakEstimate(
-        value=total,
-        std_error=math.sqrt(var),
-        per_onset=tuple(per_onset),
+        value=total.value,
+        std_error=total.std_error,
+        per_onset=tuple(next(terms) if k else nan for k in total.estimable.tolist()),
         survivors=tuple(np.asarray(survivors).tolist()),
-        degenerate_onsets=tuple(degenerate),
+        degenerate_onsets=total.degenerate_onsets,
     )
 
 
@@ -714,7 +770,7 @@ def estimate_pollak(
     )
     scores = _score(stop, schedule)
     return _pollak_from_counts(
-        scores.hits, scores.survivors, scores.survivors, schedule.onsets, min_survivors,
+        scores.hits, scores.survivors, scores.survivors, schedule.onset_times, min_survivors,
         on_degenerate,
     )
 
@@ -810,7 +866,7 @@ def estimate_lorden(
     p = np.divide(hits, trials, out=np.full(trials.shape, np.inf), where=trials > 0)
     worst = (np.arange(schedule.s), p.argmin(axis=1))
     return _pollak_from_counts(
-        hits[worst], trials[worst], trials.sum(axis=1), schedule.onsets,
+        hits[worst], trials[worst], trials.sum(axis=1), schedule.onset_times,
         max(min_survivors, 2 * _HISTORY_BINS), on_degenerate,
     )
 
@@ -904,13 +960,13 @@ def evaluate_criteria(
         detector, pair, schedule, mode, n_trials, seed, STREAM_MONITOR, n_workers=n_workers
     )
     scores = _score(stop, schedule)
-    detect_any = float((scores.detected_at >= 0).mean())
-    detect_first = float((scores.detected_at == 0).mean())
-    pollak = _pollak_from_counts(
-        scores.hits, scores.survivors, scores.survivors, schedule.onsets, min_survivors,
+    detect_any = int(np.count_nonzero(scores.detected_at >= 0)) / n_trials
+    detect_first = int(np.count_nonzero(scores.detected_at == 0)) / n_trials
+    pollak = _pollak_sum(
+        scores.hits, scores.survivors, scores.survivors, schedule.onset_times, min_survivors,
         on_degenerate,
     )
-    avg_missed = _mean_se(scores.missed.astype(float))
+    avg_missed = _mean_se(scores.missed)
     horizon = max(int(20 * detector.eta), 1000)
     sample = simulate_run_lengths(detector, pair, n_trials, horizon, seed, n_workers=n_workers)
     arl = estimate_arl(detector, pair, sample.n, horizon, seed, sample=sample)
@@ -968,10 +1024,13 @@ class CurveRow:
     seed: int
 
     def to_csv_line(self) -> str:
-        return ",".join(_csv_cell(getattr(self, f.name)) for f in fields(self))
+        return ",".join(map(_csv_cell, _row_cells(self)))
 
 
-CSV_COLUMNS = ",".join(f.name for f in fields(CurveRow))
+_COLUMNS = tuple(f.name for f in fields(CurveRow))
+CSV_COLUMNS = ",".join(_COLUMNS)
+#: a row's field values in column order
+_row_cells = attrgetter(*_COLUMNS)
 
 
 def detect_first_any_curves(

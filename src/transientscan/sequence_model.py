@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterable, Literal
 
 import numpy as np
@@ -34,7 +35,10 @@ class ChangeSchedule:
         with at least one nominal sample between windows),
       * the last window ends at or before ``horizon``.
 
-    An empty onset tuple is the no-change regime.
+    An empty onset tuple is the no-change regime.  The array views of the
+    onsets (:attr:`onset_times`, :attr:`f1_columns`) are derived once per
+    schedule and are read-only; they are not fields, so equality, hashing
+    and :meth:`to_dict` see only the three fields.
     """
 
     onsets: tuple[int, ...]
@@ -75,11 +79,27 @@ class ChangeSchedule:
         """Total number of transient samples (s * duration)."""
         return self.s * self.duration
 
+    @cached_property
+    def onset_times(self) -> np.ndarray:
+        """The onsets as a read-only int64 array."""
+        return _read_only(np.asarray(self.onsets, dtype=np.int64))
+
+    @cached_property
+    def f1_columns(self) -> np.ndarray:
+        """Read-only mask over the 0-based time indices: True where F1
+        generates the sample."""
+        mask = np.zeros(self.horizon, dtype=bool)
+        mask[self.affected_times() - 1] = True
+        return _read_only(mask)
+
+    def __getstate__(self) -> dict:
+        # a copy (a worker's, say) derives its own read-only arrays: pickle
+        # would restore these writeable
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def affected_times(self) -> np.ndarray:
         """All 1-based times generated by F1, in increasing order."""
-        if not self.onsets:
-            return np.empty(0, dtype=np.int64)
-        starts = np.asarray(self.onsets, dtype=np.int64)
+        starts = self.onset_times
         return (starts[:, None] + np.arange(self.duration, dtype=np.int64)).ravel()
 
     def is_affected(self, t: int) -> bool:
@@ -117,6 +137,11 @@ class ChangeSchedule:
     @classmethod
     def from_json(cls, text: str) -> "ChangeSchedule":
         return cls.from_dict(json.loads(text))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def make_schedule(

@@ -5,6 +5,7 @@ criterion.  Criterion 9 (the full-scale preset) is excluded from the fast
 suite; enable it with ``pytest --full-scale`` or TRANSIENTSCAN_FULL_SCALE=1.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -145,6 +146,21 @@ def test_criterion_4_shewhart_achieves_the_bound():
 @pytest.fixture(scope="module")
 def detection_curves_rows():
     return run_eta_sweep(load_preset("detection_curves"))
+
+
+DETECTION_CURVES_CSV_SHA256 = "1a3e15002211e351953430209a0e18ef04358b9ee697c2321bda9b052dd48d29"
+
+
+def test_detection_curves_report_bytes_are_pinned(detection_curves_rows):
+    # the module's sweep, rendered: no rerun
+    config = load_preset("detection_curves")
+    text = render_report_csv(detection_curves_rows, config)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == DETECTION_CURVES_CSV_SHA256, (
+        "the detection_curves preset's report CSV changed: the Monte Carlo streams or the "
+        "report format differ. If the change is intended, update "
+        "DETECTION_CURVES_CSV_SHA256 and record the new hash in CHANGES.md."
+    )
 
 
 def test_criterion_5_detect_first_vs_any_curves(detection_curves_rows):

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +17,10 @@ from transientscan import (
     run_mu_sweep,
     write_report,
 )
+from transientscan import harness
 from transientscan.harness import render_report_csv
-from transientscan.metrics import CSV_COLUMNS
+from transientscan.metrics import CSV_COLUMNS, STREAM_SCHEDULE, CurveRow, _csv_cell, trial_rng
+from transientscan.sequence_model import make_schedule
 
 TINY = {
     "schema_version": 1,
@@ -138,6 +142,53 @@ def test_report_csv_is_deterministic_and_embeds_provenance():
     assert lines[1] == "# master_seed=99"
     assert lines[3] == CSV_COLUMNS
     assert len(lines) == 4 + len(cfg.eta_grid)
+
+
+def test_csv_line_formats_each_field_in_column_order():
+    # the runtime type picks the format: str as is, integers exact, the rest .17g
+    row = CurveRow(
+        5, np.float64(1.5), np.int64(100), 1, "restart", 0.1, 0.0, math.nan, math.inf,
+        2.0**-1074, 1e17, -0.0, 1 / 3, 7, np.float32(0.1), True, 1e300, 2000, 2**70,
+    )
+    values = [getattr(row, f.name) for f in dataclasses.fields(row)]
+    assert row.to_csv_line() == ",".join(_csv_cell(v) for v in values)
+    head = ["5", "1.5", "100", "1", "restart", "0.10000000000000001"]
+    assert row.to_csv_line().split(",")[:6] == head
+
+
+def test_config_dict_is_the_field_by_field_dict():
+    for cfg in (
+        tiny_config(),
+        tiny_config(mu1_grid=[0.5, 2.0], placement="explicit", onsets=[40, 90, 200, 399]),
+    ):
+        expected = dataclasses.asdict(cfg)
+        expected.update(
+            pair=cfg.pair.to_config(),
+            eta_grid=list(cfg.eta_grid),
+            mu1_grid=None if cfg.mu1_grid is None else list(cfg.mu1_grid),
+            onsets=None if cfg.onsets is None else list(cfg.onsets),
+        )
+        assert cfg.to_dict() == expected
+        assert list(cfg.to_dict()) == list(expected)  # the metadata keeps the field order
+        assert cfg.canonical_json() == json.dumps(expected, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("placement", ["even_grid", "uniform_random", "explicit"])
+def test_build_schedule_builds_a_generator_only_to_draw(monkeypatch, placement):
+    built = []
+
+    def counting_trial_rng(*args):
+        built.append(args)
+        return trial_rng(*args)
+
+    monkeypatch.setattr(harness, "trial_rng", counting_trial_rng)
+    onsets = [50, 120, 300, 390] if placement == "explicit" else None
+    cfg = tiny_config(placement=placement, onsets=onsets)
+    rng = trial_rng(cfg.master_seed, STREAM_SCHEDULE)
+    assert cfg.build_schedule() == make_schedule(
+        cfg.horizon, cfg.s, cfg.T, placement, rng=rng, onsets=onsets
+    )
+    assert built == ([(cfg.master_seed, STREAM_SCHEDULE)] if placement == "uniform_random" else [])
 
 
 def test_readme_schema_block_lists_the_csv_columns():

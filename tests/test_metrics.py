@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -31,7 +32,9 @@ from transientscan.metrics import (
     STREAM_MONITOR,
     Estimate,
     _first_stops,
+    _mean_se,
     _pollak_from_counts,
+    _pollak_sum,
     _score,
     _simulate,
     detect_first_any_curves,
@@ -450,6 +453,28 @@ def test_criteria_arl_is_estimate_arl_on_the_same_runs():
         assert rep.optimality_ceiling == estimate_optimality_ceiling(
             det, PAIR, sched.s, n, horizon, seed=33, sample=sample
         )
+
+
+def test_ceiling_of_initial_stops_only_is_degenerate():
+    # the one run is an initial stop: the mean run length is 0, the ratio 0 / 0
+    det = calibrate(PAIR, 10.0, initial_stop_prob=0.5)
+    with pytest.raises(DegenerateEstimateError, match="initial stop"):
+        evaluate_criteria(det, PAIR, make_schedule(40, 4, 1), n_trials=1, seed=3)
+    sample = metrics.RunLengthSample(np.zeros(3), np.zeros(3), censored=2)
+    with pytest.raises(DegenerateEstimateError, match="initial stop"):
+        estimate_optimality_ceiling(det, PAIR, 4, 5, 200, seed=0, sample=sample)
+
+
+def test_estimators_reject_an_empty_trial_range():
+    det = calibrate(PAIR, 10.0)
+    sched = make_schedule(40, 4, 1)
+    for call in (
+        lambda: estimate_pollak(det, PAIR, sched, 0, seed=1),
+        lambda: evaluate_criteria(det, PAIR, sched, n_trials=0, seed=1),
+        lambda: simulate_run_lengths(det, PAIR, 0, 200, seed=1),
+    ):
+        with pytest.raises(ValueError, match="n_trials must be >= 1"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -880,3 +905,125 @@ def test_worker_count_does_not_change_results():
         for w in (1, 2)
     ]
     assert lordens[0] == lordens[1] and not lordens[0].degenerate_onsets
+
+
+# ---------------------------------------------------------------------------
+# one scoring pass: the reductions it replaces, and the bits it keeps
+
+#: criterion 3's grid (tests/test_acceptance.py): rules with their F0 horizons
+CRITERION_3_RULES = (
+    (calibrate(PAIR, 10.0), 200),
+    (calibrate(PAIR, 100.0), 2000),
+    (AlwaysStopRule(), 10),
+    (FixedTimeRule(5), 100),
+    (FixedTimeRule(50), 1000),
+    (BernoulliStopRule(0.1), 200),
+)
+CRITERION_3_SCHEDULES = tuple(
+    ChangeSchedule(onsets=tuple(range(4, 4 * s + 1, 4)), duration=1, horizon=4 * s)
+    for s in (1, 3, 10)
+)
+
+
+def _hexes(values) -> str:
+    return ",".join(float(v).hex() for v in values)
+
+
+def single_shot_and_f0_digest() -> str:
+    """sha256 of what no preset covers: F0 run lengths (``taus``, ``lrs``,
+    ``censored``) and single-shot conditional-detection terms (sum,
+    ``per_onset``, ``survivors``) over criterion 3's grid."""
+    lines = []
+    for r, (rule, horizon) in enumerate(CRITERION_3_RULES):
+        for n in (1, 2, 200, 300):
+            f0 = simulate_run_lengths(rule, PAIR, n, horizon, seed=303 + n)
+            lines.append(f"f0 {r} {n} {_hexes(f0.taus)} {_hexes(f0.lrs)} {f0.censored}")
+            for sched in CRITERION_3_SCHEDULES:
+                est = estimate_pollak(
+                    rule, PAIR, sched, n, seed=304 + n, min_survivors=1, on_degenerate="exclude"
+                )
+                terms = [v for term in est.per_onset for v in term]
+                lines.append(
+                    f"pollak {r} {n} {sched.s} {_hexes((est.value, est.std_error))} "
+                    f"{_hexes(terms)} {est.survivors} {est.degenerate_onsets}"
+                )
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def test_single_shot_and_f0_outputs_are_pinned():
+    # no preset runs single-shot or reports per-trial F0 samples, so their
+    # bits are pinned here; a change of kernel or scoring must keep them
+    assert single_shot_and_f0_digest() == (
+        "62015d0f3f9cf7c0bfc3ec0f4a30ff5bcafef15d50d70e25c81beea445b49a37"
+    )
+
+
+def _random_stops(rng, sched, n):
+    """Stops of ``n`` runs: censored, initial stops, and alarms at any time,
+    on onsets more often."""
+    times = np.concatenate(([-1, 0], np.arange(1, sched.horizon + 1), sched.onsets))
+    return rng.choice(times, n).astype(np.int64)
+
+
+def test_scoring_pass_matches_the_numpy_reductions_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for _ in range(300):
+        horizon = int(rng.integers(1, 60))
+        sched = make_schedule(horizon, int(rng.integers(0, horizon // 2 + 1)), 1)
+        n = int(rng.choice([1, 2, 3, 17, 256, 300]))
+        stop = _random_stops(rng, sched, n)
+        scores = _score(stop, sched)
+        # survivors of each onset as the reversed cumulative count
+        end = np.where(stop == -1, horizon + 1, stop)
+        reached = np.searchsorted(np.asarray(sched.onsets, dtype=np.int64), end, side="right")
+        survivors = np.cumsum(np.bincount(reached, minlength=sched.s + 1)[::-1])[::-1][1:]
+        assert np.array_equal(scores.survivors, survivors)
+        assert scores.survivors.dtype == survivors.dtype
+        # avg_missed: one mean for the value and the standard error
+        x = scores.missed.astype(float)
+        se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        assert repr(_mean_se(scores.missed)) == repr(Estimate(float(x.mean()), se))
+        # the sum, apart from the per-onset terms (some onsets degenerate)
+        floor = int(rng.integers(1, n + 2))
+        args = (scores.hits, scores.survivors, scores.survivors)
+        total = _pollak_sum(*args, sched.onset_times, floor, "exclude")
+        value, se, _, _, degenerate = pollak_loop(*args, sched.onsets, floor)
+        assert repr((total.value, total.std_error, total.degenerate_onsets)) == repr(
+            (value, se, degenerate)
+        )
+        full = _pollak_from_counts(*args, sched.onset_times, floor, "exclude")
+        assert (full.value, full.std_error, full.degenerate_onsets) == total[:3]
+
+
+def test_mean_se_matches_the_numpy_reductions_bit_for_bit():
+    rng = np.random.default_rng(62)
+    for n in (1, 2, 3, 7, 100, 1001, 20_000):
+        spread = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)
+        for values in (spread, rng.integers(0, 99, n)):
+            x = values.astype(float)
+            se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+            assert repr(_mean_se(values)) == repr(Estimate(float(x.mean()), se))
+
+
+@pytest.mark.parametrize("mode", ["single_shot", "restart"])
+def test_criteria_cells_are_the_reductions_of_the_monitored_stops(mode):
+    # initial stops, censored runs and (at min_survivors 30) degenerate onsets
+    det = calibrate(PAIR, 4.0, initial_stop_prob=0.2)
+    sched = make_schedule(60, 6, 1)
+    for n in (1, 2, 300):
+        stop, _ = _simulate(det, PAIR, sched, mode, n, 63, STREAM_MONITOR)
+        rep = evaluate_criteria(
+            det, PAIR, sched, n_trials=n, seed=63, mode=mode, min_survivors=30
+        )
+        scores = _score(stop, sched)
+        detected_at = scores.detected_at
+        assert rep.detect_any_prob.value == float((detected_at >= 0).mean())
+        assert rep.detect_first_prob.value == float((detected_at == 0).mean())
+        x = scores.missed.astype(float)
+        se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        assert repr(rep.avg_missed) == repr(Estimate(float(x.mean()), se))
+        est = _pollak_from_counts(
+            scores.hits, scores.survivors, scores.survivors, sched.onsets, 30, "exclude"
+        )
+        assert rep.pollak_estimate == (est.value, est.std_error)
+        assert rep.degenerate_onsets == est.degenerate_onsets

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -184,6 +185,29 @@ def test_schedule_json_round_trip():
     text = sched.to_json()
     assert json.loads(text) == {"onsets": [3, 9], "duration": 2, "horizon": 20}
     assert ChangeSchedule.from_json(text) == sched
+
+
+def test_schedule_columns_are_derived_once_and_read_only():
+    sched = ChangeSchedule(onsets=(3, 9, 15), duration=2, horizon=20)
+    assert sched.onset_times is sched.onset_times  # derived once
+    assert sched.f1_columns is sched.f1_columns
+    assert np.array_equal(sched.onset_times, np.asarray(sched.onsets))
+    assert sched.onset_times.dtype == np.int64
+    assert sorted(np.flatnonzero(sched.f1_columns) + 1) == sorted(brute_force_affected(sched))
+    assert sched.f1_columns.size == sched.horizon
+    for derived in (sched.onset_times, sched.f1_columns):
+        with pytest.raises(ValueError, match="read-only"):
+            derived[0] = derived[1]
+    # not fields: equality, hashing and the dict form see only the three
+    fresh = ChangeSchedule(onsets=(3, 9, 15), duration=2, horizon=20)
+    assert fresh == sched and hash(fresh) == hash(sched)
+    assert sched.to_dict() == {"onsets": [3, 9, 15], "duration": 2, "horizon": 20}
+    # a pickled copy (a worker's) derives its own, read-only again
+    copy = pickle.loads(pickle.dumps(sched))
+    assert copy == sched and not copy.f1_columns.flags.writeable
+    assert np.array_equal(copy.f1_columns, sched.f1_columns)
+    empty = make_schedule(5, 0, 1)
+    assert empty.onset_times.size == 0 and not empty.f1_columns.any()
 
 
 def test_sequence_csv_round_trip(tmp_path):

@@ -46,7 +46,6 @@ from .metrics import (
     detect_first_any_curves,
     estimate_arl,
     estimate_conditional_detection,
-    estimate_lorden,
     estimate_pollak,
     estimate_optimality_ceiling,
     evaluate_criteria,
@@ -94,7 +93,6 @@ __all__ = [
     "detect_first_any_curves",
     "estimate_arl",
     "estimate_conditional_detection",
-    "estimate_lorden",
     "estimate_pollak",
     "estimate_optimality_ceiling",
     "evaluate_criteria",

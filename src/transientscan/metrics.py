@@ -7,9 +7,9 @@ Estimated quantities, each with a standard error:
   * the per-onset conditional detection probability
     ``P(tau = onset | tau >= onset)`` and its sum over a schedule (the
     probability-maximizing objective; the sum of conditional probabilities
-    may exceed 1 and is reported raw),
-  * the worst-case-over-history variant of that sum, which for memoryless
-    rules equals the plain sum by construction,
+    may exceed 1 and is reported raw); it is also the worst case over
+    pre-onset histories (Lorden), because a protocol rule's verdict reads
+    only its time, its own sample and independent randomness,
   * the optimality ceiling ``s * E0[l_tau] / E0[tau]`` that no rule with
     the same run-length budget can beat, usable as an oracle against any
     plug-in stopping rule,
@@ -78,8 +78,8 @@ _MIN_BLOCK = 16
 _MAX_BLOCK_SAMPLES = 1 << 17
 
 _CENSORED = -1
-#: quantile bins of the last pre-onset sample in the history-conditioned
-#: estimators (:func:`estimate_lorden`, :func:`history_independence_pvalue`)
+#: quantile bins of the last pre-onset sample in
+#: :func:`history_independence_pvalue`
 _HISTORY_BINS = 4
 
 
@@ -306,14 +306,14 @@ def _simulate_chunk(
     mode: Mode,
     seed,
     stream: int,
-    record_at: np.ndarray | None,
+    record_at: int | None,
 ):
-    """Stop times of trials lo..hi-1, and the samples recorded per trial.
+    """Stop times of trials lo..hi-1, and the sample recorded per trial.
 
     A stop is 0 for an initial stop, the stopping time, or ``_CENSORED``
     when the horizon ran out first.  The recorded sample is the stopping
-    one, or with ``record_at`` (increasing 1-based times, single-shot only)
-    one column per time; NaN marks a sample never drawn.  ``mode`` chooses
+    one, or with ``record_at`` (a 1-based time, single-shot only) the
+    sample at that time; NaN marks a sample never drawn.  ``mode`` chooses
     the columns drawn, each able to end a run: every time step, or the
     onsets.  A chunk draws the initial-stop uniforms first.
 
@@ -332,7 +332,7 @@ def _simulate_chunk(
     rng = trial_rng(seed, stream, lo // _CHUNK)
     n = hi - lo
     stop = np.full(n, _CENSORED, dtype=np.int64)
-    recorded = np.full(n if record_at is None else (n, record_at.size), np.nan)
+    recorded = np.full(n, np.nan)
     pi0 = getattr(rule, "initial_stop_prob", 0.0)
     if pi0 > 0.0:
         stop[rng.random(n) < pi0] = 0
@@ -371,9 +371,8 @@ def _simulate_chunk(
         rows, at = active[hit], first[hit]
         if record_at is None:
             recorded[rows] = x[hit, at]
-        else:
-            a, b = np.searchsorted(record_at, (c0, c0 + nb), side="right")
-            recorded[active, a:b] = x[:, record_at[a:b] - c0 - 1]
+        elif c0 < record_at <= c0 + nb:
+            recorded[active] = x[:, record_at - c0 - 1]
         stop[rows] = block_cols[at] + 1
         active = active[~done]
         c0 += nb
@@ -391,7 +390,7 @@ def _simulate(
     stream: int,
     *,
     n_workers: int = 1,
-    record_at: np.ndarray | None = None,
+    record_at: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial stops and recorded samples (see :func:`_simulate_chunk`).
     A call of one chunk returns that chunk's arrays as they are."""
@@ -689,20 +688,20 @@ class _PollakSum(NamedTuple):
 
 def _pollak_sum(
     hits: np.ndarray,
-    trials: np.ndarray,
     survivors: np.ndarray,
     onsets: np.ndarray | tuple[int, ...],
     min_survivors: int,
     on_degenerate: str,
 ) -> _PollakSum:
-    """Sum the per-onset terms ``hits / trials`` (binomial standard errors)
-    over the onsets reached by at least ``min_survivors`` trials.
+    """Sum the per-onset terms ``hits / survivors`` (binomial standard
+    errors) over the onsets reached by at least ``min_survivors`` trials.
 
     The sums run in onset order (``cumsum``, not the pairwise ``sum``), so
     the last bit of the value and its standard error is fixed.
     """
-    ok = np.asarray(survivors) >= min_survivors
-    m = np.asarray(trials)[ok]
+    survivors = np.asarray(survivors)
+    ok = survivors >= min_survivors
+    m = survivors[ok]
     p = np.asarray(hits)[ok] / m
     se = np.sqrt(p * (1.0 - p) / m)
     total = float(p.cumsum()[-1]) if p.size else 0.0
@@ -719,14 +718,13 @@ def _pollak_sum(
 
 def _pollak_from_counts(
     hits: np.ndarray,
-    trials: np.ndarray,
     survivors: np.ndarray,
     onsets: np.ndarray | tuple[int, ...],
     min_survivors: int,
     on_degenerate: str,
 ) -> PollakEstimate:
     """:func:`_pollak_sum` with its per-onset terms, NaN where excluded."""
-    total = _pollak_sum(hits, trials, survivors, onsets, min_survivors, on_degenerate)
+    total = _pollak_sum(hits, survivors, onsets, min_survivors, on_degenerate)
     terms = iter(map(Estimate, total.p.tolist(), total.se.tolist()))
     nan = Estimate(math.nan, math.nan)
     return PollakEstimate(
@@ -758,6 +756,13 @@ def estimate_pollak(
     depend on how), so the summed variance is the sum of the per-term
     binomial variances.
 
+    The sum is also the worst case over pre-onset histories (Lorden 1971)
+    for every rule the :class:`StoppingRule` protocol admits, memoryless or
+    not: a verdict reads only its time, its own sample and independent
+    randomness, so an onset's detection probability is the same whatever
+    history reached it.  ``estimate_pollak(..., mode="single_shot")``
+    replaces the removed ``estimate_lorden(...)``.
+
     The worst case over schedules is not searched: for a memoryless rule
     on unit-duration changes every term is schedule-invariant, so any
     schedule attains it (property-tested, not assumed silently).
@@ -770,8 +775,7 @@ def estimate_pollak(
     )
     scores = _score(stop, schedule)
     return _pollak_from_counts(
-        scores.hits, scores.survivors, scores.survivors, schedule.onset_times, min_survivors,
-        on_degenerate,
+        scores.hits, scores.survivors, schedule.onset_times, min_survivors, on_degenerate
     )
 
 
@@ -822,88 +826,6 @@ def estimate_conditional_detection(
     return est.per_onset[index - 1]
 
 
-def estimate_lorden(
-    detector: StoppingRule,
-    pair: DistributionPair,
-    schedule: ChangeSchedule,
-    n_trials: int,
-    seed,
-    *,
-    min_survivors: int = 100,
-    on_degenerate: str = "raise",
-    n_workers: int = 1,
-) -> PollakEstimate:
-    """The history-worst-case variant of the conditional-detection sum.
-
-    For a memoryless rule the conditional probability is constant over
-    pre-onset histories, so the worst case equals the plain conditional and
-    this returns exactly :func:`estimate_pollak`'s result, by construction.
-
-    For non-memoryless rules the essential infimum over histories is not
-    directly simulable; it is approximated by the minimum over
-    ``_HISTORY_BINS`` (4) quantile bins of the last pre-onset sample.  That
-    is a labeled approximation, not an exact worst case.  One simulation
-    serves every onset; ``survivors`` counts the trials that reached each,
-    and an onset needs at least ``max(min_survivors, 2 * _HISTORY_BINS)``.
-    """
-    _check_degenerate_policy(on_degenerate, min_survivors)
-    if getattr(detector, "memoryless", False):
-        return estimate_pollak(
-            detector,
-            pair,
-            schedule,
-            n_trials,
-            seed,
-            mode="single_shot",
-            min_survivors=min_survivors,
-            on_degenerate=on_degenerate,
-            n_workers=n_workers,
-        )
-    trials, hits = _history_bins(
-        detector, pair, schedule, schedule.onsets, n_trials, seed, n_workers
-    )
-    # empty bins never win; argmin takes the first of equally bad bins
-    p = np.divide(hits, trials, out=np.full(trials.shape, np.inf), where=trials > 0)
-    worst = (np.arange(schedule.s), p.argmin(axis=1))
-    return _pollak_from_counts(
-        hits[worst], trials[worst], trials.sum(axis=1), schedule.onset_times,
-        max(min_survivors, 2 * _HISTORY_BINS), on_degenerate,
-    )
-
-
-def _history_bins(detector, pair, schedule, onsets, n_trials, seed, n_workers=1):
-    """Trials that reached each of ``onsets`` and the detections at it, in
-    each of ``_HISTORY_BINS`` (4) quantile bins of the last pre-onset sample:
-    two ``(len(onsets), 4)`` count arrays from one simulation for all onsets."""
-    onsets = np.asarray(onsets, dtype=np.int64)
-    trials = np.zeros((onsets.size, _HISTORY_BINS), dtype=np.int64)
-    hits = np.zeros_like(trials)
-    if onsets.size == 0:
-        return trials, hits
-    if onsets.min() < 2:
-        raise ValueError("history conditioning needs at least one pre-onset sample")
-    stop, feats = _simulate(
-        detector,
-        pair,
-        schedule,
-        "single_shot",
-        n_trials,
-        seed,
-        STREAM_HISTORY,
-        n_workers=n_workers,
-        record_at=onsets - 1,
-    )
-    edges = np.linspace(0, 1, _HISTORY_BINS + 1)[1:-1]
-    for k, onset in enumerate(onsets):
-        survived = (stop == _CENSORED) | (stop >= onset)
-        f = feats[survived, k]
-        if f.size:
-            bins = np.searchsorted(np.quantile(f, edges), f)
-            trials[k] = np.bincount(bins, minlength=_HISTORY_BINS)
-            hits[k] = np.bincount(bins[stop[survived] == onset], minlength=_HISTORY_BINS)
-    return trials, hits
-
-
 def history_independence_pvalue(
     detector: StoppingRule,
     pair: DistributionPair,
@@ -916,13 +838,25 @@ def history_independence_pvalue(
     pre-onset sample, among trials that reached the onset, over
     ``_HISTORY_BINS`` (4) quantile bins of that sample.
 
-    For a memoryless rule detection is independent of any pre-onset
-    feature, so small p-values indicate a broken memorylessness contract.
+    Independence holds for every rule that keeps the :class:`StoppingRule`
+    protocol's elementwise contract, memoryless or not: a verdict reads
+    only its time, its own sample and independent randomness.  A small
+    p-value flags a rule whose verdicts read beyond their own sample.
     """
     onset = schedule.onsets[index - 1]
-    (trials,), (hits,) = _history_bins(detector, pair, schedule, (onset,), n_trials, seed)
-    if not trials.any():
+    if onset < 2:
+        raise ValueError("history conditioning needs at least one pre-onset sample")
+    stop, last = _simulate(
+        detector, pair, schedule, "single_shot", n_trials, seed, STREAM_HISTORY,
+        record_at=onset - 1,
+    )
+    survived = (stop == _CENSORED) | (stop >= onset)
+    if not survived.any():
         raise DegenerateEstimateError(f"no trial reached onset {onset}")
+    f = last[survived]
+    bins = np.searchsorted(np.quantile(f, np.linspace(0, 1, _HISTORY_BINS + 1)[1:-1]), f)
+    trials = np.bincount(bins, minlength=_HISTORY_BINS)
+    hits = np.bincount(bins[stop[survived] == onset], minlength=_HISTORY_BINS)
     table = np.stack([hits, trials - hits])[:, trials > 0]
     if table.shape[1] < 2 or table.sum(axis=1).min() == 0:
         return 1.0
@@ -963,8 +897,7 @@ def evaluate_criteria(
     detect_any = int(np.count_nonzero(scores.detected_at >= 0)) / n_trials
     detect_first = int(np.count_nonzero(scores.detected_at == 0)) / n_trials
     pollak = _pollak_sum(
-        scores.hits, scores.survivors, scores.survivors, schedule.onset_times, min_survivors,
-        on_degenerate,
+        scores.hits, scores.survivors, schedule.onset_times, min_survivors, on_degenerate
     )
     avg_missed = _mean_se(scores.missed)
     horizon = max(int(20 * detector.eta), 1000)

@@ -74,11 +74,6 @@ class ChangeSchedule:
         """Number of change-points."""
         return len(self.onsets)
 
-    @property
-    def affected_count(self) -> int:
-        """Total number of transient samples (s * duration)."""
-        return self.s * self.duration
-
     @cached_property
     def onset_times(self) -> np.ndarray:
         """The onsets as a read-only int64 array."""
@@ -101,11 +96,6 @@ class ChangeSchedule:
         """All 1-based times generated by F1, in increasing order."""
         starts = self.onset_times
         return (starts[:, None] + np.arange(self.duration, dtype=np.int64)).ravel()
-
-    def is_affected(self, t: int) -> bool:
-        """True when the sample at time t is drawn from F1."""
-        i = bisect.bisect_right(self.onsets, t)
-        return i > 0 and t <= self.onsets[i - 1] + self.duration - 1
 
     def last_affected_at_or_before(self, t: int) -> int:
         """Most recent F1-generated time at or before t, or 0 when none exists.

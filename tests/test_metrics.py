@@ -15,7 +15,6 @@ from transientscan import (
     calibrate,
     estimate_arl,
     estimate_conditional_detection,
-    estimate_lorden,
     estimate_pollak,
     estimate_optimality_ceiling,
     evaluate_criteria,
@@ -50,10 +49,26 @@ class AlternatingThresholdRule:
     """Per-sample rule whose threshold alternates with time: not memoryless,
     and its detections are random (module level, so workers can unpickle it)."""
 
+    even: float = 0.5
+    odd: float = 1.5
     memoryless = False
 
     def alarm_mask(self, times, x, rng):
-        return x > np.where(times % 2 == 0, 0.5, 1.5)
+        return x > np.where(times % 2 == 0, self.even, self.odd)
+
+
+@dataclasses.dataclass(frozen=True)
+class PreviousSampleRule:
+    """Breaks the protocol's elementwise contract: a verdict also reads the
+    previous column of its block (alarm when ``x > 1`` after a positive
+    sample)."""
+
+    memoryless = False
+
+    def alarm_mask(self, times, x, rng):
+        previous = np.zeros(x.shape, dtype=bool)
+        previous[..., 1:] = x[..., :-1] > 0
+        return (x > 1) & previous
 
 
 @dataclasses.dataclass(frozen=True)
@@ -258,7 +273,7 @@ def test_pollak_degenerate_onset_policy():
     assert abs(est.value - detect_prob(1.0, 5.0)) <= 4 * est.std_error
 
 
-def pollak_loop(hits, trials, survivors, onsets, min_survivors):
+def pollak_loop(hits, survivors, onsets, min_survivors):
     """The per-onset loop that sums the Pollak terms in onset order."""
     per_onset, degenerate, total, var = [], [], 0.0, 0.0
     for i, onset in enumerate(onsets):
@@ -266,7 +281,7 @@ def pollak_loop(hits, trials, survivors, onsets, min_survivors):
             degenerate.append(onset)
             per_onset.append(Estimate(math.nan, math.nan))
             continue
-        m = int(trials[i])
+        m = int(survivors[i])
         p = float(hits[i]) / m
         se = math.sqrt(p * (1.0 - p) / m)
         per_onset.append(Estimate(p, se))
@@ -283,24 +298,20 @@ def test_pollak_from_counts_matches_the_onset_loop():
     for k in range(100):
         s = int(rng.integers(1, 150))
         survivors = rng.integers(0, 400, s)
-        trials = np.maximum(survivors - rng.integers(0, 3, s), 1)
-        hits = rng.binomial(trials, rng.random(s))
+        hits = rng.binomial(survivors, rng.random(s))
         floor = 1 + k % 60
-        est = _pollak_from_counts(hits, trials, survivors, tuple(range(1, s + 1)), floor, "exclude")
+        est = _pollak_from_counts(hits, survivors, tuple(range(1, s + 1)), floor, "exclude")
         got = (est.value, est.std_error, est.per_onset, est.survivors, est.degenerate_onsets)
-        assert repr(got) == repr(pollak_loop(hits, trials, survivors, range(1, s + 1), floor))
+        assert repr(got) == repr(pollak_loop(hits, survivors, range(1, s + 1), floor))
 
 
-@pytest.mark.parametrize("estimator", ["pollak", "lorden", "criteria"])
+@pytest.mark.parametrize("estimator", ["pollak", "criteria"])
 @pytest.mark.parametrize("policy", ["rasie", "Exclude", ""])
 def test_unknown_degenerate_policy_is_rejected(estimator, policy):
     det = calibrate(PAIR, 5.0)
     sched = ChangeSchedule(onsets=(3, 200), duration=1, horizon=200)
     call = {
         "pollak": lambda: estimate_pollak(det, PAIR, sched, 300, seed=13, on_degenerate=policy),
-        "lorden": lambda: estimate_lorden(
-            FixedTimeRule(5), PAIR, sched, 300, seed=13, on_degenerate=policy
-        ),
         "criteria": lambda: evaluate_criteria(
             det, PAIR, sched, n_trials=300, seed=13, on_degenerate=policy
         ),
@@ -309,16 +320,13 @@ def test_unknown_degenerate_policy_is_rejected(estimator, policy):
         call()
 
 
-@pytest.mark.parametrize("estimator", ["pollak", "lorden", "criteria"])
+@pytest.mark.parametrize("estimator", ["pollak", "criteria"])
 def test_min_survivors_below_one_is_rejected(estimator):
     # an onset that no trial reaches would divide zero hits by zero trials
     det = calibrate(PAIR, 5.0)
     sched = ChangeSchedule(onsets=(3, 200), duration=1, horizon=200)
     call = {
         "pollak": lambda: estimate_pollak(det, PAIR, sched, 300, seed=13, min_survivors=0),
-        "lorden": lambda: estimate_lorden(
-            FixedTimeRule(5), PAIR, sched, 300, seed=13, min_survivors=0
-        ),
         "criteria": lambda: evaluate_criteria(
             det, PAIR, sched, n_trials=300, seed=13, min_survivors=0
         ),
@@ -805,15 +813,8 @@ def test_flat_restart_with_small_s_matches_the_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# history independence (memorylessness seen from the data)
-
-
-def test_lorden_equals_pollak_for_memoryless_rules():
-    det = calibrate(PAIR, 20.0)
-    sched = ChangeSchedule(onsets=(6, 12), duration=1, horizon=12)
-    pollak = estimate_pollak(det, PAIR, sched, 5000, seed=25)
-    lorden = estimate_lorden(det, PAIR, sched, 5000, seed=25)
-    assert lorden == pollak  # identical by construction, not merely close
+# history independence (the elementwise contract seen from the data) and the
+# history worst case
 
 
 def test_history_independence_not_rejected():
@@ -823,42 +824,39 @@ def test_history_independence_not_rejected():
     assert p >= 0.01
 
 
-def test_lorden_binned_worst_case_for_time_dependent_rules():
-    # a fixed-time rule is per-sample but not memoryless; the binned
-    # worst-case path still applies and is exact here (detection at the
-    # onset is deterministic, so every history bin agrees)
+def test_history_independence_rejects_a_rule_that_reads_other_samples():
+    # the Pollak sum cannot see this breach: it is only a different number
+    sched = ChangeSchedule(onsets=(6, 12), duration=1, horizon=12)
+    p = history_independence_pvalue(PreviousSampleRule(), PAIR, sched, 1, 600, seed=3)
+    assert p < 1e-6
+
+
+def test_pollak_worst_case_for_time_dependent_rules():
+    # a fixed-time rule is per-sample but not memoryless; detection at the
+    # onset is deterministic, so the sum is exact here
     sched = ChangeSchedule(onsets=(5,), duration=1, horizon=8)
-    hit = estimate_lorden(FixedTimeRule(5), PAIR, sched, 2000, seed=33)
+    hit = estimate_pollak(FixedTimeRule(5), PAIR, sched, 2000, seed=33)
     assert hit.value == 1.0
-    miss = estimate_lorden(FixedTimeRule(7), PAIR, sched, 2000, seed=34)
+    # survivors count the trials that reached each onset
+    assert hit.survivors == (2000,)
+    miss = estimate_pollak(FixedTimeRule(7), PAIR, sched, 2000, seed=34)
     assert miss.value == 0.0
     # stopping before the onset leaves nothing to condition on
     with pytest.raises(DegenerateEstimateError):
-        estimate_lorden(FixedTimeRule(4), PAIR, sched, 2000, seed=35)
+        estimate_pollak(FixedTimeRule(4), PAIR, sched, 2000, seed=35)
     with pytest.raises(DegenerateEstimateError):
         history_independence_pvalue(FixedTimeRule(4), PAIR, sched, 1, 2000, seed=35)
 
 
-def test_lorden_draws_one_history_for_all_onsets(monkeypatch):
-    drawn = []
-    original = GaussianMeanShift.sample
-
-    def counting_sample(self, which, rng, size=None):
-        drawn.append(int(np.prod(size)))
-        return original(self, which, rng, size)
-
-    monkeypatch.setattr(GaussianMeanShift, "sample", counting_sample)
-    sched = ChangeSchedule(onsets=(3, 6, 9), duration=1, horizon=10)
-    rule = AlternatingThresholdRule()
-    estimate_lorden(rule, PAIR, sched, 600, seed=42, on_degenerate="exclude")
-    lorden_draws = sum(drawn)
-    drawn.clear()
-    history_independence_pvalue(rule, PAIR, sched, sched.s, 600, seed=42)
-    # one simulation of the history stream serves every onset
-    assert lorden_draws == sum(drawn) > 0
-    # survivors count the trials that reached each onset
-    hit = estimate_lorden(FixedTimeRule(5), PAIR, ChangeSchedule((5,), 1, 8), 2000, seed=33)
-    assert hit.survivors == (2000,)
+def test_pollak_is_exact_for_a_time_dependent_rule():
+    # each term is the alarm probability of the onset's own F1 sample, Q(1)
+    # at these even onsets, whatever history reached it; so the history
+    # worst case is this sum
+    rule = AlternatingThresholdRule(even=2.0, odd=3.0)
+    sched = ChangeSchedule(onsets=tuple(range(4, 81, 4)), duration=1, horizon=80)
+    est = estimate_pollak(rule, PAIR, sched, 20_000, seed=1)
+    assert not est.degenerate_onsets
+    assert abs(est.value - 20 * norm_upper_tail(1.0)) <= Z_CHECK * est.std_error
 
 
 # ---------------------------------------------------------------------------
@@ -896,15 +894,15 @@ def test_worker_count_does_not_change_results():
         for w in (1, 2)
     ]
     assert reports[0] == reports[1]
-    # a non-memoryless rule takes the binned history path
+    # a non-memoryless rule takes the block layout
     short = ChangeSchedule(onsets=(3, 6), duration=1, horizon=8)
-    lordens = [
-        estimate_lorden(
+    sums = [
+        estimate_pollak(
             AlternatingThresholdRule(), PAIR, short, 257, seed=41, min_survivors=20, n_workers=w
         )
         for w in (1, 2)
     ]
-    assert lordens[0] == lordens[1] and not lordens[0].degenerate_onsets
+    assert sums[0] == sums[1] and not sums[0].degenerate_onsets
 
 
 # ---------------------------------------------------------------------------
@@ -985,7 +983,7 @@ def test_scoring_pass_matches_the_numpy_reductions_bit_for_bit():
         assert repr(_mean_se(scores.missed)) == repr(Estimate(float(x.mean()), se))
         # the sum, apart from the per-onset terms (some onsets degenerate)
         floor = int(rng.integers(1, n + 2))
-        args = (scores.hits, scores.survivors, scores.survivors)
+        args = (scores.hits, scores.survivors)
         total = _pollak_sum(*args, sched.onset_times, floor, "exclude")
         value, se, _, _, degenerate = pollak_loop(*args, sched.onsets, floor)
         assert repr((total.value, total.std_error, total.degenerate_onsets)) == repr(
@@ -1022,8 +1020,6 @@ def test_criteria_cells_are_the_reductions_of_the_monitored_stops(mode):
         x = scores.missed.astype(float)
         se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         assert repr(rep.avg_missed) == repr(Estimate(float(x.mean()), se))
-        est = _pollak_from_counts(
-            scores.hits, scores.survivors, scores.survivors, sched.onsets, 30, "exclude"
-        )
+        est = _pollak_from_counts(scores.hits, scores.survivors, sched.onsets, 30, "exclude")
         assert rep.pollak_estimate == (est.value, est.std_error)
         assert rep.degenerate_onsets == est.degenerate_onsets

@@ -34,8 +34,8 @@ def test_empty_schedule_is_the_no_change_regime():
     sched = make_schedule(100, 0, 1)
     assert sched.onsets == ()
     assert sched.s == 0
-    assert sched.affected_count == 0
     assert sched.affected_times().size == 0
+    assert not sched.f1_columns.any()
 
 
 def test_even_grid_at_scale():
@@ -59,7 +59,7 @@ def test_explicit_validation():
     with pytest.raises(ValueError):
         ChangeSchedule(onsets=(9,), duration=3, horizon=10)
     sched = ChangeSchedule(onsets=(1, 6), duration=4, horizon=10)
-    assert sched.affected_count == 8
+    assert sched.affected_times().size == 8
 
 
 def test_generated_placements_check_feasibility():
@@ -88,8 +88,8 @@ def test_uniform_random_schedules_satisfy_invariants(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     sched = make_schedule(horizon, s, duration, "uniform_random", rng=np.random.default_rng(seed))
     assert sched.s == s
-    assert sched.affected_count == s * duration
     affected = sched.affected_times()
+    assert affected.size == s * duration
     assert set(affected.tolist()) == brute_force_affected(sched)
     if s:
         assert sched.onsets[0] >= 1
@@ -115,8 +115,9 @@ def test_uniform_random_reaches_the_extremes():
 def test_is_affected_matches_brute_force():
     sched = ChangeSchedule(onsets=(4, 9, 20), duration=3, horizon=30)
     truth = brute_force_affected(sched)
+    assert set(sched.affected_times().tolist()) == truth
     for t in range(1, 31):
-        assert sched.is_affected(t) == (t in truth)
+        assert sched.f1_columns[t - 1] == (t in truth)
 
 
 def test_last_affected_examples():
@@ -172,7 +173,7 @@ def test_transient_positions_follow_the_alternative_law():
         x = generate_sequence(PAIR, sched, np.random.default_rng(seed))
         values.append(x[affected])
     pooled = np.concatenate(values)
-    assert pooled.size == 40 * sched.affected_count
+    assert pooled.size == 40 * affected.size
     assert abs(pooled.mean() - 1.0) <= 4.0 / math.sqrt(pooled.size)
 
 

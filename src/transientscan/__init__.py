@@ -45,7 +45,6 @@ from .metrics import (
     TrialOutcome,
     detect_first_any_curves,
     estimate_arl,
-    estimate_conditional_detection,
     estimate_pollak,
     estimate_optimality_ceiling,
     evaluate_criteria,
@@ -92,7 +91,6 @@ __all__ = [
     "TrialOutcome",
     "detect_first_any_curves",
     "estimate_arl",
-    "estimate_conditional_detection",
     "estimate_pollak",
     "estimate_optimality_ceiling",
     "evaluate_criteria",

@@ -63,7 +63,6 @@ Mode = Literal["single_shot", "restart"]
 #: stream tags keying independent substreams under one master seed
 STREAM_RUN_LENGTH = 0
 STREAM_MONITOR = 1
-STREAM_ONSET = 2
 STREAM_HISTORY = 3
 STREAM_SCHEDULE = 4
 
@@ -760,8 +759,10 @@ def estimate_pollak(
     for every rule the :class:`StoppingRule` protocol admits, memoryless or
     not: a verdict reads only its time, its own sample and independent
     randomness, so an onset's detection probability is the same whatever
-    history reached it.  ``estimate_pollak(..., mode="single_shot")``
-    replaces the removed ``estimate_lorden(...)``.
+    history reached it.  One onset's term is ``per_onset[index - 1]``; the
+    conditional ``c(t)`` at one time ``t`` is the one-onset restart run
+    ``estimate_pollak(rule, pair, ChangeSchedule((t,), 1, t), n, seed,
+    mode="restart")``, which decides one F1 sample per trial at ``t``.
 
     The worst case over schedules is not searched: for a memoryless rule
     on unit-duration changes every term is schedule-invariant, so any
@@ -777,53 +778,6 @@ def estimate_pollak(
     return _pollak_from_counts(
         scores.hits, scores.survivors, schedule.onset_times, min_survivors, on_degenerate
     )
-
-
-def estimate_conditional_detection(
-    detector: StoppingRule,
-    pair: DistributionPair,
-    schedule: ChangeSchedule,
-    index: int,
-    n_trials: int,
-    seed,
-    *,
-    method: Literal["direct", "onset_sample"] = "direct",
-    min_survivors: int = 100,
-    n_workers: int = 1,
-) -> Estimate:
-    """P(stop exactly at onset #index | the run reaches it); index is 1-based.
-
-    ``direct`` simulates single-shot runs and conditions on survival.
-    ``onset_sample`` exploits memorylessness (valid for memoryless rules
-    only, any positive duration): survival carries no information, so the
-    conditional probability is the alarm probability of one transient
-    sample; it draws that sample directly.
-    """
-    if not 1 <= index <= schedule.s:
-        raise ValueError(f"index must be in 1..{schedule.s}, got {index}")
-    onset = schedule.onsets[index - 1]
-    if method == "onset_sample":
-        if not getattr(detector, "memoryless", False):
-            raise ValueError("onset_sample shortcut requires a memoryless rule")
-        rng = trial_rng(seed, STREAM_ONSET, index)
-        x = pair.sample("alternative", rng, n_trials)
-        times = np.full(n_trials, onset, dtype=np.int64)
-        p = float(detector.alarm_mask(times, x, rng).mean())
-        return Estimate(p, _binomial_se(p, n_trials))
-    if method != "direct":
-        raise ValueError(f"unknown method {method!r}")
-    est = estimate_pollak(
-        detector,
-        pair,
-        schedule,
-        n_trials,
-        seed,
-        mode="single_shot",
-        min_survivors=min_survivors,
-        on_degenerate="raise",
-        n_workers=n_workers,
-    )
-    return est.per_onset[index - 1]
 
 
 def history_independence_pvalue(
@@ -843,6 +797,8 @@ def history_independence_pvalue(
     only its time, its own sample and independent randomness.  A small
     p-value flags a rule whose verdicts read beyond their own sample.
     """
+    if not 1 <= index <= schedule.s:
+        raise ValueError(f"index must be in 1..{schedule.s}, got {index}")
     onset = schedule.onsets[index - 1]
     if onset < 2:
         raise ValueError("history conditioning needs at least one pre-onset sample")

@@ -1,5 +1,4 @@
 import math
-import os
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -7,22 +6,6 @@ import numpy as np
 import pytest
 
 from transientscan.distributions import DistributionPair
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--full-scale",
-        action="store_true",
-        default=False,
-        help="run the full-scale experiment preset (slow; also enabled by "
-        "TRANSIENTSCAN_FULL_SCALE=1)",
-    )
-
-
-def full_scale_enabled(config) -> bool:
-    return config.getoption("--full-scale") or os.environ.get(
-        "TRANSIENTSCAN_FULL_SCALE", ""
-    ) not in ("", "0")
 
 
 @dataclass(frozen=True)

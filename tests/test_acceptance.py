@@ -1,8 +1,7 @@
 """Acceptance gate: each exit criterion at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion.  Criterion 9 (the full-scale preset) is excluded from the fast
-suite; enable it with ``pytest --full-scale`` or TRANSIENTSCAN_FULL_SCALE=1.
+criterion.
 """
 
 import hashlib
@@ -11,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import full_scale_enabled
 from transientscan import (
     AlwaysStopRule,
     BernoulliStopRule,
@@ -19,7 +17,6 @@ from transientscan import (
     FixedTimeRule,
     GaussianMeanShift,
     calibrate,
-    estimate_conditional_detection,
     estimate_pollak,
     estimate_optimality_ceiling,
     geometric_gof_pvalue,
@@ -260,6 +257,7 @@ def referee_restart_rows(config, rows, level):
 #: family level of 1e-3 over each preset's rows x 5 cells
 DETECTION_CURVES_REFEREE_LEVEL = 1e-3 / (6 * 5)
 ACCEPTANCE_REFEREE_LEVEL = 1e-3 / (2 * 5)
+FULL_SCALE_REFEREE_LEVEL = 1e-3 / (6 * 5)
 
 
 def test_detection_curves_cells_match_the_restart_closed_forms(detection_curves_rows):
@@ -293,12 +291,13 @@ def test_criterion_7_mean_sweep_matches_closed_form():
         if abs(closed - printed[row.mu1]) > 5e-4:
             problems.append(f"closed form drifted from the documented value at mu={row.mu1}")
         # per-onset conditional detection, estimated two ways: the
-        # first-onset conditional from the sweep's monitored runs, and a
-        # direct per-onset estimate exploiting memorylessness
+        # first-onset conditional from the sweep's monitored runs, and the
+        # one-onset restart run, one F1 sample per trial at the onset
         pair = GaussianMeanShift(mean0=0.0, mean1=row.mu1, sigma=1.0)
         det = calibrate(pair, row.eta)
-        cond = estimate_conditional_detection(
-            det, pair, schedule, 1, 40_000, seed=707, method="onset_sample"
+        onset = schedule.onsets[0]
+        cond = estimate_pollak(
+            det, pair, ChangeSchedule((onset,), 1, onset), 40_000, seed=707, mode="restart"
         )
         details.append(f"mu={row.mu1:g}: {cond.value:.4f} (closed {closed:.4f})")
         if abs(cond.value - closed) > 3.0 * cond.std_error:
@@ -325,12 +324,11 @@ def test_criterion_8_byte_identical_reruns_and_worker_counts(tmp_path):
     )
 
 
-def test_criterion_9_full_scale_preset(request):
-    if not full_scale_enabled(request.config):
-        print("[acceptance 9] SKIP: enable with --full-scale or TRANSIENTSCAN_FULL_SCALE=1")
-        pytest.skip("full-scale run not requested")
-    rows = run_eta_sweep(load_preset("full_scale"))
-    problems = []
+def test_criterion_9_full_scale_preset():
+    config = load_preset("full_scale")
+    rows = run_eta_sweep(config)
+    assert config.mode == "restart" and len(rows) == 6  # as the level counts
+    details, problems = referee_restart_rows(config, rows, FULL_SCALE_REFEREE_LEVEL)
     if not all(r.detect_any >= r.detect_first for r in rows):
         problems.append("detect_any < detect_first somewhere")
     firsts = [r.detect_first for r in rows]
@@ -346,6 +344,6 @@ def test_criterion_9_full_scale_preset(request):
         9,
         not problems,
         f"horizon 1e5, s=1000: detect_first {[round(v, 4) for v in firsts]}, "
-        f"avg_missed {[round(v, 2) for v in missed]}"
-        + ("; " + "; ".join(problems) if problems else ""),
+        f"avg_missed {[round(v, 2) for v in missed]}; "
+        + "; ".join(details + problems),
     )

@@ -14,7 +14,6 @@ from transientscan import (
     GaussianMeanShift,
     calibrate,
     estimate_arl,
-    estimate_conditional_detection,
     estimate_pollak,
     estimate_optimality_ceiling,
     evaluate_criteria,
@@ -167,15 +166,20 @@ def test_initial_stop_scales_run_length_and_not_the_bound():
 # conditional detection and its sum
 
 
+def onset_conditional(rule, pair, t, n_trials, seed):
+    """c(t): the one-onset restart run, one F1 sample per trial at time t."""
+    sched = ChangeSchedule(onsets=(t,), duration=1, horizon=t)
+    est = estimate_pollak(rule, pair, sched, n_trials, seed, mode="restart")
+    return Estimate(est.value, est.std_error)
+
+
 def test_conditional_detection_matches_closed_form():
     det = calibrate(PAIR, 100.0)
     sched = ChangeSchedule(onsets=(5,), duration=1, horizon=5)
     expected = detect_prob(1.0, 100.0)
-    direct = estimate_conditional_detection(det, PAIR, sched, 1, 40_000, seed=8)
+    direct = estimate_pollak(det, PAIR, sched, 40_000, seed=8).per_onset[0]
     assert abs(direct.value - expected) <= 3 * direct.std_error
-    shortcut = estimate_conditional_detection(
-        det, PAIR, sched, 1, 40_000, seed=9, method="onset_sample"
-    )
+    shortcut = onset_conditional(det, PAIR, 5, 40_000, seed=9)
     assert abs(shortcut.value - expected) <= 3 * shortcut.std_error
     assert abs(direct.value - shortcut.value) <= 3 * math.hypot(
         direct.std_error, shortcut.std_error
@@ -184,42 +188,35 @@ def test_conditional_detection_matches_closed_form():
 
 def test_conditional_detection_closed_form_grid():
     # closed-form agreement across shifts and budgets
-    sched = ChangeSchedule(onsets=(5,), duration=1, horizon=5)
     for mu in (0.5, 2.0):
         for eta in (5.0, 50.0):
             pair = GaussianMeanShift(mean0=0.0, mean1=mu, sigma=1.0)
             det = calibrate(pair, eta)
-            est = estimate_conditional_detection(
-                det, pair, sched, 1, 20_000, seed=30, method="onset_sample"
-            )
+            est = onset_conditional(det, pair, 5, 20_000, seed=30)
             assert abs(est.value - detect_prob(mu, eta)) <= 3 * est.std_error
     # a widely separated pair detects almost surely
     assert detect_prob(6.0, 100.0) > 0.999
     far = GaussianMeanShift(mean0=0.0, mean1=6.0, sigma=1.0)
-    est = estimate_conditional_detection(
-        calibrate(far, 100.0), far, sched, 1, 5000, seed=31, method="onset_sample"
-    )
+    est = onset_conditional(calibrate(far, 100.0), far, 5, 5000, seed=31)
     assert est.value > 0.99
 
 
 def test_conditional_detection_always_alarm_boundary():
     det = calibrate(PAIR, 1.0)
     sched = ChangeSchedule(onsets=(1,), duration=1, horizon=1)
-    est = estimate_conditional_detection(det, PAIR, sched, 1, 500, seed=36)
-    assert est.value == 1.0 and est.std_error == 0.0
+    est = estimate_pollak(det, PAIR, sched, 500, seed=36).per_onset[0]
+    assert est == (1.0, 0.0)
 
 
-def test_conditional_detection_validates_index_and_method():
-    det = calibrate(PAIR, 10.0)
-    sched = ChangeSchedule(onsets=(5,), duration=1, horizon=5)
-    with pytest.raises(ValueError):
-        estimate_conditional_detection(det, PAIR, sched, 2, 100, seed=0)
-    with pytest.raises(ValueError):
-        estimate_conditional_detection(det, PAIR, sched, 1, 100, seed=0, method="guess")
-    with pytest.raises(ValueError):
-        estimate_conditional_detection(
-            FixedTimeRule(3), PAIR, sched, 1, 100, seed=0, method="onset_sample"
-        )
+def test_onset_conditional_of_time_dependent_rules():
+    # the one-onset restart run decides one F1 sample at time t, so it takes
+    # any protocol rule, not only memoryless ones
+    assert onset_conditional(FixedTimeRule(3), PAIR, 3, 500, seed=0) == (1.0, 0.0)
+    assert onset_conditional(FixedTimeRule(3), PAIR, 5, 500, seed=0) == (0.0, 0.0)
+    rule = AlternatingThresholdRule(even=2.0, odd=3.0)
+    for t, exact in ((4, norm_upper_tail(1.0)), (5, norm_upper_tail(2.0))):
+        est = onset_conditional(rule, PAIR, t, 20_000, seed=37)
+        assert abs(est.value - exact) <= Z_CHECK * math.sqrt(exact * (1.0 - exact) / 20_000)
 
 
 def test_pollak_sums_equal_terms():
@@ -822,6 +819,14 @@ def test_history_independence_not_rejected():
     sched = ChangeSchedule(onsets=(30,), duration=1, horizon=30)
     p = history_independence_pvalue(det, PAIR, sched, 1, 4000, seed=26)
     assert p >= 0.01
+
+
+def test_history_independence_rejects_an_index_outside_the_schedule():
+    sched = ChangeSchedule(onsets=(6, 12), duration=1, horizon=12)
+    det = calibrate(PAIR, 10.0)
+    for index in (0, -1, sched.s + 1):
+        with pytest.raises(ValueError, match="index"):
+            history_independence_pvalue(det, PAIR, sched, index, 600, seed=3)
 
 
 def test_history_independence_rejects_a_rule_that_reads_other_samples():

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -123,14 +124,6 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _detect_lines(args):
-    if args.input == "-":
-        yield from sys.stdin
-    else:
-        with open(args.input, "r", encoding="utf-8") as f:
-            yield from f
-
-
 def cmd_detect(args) -> int:
     pair = _pair_from_args(args)
     if args.alpha is not None:
@@ -140,31 +133,34 @@ def cmd_detect(args) -> int:
     else:
         det = calibrate(pair, args.eta)
     rng = trial_rng(args.seed)
+    decide = det.decide
     alarmed = False
-    # looked up per run, not at import: callers may swap sys.stdout
+    # looked up per run, not at import: callers may swap sys.stdin and sys.stdout
     write = sys.stdout.write
     write("t,lr,verdict\n")
     t = 0
-    for line_no, line in enumerate(_detect_lines(args), start=1):
-        if not line.strip():
-            continue
-        try:
-            x = float(line)
-        except ValueError:
-            x = math.nan
-        if not math.isfinite(x):
-            print(
-                f"line {line_no}: could not parse {line.strip()!r} as a finite number",
-                file=sys.stderr,
-            )
-            return EXIT_RUNTIME
-        t += 1
-        decision = det.step(x, rng)
-        write(f"{t},{decision.lr_value:.17g},{decision.verdict}\n")
-        if decision.verdict == "alarm":
-            alarmed = True
-            if not args.restart:
-                break
+    source = nullcontext(sys.stdin) if args.input == "-" else open(args.input, encoding="utf-8")
+    with source as lines:
+        for line_no, line in enumerate(lines, start=1):
+            try:
+                x = float(line)  # float() itself ignores surrounding whitespace
+            except ValueError:
+                if not line.strip():
+                    continue
+                x = math.nan
+            if not math.isfinite(x):
+                print(
+                    f"line {line_no}: could not parse {line.strip()!r} as a finite number",
+                    file=sys.stderr,
+                )
+                return EXIT_RUNTIME
+            t += 1
+            hit, lr = decide(x, rng)
+            write(f"{t},{lr:.17g},{'alarm' if hit else 'continue'}\n")
+            if hit:
+                alarmed = True
+                if not args.restart:
+                    break
     return EXIT_ALARM if alarmed else EXIT_EXHAUSTED
 
 

@@ -108,8 +108,8 @@ class ShewhartDetector:
         strict = self.pair.lr_tail_prob_f0(self.alpha, strict=True)
         return strict + self.randomize_boundary * (closed - strict)
 
-    def step(self, x: float, rng: np.random.Generator | None = None) -> StepDecision:
-        """Decide on one sample; stateless, so history never matters.
+    def decide(self, x: float, rng: np.random.Generator | None = None) -> tuple[bool, float]:
+        """``(alarmed, l(x))`` for one sample; stateless, so history never matters.
 
         ``rng`` is consulted only when the ratio lands exactly on a
         configured boundary atom.
@@ -118,15 +118,16 @@ class ShewhartDetector:
         # inputs, and the two must agree on every verdict
         lr = float(np.exp(self.pair.log_likelihood_ratio(x)))
         if self.randomize_boundary is None:
-            alarmed = lr >= self.alpha
-        elif lr > self.alpha:
-            alarmed = True
-        elif lr == self.alpha:
+            return lr >= self.alpha, lr
+        if lr == self.alpha:
             if rng is None:
                 raise ValueError("boundary randomization requires an rng")
-            alarmed = rng.random() < self.randomize_boundary
-        else:
-            alarmed = False
+            return rng.random() < self.randomize_boundary, lr
+        return lr > self.alpha, lr
+
+    def step(self, x: float, rng: np.random.Generator | None = None) -> StepDecision:
+        """:meth:`decide`, with the verdict spelled out."""
+        alarmed, lr = self.decide(x, rng)
         return StepDecision("alarm" if alarmed else "continue", lr)
 
     def alarm_mask(
@@ -160,8 +161,9 @@ class ShewhartDetector:
                 raise ValueError("initial_stop_prob > 0 requires an rng")
             if rng.random() < self.initial_stop_prob:
                 return 0
+        decide = self.decide
         for t, x in enumerate(observations, start=1):
-            if self.step(x, rng).verdict == "alarm":
+            if decide(x, rng)[0]:
                 return t
         return None
 

@@ -191,13 +191,12 @@ class GaussianMeanShift(DistributionPair):
                 "ratio is identically 1 and no test can discriminate"
             )
 
-    @property
-    def _shift(self) -> float:
-        return self.mean1 - self.mean0
-
-    @property
-    def _midpoint(self) -> float:
-        return 0.5 * (self.mean0 + self.mean1)
+    @cached_property
+    def _llr_constants(self) -> tuple[float, float, float]:
+        """``(shift, midpoint, sigma**2)``, derived once per pair; not a field,
+        so equality, hashing and :meth:`to_config` see only the three fields."""
+        m0, m1, sigma = self.mean0, self.mean1, self.sigma
+        return float(m1 - m0), float(0.5 * (m0 + m1)), float(sigma**2)
 
     def log_density(self, which: Which, x):
         _check_which(which)
@@ -214,9 +213,11 @@ class GaussianMeanShift(DistributionPair):
     def log_likelihood_ratio(self, x):
         # A float (np.float64 included) skips the 0-d array round trip; both
         # paths round the same IEEE operations, so they agree bit for bit.
-        x = float(x) if isinstance(x, float) else np.asarray(x, dtype=float)
-        out = self._shift * (x - self._midpoint) / self.sigma**2
-        return out if getattr(out, "ndim", 0) else float(out)
+        shift, mid, s2 = self._llr_constants
+        if isinstance(x, float):
+            return shift * (float(x) - mid) / s2
+        out = shift * (np.asarray(x, dtype=float) - mid) / s2
+        return out if out.ndim else float(out)
 
     def lr_tail_prob_f0(self, alpha: float, *, strict: bool = False) -> float:
         # Continuous ratio: the strict and closed tails coincide.
@@ -224,7 +225,7 @@ class GaussianMeanShift(DistributionPair):
             raise ValueError(f"alpha must be nonnegative, got {alpha}")
         if alpha == 0.0:
             return 1.0
-        a = abs(self._shift)
+        a = abs(self._llr_constants[0])
         z = a / (2.0 * self.sigma) + self.sigma * math.log(alpha) / a
         return norm_upper_tail(z)
 
@@ -233,14 +234,15 @@ class GaussianMeanShift(DistributionPair):
             raise ValueError(f"alpha must be nonnegative, got {alpha}")
         if alpha == 0.0:
             return 1.0
-        a = abs(self._shift)
+        a = abs(self._llr_constants[0])
         z = self.sigma * math.log(alpha) / a - a / (2.0 * self.sigma)
         return norm_upper_tail(z)
 
     def lr_quantile_f0(self, p: float) -> float:
-        a = abs(self._shift)
+        shift, _, s2 = self._llr_constants
+        a = abs(shift)
         z = norm_upper_quantile(p)
-        return math.exp(a * z / self.sigma - a * a / (2.0 * self.sigma**2))
+        return math.exp(a * z / self.sigma - a * a / (2.0 * s2))
 
     def to_config(self) -> dict:
         cfg = asdict(self)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -11,7 +12,14 @@ import numpy as np
 import pytest
 
 import transientscan
-from transientscan import ChangeSchedule, GaussianMeanShift, calibrate, monitor_sequence
+from transientscan import (
+    ChangeSchedule,
+    GaussianMeanShift,
+    ShewhartDetector,
+    StepDecision,
+    calibrate,
+    monitor_sequence,
+)
 from transientscan.cli import main
 from transientscan.sequence_model import read_sequence_csv
 
@@ -130,20 +138,101 @@ def test_detect_accepts_infinite_alpha(capsys, monkeypatch):
     assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["continue"] * 2
 
 
-def test_detect_writes_each_verdict_as_the_library_computes_it(capsys, monkeypatch):
-    xs = np.random.default_rng(20261018).normal(0.0, 1.5, 2000)
+@pytest.mark.parametrize(
+    "mean0, mean1, sigma, threshold",
+    [
+        (0.0, 1.0, 1.0, ("--eta", "20")),
+        (-1.3, 2.1, 0.7, ("--eta", "20")),
+        (2.0, -0.4, 3.0, ("--eta", "20")),  # a negative shift
+        (0.0, 1.0, 1.0, ("--alpha", "3.3")),
+    ],
+    ids=["standard", "wide_shift", "negative_shift", "alpha"],
+)
+def test_detect_writes_each_verdict_as_the_library_computes_it(
+    capsys, monkeypatch, mean0, mean1, sigma, threshold
+):
+    pair = GaussianMeanShift(mean0, mean1, sigma)
+    xs = np.random.default_rng(20261018).normal(mean0, 1.5 * sigma, 2000)
     monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{v:.17g}\n" for v in xs)))
-    code, out, _ = run_cli(capsys, "detect", "--eta", "20", "--restart")
-    det = calibrate(PAIR, 20.0)
+    flags = ("--mean0", str(mean0), "--mean1", str(mean1), "--sigma", str(sigma))
+    code, out, _ = run_cli(capsys, "detect", *threshold, *flags, "--restart")
+    flag, value = threshold
+    if flag == "--eta":
+        det = calibrate(pair, float(value))
+    else:
+        det = ShewhartDetector(pair=pair, alpha=float(value), eta=1.0)
     times = np.arange(1, xs.size + 1)
     mask = det.alarm_mask(times, xs, np.random.default_rng(0))
-    lr = np.exp(PAIR.log_likelihood_ratio(xs))
+    lr = np.exp(pair.log_likelihood_ratio(xs))
     expected = [
         f"{t},{float(v):.17g},{'alarm' if hit else 'continue'}"
         for t, v, hit in zip(times, lr, mask)
     ]
-    assert mask.any() and code == 10
+    assert mask.any() and not mask.all() and code == 10
     assert out.splitlines() == ["t,lr,verdict", *expected]
+
+
+def test_detect_output_bytes_are_pinned(tmp_path, capsys):
+    # pinned from the straightforward per-verdict implementation; a faster path
+    # must print the same bytes
+    seq_path = tmp_path / "seq.csv"
+    code, _, _ = run_cli(
+        capsys,
+        "simulate",
+        "--horizon", "20000", "--s", "200", "--seed", "5",
+        "--sequence-out", str(seq_path),
+        "--schedule-out", str(tmp_path / "sched.json"),
+    )
+    assert code == 0
+    code, out, _ = run_cli(
+        capsys, "detect", "--eta", "100", "--restart", "--input", str(seq_path)
+    )
+    assert code == 10 and out.count("\n") == 20001
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3f6decb6c484437db3d8babd33b2363fec109966da7fc652f80e900c1d88f9d8"
+    )
+
+
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_detect_skips_blank_lines_without_counting_them(tmp_path, capsys, monkeypatch, source):
+    text = "0.5\n\n   \n\t0.25 \r\n9.9\n"
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        argv = ()
+    else:
+        path = tmp_path / "obs.txt"
+        path.write_bytes(text.encode())
+        argv = ("--input", str(path))
+    code, out, _ = run_cli(capsys, "detect", "--eta", "100", "--restart", *argv)
+    assert code == 10
+    lr = [float(np.exp(PAIR.log_likelihood_ratio(x))) for x in (0.5, 0.25, 9.9)]
+    assert out.splitlines() == [
+        "t,lr,verdict",
+        f"1,{lr[0]:.17g},continue",
+        f"2,{lr[1]:.17g},continue",
+        f"3,{lr[2]:.17g},alarm",
+    ]
+
+
+def test_detect_error_names_the_physical_line(capsys, monkeypatch):
+    # the blank line 2 is skipped but still counted as a line of the input
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0.5\n\nabc\n"))
+    code, out, err = run_cli(capsys, "detect", "--eta", "100")
+    assert code == 2
+    assert "line 3" in err and "abc" in err
+    assert out.splitlines() == ["t,lr,verdict", "1,1,continue"]
+
+
+def test_step_run_stream_and_detect_share_one_decision(capsys, monkeypatch):
+    det = calibrate(PAIR, 100.0)
+    monkeypatch.setattr(ShewhartDetector, "decide", lambda self, x, rng=None: (x > 5.0, 0.125))
+    assert det.step(6.0) == StepDecision("alarm", 0.125)
+    assert det.step(0.0) == StepDecision("continue", 0.125)
+    assert det.run_stream([0.0, 6.0]) == 2
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0\n6\n"))
+    code, out, _ = run_cli(capsys, "detect", "--eta", "100")
+    assert code == 10
+    assert out.splitlines() == ["t,lr,verdict", "1,0.125,continue", "2,0.125,alarm"]
 
 
 def test_detect_flag_exclusivity(tmp_path, capsys):

@@ -134,6 +134,17 @@ def test_alarm_mask_agrees_with_step():
         decisions = [det.step(x) for x in values]
         assert np.array_equal(mask, [d.verdict == "alarm" for d in decisions])
         assert [d.lr_value for d in decisions] == [float(v) for v in lr]
+        assert [det.decide(x) for x in values] == [(bool(m), float(v)) for m, v in zip(mask, lr)]
+
+
+def test_pickled_detector_decides_the_same_bits():
+    # the process pool ships detectors whose pair has its constants cached
+    det = calibrate(GaussianMeanShift(2.0, -0.4, 3.0), 30.0)
+    xs = np.random.default_rng(12).normal(size=200).tolist()
+    decisions = [det.decide(x) for x in xs]
+    clone = pickle.loads(pickle.dumps(det))
+    assert clone == det and hash(clone) == hash(det)
+    assert [clone.decide(x) for x in xs] == decisions
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import struct
@@ -130,6 +131,28 @@ def test_log_likelihood_ratio_is_the_same_bits_for_scalars_and_arrays(mean0, mea
     bits = struct.pack("<d", from_float)
     assert struct.pack("<d", from_numpy) == bits
     assert struct.pack("<d", from_array) == bits
+
+
+def test_cached_ratio_constants_belong_to_their_instance():
+    pair = GaussianMeanShift(-1.3, 2.1, 0.7)
+    xs = np.random.default_rng(5).normal(size=100)
+    before = pair.log_likelihood_ratio(xs)
+    scalar = pair.log_likelihood_ratio(0.3)
+    assert "_llr_constants" in vars(pair)
+    # a worker's copy keeps the same bits
+    clone = pickle.loads(pickle.dumps(pair))
+    assert clone.log_likelihood_ratio(xs).tobytes() == before.tobytes()
+    assert struct.pack("<d", clone.log_likelihood_ratio(0.3)) == struct.pack("<d", scalar)
+    # a replaced field gets its own constants, not the original's
+    moved = dataclasses.replace(pair, mean1=3.0)
+    fresh = GaussianMeanShift(-1.3, 3.0, 0.7)
+    assert moved.log_likelihood_ratio(xs).tobytes() == fresh.log_likelihood_ratio(xs).tobytes()
+    assert moved.lr_quantile_f0(0.01) == fresh.lr_quantile_f0(0.01)
+    # the cache is not a field: equality, hashing and the config ignore it
+    untouched = GaussianMeanShift(-1.3, 2.1, 0.7)
+    assert pair == untouched == clone and hash(pair) == hash(untouched) == hash(clone)
+    assert pair.to_config() == untouched.to_config()
+    assert moved != pair
 
 
 # ---------------------------------------------------------------------------

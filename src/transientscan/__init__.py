@@ -31,7 +31,6 @@ from .detector import (
     CalibrationError,
     FixedTimeRule,
     ShewhartDetector,
-    StepDecision,
     calibrate,
     equalizing_initial_stop,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "CalibrationError",
     "FixedTimeRule",
     "ShewhartDetector",
-    "StepDecision",
     "calibrate",
     "equalizing_initial_stop",
     "ArlEstimate",

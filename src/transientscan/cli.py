@@ -133,7 +133,7 @@ def cmd_detect(args) -> int:
     else:
         det = calibrate(pair, args.eta)
     rng = trial_rng(args.seed)
-    decide = det.decide
+    step = det.step
     alarmed = False
     # looked up per run, not at import: callers may swap sys.stdin and sys.stdout
     write = sys.stdout.write
@@ -155,7 +155,7 @@ def cmd_detect(args) -> int:
                 )
                 return EXIT_RUNTIME
             t += 1
-            hit, lr = decide(x, rng)
+            hit, lr = step(x, rng)
             write(f"{t},{lr:.17g},{'alarm' if hit else 'continue'}\n")
             if hit:
                 alarmed = True

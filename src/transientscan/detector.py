@@ -17,13 +17,11 @@ samples).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Literal, NamedTuple, Protocol, runtime_checkable
+from typing import ClassVar, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
 from .distributions import DistributionPair
-
-Verdict = Literal["alarm", "continue"]
 
 #: tolerance at which calibration is considered exact (continuous families)
 CALIBRATION_TOL = 1e-9
@@ -56,11 +54,6 @@ class StoppingRule(Protocol):
     def alarm_mask(
         self, times: np.ndarray, x: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray: ...
-
-
-class StepDecision(NamedTuple):
-    verdict: Verdict
-    lr_value: float
 
 
 @dataclass(frozen=True)
@@ -108,7 +101,7 @@ class ShewhartDetector:
         strict = self.pair.lr_tail_prob_f0(self.alpha, strict=True)
         return strict + self.randomize_boundary * (closed - strict)
 
-    def decide(self, x: float, rng: np.random.Generator | None = None) -> tuple[bool, float]:
+    def step(self, x: float, rng: np.random.Generator | None = None) -> tuple[bool, float]:
         """``(alarmed, l(x))`` for one sample; stateless, so history never matters.
 
         ``rng`` is consulted only when the ratio lands exactly on a
@@ -124,11 +117,6 @@ class ShewhartDetector:
                 raise ValueError("boundary randomization requires an rng")
             return rng.random() < self.randomize_boundary, lr
         return lr > self.alpha, lr
-
-    def step(self, x: float, rng: np.random.Generator | None = None) -> StepDecision:
-        """:meth:`decide`, with the verdict spelled out."""
-        alarmed, lr = self.decide(x, rng)
-        return StepDecision("alarm" if alarmed else "continue", lr)
 
     def alarm_mask(
         self, times: np.ndarray, x: np.ndarray, rng: np.random.Generator
@@ -161,19 +149,15 @@ class ShewhartDetector:
                 raise ValueError("initial_stop_prob > 0 requires an rng")
             if rng.random() < self.initial_stop_prob:
                 return 0
-        decide = self.decide
+        step = self.step
         for t, x in enumerate(observations, start=1):
-            if decide(x, rng)[0]:
+            if step(x, rng)[0]:
                 return t
         return None
 
 
 def calibrate(
-    pair: DistributionPair,
-    eta: float,
-    *,
-    initial_stop_prob: float = 0.0,
-    tol: float = CALIBRATION_TOL,
+    pair: DistributionPair, eta: float, *, initial_stop_prob: float = 0.0
 ) -> ShewhartDetector:
     """Solve the threshold equation P0(l >= alpha) = 1/eta.
 
@@ -192,7 +176,7 @@ def calibrate(
     p = 1.0 / eta
     alpha = pair.lr_quantile_f0(p)
     closed = pair.lr_tail_prob_f0(alpha)
-    if abs(closed - p) <= tol:
+    if abs(closed - p) <= CALIBRATION_TOL:
         boundary = None
     else:
         strict = pair.lr_tail_prob_f0(alpha, strict=True)

@@ -10,13 +10,11 @@ Likelihood ratios are computed in log space and exponentiated only at the
 boundary, so the density quotient cannot overflow or turn into 0/0 for
 extreme samples.
 
-``GaussianMeanShift`` (same variance, shifted mean) has exact closed forms
-for the tail probability and quantile of ``l`` under F0.  Other pairs can
-subclass :class:`DistributionPair` and inherit Monte Carlo fallbacks for
-those two quantities; the fallback threshold is conservative for ratios
-with atoms, and the achieved tail probability stays observable so a
-detector can restore exact run-length calibration with boundary
-randomization.
+Every pair states the exact laws of ``l`` (its F0 tail and quantile, its F1
+tail); calibration has no approximate path.  At an atom of ``l`` the
+quantile returns the atom, and a detector restores the exact run length
+with boundary randomization.  ``GaussianMeanShift`` states them in closed
+form.
 """
 
 from __future__ import annotations
@@ -54,12 +52,6 @@ def norm_upper_quantile(p: float) -> float:
     return -_STD_NORMAL.inv_cdf(p)
 
 
-def _tail_fraction(lr: np.ndarray, alpha: float, strict: bool = False) -> float:
-    """Fraction of the sorted sample ``lr`` at or above alpha (above, when strict)."""
-    side = "right" if strict else "left"
-    return float(lr.size - np.searchsorted(lr, alpha, side=side)) / lr.size
-
-
 def _check_which(which: str) -> None:
     if which not in ("nominal", "alternative"):
         raise ValueError(f"which must be 'nominal' or 'alternative', got {which!r}")
@@ -68,17 +60,12 @@ def _check_which(which: str) -> None:
 class DistributionPair(ABC):
     """A known (F0, F1) pair with likelihood-ratio machinery.
 
-    Subclasses must provide densities and sampling.  Tail probability and
-    quantile of the likelihood ratio under F0 default to deterministic
-    Monte Carlo estimates (``mc_calibration_samples`` draws from a fixed
-    internal seed); families with closed forms should override both.
+    Subclasses provide densities, sampling and the three exact laws of
+    ``l``, taking ``l`` as :meth:`likelihood_ratio` computes it, so that
+    calibration and the detector's comparisons see the same floats.
     """
 
     kind: ClassVar[str] = "abstract"
-
-    #: sample count and seed for the Monte Carlo calibration fallback
-    mc_calibration_samples: ClassVar[int] = 2_000_000
-    mc_calibration_seed: ClassVar[int] = 0x5EED
 
     @abstractmethod
     def log_density(self, which: Which, x):
@@ -100,38 +87,11 @@ class DistributionPair(ABC):
         """l(x) = f1(x) / f0(x); requires f0(x) > 0."""
         return np.exp(self.log_likelihood_ratio(x))
 
-    def _sorted_lr_sample(self, which: Which, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        x = self.sample(which, rng, self.mc_calibration_samples)
-        return np.sort(np.exp(self.log_likelihood_ratio(x)))
-
-    @cached_property
-    def _lr_calibration_sample(self) -> np.ndarray:
-        """Sorted F0 likelihood ratios of the calibration sample, drawn once
-        per pair, so every tail and quantile comes from one empirical measure."""
-        return self._sorted_lr_sample("nominal", self.mc_calibration_seed)
-
-    @cached_property
-    def _lr_f1_sample(self) -> np.ndarray:
-        """Sorted F1 likelihood ratios for the detection tail, drawn once per pair."""
-        return self._sorted_lr_sample("alternative", self.mc_calibration_seed + 1)
-
-    def __getstate__(self):
-        # the cached samples are cheap to redraw and large to send to workers
-        state = dict(self.__dict__)
-        state.pop("_lr_calibration_sample", None)
-        state.pop("_lr_f1_sample", None)
-        return state
-
+    @abstractmethod
     def lr_tail_prob_f0(self, alpha: float, *, strict: bool = False) -> float:
-        """P(l(X) >= alpha) for X ~ F0 (P(l(X) > alpha) when strict).
+        """P(l(X) >= alpha) for X ~ F0 (P(l(X) > alpha) when strict)."""
 
-        Monte Carlo fallback; subclasses with closed forms override.
-        """
-        if alpha < 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {alpha}")
-        return _tail_fraction(self._lr_calibration_sample, alpha, strict)
-
+    @abstractmethod
     def lr_quantile_f0(self, p: float) -> float:
         """Smallest threshold a with P(l(X) > a) <= p under F0.
 
@@ -139,26 +99,11 @@ class DistributionPair(ABC):
         returns the atom straddling p, so that
         ``P(l > a) <= p <= P(l >= a)`` and calibration can split the
         difference with boundary randomization.
-
-        Monte Carlo fallback: the bound holds with respect to the empirical
-        measure of the calibration sample, so the achieved tail is accurate
-        only to sampling error, and p below ~1/mc_calibration_samples is
-        effectively unresolvable.
         """
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"p must be in (0, 1), got {p}")
-        lr = self._lr_calibration_sample
-        n = lr.size
-        # Smallest sample value v with #{lr > v} <= p*n is the order
-        # statistic lr[j-1], j = ceil(n - p*n).
-        j = min(max(int(math.ceil(n - p * n)), 1), n)
-        return float(lr[j - 1])
 
+    @abstractmethod
     def lr_tail_prob_f1(self, alpha: float) -> float:
         """P(l(X) >= alpha) for X ~ F1: the per-sample detection probability."""
-        if alpha < 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {alpha}")
-        return _tail_fraction(self._lr_f1_sample, alpha)
 
     def to_config(self) -> dict:
         raise NotImplementedError

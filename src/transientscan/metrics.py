@@ -26,9 +26,10 @@ drawn a buffer at a time, each buffer followed by whatever ``alarm_mask``
 consumes.  Every other run takes the block layout: one block of samples
 per step for the trials still running (consecutive time steps, or in
 restart mode the onset samples), then whatever ``alarm_mask`` consumes.
-Aggregation reduces per-trial records in trial order.  Results are
-therefore bit-identical for any worker count; workers only split the fixed
-chunking of the trial range.
+Aggregation reduces per-trial records in trial order, and one call runs
+its chunks in order in one process.  Parallel work is split by the rows of
+a sweep (:func:`detect_first_any_curves`), each row whole in one process,
+so a report is bit-identical for any worker count.
 
 Standard errors: exact binomial for probabilities, sample standard
 deviation for means, delta method for the bound ratio.  Each run-length
@@ -67,7 +68,7 @@ STREAM_HISTORY = 3
 STREAM_SCHEDULE = 4
 
 #: trials per generator: chunk boundaries are a fixed function of the trial
-#: count only, so outputs can never depend on the worker count
+#: count only, and so are the streams each chunk draws
 _CHUNK = 256
 #: columns of a chunk's first block for rules without a run-length budget;
 #: calibrated rules start at ``eta`` columns, their mean run length.  Also
@@ -210,16 +211,6 @@ def trial_rng(seed, *key) -> np.random.Generator:
 
 def _chunk_ranges(n_trials: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK, n_trials)) for lo in range(0, n_trials, _CHUNK)]
-
-
-def _map_chunks(fn, n_trials: int, n_workers: int) -> list:
-    """Run fn(lo, hi) over the fixed chunking, in chunk order."""
-    ranges = _chunk_ranges(n_trials)
-    if n_workers <= 1:
-        return [fn(lo, hi) for lo, hi in ranges]
-    from concurrent.futures import ProcessPoolExecutor  # deferred: it loads multiprocessing
-    with ProcessPoolExecutor(max_workers=min(n_workers, len(ranges))) as pool:
-        return list(pool.map(fn, *zip(*ranges)))
 
 
 def _binomial_se(p: float, n: int) -> float:
@@ -388,7 +379,6 @@ def _simulate(
     seed,
     stream: int,
     *,
-    n_workers: int = 1,
     record_at: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial stops and recorded samples (see :func:`_simulate_chunk`).
@@ -403,7 +393,7 @@ def _simulate(
     )
     if n_trials <= _CHUNK:
         return _simulate_chunk(0, n_trials, **kwargs)
-    parts = _map_chunks(partial(_simulate_chunk, **kwargs), n_trials, n_workers)
+    parts = [_simulate_chunk(lo, hi, **kwargs) for lo, hi in _chunk_ranges(n_trials)]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
@@ -447,8 +437,6 @@ def simulate_run_lengths(
     n_trials: int,
     max_horizon: int,
     seed,
-    *,
-    n_workers: int = 1,
 ) -> RunLengthSample:
     """Run the rule on pure-F0 streams; collect stopping times and the
     likelihood ratio of the stopping sample.  Runs that reach the horizon
@@ -463,7 +451,6 @@ def simulate_run_lengths(
         n_trials,
         seed,
         STREAM_RUN_LENGTH,
-        n_workers=n_workers,
     )
     keep = stop != _CENSORED
     censored = int(stop.size - np.count_nonzero(keep))
@@ -482,7 +469,6 @@ def estimate_arl(
     max_horizon: int,
     seed,
     *,
-    n_workers: int = 1,
     sample: RunLengthSample | None = None,
 ) -> ArlEstimate:
     """Mean run length to a false alarm over pure-F0 trials.
@@ -499,9 +485,7 @@ def estimate_arl(
             "censoring would bias the run-length mean"
         )
     if sample is None:
-        sample = simulate_run_lengths(
-            detector, pair, n_trials, max_horizon, seed, n_workers=n_workers
-        )
+        sample = simulate_run_lengths(detector, pair, n_trials, max_horizon, seed)
     _, mean, _, var, _ = sample.moments
     se = math.sqrt(var) / math.sqrt(sample.n) if sample.n else math.nan
     return ArlEstimate(mean, se, sample.censored)
@@ -515,7 +499,6 @@ def estimate_optimality_ceiling(
     max_horizon: int,
     seed,
     *,
-    n_workers: int = 1,
     sample: RunLengthSample | None = None,
 ) -> Estimate:
     """The optimality ceiling s * E0[l_tau] / E0[tau] for any plug-in rule.
@@ -529,9 +512,7 @@ def estimate_optimality_ceiling(
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
     if sample is None:
-        sample = simulate_run_lengths(
-            stopping_rule, pair, n_trials, max_horizon, seed, n_workers=n_workers
-        )
+        sample = simulate_run_lengths(stopping_rule, pair, n_trials, max_horizon, seed)
     n = sample.n
     if n == 0:
         raise DegenerateEstimateError("all runs were censored; cannot form the bound")
@@ -745,7 +726,6 @@ def estimate_pollak(
     mode: Mode = "single_shot",
     min_survivors: int = 100,
     on_degenerate: str = "raise",
-    n_workers: int = 1,
 ) -> PollakEstimate:
     """Sum over onsets of P(stop exactly at the onset | still running there).
 
@@ -771,9 +751,7 @@ def estimate_pollak(
     _check_degenerate_policy(on_degenerate, min_survivors)
     if schedule.s == 0:
         return PollakEstimate(0.0, 0.0, (), (), ())
-    stop, _ = _simulate(
-        detector, pair, schedule, mode, n_trials, seed, STREAM_MONITOR, n_workers=n_workers
-    )
+    stop, _ = _simulate(detector, pair, schedule, mode, n_trials, seed, STREAM_MONITOR)
     scores = _score(stop, schedule)
     return _pollak_from_counts(
         scores.hits, scores.survivors, schedule.onset_times, min_survivors, on_degenerate
@@ -831,7 +809,6 @@ def evaluate_criteria(
     mode: Mode = "restart",
     min_survivors: int = 20,
     on_degenerate: str = "exclude",
-    n_workers: int = 1,
 ) -> CriteriaReport:
     """Full criteria report for one calibrated detector on one schedule.
 
@@ -846,9 +823,7 @@ def evaluate_criteria(
     single-shot run.
     """
     _check_degenerate_policy(on_degenerate, min_survivors)
-    stop, _ = _simulate(
-        detector, pair, schedule, mode, n_trials, seed, STREAM_MONITOR, n_workers=n_workers
-    )
+    stop, _ = _simulate(detector, pair, schedule, mode, n_trials, seed, STREAM_MONITOR)
     scores = _score(stop, schedule)
     detect_any = int(np.count_nonzero(scores.detected_at >= 0)) / n_trials
     detect_first = int(np.count_nonzero(scores.detected_at == 0)) / n_trials
@@ -857,7 +832,7 @@ def evaluate_criteria(
     )
     avg_missed = _mean_se(scores.missed)
     horizon = max(int(20 * detector.eta), 1000)
-    sample = simulate_run_lengths(detector, pair, n_trials, horizon, seed, n_workers=n_workers)
+    sample = simulate_run_lengths(detector, pair, n_trials, horizon, seed)
     arl = estimate_arl(detector, pair, sample.n, horizon, seed, sample=sample)
     bound = estimate_optimality_ceiling(
         detector, pair, schedule.s, sample.n, horizon, seed, sample=sample
@@ -922,6 +897,31 @@ CSV_COLUMNS = ",".join(_COLUMNS)
 _row_cells = attrgetter(*_COLUMNS)
 
 
+def _curve_row(
+    pair: DistributionPair,
+    schedule: ChangeSchedule,
+    n_trials: int,
+    mode: Mode,
+    seed,
+    label: int,
+    gi: int,
+    eta,
+) -> CurveRow:
+    """Row ``gi`` of :func:`detect_first_any_curves`, at run-length budget ``eta``."""
+    det = calibrate(pair, float(eta))
+    rep = evaluate_criteria(
+        det, pair, schedule, n_trials=n_trials, seed=_seed_sequence(seed, gi), mode=mode
+    )
+    mu1 = float(getattr(pair, "mean1", math.nan))
+    return CurveRow(
+        float(eta), mu1, schedule.s, schedule.duration, mode,
+        # each estimate fills its (value, value_se) column pair
+        *rep.detect_first_prob, *rep.detect_any_prob, *rep.avg_missed,
+        *rep.arl_to_false_alarm, *rep.pollak_estimate, *rep.optimality_ceiling,
+        n_trials, label,
+    )
+
+
 def detect_first_any_curves(
     pair: DistributionPair,
     schedule: ChangeSchedule,
@@ -935,27 +935,19 @@ def detect_first_any_curves(
     """One report row per eta: detect-first / detect-any probabilities,
     missed-onset averages, the run-length mean, the conditional-detection
     sum, and the optimality ceiling, all from independent trials.  A row's
-    ``seed`` is the entropy of ``seed`` (0 when that is not an int)."""
+    ``seed`` is the entropy of ``seed`` (0 when that is not an int).
+
+    With ``n_workers > 1`` the rows are split over one process pool; each
+    row runs whole in one process, so the rows are the same for any worker
+    count."""
     eta_list = list(eta_list)
     if not eta_list:
         raise ValueError("eta_list must be nonempty")
     entropy = _seed_sequence(seed).entropy
     label = entropy if isinstance(entropy, int) else 0
-    mu1 = float(getattr(pair, "mean1", math.nan))
-    rows = []
-    for gi, eta in enumerate(eta_list):
-        det = calibrate(pair, float(eta))
-        rep = evaluate_criteria(
-            det, pair, schedule, n_trials=n_trials, seed=_seed_sequence(seed, gi), mode=mode,
-            n_workers=n_workers,
-        )
-        rows.append(
-            CurveRow(
-                float(eta), mu1, schedule.s, schedule.duration, mode,
-                # each estimate fills its (value, value_se) column pair
-                *rep.detect_first_prob, *rep.detect_any_prob, *rep.avg_missed,
-                *rep.arl_to_false_alarm, *rep.pollak_estimate, *rep.optimality_ceiling,
-                n_trials, label,
-            )
-        )
-    return rows
+    row = partial(_curve_row, pair, schedule, n_trials, mode, seed, label)
+    if n_workers <= 1 or len(eta_list) < 2:
+        return [row(gi, eta) for gi, eta in enumerate(eta_list)]
+    from concurrent.futures import ProcessPoolExecutor  # deferred: it loads multiprocessing
+    with ProcessPoolExecutor(max_workers=min(n_workers, len(eta_list))) as pool:
+        return list(pool.map(row, range(len(eta_list)), eta_list))

@@ -86,6 +86,14 @@ def test_unknown_flag_is_a_usage_error(capsys):
     assert code == 1
 
 
+def test_detect_has_no_seed_flag(capsys, monkeypatch):
+    # the Gaussian ratio is continuous: no boundary atom, nothing to randomize
+    monkeypatch.setattr(sys, "stdin", io.StringIO("9.9\n"))
+    code, out, err = run_cli(capsys, "detect", "--eta", "10", "--seed", "1")
+    assert code == 1
+    assert out == "" and "--seed" in err
+
+
 # ---------------------------------------------------------------------------
 # detect
 
@@ -371,6 +379,17 @@ def test_experiment_rejects_bad_config(tmp_path, capsys):
     assert "schema_version" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_experiment_rejects_workers_below_one(tmp_path, capsys, workers):
+    code, out, err = run_cli(
+        capsys, "experiment", "--preset", "acceptance", "--workers", workers,
+        "--out-dir", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert out == "" and "workers must be >= 1" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_unknown_preset(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "experiment", "--preset", "nope", "--out-dir", str(tmp_path)
@@ -445,20 +464,21 @@ def test_cold_start_does_not_import_scipy_stats():
 
 
 def test_cold_start_does_not_import_the_process_pool():
-    # the pool is imported only when an estimator splits chunks over workers
+    # the pool is imported only when a sweep splits its rows over workers
     probe = (
         "import sys\n"
-        "import numpy as np\n"
         "import transientscan, transientscan.cli\n"
         "pool = ('concurrent.futures.process', 'multiprocessing')\n"
         "assert not [m for m in pool if m in sys.modules], 'process pool imported at start-up'\n"
         "pair = transientscan.GaussianMeanShift(0.0, 1.0, 1.0)\n"
-        "det = transientscan.calibrate(pair, 10.0)\n"
-        "one = transientscan.simulate_run_lengths(det, pair, 300, 200, 4)\n"
+        "cfg = transientscan.ExperimentConfig(\n"
+        "    pair=pair, horizon=200, s=4, T=1, eta_grid=(4.0, 10.0), n_trials=300, master_seed=4\n"
+        ")\n"
+        "one = transientscan.run_eta_sweep(cfg)\n"
         "assert not [m for m in pool if m in sys.modules], 'process pool imported by one worker'\n"
-        "two = transientscan.simulate_run_lengths(det, pair, 300, 200, 4, n_workers=2)\n"
+        "two = transientscan.run_eta_sweep(cfg, n_workers=2)\n"
         "assert all(m in sys.modules for m in pool)\n"
-        "assert np.array_equal(one.taus, two.taus) and np.array_equal(one.lrs, two.lrs)\n"
+        "assert [r.to_csv_line() for r in one] == [r.to_csv_line() for r in two]\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(transientscan.__file__).parents[1])}
     done = subprocess.run(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -203,6 +204,23 @@ def test_worker_count_leaves_csv_bytes_unchanged():
     one = render_report_csv(run_eta_sweep(cfg, n_workers=1), cfg)
     two = render_report_csv(run_eta_sweep(cfg, n_workers=2), cfg)
     assert one == two
+
+
+def test_a_sweep_builds_one_process_pool(monkeypatch):
+    built = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    # 600 trials are three chunks per estimator call; the rows, not the
+    # chunks, are split over the workers
+    cfg = tiny_config(n_trials=600)
+    rows = run_eta_sweep(cfg, n_workers=2)
+    assert built == [2]
+    assert [r.eta for r in rows] == list(cfg.eta_grid)
 
 
 ACCEPTANCE_CSV_SHA256 = "5daad0f8e00ba822341ae75009a88fe2c97ed07c66e79ab3dd9d8ae5303e5f02"

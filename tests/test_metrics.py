@@ -25,6 +25,7 @@ from transientscan import (
 )
 from transientscan.distributions import norm_upper_quantile, norm_upper_tail
 from transientscan import metrics
+from transientscan.harness import ExperimentConfig, render_report_csv, run_eta_sweep, run_mu_sweep
 from transientscan.metrics import (
     _CHUNK,
     STREAM_MONITOR,
@@ -46,7 +47,7 @@ PAIR = GaussianMeanShift(mean0=0.0, mean1=1.0, sigma=1.0)
 @dataclasses.dataclass(frozen=True)
 class AlternatingThresholdRule:
     """Per-sample rule whose threshold alternates with time: not memoryless,
-    and its detections are random (module level, so workers can unpickle it)."""
+    and its detections are random."""
 
     even: float = 0.5
     odd: float = 1.5
@@ -883,31 +884,28 @@ def test_detect_first_any_rows():
 
 
 def test_worker_count_does_not_change_results():
-    det = calibrate(PAIR, 8.0)
-    one = simulate_run_lengths(det, PAIR, 600, 400, seed=28, n_workers=1)
-    two = simulate_run_lengths(det, PAIR, 600, 400, seed=28, n_workers=2)
-    assert np.array_equal(one.taus, two.taus)
-    assert np.array_equal(one.lrs, two.lrs)
-    sched = ChangeSchedule(onsets=(3, 7), duration=1, horizon=10)
-    a = estimate_pollak(det, PAIR, sched, 500, seed=29, min_survivors=10, n_workers=1)
-    b = estimate_pollak(det, PAIR, sched, 500, seed=29, min_survivors=10, n_workers=2)
-    assert a == b
-    # 257 trials cross the first chunk boundary
-    long = make_schedule(400, 4, 1, "even_grid")
-    reports = [
-        evaluate_criteria(det, PAIR, long, n_trials=257, seed=40, mode="restart", n_workers=w)
-        for w in (1, 2)
-    ]
-    assert reports[0] == reports[1]
-    # a non-memoryless rule takes the block layout
-    short = ChangeSchedule(onsets=(3, 6), duration=1, horizon=8)
-    sums = [
-        estimate_pollak(
-            AlternatingThresholdRule(), PAIR, short, 257, seed=41, min_survivors=20, n_workers=w
-        )
-        for w in (1, 2)
-    ]
-    assert sums[0] == sums[1] and not sums[0].degenerate_onsets
+    base = {
+        "schema_version": 1,
+        "pair": {"kind": "gaussian_mean_shift", "mean0": 0.0, "mean1": 1.0, "sigma": 1.0},
+        "horizon": 400,
+        "s": 4,
+        "T": 1,
+        "eta_grid": [4, 8, 16],
+        # 257 trials cross the first chunk boundary
+        "n_trials": _CHUNK + 1,
+        "master_seed": 40,
+    }
+    # single-shot runs on a schedule with onsets take the block layout
+    single_shot = {
+        **base, "horizon": 40, "s": 3, "placement": "explicit", "onsets": [5, 17, 30],
+        "mode": "single_shot",
+    }
+    # each post-change mean is its own call with two rows
+    mu = {**base, "eta_grid": [4, 10], "mu1_grid": [0.5, 2]}
+    for sweep, data in [(run_eta_sweep, base), (run_eta_sweep, single_shot), (run_mu_sweep, mu)]:
+        cfg = ExperimentConfig.from_dict(data)
+        one, two, eight = (render_report_csv(sweep(cfg, n_workers=w), cfg) for w in (1, 2, 8))
+        assert one == two == eight, (sweep.__name__, cfg.mode)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ from .harness import (
     preset_names,
     run_eta_sweep,
     run_experiment,
-    run_mu_sweep,
     write_report,
 )
 
@@ -101,6 +100,5 @@ __all__ = [
     "preset_names",
     "run_eta_sweep",
     "run_experiment",
-    "run_mu_sweep",
     "write_report",
 ]

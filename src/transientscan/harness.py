@@ -137,39 +137,24 @@ class ExperimentConfig:
 
 
 def run_eta_sweep(config: ExperimentConfig, *, n_workers: int = 1) -> list[CurveRow]:
-    """Report rows over the run-length grid at the configured pair."""
-    schedule = config.build_schedule()
-    return detect_first_any_curves(
-        config.pair,
-        schedule,
-        config.eta_grid,
-        config.n_trials,
-        config.mode,
-        config.master_seed,
-        n_workers=n_workers,
-    )
-
-
-def run_mu_sweep(config: ExperimentConfig, *, n_workers: int = 1) -> list[CurveRow]:
-    """Report rows over (eta, post-change mean) pairs; each mean re-calibrates."""
+    """Report rows over the run-length grid: at the configured pair, or with
+    ``mu1_grid`` set, one row per (mean, eta), means outermost, each mean
+    re-calibrating.  Every cell is built before any row runs."""
     if config.mu1_grid is None:
-        raise ValueError("mu sweep requires mu1_grid in the config")
-    schedule = config.build_schedule()
-    rows: list[CurveRow] = []
-    for mi, mu1 in enumerate(config.mu1_grid):
-        pair = dataclasses.replace(config.pair, mean1=mu1)
-        rows.extend(
-            detect_first_any_curves(
-                pair,
-                schedule,
-                config.eta_grid,
-                config.n_trials,
-                config.mode,
-                _seed_sequence(config.master_seed, 100 + mi),
-                n_workers=n_workers,
-            )
-        )
-    return rows
+        keyed = [((), config.pair)]
+    else:
+        keyed = [
+            ((100 + mi,), dataclasses.replace(config.pair, mean1=mu1))
+            for mi, mu1 in enumerate(config.mu1_grid)
+        ]
+    cells = [
+        (pair, _seed_sequence(config.master_seed, *key, gi), eta)
+        for key, pair in keyed
+        for gi, eta in enumerate(config.eta_grid)
+    ]
+    return detect_first_any_curves(
+        cells, config.build_schedule(), config.n_trials, config.mode, n_workers=n_workers
+    )
 
 
 def render_report_csv(rows: list[CurveRow], config: ExperimentConfig) -> str:
@@ -189,7 +174,6 @@ def write_report(
     config: ExperimentConfig,
     csv_path,
     *,
-    meta_path=None,
     n_workers: int = 1,
 ) -> tuple[Path, Path]:
     """Write the CSV artifact and its sidecar metadata JSON.
@@ -197,7 +181,7 @@ def write_report(
     Only the sidecar carries a timestamp; the CSV stays byte-reproducible.
     """
     csv_path = Path(csv_path)
-    meta_path = Path(meta_path) if meta_path is not None else csv_path.with_suffix(".meta.json")
+    meta_path = csv_path.with_suffix(".meta.json")
     text = render_report_csv(rows, config)
     csv_path.write_text(text, encoding="utf-8")
     meta = {
@@ -221,9 +205,9 @@ def run_experiment(
     name: str = "report",
 ) -> tuple[Path, Path]:
     """Run the configured sweep and write artifacts under ``out_dir``: one
-    row per ``mu1_grid`` mean when that is set, else one per ``eta_grid`` value."""
-    sweep = run_mu_sweep if config.mu1_grid is not None else run_eta_sweep
-    rows = sweep(config, n_workers=n_workers)
+    row per (``mu1_grid`` mean, ``eta_grid`` value) when that is set, else
+    one per ``eta_grid`` value."""
+    rows = run_eta_sweep(config, n_workers=n_workers)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return write_report(rows, config, out_dir / f"{name}.csv", n_workers=n_workers)

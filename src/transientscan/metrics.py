@@ -178,8 +178,6 @@ class CriteriaReport:
     detect_first_prob: Estimate
     detect_any_prob: Estimate
     avg_missed: Estimate
-    n_trials: int
-    mode: Mode
     arl_censored: int
     degenerate_onsets: tuple[int, ...]
 
@@ -844,8 +842,6 @@ def evaluate_criteria(
         detect_first_prob=Estimate(detect_first, _binomial_se(detect_first, n_trials)),
         detect_any_prob=Estimate(detect_any, _binomial_se(detect_any, n_trials)),
         avg_missed=avg_missed,
-        n_trials=n_trials,
-        mode=mode,
         arl_censored=sample.censored,
         degenerate_onsets=pollak.degenerate_onsets,
     )
@@ -897,57 +893,43 @@ CSV_COLUMNS = ",".join(_COLUMNS)
 _row_cells = attrgetter(*_COLUMNS)
 
 
-def _curve_row(
-    pair: DistributionPair,
-    schedule: ChangeSchedule,
-    n_trials: int,
-    mode: Mode,
-    seed,
-    label: int,
-    gi: int,
-    eta,
-) -> CurveRow:
-    """Row ``gi`` of :func:`detect_first_any_curves`, at run-length budget ``eta``."""
+def _curve_row(schedule: ChangeSchedule, n_trials: int, mode: Mode, cell) -> CurveRow:
+    """The row of :func:`detect_first_any_curves` for one ``(pair, seed, eta)`` cell."""
+    pair, seed, eta = cell
     det = calibrate(pair, float(eta))
-    rep = evaluate_criteria(
-        det, pair, schedule, n_trials=n_trials, seed=_seed_sequence(seed, gi), mode=mode
-    )
+    rep = evaluate_criteria(det, pair, schedule, n_trials=n_trials, seed=seed, mode=mode)
+    entropy = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
     mu1 = float(getattr(pair, "mean1", math.nan))
     return CurveRow(
         float(eta), mu1, schedule.s, schedule.duration, mode,
         # each estimate fills its (value, value_se) column pair
         *rep.detect_first_prob, *rep.detect_any_prob, *rep.avg_missed,
         *rep.arl_to_false_alarm, *rep.pollak_estimate, *rep.optimality_ceiling,
-        n_trials, label,
+        n_trials, entropy if isinstance(entropy, int) else 0,
     )
 
 
 def detect_first_any_curves(
-    pair: DistributionPair,
+    cells,
     schedule: ChangeSchedule,
-    eta_list,
     n_trials: int,
     mode: Mode,
-    seed,
     *,
     n_workers: int = 1,
 ) -> list[CurveRow]:
-    """One report row per eta: detect-first / detect-any probabilities,
-    missed-onset averages, the run-length mean, the conditional-detection
-    sum, and the optimality ceiling, all from independent trials.  A row's
-    ``seed`` is the entropy of ``seed`` (0 when that is not an int).
+    """One report row per ``(pair, seed, eta)`` cell, in cell order:
+    detect-first / detect-any probabilities, missed-onset averages, the
+    run-length mean, the conditional-detection sum, and the optimality
+    ceiling, all from independent trials under the cell's seed.  A row's
+    ``seed`` is that seed's entropy (0 when that is not an int).
 
     With ``n_workers > 1`` the rows are split over one process pool; each
     row runs whole in one process, so the rows are the same for any worker
     count."""
-    eta_list = list(eta_list)
-    if not eta_list:
-        raise ValueError("eta_list must be nonempty")
-    entropy = _seed_sequence(seed).entropy
-    label = entropy if isinstance(entropy, int) else 0
-    row = partial(_curve_row, pair, schedule, n_trials, mode, seed, label)
-    if n_workers <= 1 or len(eta_list) < 2:
-        return [row(gi, eta) for gi, eta in enumerate(eta_list)]
+    cells = list(cells)
+    row = partial(_curve_row, schedule, n_trials, mode)
+    if n_workers <= 1 or len(cells) < 2:
+        return list(map(row, cells))
     from concurrent.futures import ProcessPoolExecutor  # deferred: it loads multiprocessing
-    with ProcessPoolExecutor(max_workers=min(n_workers, len(eta_list))) as pool:
-        return list(pool.map(row, range(len(eta_list)), eta_list))
+    with ProcessPoolExecutor(max_workers=min(n_workers, len(cells))) as pool:
+        return list(pool.map(row, cells))

@@ -23,7 +23,6 @@ from transientscan import (
     load_preset,
     run_eta_sweep,
     run_experiment,
-    run_mu_sweep,
     simulate_run_lengths,
 )
 from transientscan.distributions import norm_upper_quantile, norm_upper_tail
@@ -288,7 +287,7 @@ def test_acceptance_cells_match_the_restart_closed_forms():
 
 def test_criterion_7_mean_sweep_matches_closed_form():
     config = load_preset("mean_sweep")
-    rows = run_mu_sweep(config)
+    rows = run_eta_sweep(config)
     schedule = config.build_schedule()
     printed = {0.5: 0.0336, 1.0: 0.0924, 2.0: 0.3722, 3.0: 0.7501}
     problems = []

@@ -15,10 +15,9 @@ from transientscan import (
     preset_names,
     run_eta_sweep,
     run_experiment,
-    run_mu_sweep,
     write_report,
 )
-from transientscan import harness
+from transientscan import harness, metrics
 from transientscan.harness import render_report_csv
 from transientscan.metrics import CSV_COLUMNS, STREAM_SCHEDULE, CurveRow, _csv_cell, trial_rng
 from transientscan.sequence_model import make_schedule
@@ -83,10 +82,14 @@ def test_config_value_validation():
         tiny_config(pair={"kind": "gaussian_mean_shift", "mean0": 1.0, "mean1": 1.0, "sigma": 1.0})
 
 
-def test_mu_sweep_rejects_equal_means():
+def test_mu_sweep_rejects_equal_means(monkeypatch):
+    calls = []
+    monkeypatch.setattr(metrics, "evaluate_criteria", lambda *a, **k: calls.append(a))
     cfg = tiny_config(mu1_grid=[0.5, 0.0])  # 0.0 collides with mean0
     with pytest.raises(ValueError):
-        run_mu_sweep(cfg)
+        run_eta_sweep(cfg)
+    # every cell is built before any row runs, so the 0.5 rows never start
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +107,13 @@ def test_eta_sweep_rows():
 
 def test_mu_sweep_grid_shape():
     cfg = tiny_config(mu1_grid=[0.8, 1.6])
-    rows = run_mu_sweep(cfg)
+    rows = run_eta_sweep(cfg)
     assert [(row.eta, row.mu1) for row in rows] == [
         (2.0, 0.8),
         (5.0, 0.8),
         (2.0, 1.6),
         (5.0, 1.6),
     ]
-
-
-def test_mu_sweep_requires_grid():
-    with pytest.raises(ValueError):
-        run_mu_sweep(tiny_config())
 
 
 def test_eta_one_boundary_matches_always_alarm_analytics():
@@ -221,6 +219,14 @@ def test_a_sweep_builds_one_process_pool(monkeypatch):
     rows = run_eta_sweep(cfg, n_workers=2)
     assert built == [2]
     assert [r.eta for r in rows] == list(cfg.eta_grid)
+    # a mean grid's rows share the one pool too: one eta by three means,
+    # and two etas by two means
+    for etas, means in [([5], [0.5, 1.0, 2.0]), ([2, 5], [0.8, 1.6])]:
+        built.clear()
+        cfg = tiny_config(n_trials=100, eta_grid=etas, mu1_grid=means)
+        rows = run_eta_sweep(cfg, n_workers=2)
+        assert built == [2]
+        assert [(r.mu1, r.eta) for r in rows] == [(m, e) for m in means for e in etas]
 
 
 ACCEPTANCE_CSV_SHA256 = "5daad0f8e00ba822341ae75009a88fe2c97ed07c66e79ab3dd9d8ae5303e5f02"

@@ -6,6 +6,10 @@ per-sample alarm probability under the nominal law equals ``1 / eta``,
 which makes the run length to a false alarm geometric with mean exactly
 ``eta``.
 
+The decision is ``log l(x) >= log alpha`` on the log ratio, computed in
+place; only the randomized-boundary (atom) branch compares on the ratio
+scale, where equality with the atom is exact.
+
 The decision at each step is a pure function of the current sample, so the
 rule is measurable with respect to the coarse filtration that forgets
 everything before the most recent transient window; that property is what
@@ -16,7 +20,9 @@ samples).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Iterable, Protocol, runtime_checkable
 
 import numpy as np
@@ -45,8 +51,8 @@ class StoppingRule(Protocol):
     on the time index (fixed-time rules are per-sample but not memoryless),
     and a memoryless rule's verdicts must not depend on ``times`` at all:
     when every sample of a run has one law, the estimators cut all of a
-    chunk's runs from one flat 1-D stream and pass ``times`` as zeros
-    shaped like ``x``.
+    chunk's runs from one flat 1-D stream and pass ``times`` as read-only
+    zeros shaped like ``x``.
     """
 
     memoryless: bool
@@ -62,7 +68,9 @@ class ShewhartDetector:
 
     Fields:
       pair: the (F0, F1) model used to form likelihood ratios.
-      alpha: threshold; alarm when l(x) >= alpha (see randomize_boundary).
+      alpha: threshold; alarm when l(x) >= alpha, decided as ``log l(x) >=
+        log alpha`` (:attr:`log_alpha`) on the log ratio computed in place,
+        or on the ratio scale with randomize_boundary set.
       eta: the run-length target the threshold was calibrated to.
       initial_stop_prob: probability of declaring a change before consuming
         any sample (stopping time 0).  A proof device for equalizing the
@@ -93,6 +101,11 @@ class ShewhartDetector:
         if self.randomize_boundary is not None and not 0.0 <= self.randomize_boundary <= 1.0:
             raise ValueError(f"randomize_boundary must be in [0, 1], got {self.randomize_boundary}")
 
+    @cached_property
+    def log_alpha(self) -> float:
+        """``log(alpha)``, derived once; not a field, so ``==``, hash and repr ignore it."""
+        return math.log(self.alpha) if self.alpha > 0.0 else -math.inf
+
     def per_sample_alarm_prob(self) -> float:
         """Alarm probability of a single nominal sample (the calibrated 1/eta)."""
         closed = self.pair.lr_tail_prob_f0(self.alpha)
@@ -107,11 +120,12 @@ class ShewhartDetector:
         ``rng`` is consulted only when the ratio lands exactly on a
         configured boundary atom.
         """
-        # np.exp as in alarm_mask: math.exp differs in the last bit on some
-        # inputs, and the two must agree on every verdict
-        lr = float(np.exp(self.pair.log_likelihood_ratio(x)))
+        # np.exp as in alarm_mask's atom branch: math.exp differs in the last
+        # bit on some inputs, and the two must agree on every verdict
+        llr = self.pair.log_likelihood_ratio(x)
+        lr = float(np.exp(llr))
         if self.randomize_boundary is None:
-            return lr >= self.alpha, lr
+            return llr >= self.log_alpha, lr
         if lr == self.alpha:
             if rng is None:
                 raise ValueError("boundary randomization requires an rng")
@@ -122,10 +136,10 @@ class ShewhartDetector:
         self, times: np.ndarray, x: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Vectorized step verdicts; agrees with :meth:`step` sample by sample."""
-        lr = np.exp(self.pair.log_likelihood_ratio(np.asarray(x, dtype=float)))
-        lr = np.atleast_1d(lr)
+        llr = np.atleast_1d(self.pair.log_likelihood_ratio(np.asarray(x, dtype=float)))
         if self.randomize_boundary is None:
-            return lr >= self.alpha
+            return llr >= self.log_alpha
+        lr = np.exp(llr)
         mask = lr > self.alpha
         at_atom = lr == self.alpha
         k = int(at_atom.sum())

@@ -157,11 +157,14 @@ class GaussianMeanShift(DistributionPair):
 
     def log_likelihood_ratio(self, x):
         # A float (np.float64 included) skips the 0-d array round trip; both
-        # paths round the same IEEE operations, so they agree bit for bit.
+        # paths round the same IEEE operations, so they agree bit for bit; the
+        # array path works in place on one fresh array, never on ``x``.
         shift, mid, s2 = self._llr_constants
         if isinstance(x, float):
             return shift * (float(x) - mid) / s2
-        out = shift * (np.asarray(x, dtype=float) - mid) / s2
+        out = np.subtract(x, mid, dtype=float)
+        out *= shift
+        out /= s2
         return out if out.ndim else float(out)
 
     def lr_tail_prob_f0(self, alpha: float, *, strict: bool = False) -> float:

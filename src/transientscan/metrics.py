@@ -123,12 +123,14 @@ class RunLengthSample:
         if self.n == 0:
             return (math.nan,) * 5
         x = np.stack((self.lrs, self.taus))
-        mean = x.mean(axis=1)
+        mean = np.add.reduce(x, axis=1)
+        mean /= self.n
         d = x - mean[:, None]
         dof = max(self.n - 1, 1)
-        cov = np.dot(d, d.T.conj())  # np.cov's own steps, so its last bit
+        cov = np.dot(d, d.T)  # np.cov's own steps, so its last bit
         cov *= np.true_divide(1, dof)
-        return (*mean.tolist(), *((d * d).sum(axis=1) / dof).tolist(), float(cov[0, 1]))
+        var = np.add.reduce(d * d, axis=1) / dof
+        return (*mean.tolist(), *var.tolist(), float(cov[0, 1]))
 
 
 @dataclass(frozen=True)
@@ -220,11 +222,11 @@ def _mean_se(values: np.ndarray) -> Estimate:
     ``values.mean()`` and ``values.std(ddof=1) / sqrt(n)``, whose own steps
     these are (integer values sum exactly, as the float copy would)."""
     n = values.size
-    mean = values.mean()
+    mean = float(np.add.reduce(values, dtype=float)) / n
     if n < 2:
-        return Estimate(float(mean), 0.0)
+        return Estimate(mean, 0.0)
     d = values - mean
-    return Estimate(float(mean), math.sqrt((d * d).sum() / (n - 1)) / math.sqrt(n))
+    return Estimate(mean, math.sqrt(float(np.add.reduce(d * d)) / (n - 1)) / math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------
@@ -257,20 +259,25 @@ def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float):
     """
     at = np.full(n, -1, dtype=np.int64)
     x_at = np.full(n, np.nan)
+    zero = np.zeros(1, dtype=np.int64)
+    zero.flags.writeable = False  # and so are the zero-stride times views of it
     done = carry = drawn = alarms = 0
     while done < n:
         if alarms:
             gap = drawn / alarms
         size = min(_MAX_BLOCK_SAMPLES, max(1, math.ceil((n - done) * min(gap, limit))))
         x = np.asarray(pair.sample(law, rng, size), dtype=float)
-        hit = rule.alarm_mask(np.zeros(size, dtype=np.int64), x, rng).nonzero()[0]
+        times = np.ndarray(size, np.int64, zero, strides=(0,))  # as _row_times
+        hit = rule.alarm_mask(times, x, rng).nonzero()[0]
         drawn += size
         alarms += hit.size
         # alarm-free samples before each alarm and after the last (the first
         # run continues the carry): a run of r holds r // limit censored
         # trials, then (before an alarm) one trial that stops on it after
         # r % limit samples
-        runs = np.append(hit, size)
+        runs = np.empty(hit.size + 1, dtype=np.int64)
+        runs[:-1] = hit
+        runs[-1] = size
         runs[1:] -= hit + 1
         runs[0] += carry
         censored, rest = np.divmod(runs, limit)
@@ -823,8 +830,9 @@ def evaluate_criteria(
     _check_degenerate_policy(on_degenerate, min_survivors)
     stop, _ = _simulate(detector, pair, schedule, mode, n_trials, seed, STREAM_MONITOR)
     scores = _score(stop, schedule)
-    detect_any = int(np.count_nonzero(scores.detected_at >= 0)) / n_trials
-    detect_first = int(np.count_nonzero(scores.detected_at == 0)) / n_trials
+    # every detected run stopped on exactly one onset, counted in its hits
+    detect_any = int(scores.hits.sum()) / n_trials
+    detect_first = int(scores.hits[0]) / n_trials if scores.hits.size else 0.0
     pollak = _pollak_sum(
         scores.hits, scores.survivors, schedule.onset_times, min_survivors, on_degenerate
     )

@@ -146,6 +146,21 @@ def test_detect_accepts_infinite_alpha(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "threshold, verdict, exit_code",
+    [(("--alpha", "inf"), "continue", 11), (("--eta", "100"), "alarm", 10)],
+    ids=["alpha_inf", "eta_100"],
+)
+def test_detect_decides_an_overflowing_ratio_on_its_log(
+    capsys, monkeypatch, threshold, verdict, exit_code
+):
+    # l(1e300) = e^(1e300 - 0.5) prints as inf, but its log is finite: it
+    # never reaches alpha = inf, and the overflow is not reported as an error
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1e300\n"))
+    code, out, err = run_cli(capsys, "detect", *threshold)
+    assert (code, out, err) == (exit_code, f"t,lr,verdict\n1,inf,{verdict}\n", "")
+
+
+@pytest.mark.parametrize(
     "mean0, mean1, sigma, threshold",
     [
         (0.0, 1.0, 1.0, ("--eta", "20")),

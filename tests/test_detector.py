@@ -131,13 +131,110 @@ def test_alarm_mask_agrees_with_step():
 
 
 def test_pickled_detector_decides_the_same_bits():
-    # the process pool ships detectors whose pair has its constants cached
+    # the process pool ships detectors whose pair has its constants cached,
+    # and whose log threshold is cached too
     det = calibrate(GaussianMeanShift(2.0, -0.4, 3.0), 30.0)
     xs = np.random.default_rng(12).normal(size=200).tolist()
     decisions = [det.step(x) for x in xs]
+    mask = det.alarm_mask(np.ones(200), np.array(xs), np.random.default_rng(0))
     clone = pickle.loads(pickle.dumps(det))
-    assert clone == det and hash(clone) == hash(det)
+    assert clone == det and hash(clone) == hash(det) and repr(clone) == repr(det)
+    assert vars(clone)["log_alpha"] == det.log_alpha
     assert [clone.step(x) for x in xs] == decisions
+    assert np.array_equal(clone.alarm_mask(np.ones(200), np.array(xs), None), mask)
+
+
+def test_log_threshold_is_derived_not_a_field():
+    det = calibrate(PAIR, 30.0)
+    fields_before = dataclasses.fields(det)
+    repr_before, hash_before = repr(det), hash(det)
+    assert det.log_alpha == math.log(det.alpha)
+    assert "log_alpha" in vars(det)  # cached on the instance
+    twin = calibrate(PAIR, 30.0)  # nothing cached yet
+    assert "log_alpha" not in vars(twin)
+    assert dataclasses.fields(det) == fields_before
+    assert [f.name for f in fields_before] == [
+        "pair", "alpha", "eta", "initial_stop_prob", "randomize_boundary"
+    ]
+    assert det == twin and hash(det) == hash(twin) == hash_before
+    assert repr(det) == repr(twin) == repr_before and "log_alpha" not in repr_before
+    # alpha stays the constructor argument
+    assert ShewhartDetector(PAIR, alpha=det.alpha, eta=30.0) == twin
+
+
+def test_alarm_mask_keeps_its_shape_contract_and_never_writes_x():
+    det = calibrate(PAIR, 30.0)
+    x = np.random.default_rng(13).normal(0.0, 2.0, size=(7, 11))
+    x.flags.writeable = False  # a write into the caller's x would raise
+    copy = x.copy()
+    mask = det.alarm_mask(np.ones(x.shape), x, None)
+    assert mask.shape == x.shape and mask.dtype == bool and mask.any() and not mask.all()
+    assert np.array_equal(x, copy)
+    assert mask.tolist() == [[det.step(float(v))[0] for v in row] for row in x]
+    for scalar in (2.4, np.float64(2.4), np.asarray(2.4)):
+        one = det.alarm_mask(np.ones(()), scalar, None)
+        assert one.shape == (1,) and one[0] == det.step(2.4)[0]
+
+
+#: the pair whose log ratio is the sample itself: shift 1, midpoint 0, sigma 1
+IDENTITY_PAIR = GaussianMeanShift(mean0=-0.5, mean1=0.5)
+THRESHOLD_CASES = {
+    "eta=2": calibrate(IDENTITY_PAIR, 2.0),
+    "eta=100": calibrate(IDENTITY_PAIR, 100.0),
+    "eta=1e6": calibrate(IDENTITY_PAIR, 1e6),
+    "mean1=38": calibrate(GaussianMeanShift(0.0, 38.0), 2.0),  # subnormal alpha
+    "alpha=0": ShewhartDetector(IDENTITY_PAIR, alpha=0.0, eta=1.0),
+    "alpha=inf": ShewhartDetector(IDENTITY_PAIR, alpha=math.inf, eta=math.inf),
+}
+
+
+def boundary_samples(det):
+    """Samples whose log ratio is ``log_alpha`` or one of its float neighbours
+    (exactly so on the identity pair), within a window that straddles it."""
+    la = det.log_alpha
+    if not math.isfinite(la):
+        big = np.finfo(float).max
+        return np.array([-math.inf, -big, -1e300, -1.0, 0.0, 1.0, 1e300, big, math.inf, math.nan])
+    pair = det.pair
+    shift, mid = pair.mean1 - pair.mean0, 0.5 * (pair.mean0 + pair.mean1)
+    x0 = mid + la * pair.sigma**2 / shift
+    step = max(abs(np.spacing(x0)), abs(np.spacing(la)) * pair.sigma**2 / abs(shift))
+    return x0 + np.arange(-64, 65) * (step / 4)
+
+
+@pytest.mark.parametrize("case", THRESHOLD_CASES)
+def test_step_and_alarm_mask_agree_at_the_log_threshold(case):
+    det = THRESHOLD_CASES[case]
+    assert det.randomize_boundary is None
+    if case == "mean1=38":
+        assert 0.0 < det.alpha < np.finfo(float).tiny
+    x = boundary_samples(det)
+    la = det.log_alpha
+    llr = np.asarray(det.pair.log_likelihood_ratio(x))
+    if math.isfinite(la):
+        assert (llr < la).any() and (llr >= la).any()
+    if det.pair == IDENTITY_PAIR and math.isfinite(la):
+        assert np.array_equal(llr, x)
+        assert {math.nextafter(la, -math.inf), la, math.nextafter(la, math.inf)} <= set(x.tolist())
+    with np.errstate(over="ignore"):  # ratios past the float range print as inf
+        steps = [det.step(float(v))[0] for v in x]
+    mask = det.alarm_mask(np.ones(x.shape), x, None)
+    assert steps == mask.tolist()
+    assert mask.tolist() == (llr >= la).tolist()
+
+
+@pytest.mark.parametrize("case", THRESHOLD_CASES)
+def test_log_threshold_keeps_the_ratio_verdicts_on_a_million_draws(case):
+    # the decision was exp(llr) >= alpha; on draws of either law no verdict moves
+    det = THRESHOLD_CASES[case]
+    rng = np.random.default_rng(2026)
+    for law in ("nominal", "alternative"):
+        x = det.pair.sample(law, rng, 1_000_000)
+        with np.errstate(over="ignore"):
+            ratio_verdicts = np.exp(det.pair.log_likelihood_ratio(x)) >= det.alpha
+        moved = int(np.count_nonzero(det.alarm_mask(np.ones(x.size), x, None) != ratio_verdicts))
+        print(f"{case} {law}: {moved} of {x.size} verdicts differ from exp(llr) >= alpha")
+        assert moved == 0
 
 
 # ---------------------------------------------------------------------------

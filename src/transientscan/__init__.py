@@ -41,15 +41,11 @@ from .metrics import (
     DegenerateEstimateError,
     Estimate,
     PollakEstimate,
-    TrialOutcome,
     detect_first_any_curves,
     estimate_arl,
     estimate_pollak,
     estimate_optimality_ceiling,
     evaluate_criteria,
-    geometric_gof_pvalue,
-    monitor_sequence,
-    run_monitoring,
     simulate_run_lengths,
 )
 from .harness import (
@@ -85,15 +81,11 @@ __all__ = [
     "DegenerateEstimateError",
     "Estimate",
     "PollakEstimate",
-    "TrialOutcome",
     "detect_first_any_curves",
     "estimate_arl",
     "estimate_pollak",
     "estimate_optimality_ceiling",
     "evaluate_criteria",
-    "geometric_gof_pvalue",
-    "monitor_sequence",
-    "run_monitoring",
     "simulate_run_lengths",
     "ExperimentConfig",
     "load_preset",

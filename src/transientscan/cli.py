@@ -13,8 +13,6 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .detector import ShewhartDetector, calibrate
 from .distributions import GaussianMeanShift
@@ -147,8 +145,7 @@ def cmd_detect(args) -> int:
     write("t,lr,verdict\n")
     t = 0
     source = nullcontext(sys.stdin) if args.input == "-" else open(args.input, encoding="utf-8")
-    # a ratio past the float range prints as inf; its verdict reads the finite log
-    with source as lines, np.errstate(over="ignore"):
+    with source as lines:
         for line_no, line in enumerate(lines, start=1):
             try:
                 x = float(line)  # float() itself ignores surrounding whitespace

@@ -123,7 +123,11 @@ class ShewhartDetector:
         # np.exp as in alarm_mask's atom branch: math.exp differs in the last
         # bit on some inputs, and the two must agree on every verdict
         llr = self.pair.log_likelihood_ratio(x)
-        lr = float(np.exp(llr))
+        if llr <= 709.0:
+            lr = float(np.exp(llr))
+        else:  # exp overflows to inf past about 709.78; the verdict reads the log
+            with np.errstate(over="ignore"):
+                lr = float(np.exp(llr))
         if self.randomize_boundary is None:
             return llr >= self.log_alpha, lr
         if lr == self.alpha:

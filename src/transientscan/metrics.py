@@ -16,6 +16,10 @@ Estimated quantities, each with a standard error:
   * detect-first / detect-any probabilities and missed-onset counts from
     monitored runs.
 
+The module needs numpy only.  The chi-square checks and the alarm-by-alarm
+scorer of one realization, which the tests hold these estimators to, live
+in ``tests/oracles.py``.
+
 Reproducibility contract: the trial range is cut into fixed chunks of
 ``_CHUNK`` trials, and each chunk draws from one generator keyed by
 ``(seed, stream tag, chunk index)``.  A chunk draws the initial-stop
@@ -57,14 +61,14 @@ import numpy as np
 
 from .detector import ShewhartDetector, StoppingRule, calibrate
 from .distributions import DistributionPair
-from .sequence_model import ChangeSchedule, generate_sequence
+from .sequence_model import ChangeSchedule
 
 Mode = Literal["single_shot", "restart"]
 
-#: stream tags keying independent substreams under one master seed
+#: stream tags keying independent substreams under one master seed (tag 3
+#: keys the history check that the tests run, so it is not reused here)
 STREAM_RUN_LENGTH = 0
 STREAM_MONITOR = 1
-STREAM_HISTORY = 3
 STREAM_SCHEDULE = 4
 
 #: trials per generator: chunk boundaries are a fixed function of the trial
@@ -78,9 +82,6 @@ _MIN_BLOCK = 16
 _MAX_BLOCK_SAMPLES = 1 << 17
 
 _CENSORED = -1
-#: quantile bins of the last pre-onset sample in
-#: :func:`history_independence_pvalue`
-_HISTORY_BINS = 4
 
 
 class DegenerateEstimateError(RuntimeError):
@@ -149,25 +150,6 @@ class PollakEstimate:
     per_onset: tuple[Estimate, ...]
     survivors: tuple[int, ...]
     degenerate_onsets: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One monitored run.
-
-    ``tau`` is the run's stopping time: the first alarm in single-shot
-    mode, the first alarm coinciding with an onset in restart mode, 0 for
-    an initial stop, None when the horizon ran out first.  ``alarms``
-    classifies every alarm raised before (and including) the stop; an alarm
-    inside a transient window but not exactly at its onset is a false
-    alarm.  ``missed_onsets_before_detection`` counts onsets passed with no
-    alarm at them before the first detection (or before the run ended).
-    """
-
-    tau: int | None
-    alarms: tuple[tuple[int, str], ...]
-    first_detection_time: int | None
-    missed_onsets_before_detection: int
 
 
 @dataclass(frozen=True)
@@ -301,16 +283,14 @@ def _simulate_chunk(
     mode: Mode,
     seed,
     stream: int,
-    record_at: int | None,
 ):
-    """Stop times of trials lo..hi-1, and the sample recorded per trial.
+    """Stop times of trials lo..hi-1, and the stopping sample per trial.
 
     A stop is 0 for an initial stop, the stopping time, or ``_CENSORED``
-    when the horizon ran out first.  The recorded sample is the stopping
-    one, or with ``record_at`` (a 1-based time, single-shot only) the
-    sample at that time; NaN marks a sample never drawn.  ``mode`` chooses
-    the columns drawn, each able to end a run: every time step, or the
-    onsets.  A chunk draws the initial-stop uniforms first.
+    when the horizon ran out first; the stopping sample of a run without
+    one is NaN.  ``mode`` chooses the columns drawn, each able to end a
+    run: every time step, or the onsets.  A chunk draws the initial-stop
+    uniforms first.
 
     Flat layout: when every drawn column has one law (restart runs see only
     F1 onset samples, runs on an empty single-shot schedule only F0) and
@@ -318,16 +298,15 @@ def _simulate_chunk(
     consecutive segments of one flat stream (see :func:`_flat_stops`); each
     buffer draws its samples, then whatever ``alarm_mask`` consumes.
 
-    Block layout, otherwise (and always with ``record_at``): the trials
-    still running are simulated together, one ``(trials x columns)`` block
-    at a time; a block draws an F0 matrix whose affected columns are redrawn
-    from F1 (restart: one F1 matrix of onset samples), then whatever
-    ``alarm_mask`` consumes.
+    Block layout, otherwise: the trials still running are simulated
+    together, one ``(trials x columns)`` block at a time; a block draws an
+    F0 matrix whose affected columns are redrawn from F1 (restart: one F1
+    matrix of onset samples), then whatever ``alarm_mask`` consumes.
     """
     rng = trial_rng(seed, stream, lo // _CHUNK)
     n = hi - lo
     stop = np.full(n, _CENSORED, dtype=np.int64)
-    recorded = np.full(n, np.nan)
+    x_stop = np.full(n, np.nan)
     pi0 = getattr(rule, "initial_stop_prob", 0.0)
     if pi0 > 0.0:
         stop[rng.random(n) < pi0] = 0
@@ -336,7 +315,7 @@ def _simulate_chunk(
     eta = getattr(rule, "eta", None)
     active = (stop == _CENSORED).nonzero()[0]
     one_law = restart or not schedule.onsets
-    if one_law and record_at is None and getattr(rule, "memoryless", False):
+    if one_law and getattr(rule, "memoryless", False):
         if cols.size:
             law = "alternative" if restart else "nominal"
             # eta is the mean gap of F0 runs; F1 alarms come sooner
@@ -345,8 +324,8 @@ def _simulate_chunk(
             hit = (at >= 0).nonzero()[0]
             rows = active[hit]
             stop[rows] = cols[at[hit]] + 1
-            recorded[rows] = x_at[hit]
-        return stop, recorded
+            x_stop[rows] = x_at[hit]
+        return stop, x_stop
     is_f1 = schedule.f1_columns
     block = _MIN_BLOCK if eta is None else max(_MIN_BLOCK, math.ceil(eta))
     c0 = 0
@@ -364,15 +343,12 @@ def _simulate_chunk(
         done = first >= 0
         hit = done.nonzero()[0]
         rows, at = active[hit], first[hit]
-        if record_at is None:
-            recorded[rows] = x[hit, at]
-        elif c0 < record_at <= c0 + nb:
-            recorded[active] = x[:, record_at - c0 - 1]
+        x_stop[rows] = x[hit, at]
         stop[rows] = block_cols[at] + 1
         active = active[~done]
         c0 += nb
         block *= 2
-    return stop, recorded
+    return stop, x_stop
 
 
 def _simulate(
@@ -383,19 +359,14 @@ def _simulate(
     n_trials: int,
     seed,
     stream: int,
-    *,
-    record_at: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial stops and recorded samples (see :func:`_simulate_chunk`).
+    """Per-trial stops and stopping samples (see :func:`_simulate_chunk`).
     A call of one chunk returns that chunk's arrays as they are."""
     if mode not in ("single_shot", "restart"):
         raise ValueError(f"unknown mode {mode!r}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    kwargs = dict(
-        rule=rule, pair=pair, schedule=schedule, mode=mode, seed=seed, stream=stream,
-        record_at=record_at,
-    )
+    kwargs = dict(rule=rule, pair=pair, schedule=schedule, mode=mode, seed=seed, stream=stream)
     if n_trials <= _CHUNK:
         return _simulate_chunk(0, n_trials, **kwargs)
     parts = [_simulate_chunk(lo, hi, **kwargs) for lo, hi in _chunk_ranges(n_trials)]
@@ -537,116 +508,6 @@ def estimate_optimality_ceiling(
     return Estimate(value, se)
 
 
-def geometric_gof_pvalue(taus: np.ndarray, p: float) -> float:
-    """Chi-square goodness of fit of positive run lengths against a
-    geometric law with success probability p (known, not fitted).
-
-    Bins 1, 2, ... are merged from the right into a single tail bin so
-    every expected count is at least 5.
-    """
-    min_expected = 5.0
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
-    taus = np.asarray(taus)
-    if taus.size == 0 or (taus < 1).any():
-        raise ValueError("taus must be a nonempty array of positive run lengths")
-    if p == 1.0:
-        return 1.0 if (taus == 1).all() else 0.0
-    n = taus.size
-    k_max = 1
-    while n * p * (1.0 - p) ** k_max >= min_expected:
-        k_max += 1
-    # bins: {1}, {2}, ..., {k_max}, then the tail {k_max+1, ...}
-    observed = np.bincount(np.minimum(taus.astype(np.int64), k_max + 1), minlength=k_max + 2)[1:]
-    expected = np.array(
-        [n * p * (1.0 - p) ** (k - 1) for k in range(1, k_max + 1)]
-        + [n * (1.0 - p) ** k_max]
-    )
-    if expected[-1] < min_expected:
-        observed = np.concatenate([observed[:-2], [observed[-2] + observed[-1]]])
-        expected = np.concatenate([expected[:-2], [expected[-2] + expected[-1]]])
-    stat = float(((observed - expected) ** 2 / expected).sum())
-    df = len(expected) - 1
-    from scipy import stats as scipy_stats  # deferred: scipy.stats dominates the import time
-
-    return float(scipy_stats.chi2.sf(stat, df))
-
-
-# ---------------------------------------------------------------------------
-# Monitored runs over schedules
-
-
-def monitor_sequence(
-    rule: StoppingRule,
-    x: np.ndarray,
-    schedule: ChangeSchedule,
-    mode: Mode = "single_shot",
-    rng: np.random.Generator | None = None,
-) -> TrialOutcome:
-    """Score one concrete realization against its ground-truth schedule.
-
-    ``single_shot`` stops at the first alarm of any kind.  ``restart``
-    logs a false alarm and keeps monitoring from the next sample (the rule
-    is per-sample, so nothing carries over), terminating at the first alarm
-    that lands exactly on an onset, or at the end of the data.
-    """
-    if mode not in ("single_shot", "restart"):
-        raise ValueError(f"unknown mode {mode!r}")
-    x = np.asarray(x, dtype=float)
-    if x.size != schedule.horizon:
-        raise ValueError(
-            f"sequence length {x.size} does not match schedule horizon {schedule.horizon}"
-        )
-    if rng is None:
-        rng = np.random.default_rng()
-    onsets = set(schedule.onsets)
-    times = np.arange(1, schedule.horizon + 1, dtype=np.int64)
-    mask = rule.alarm_mask(times, x, rng)
-    alarms: list[tuple[int, str]] = []
-    first_detection = None
-    tau: int | None = None
-    for t in times[mask].tolist():
-        kind = "true_onset" if t in onsets else "false_alarm"
-        alarms.append((t, kind))
-        if kind == "true_onset":
-            first_detection = t
-        if mode == "single_shot" or kind == "true_onset":
-            tau = t
-            break
-    # as in _score: every onset before the run's end passed with no alarm at
-    # it (a restart run ends on the first onset it alarms at)
-    end = tau if tau is not None else schedule.horizon + 1
-    return TrialOutcome(
-        tau=tau,
-        alarms=tuple(alarms),
-        first_detection_time=first_detection,
-        missed_onsets_before_detection=sum(1 for g in schedule.onsets if g < end),
-    )
-
-
-def run_monitoring(
-    detector: StoppingRule,
-    pair: DistributionPair,
-    schedule: ChangeSchedule,
-    mode: Mode,
-    seed,
-) -> TrialOutcome:
-    """Generate one stream for the schedule and score a monitored run on it.
-
-    The stream is a standalone draw from ``trial_rng(seed, STREAM_MONITOR,
-    0)``; it does not replay a trial of an estimator, whose trials share
-    one generator per chunk.
-    """
-    rng = trial_rng(seed, STREAM_MONITOR, 0)
-    pi0 = getattr(detector, "initial_stop_prob", 0.0)
-    if pi0 > 0.0 and rng.random() < pi0:
-        return TrialOutcome(
-            tau=0, alarms=(), first_detection_time=None, missed_onsets_before_detection=0
-        )
-    x = generate_sequence(pair, schedule, rng)
-    return monitor_sequence(detector, x, schedule, mode, rng)
-
-
 # ---------------------------------------------------------------------------
 # Criteria estimators
 
@@ -761,47 +622,6 @@ def estimate_pollak(
     return _pollak_from_counts(
         scores.hits, scores.survivors, schedule.onset_times, min_survivors, on_degenerate
     )
-
-
-def history_independence_pvalue(
-    detector: StoppingRule,
-    pair: DistributionPair,
-    schedule: ChangeSchedule,
-    index: int,
-    n_trials: int,
-    seed,
-) -> float:
-    """Chi-square p-value for dependence of detection-at-onset on the last
-    pre-onset sample, among trials that reached the onset, over
-    ``_HISTORY_BINS`` (4) quantile bins of that sample.
-
-    Independence holds for every rule that keeps the :class:`StoppingRule`
-    protocol's elementwise contract, memoryless or not: a verdict reads
-    only its time, its own sample and independent randomness.  A small
-    p-value flags a rule whose verdicts read beyond their own sample.
-    """
-    if not 1 <= index <= schedule.s:
-        raise ValueError(f"index must be in 1..{schedule.s}, got {index}")
-    onset = schedule.onsets[index - 1]
-    if onset < 2:
-        raise ValueError("history conditioning needs at least one pre-onset sample")
-    stop, last = _simulate(
-        detector, pair, schedule, "single_shot", n_trials, seed, STREAM_HISTORY,
-        record_at=onset - 1,
-    )
-    survived = (stop == _CENSORED) | (stop >= onset)
-    if not survived.any():
-        raise DegenerateEstimateError(f"no trial reached onset {onset}")
-    f = last[survived]
-    bins = np.searchsorted(np.quantile(f, np.linspace(0, 1, _HISTORY_BINS + 1)[1:-1]), f)
-    trials = np.bincount(bins, minlength=_HISTORY_BINS)
-    hits = np.bincount(bins[stop[survived] == onset], minlength=_HISTORY_BINS)
-    table = np.stack([hits, trials - hits])[:, trials > 0]
-    if table.shape[1] < 2 or table.sum(axis=1).min() == 0:
-        return 1.0
-    from scipy import stats as scipy_stats  # deferred, as in geometric_gof_pvalue
-
-    return float(scipy_stats.chi2_contingency(table)[1])
 
 
 def evaluate_criteria(

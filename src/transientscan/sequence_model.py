@@ -8,7 +8,6 @@ two onsets must be more than ``duration`` apart so windows never touch.
 
 from __future__ import annotations
 
-import bisect
 import json
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -96,19 +95,6 @@ class ChangeSchedule:
         """All 1-based times generated by F1, in increasing order."""
         starts = self.onset_times
         return (starts[:, None] + np.arange(self.duration, dtype=np.int64)).ravel()
-
-    def last_affected_at_or_before(self, t: int) -> int:
-        """Most recent F1-generated time at or before t, or 0 when none exists.
-
-        This is the reference point of the coarse filtration: the segment
-        ``(last_affected, t]`` contains only nominal samples.
-        """
-        if t < 1:
-            raise ValueError(f"t must be >= 1, got {t}")
-        i = bisect.bisect_right(self.onsets, t)
-        if i == 0:
-            return 0
-        return min(self.onsets[i - 1] + self.duration - 1, t)
 
     def to_dict(self) -> dict:
         return {"onsets": list(self.onsets), "duration": self.duration, "horizon": self.horizon}

@@ -19,7 +19,6 @@ from transientscan import (
     calibrate,
     estimate_pollak,
     estimate_optimality_ceiling,
-    geometric_gof_pvalue,
     load_preset,
     run_eta_sweep,
     run_experiment,
@@ -27,6 +26,8 @@ from transientscan import (
 )
 from transientscan.distributions import norm_upper_quantile, norm_upper_tail
 from transientscan.harness import render_report_csv
+
+from oracles import geometric_gof_pvalue
 
 PAIR = GaussianMeanShift(mean0=0.0, mean1=1.0, sigma=1.0)
 

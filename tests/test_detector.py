@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -216,11 +217,21 @@ def test_step_and_alarm_mask_agree_at_the_log_threshold(case):
     if det.pair == IDENTITY_PAIR and math.isfinite(la):
         assert np.array_equal(llr, x)
         assert {math.nextafter(la, -math.inf), la, math.nextafter(la, math.inf)} <= set(x.tolist())
-    with np.errstate(over="ignore"):  # ratios past the float range print as inf
-        steps = [det.step(float(v))[0] for v in x]
+    steps = [det.step(float(v))[0] for v in x]
     mask = det.alarm_mask(np.ones(x.shape), x, None)
     assert steps == mask.tolist()
     assert mask.tolist() == (llr >= la).tolist()
+
+
+def test_step_is_silent_when_the_ratio_overflows():
+    # past exp's range the ratio is inf and no warning is raised; just inside
+    # the guard it is the same double np.exp gives
+    det = calibrate(PAIR, 100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert det.step(1e300) == (True, math.inf)
+        assert det.step(-1e300) == (False, 0.0)
+        assert det.step(710.0) == (True, float(np.exp(709.5)))
 
 
 @pytest.mark.parametrize("case", THRESHOLD_CASES)

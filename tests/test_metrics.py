@@ -17,10 +17,7 @@ from transientscan import (
     estimate_pollak,
     estimate_optimality_ceiling,
     evaluate_criteria,
-    geometric_gof_pvalue,
     make_schedule,
-    monitor_sequence,
-    run_monitoring,
     simulate_run_lengths,
 )
 from transientscan.distributions import norm_upper_quantile, norm_upper_tail
@@ -37,8 +34,14 @@ from transientscan.metrics import (
     _score,
     _simulate,
     detect_first_any_curves,
-    history_independence_pvalue,
     trial_rng,
+)
+
+from oracles import (
+    geometric_gof_pvalue,
+    history_independence_pvalue,
+    monitor_sequence,
+    run_monitoring,
 )
 
 PAIR = GaussianMeanShift(mean0=0.0, mean1=1.0, sigma=1.0)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import transientscan
 
 
@@ -9,3 +11,12 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from transientscan import *", namespace)
     assert set(transientscan.__all__) <= namespace.keys()
+
+
+def test_readme_library_example_runs_as_shown(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md (## Library)", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == block.count("print(")

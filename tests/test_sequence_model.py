@@ -120,26 +120,6 @@ def test_is_affected_matches_brute_force():
         assert sched.f1_columns[t - 1] == (t in truth)
 
 
-def test_last_affected_examples():
-    sched = ChangeSchedule(onsets=(10,), duration=1, horizon=40)
-    assert sched.last_affected_at_or_before(5) == 0
-    assert sched.last_affected_at_or_before(10) == 10
-    two = ChangeSchedule(onsets=(10, 20), duration=3, horizon=40)
-    assert two.last_affected_at_or_before(23) == 22
-    with pytest.raises(ValueError):
-        two.last_affected_at_or_before(0)
-
-
-def test_last_affected_matches_brute_force():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        sched = make_schedule(120, 6, 3, "uniform_random", rng=rng)
-        truth = sorted(brute_force_affected(sched))
-        for t in range(1, 121):
-            expect = max((v for v in truth if v <= t), default=0)
-            assert sched.last_affected_at_or_before(t) == expect
-
-
 # ---------------------------------------------------------------------------
 # sequence generation
 

@@ -7,18 +7,16 @@ Exit codes: 0 success, 1 usage error, 2 runtime error, and for ``detect``
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from . import __version__
+# detect runs on these alone; json, the estimators, the sequence model and
+# the harness are imported by the commands that use them
+from . import __version__, preset_names
 from .detector import ShewhartDetector, calibrate
 from .distributions import GaussianMeanShift
-from .harness import ExperimentConfig, load_preset, preset_names, run_experiment
-from .metrics import trial_rng
-from .sequence_model import make_schedule, generate_sequence, write_sequence_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,6 +117,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_calibrate(args) -> int:
+    import json
+
     pair = _pair_from_args(args)
     det = calibrate(pair, args.eta)
     out = {
@@ -170,6 +170,9 @@ def cmd_detect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .metrics import trial_rng
+    from .sequence_model import generate_sequence, make_schedule, write_sequence_csv
+
     pair = _pair_from_args(args)
     onsets = None
     if args.onsets is not None:
@@ -186,6 +189,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from .harness import ExperimentConfig, load_preset, run_experiment
+
     if args.preset is not None:
         config = load_preset(args.preset)
     else:

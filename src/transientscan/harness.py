@@ -21,10 +21,9 @@ import datetime
 import hashlib
 import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
-from . import __version__
+from . import _PRESET_DIR, __version__, preset_names
 from .distributions import DistributionPair, pair_from_config
 from .metrics import (
     CSV_COLUMNS,
@@ -213,17 +212,9 @@ def run_experiment(
     return write_report(rows, config, out_dir / f"{name}.csv", n_workers=n_workers)
 
 
-def preset_names() -> list[str]:
-    """Names of the experiment configs shipped with the package."""
-    pkg = resources.files("transientscan") / "presets"
-    return sorted(p.name[: -len(".json")] for p in pkg.iterdir() if p.name.endswith(".json"))
-
-
 def load_preset(name: str) -> ExperimentConfig:
-    pkg = resources.files("transientscan") / "presets"
-    path = pkg / f"{name}.json"
     try:
-        text = path.read_text(encoding="utf-8")
+        text = (Path(_PRESET_DIR) / f"{name}.json").read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ValueError(f"unknown preset {name!r}; available: {preset_names()}") from None
     return ExperimentConfig.from_dict(json.loads(text))

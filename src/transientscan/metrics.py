@@ -228,19 +228,20 @@ def _row_times(times: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return view
 
 
-def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float):
+def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float, keep_samples: bool):
     """Renewal runs of a memoryless rule on i.i.d. samples: ``n`` trials
     take consecutive segments of one flat stream, each ending at an alarm.
 
     Returns per trial the 0-based index within its segment of the stopping
     sample (-1 for a trial that saw ``limit`` samples without an alarm and
-    consumed exactly those) and that sample's value.  Each buffer holds the
-    remaining trials times the mean gap between alarms (``gap`` until an
-    alarm is seen, then the observed samples per alarm), capped per trial at
-    ``limit`` and in all at ``_MAX_BLOCK_SAMPLES``.
+    consumed exactly those) and, with ``keep_samples``, that sample's value
+    (else None).  Each buffer holds the remaining trials times the mean gap
+    between alarms (``gap`` until an alarm is seen, then the observed
+    samples per alarm), capped per trial at ``limit`` and in all at
+    ``_MAX_BLOCK_SAMPLES``.
     """
     at = np.full(n, -1, dtype=np.int64)
-    x_at = np.full(n, np.nan)
+    x_at = np.full(n, np.nan) if keep_samples else None
     zero = np.zeros(1, dtype=np.int64)
     zero.flags.writeable = False  # and so are the zero-stride times views of it
     done = carry = drawn = alarms = 0
@@ -267,7 +268,8 @@ def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float):
         ends += done - 1  # trial of each stop, then the next trial
         k = ends[:-1].searchsorted(n)  # stops past the chunk's last trial are dropped
         at[ends[:k]] = rest[:k]
-        x_at[ends[:k]] = x[hit[:k]]
+        if keep_samples:
+            x_at[ends[:k]] = x[hit[:k]]
         done = int(ends[-1])
         carry = int(rest[-1])
     return at, x_at
@@ -283,8 +285,10 @@ def _simulate_chunk(
     mode: Mode,
     seed,
     stream: int,
+    keep_samples: bool,
 ):
-    """Stop times of trials lo..hi-1, and the stopping sample per trial.
+    """Stop times of trials lo..hi-1, and with ``keep_samples`` the stopping
+    sample per trial (else None).
 
     A stop is 0 for an initial stop, the stopping time, or ``_CENSORED``
     when the horizon ran out first; the stopping sample of a run without
@@ -306,7 +310,7 @@ def _simulate_chunk(
     rng = trial_rng(seed, stream, lo // _CHUNK)
     n = hi - lo
     stop = np.full(n, _CENSORED, dtype=np.int64)
-    x_stop = np.full(n, np.nan)
+    x_stop = np.full(n, np.nan) if keep_samples else None
     pi0 = getattr(rule, "initial_stop_prob", 0.0)
     if pi0 > 0.0:
         stop[rng.random(n) < pi0] = 0
@@ -320,11 +324,14 @@ def _simulate_chunk(
             law = "alternative" if restart else "nominal"
             # eta is the mean gap of F0 runs; F1 alarms come sooner
             gap = _MIN_BLOCK if eta is None or restart else eta
-            at, x_at = _flat_stops(rule, pair, law, rng, active.size, cols.size, gap)
+            at, x_at = _flat_stops(
+                rule, pair, law, rng, active.size, cols.size, gap, keep_samples
+            )
             hit = (at >= 0).nonzero()[0]
             rows = active[hit]
             stop[rows] = cols[at[hit]] + 1
-            x_stop[rows] = x_at[hit]
+            if keep_samples:
+                x_stop[rows] = x_at[hit]
         return stop, x_stop
     is_f1 = schedule.f1_columns
     block = _MIN_BLOCK if eta is None else max(_MIN_BLOCK, math.ceil(eta))
@@ -343,7 +350,8 @@ def _simulate_chunk(
         done = first >= 0
         hit = done.nonzero()[0]
         rows, at = active[hit], first[hit]
-        x_stop[rows] = x[hit, at]
+        if keep_samples:
+            x_stop[rows] = x[hit, at]
         stop[rows] = block_cols[at] + 1
         active = active[~done]
         c0 += nb
@@ -359,18 +367,29 @@ def _simulate(
     n_trials: int,
     seed,
     stream: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial stops and stopping samples (see :func:`_simulate_chunk`).
-    A call of one chunk returns that chunk's arrays as they are."""
+    keep_samples: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-trial stops and, with ``keep_samples``, stopping samples (see
+    :func:`_simulate_chunk`).  A call of one chunk returns that chunk's
+    arrays as they are."""
     if mode not in ("single_shot", "restart"):
         raise ValueError(f"unknown mode {mode!r}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    kwargs = dict(rule=rule, pair=pair, schedule=schedule, mode=mode, seed=seed, stream=stream)
+    kwargs = dict(
+        rule=rule,
+        pair=pair,
+        schedule=schedule,
+        mode=mode,
+        seed=seed,
+        stream=stream,
+        keep_samples=keep_samples,
+    )
     if n_trials <= _CHUNK:
         return _simulate_chunk(0, n_trials, **kwargs)
     parts = [_simulate_chunk(lo, hi, **kwargs) for lo, hi in _chunk_ranges(n_trials)]
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    samples = np.concatenate([p[1] for p in parts]) if keep_samples else None
+    return np.concatenate([p[0] for p in parts]), samples
 
 
 class _Scores(NamedTuple):
@@ -427,6 +446,7 @@ def simulate_run_lengths(
         n_trials,
         seed,
         STREAM_RUN_LENGTH,
+        keep_samples=True,
     )
     keep = stop != _CENSORED
     censored = int(stop.size - np.count_nonzero(keep))

@@ -191,9 +191,11 @@ def generate_sequence(
 
 
 def write_sequence_csv(path, x: np.ndarray) -> None:
-    """Dump a sequence as single-column decimal text, 17 significant digits."""
+    """Dump a sequence as single-column decimal text, 17 significant digits
+    (each value as ``f"{v:.17g}"`` renders it), one value per line."""
+    values = np.asarray(x, dtype=float).tolist()
     with open(path, "w", encoding="utf-8") as f:
-        f.write("".join(f"{v:.17g}\n" for v in np.asarray(x, dtype=float).tolist()))
+        f.write(("%.17g\n" * len(values)) % tuple(values))
 
 
 def read_sequence_csv(path) -> np.ndarray:

@@ -406,6 +406,13 @@ def test_experiment_rejects_workers_below_one(tmp_path, capsys, workers):
     assert not (tmp_path / "out").exists()
 
 
+def test_experiment_help_lists_every_preset(capsys):
+    code, out, _ = run_cli(capsys, "experiment", "--help")
+    assert code == 0
+    names = transientscan.preset_names()
+    assert names and all(name in out for name in names)
+
+
 def test_experiment_unknown_preset(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "experiment", "--preset", "nope", "--out-dir", str(tmp_path)
@@ -483,12 +490,41 @@ def test_cold_start_does_not_import_scipy_stats(tmp_path):
 
 
 def test_cold_start_does_not_import_the_process_pool():
-    # the pool is imported only when a sweep splits its rows over workers
+    # the pool is imported only when a sweep splits its rows over workers;
+    # calibrate and detect load neither the estimators nor the harness, and
+    # the package's lazily resolved names are checked here, in a fresh
+    # interpreter, because inside this test run every module is loaded
     probe = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import transientscan, transientscan.cli\n"
         "pool = ('concurrent.futures.process', 'multiprocessing')\n"
         "assert not [m for m in pool if m in sys.modules], 'process pool imported at start-up'\n"
+        "sys.stdin = io.StringIO('0.5\\n9.9\\n')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [transientscan.cli.main(['detect', '--eta', '100']),\n"
+        "             transientscan.cli.main(['calibrate', '--eta', '100'])]\n"
+        "assert codes == [10, 0], codes\n"
+        "heavy = ('transientscan.metrics', 'transientscan.harness', 'transientscan.sequence_model')\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "assert not loaded, f'loaded by calibrate and detect: {loaded}'\n"
+        "for name in transientscan.__all__:\n"
+        "    value = getattr(transientscan, name)\n"
+        "    home = sys.modules[getattr(value, '__module__', 'transientscan')]\n"
+        "    assert getattr(home, name) is value, name\n"
+        "assert transientscan.run_eta_sweep is transientscan.harness.run_eta_sweep\n"
+        "assert transientscan.calibrate is transientscan.detector.calibrate\n"
+        "namespace = {}\n"
+        "exec('from transientscan import *', namespace)\n"
+        "assert set(namespace) - {'__builtins__'} == set(transientscan.__all__)\n"
+        "assert set(transientscan.__all__) <= set(dir(transientscan))\n"
+        "try:\n"
+        "    transientscan.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('an unknown name resolved')\n"
+        "assert not hasattr(transientscan, 'no_such_name')\n"
+        "assert not [m for m in pool if m in sys.modules], 'process pool imported by a name'\n"
         "pair = transientscan.GaussianMeanShift(0.0, 1.0, 1.0)\n"
         "cfg = transientscan.ExperimentConfig(\n"
         "    pair=pair, horizon=200, s=4, T=1, eta_grid=(4.0, 10.0), n_trials=300, master_seed=4\n"

@@ -760,11 +760,16 @@ def test_flat_runs_cut_one_stream_in_trial_order(monkeypatch, mode, limit, pi0):
     else:
         sched = ChangeSchedule(onsets=(), duration=1, horizon=limit)
         law, cols = "nominal", np.arange(limit)
-    stop, recorded = _simulate(rule, PAIR, sched, mode, 600, 45, STREAM_MONITOR)
+    stop, recorded = _simulate(
+        rule, PAIR, sched, mode, 600, 45, STREAM_MONITOR, keep_samples=True
+    )
     at, x_at = replay_flat_stops(rule, law, limit, 600, 45, STREAM_MONITOR)
     expected = [0 if a is None else -1 if a < 0 else int(cols[a]) + 1 for a in at]
     assert stop.tolist() == expected
     assert np.array_equal(recorded, x_at, equal_nan=True)
+    # without the samples the same draws give the same stops
+    unrecorded, none = _simulate(rule, PAIR, sched, mode, 600, 45, STREAM_MONITOR)
+    assert none is None and np.array_equal(unrecorded, stop)
     assert (stop == -1).any() and (stop > 0).any() and (stop == 0).any() == (pi0 > 0)
 
 

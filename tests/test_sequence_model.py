@@ -196,3 +196,19 @@ def test_sequence_csv_round_trip(tmp_path):
     path = tmp_path / "seq.csv"
     write_sequence_csv(path, x)
     assert np.array_equal(read_sequence_csv(path), x)
+
+
+#: signed zeros, the subnormal and largest magnitudes, non-finite values and
+#: two whose 17-digit forms are longer than their shortest repr
+EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+    math.inf, -math.inf, math.nan, 0.1, 1 / 3,
+]
+
+
+@pytest.mark.parametrize("values", [EDGE_VALUES, []], ids=["edge_values", "empty"])
+def test_sequence_csv_writes_each_value_as_17g(tmp_path, values):
+    x = np.array(values, dtype=float)
+    path = tmp_path / "seq.csv"
+    write_sequence_csv(path, x)
+    assert path.read_bytes() == "".join(f"{v:.17g}\n" for v in x).encode("utf-8")

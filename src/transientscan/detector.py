@@ -7,8 +7,11 @@ which makes the run length to a false alarm geometric with mean exactly
 ``eta``.
 
 The decision is ``log l(x) >= log alpha`` on the log ratio, computed in
-place; only the randomized-boundary (atom) branch compares on the ratio
-scale, where equality with the atom is exact.
+place.  Where the pair gives the sample-space edge of that decision (a
+Gaussian pair does), a block of samples is decided by one comparison with
+the edge, which passes exactly the floats the log decision passes.  Only
+the randomized-boundary (atom) branch compares on the ratio scale, where
+equality with the atom is exact.
 
 The decision at each step is a pure function of the current sample, so the
 rule is measurable with respect to the coarse filtration that forgets
@@ -70,7 +73,8 @@ class ShewhartDetector:
       pair: the (F0, F1) model used to form likelihood ratios.
       alpha: threshold; alarm when l(x) >= alpha, decided as ``log l(x) >=
         log alpha`` (:attr:`log_alpha`) on the log ratio computed in place,
-        or on the ratio scale with randomize_boundary set.
+        as one comparison of the samples with :attr:`sample_edge` where the
+        pair gives one, or on the ratio scale with randomize_boundary set.
       eta: the run-length target the threshold was calibrated to.
       initial_stop_prob: probability of declaring a change before consuming
         any sample (stopping time 0).  A proof device for equalizing the
@@ -106,6 +110,13 @@ class ShewhartDetector:
         """``log(alpha)``, derived once; not a field, so ``==``, hash and repr ignore it."""
         return math.log(self.alpha) if self.alpha > 0.0 else -math.inf
 
+    @cached_property
+    def sample_edge(self) -> tuple[float, bool] | None:
+        """``pair.log_ratio_edge(log_alpha)``: the sample-space edge of the
+        log decision, derived once like :attr:`log_alpha` (None where the
+        pair has none)."""
+        return self.pair.log_ratio_edge(self.log_alpha)
+
     def per_sample_alarm_prob(self) -> float:
         """Alarm probability of a single nominal sample (the calibrated 1/eta)."""
         closed = self.pair.lr_tail_prob_f0(self.alpha)
@@ -140,9 +151,14 @@ class ShewhartDetector:
         self, times: np.ndarray, x: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Vectorized step verdicts; agrees with :meth:`step` sample by sample."""
-        llr = np.atleast_1d(self.pair.log_likelihood_ratio(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
         if self.randomize_boundary is None:
-            return llr >= self.log_alpha
+            edge = self.sample_edge
+            if edge is not None:
+                at, upper = edge
+                return np.atleast_1d(x >= at if upper else x <= at)
+            return np.atleast_1d(self.pair.log_likelihood_ratio(x)) >= self.log_alpha
+        llr = np.atleast_1d(self.pair.log_likelihood_ratio(x))
         lr = np.exp(llr)
         mask = lr > self.alpha
         at_atom = lr == self.alpha

@@ -8,7 +8,9 @@ threshold calibration.
 
 Likelihood ratios are computed in log space and exponentiated only at the
 boundary, so the density quotient cannot overflow or turn into 0/0 for
-extreme samples.
+extreme samples.  A pair whose computed log ratio is monotone in the sample
+also gives the sample-space edge of a log threshold, so a detector can
+decide samples without forming their ratio.
 
 Every pair states the exact laws of ``l`` (its F0 tail and quantile, its F1
 tail); calibration has no approximate path.  At an atom of ``l`` the
@@ -20,6 +22,7 @@ form.
 from __future__ import annotations
 
 import math
+import struct
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -33,6 +36,7 @@ Which = Literal["nominal", "alternative"]
 _STD_NORMAL = NormalDist()
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SIGN_BIT = 1 << 63
 
 
 def norm_upper_tail(z: float) -> float:
@@ -50,6 +54,23 @@ def norm_upper_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     return -_STD_NORMAL.inv_cdf(p)
+
+
+def _float_rank(x: float) -> int:
+    """Position of ``x`` in the ordering of floats; -0.0 and 0.0 share 0."""
+    (bits,) = struct.unpack("<Q", struct.pack("<d", x))
+    return bits if bits < _SIGN_BIT else _SIGN_BIT - bits
+
+
+def _rank_float(k: int) -> float:
+    """The float at position ``k`` of :func:`_float_rank`'s ordering."""
+    (x,) = struct.unpack("<d", struct.pack("<Q", k if k >= 0 else _SIGN_BIT - k))
+    return x
+
+
+#: one rank beyond each end of the floats: a search's bounds, known to
+#: fail (below -inf) and to pass (above inf)
+_RANK_BELOW, _RANK_ABOVE = _float_rank(-math.inf) - 1, _float_rank(math.inf) + 1
 
 
 def _check_which(which: str) -> None:
@@ -86,6 +107,18 @@ class DistributionPair(ABC):
     def likelihood_ratio(self, x):
         """l(x) = f1(x) / f0(x); requires f0(x) > 0."""
         return np.exp(self.log_likelihood_ratio(x))
+
+    def log_ratio_edge(self, t: float) -> tuple[float, bool] | None:
+        """The float edge of ``log_likelihood_ratio(x) >= t`` in sample space.
+
+        Returns ``(edge, upper)`` such that, for every float ``x`` (NaN and
+        the infinities included), ``log_likelihood_ratio(x) >= t`` exactly
+        when ``x >= edge`` (``upper``) or ``x <= edge`` (not ``upper``), so
+        a detector can decide a sample without forming its ratio.  The
+        default returns None (no edge is known), and verdicts compute the
+        log ratio.
+        """
+        return None
 
     @abstractmethod
     def lr_tail_prob_f0(self, alpha: float, *, strict: bool = False) -> float:
@@ -151,9 +184,21 @@ class GaussianMeanShift(DistributionPair):
         return out if out.ndim else float(out)
 
     def sample(self, which: Which, rng: np.random.Generator, size=None):
+        # rng.normal's own values, mu + sigma * z on the same standard normal
+        # draws, scaled and shifted in place (and not at all for N(0, 1),
+        # where only a -0.0 draw keeps the sign that 0.0 + z would clear)
         _check_which(which)
         mu = self.mean0 if which == "nominal" else self.mean1
-        return rng.normal(mu, self.sigma, size)
+        sigma = self.sigma
+        z = rng.standard_normal(size)
+        if mu == 0.0 and sigma == 1.0:
+            return z
+        if size is None:
+            return mu + sigma * z
+        if sigma != 1.0:
+            z *= sigma
+        z += mu
+        return z
 
     def log_likelihood_ratio(self, x):
         # A float (np.float64 included) skips the 0-d array round trip; both
@@ -166,6 +211,44 @@ class GaussianMeanShift(DistributionPair):
         out *= shift
         out /= s2
         return out if out.ndim else float(out)
+
+    def log_ratio_edge(self, t: float) -> tuple[float, bool] | None:
+        # Each IEEE step of log_likelihood_ratio (subtract mid, multiply by
+        # shift, divide by sigma**2) is monotone in x, so the passing floats
+        # are a half-line: in u = x (shift > 0) or u = -x, the upper one.
+        # Its first float is searched over the float ordering by rank.
+        shift, mid, s2 = self._llr_constants
+        if not (math.isfinite(shift) and math.isfinite(mid) and 0.0 < s2 < math.inf):
+            return None  # inf * 0, x / 0 or inf / inf would break monotonicity
+        sign = 1.0 if shift > 0.0 else -1.0
+
+        def passes(u: float) -> bool:
+            # log_likelihood_ratio's float path, step for step
+            return shift * (sign * u - mid) / s2 >= t
+
+        lo, hi = _RANK_BELOW, _RANK_ABOVE
+        u = sign * (mid + t * s2 / shift)  # the closed-form guess
+        if math.isfinite(u):
+            # the guess or its neighbour on the edge's side settles most searches
+            if passes(u):
+                below = math.nextafter(u, -math.inf)
+                if not passes(below):
+                    return sign * u, shift > 0.0
+                hi = _float_rank(below)
+            else:
+                above = math.nextafter(u, math.inf)
+                if passes(above):
+                    return sign * above, shift > 0.0
+                lo = _float_rank(above)
+        while hi - lo > 1:
+            k = (lo + hi) // 2
+            if passes(_rank_float(k)):
+                hi = k
+            else:
+                lo = k
+        if hi == _RANK_ABOVE:
+            return None  # no float passes (t is NaN)
+        return sign * _rank_float(hi), shift > 0.0
 
     def lr_tail_prob_f0(self, alpha: float, *, strict: bool = False) -> float:
         # Continuous ratio: the strict and closed tails coincide.

@@ -81,6 +81,12 @@ _MIN_BLOCK = 16
 #: most samples one block draws (1 MiB of float64), whatever the block width
 _MAX_BLOCK_SAMPLES = 1 << 17
 
+_ZERO = np.zeros(1, dtype=np.int64)
+_ZERO.flags.writeable = False  # and so is every zero-stride view of it
+#: the times a flat buffer passes to ``alarm_mask``: read-only zeros, sliced
+#: to the buffer's size
+_NO_TIMES = np.ndarray(_MAX_BLOCK_SAMPLES, np.int64, _ZERO, strides=(0,))
+
 _CENSORED = -1
 
 
@@ -217,7 +223,9 @@ def _mean_se(values: np.ndarray) -> Estimate:
 
 def _first_stops(mask: np.ndarray) -> np.ndarray:
     """Column of each row's first alarm in a block of verdicts, -1 for none."""
-    return np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
+    first = mask.argmax(axis=1)  # column 0 for a row without an alarm
+    alarmed = mask.reshape(-1)[first + np.arange(0, mask.size, mask.shape[1])]
+    return np.where(alarmed, first, -1)
 
 
 def _row_times(times: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -242,16 +250,13 @@ def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float, keep_
     """
     at = np.full(n, -1, dtype=np.int64)
     x_at = np.full(n, np.nan) if keep_samples else None
-    zero = np.zeros(1, dtype=np.int64)
-    zero.flags.writeable = False  # and so are the zero-stride times views of it
     done = carry = drawn = alarms = 0
     while done < n:
         if alarms:
             gap = drawn / alarms
         size = min(_MAX_BLOCK_SAMPLES, max(1, math.ceil((n - done) * min(gap, limit))))
         x = np.asarray(pair.sample(law, rng, size), dtype=float)
-        times = np.ndarray(size, np.int64, zero, strides=(0,))  # as _row_times
-        hit = rule.alarm_mask(times, x, rng).nonzero()[0]
+        hit = rule.alarm_mask(_NO_TIMES[:size], x, rng).nonzero()[0]
         drawn += size
         alarms += hit.size
         # alarm-free samples before each alarm and after the last (the first
@@ -263,9 +268,15 @@ def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float, keep_
         runs[-1] = size
         runs[1:] -= hit + 1
         runs[0] += carry
-        censored, rest = np.divmod(runs, limit)
-        ends = (censored + 1).cumsum()
-        ends += done - 1  # trial of each stop, then the next trial
+        if runs.max() < limit:  # no trial censored: one trial per alarm
+            rest = runs
+            ends = np.arange(done, done + runs.size)
+        else:
+            censored, rest = np.divmod(runs, limit)
+            censored += 1
+            censored[0] += done - 1
+            ends = censored.cumsum()
+        # ends: the trial of each stop, then the next trial
         k = ends[:-1].searchsorted(n)  # stops past the chunk's last trial are dropped
         at[ends[:k]] = rest[:k]
         if keep_samples:
@@ -315,26 +326,29 @@ def _simulate_chunk(
     if pi0 > 0.0:
         stop[rng.random(n) < pi0] = 0
     restart = mode == "restart"
-    cols = schedule.onset_times - 1 if restart else np.arange(schedule.horizon)
     eta = getattr(rule, "eta", None)
     active = (stop == _CENSORED).nonzero()[0]
     one_law = restart or not schedule.onsets
     if one_law and getattr(rule, "memoryless", False):
-        if cols.size:
+        limit = schedule.s if restart else schedule.horizon
+        if limit:
             law = "alternative" if restart else "nominal"
             # eta is the mean gap of F0 runs; F1 alarms come sooner
             gap = _MIN_BLOCK if eta is None or restart else eta
-            at, x_at = _flat_stops(
-                rule, pair, law, rng, active.size, cols.size, gap, keep_samples
-            )
-            hit = (at >= 0).nonzero()[0]
-            rows = active[hit]
-            stop[rows] = cols[at[hit]] + 1
+            at, x_at = _flat_stops(rule, pair, law, rng, active.size, limit, gap, keep_samples)
+            # segment index -> stop time; a censored trial's -1 reads the
+            # appended _CENSORED in restart mode
+            if restart:
+                stop[active] = np.append(schedule.onset_times, _CENSORED)[at]
+            else:
+                stop[active] = np.where(at >= 0, at + 1, _CENSORED)
             if keep_samples:
-                x_stop[rows] = x_at[hit]
+                x_stop[active] = x_at
         return stop, x_stop
+    cols = schedule.onset_times - 1 if restart else np.arange(schedule.horizon)
     is_f1 = schedule.f1_columns
-    block = _MIN_BLOCK if eta is None else max(_MIN_BLOCK, math.ceil(eta))
+    # eta = inf (a threshold with no F0 tail) gives no mean run length to size by
+    block = max(_MIN_BLOCK, math.ceil(eta)) if eta is not None and eta < math.inf else _MIN_BLOCK
     c0 = 0
     while active.size and c0 < cols.size:
         nb = min(block, cols.size - c0, max(1, _MAX_BLOCK_SAMPLES // active.size))
@@ -397,13 +411,11 @@ class _Scores(NamedTuple):
 
     ``hits[i]`` counts runs that stopped exactly on onset i and
     ``survivors[i]`` runs still going, undetected, when it arrived.
-    ``detected_at`` is per trial the index of the onset the run stopped on
-    (-1 for none), ``missed`` the onsets it passed before its end.
+    ``missed`` is per trial the onsets the run passed before its end.
     """
 
     hits: np.ndarray
     survivors: np.ndarray
-    detected_at: np.ndarray
     missed: np.ndarray
 
 
@@ -419,7 +431,7 @@ def _score(stop: np.ndarray, schedule: ChangeSchedule) -> _Scores:
     # runs that reached onset i: all but those that reached fewer than i + 1
     survivors = stop.size - np.bincount(reached, minlength=onsets.size + 1).cumsum()[:-1]
     hits = np.bincount(missed[detected], minlength=onsets.size)
-    return _Scores(hits, survivors, np.where(detected, missed, -1), missed)
+    return _Scores(hits, survivors, missed)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +672,7 @@ def evaluate_criteria(
     Monitored-run quantities come from ``n_trials`` runs in the requested
     mode; the run-length mean and the optimality ceiling come from a
     separate pure-F0 simulation of ``n_trials`` runs over a horizon of
-    ``max(int(20 * eta), 1000)``.
+    ``max(int(20 * eta), 1000)``, so ``eta`` must be finite.
 
     In restart mode the conditional-detection terms condition on "no
     detection before the onset" (false alarms do not end a restart run),
@@ -668,6 +680,10 @@ def evaluate_criteria(
     single-shot run.
     """
     _check_degenerate_policy(on_degenerate, min_survivors)
+    if not math.isfinite(detector.eta):
+        raise ValueError(
+            f"eta must be finite to size the run-length horizon 20 * eta, got {detector.eta}"
+        )
     stop, _ = _simulate(detector, pair, schedule, mode, n_trials, seed, STREAM_MONITOR)
     scores = _score(stop, schedule)
     # every detected run stopped on exactly one onset, counted in its hits

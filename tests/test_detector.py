@@ -150,15 +150,17 @@ def test_log_threshold_is_derived_not_a_field():
     fields_before = dataclasses.fields(det)
     repr_before, hash_before = repr(det), hash(det)
     assert det.log_alpha == math.log(det.alpha)
-    assert "log_alpha" in vars(det)  # cached on the instance
+    assert det.sample_edge == PAIR.log_ratio_edge(det.log_alpha)
+    assert {"log_alpha", "sample_edge"} <= vars(det).keys()  # cached on the instance
     twin = calibrate(PAIR, 30.0)  # nothing cached yet
-    assert "log_alpha" not in vars(twin)
+    assert not {"log_alpha", "sample_edge"} & vars(twin).keys()
     assert dataclasses.fields(det) == fields_before
     assert [f.name for f in fields_before] == [
         "pair", "alpha", "eta", "initial_stop_prob", "randomize_boundary"
     ]
     assert det == twin and hash(det) == hash(twin) == hash_before
-    assert repr(det) == repr(twin) == repr_before and "log_alpha" not in repr_before
+    assert repr(det) == repr(twin) == repr_before
+    assert "log_alpha" not in repr_before and "sample_edge" not in repr_before
     # alpha stays the constructor argument
     assert ShewhartDetector(PAIR, alpha=det.alpha, eta=30.0) == twin
 
@@ -186,21 +188,34 @@ THRESHOLD_CASES = {
     "mean1=38": calibrate(GaussianMeanShift(0.0, 38.0), 2.0),  # subnormal alpha
     "alpha=0": ShewhartDetector(IDENTITY_PAIR, alpha=0.0, eta=1.0),
     "alpha=inf": ShewhartDetector(IDENTITY_PAIR, alpha=math.inf, eta=math.inf),
+    "shift<0": calibrate(GaussianMeanShift(0.5, -0.5), 100.0),
+    "sigma=1e-3": calibrate(GaussianMeanShift(0.0, 2e-3, 1e-3), 100.0),
+    "sigma=1e3": calibrate(GaussianMeanShift(0.0, 2e3, 1e3), 100.0),
+    # (x - mid) * shift overflows at the edge, and so does la * sigma**2
+    "product overflows": calibrate(GaussianMeanShift(0.0, 7e153, 7e153), 1e6),
+    # every x - mid past one float of the midpoint overflows the product
+    "shift=1e300": ShewhartDetector(GaussianMeanShift(0.0, 1e300, 1e150), math.e, math.inf),
 }
 
 
 def boundary_samples(det):
     """Samples whose log ratio is ``log_alpha`` or one of its float neighbours
-    (exactly so on the identity pair), within a window that straddles it."""
+    (exactly so on the identity pair), within a window that straddles it,
+    then the detector's sample-space edge and its float neighbours."""
     la = det.log_alpha
     if not math.isfinite(la):
         big = np.finfo(float).max
-        return np.array([-math.inf, -big, -1e300, -1.0, 0.0, 1.0, 1e300, big, math.inf, math.nan])
-    pair = det.pair
-    shift, mid = pair.mean1 - pair.mean0, 0.5 * (pair.mean0 + pair.mean1)
-    x0 = mid + la * pair.sigma**2 / shift
-    step = max(abs(np.spacing(x0)), abs(np.spacing(la)) * pair.sigma**2 / abs(shift))
-    return x0 + np.arange(-64, 65) * (step / 4)
+        x = np.array([-math.inf, -big, -1e300, -1.0, 0.0, 1.0, 1e300, big, math.inf, math.nan])
+    else:
+        pair = det.pair
+        shift, mid = pair.mean1 - pair.mean0, 0.5 * (pair.mean0 + pair.mean1)
+        x0 = mid + la * pair.sigma**2 / shift
+        if not math.isfinite(x0):  # the closed form overflowed: centre on the edge
+            x0 = det.sample_edge[0]
+        step = max(abs(np.spacing(x0)), abs(np.spacing(la)) * pair.sigma**2 / abs(shift))
+        x = x0 + np.arange(-64, 65) * (step / 4)
+    edge = det.sample_edge[0]
+    return np.append(x, [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)])
 
 
 @pytest.mark.parametrize("case", THRESHOLD_CASES)
@@ -211,12 +226,20 @@ def test_step_and_alarm_mask_agree_at_the_log_threshold(case):
         assert 0.0 < det.alpha < np.finfo(float).tiny
     x = boundary_samples(det)
     la = det.log_alpha
-    llr = np.asarray(det.pair.log_likelihood_ratio(x))
+    with np.errstate(over="ignore"):  # the product overflows on some pairs
+        llr = np.asarray(det.pair.log_likelihood_ratio(x))
     if math.isfinite(la):
         assert (llr < la).any() and (llr >= la).any()
     if det.pair == IDENTITY_PAIR and math.isfinite(la):
         assert np.array_equal(llr, x)
         assert {math.nextafter(la, -math.inf), la, math.nextafter(la, math.inf)} <= set(x.tolist())
+    # the edge passes and the float beyond it on the failing side does not
+    # (at an infinite edge that float is the edge itself)
+    edge, upper = det.sample_edge
+    inward = math.nextafter(edge, math.inf if upper else -math.inf)
+    outward = math.nextafter(edge, -math.inf if upper else math.inf)
+    assert det.step(edge)[0] and det.step(inward)[0]
+    assert outward == edge or not det.step(outward)[0]
     steps = [det.step(float(v))[0] for v in x]
     mask = det.alarm_mask(np.ones(x.shape), x, None)
     assert steps == mask.tolist()

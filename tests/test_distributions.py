@@ -235,6 +235,17 @@ def test_sampling_is_deterministic_given_seed():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("size", [None, 1000, (37, 11)])
+def test_sampling_returns_the_values_of_rng_normal_bit_for_bit(size):
+    for pair in (GaussianMeanShift(-3.5, 2.0, 0.25), GaussianMeanShift(0.0, 1.0, 7.0)):
+        for which, mu in (("nominal", pair.mean0), ("alternative", pair.mean1)):
+            got = pair.sample(which, np.random.default_rng(71), size)
+            want = np.random.default_rng(71).normal(mu, pair.sigma, size)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_sampling_moments():
     n = 1_000_000
     rng = np.random.default_rng(2024)

@@ -12,6 +12,7 @@ from transientscan import (
     DegenerateEstimateError,
     FixedTimeRule,
     GaussianMeanShift,
+    ShewhartDetector,
     calibrate,
     estimate_arl,
     estimate_pollak,
@@ -486,6 +487,21 @@ def test_estimators_reject_an_empty_trial_range():
             call()
 
 
+def test_a_never_alarming_detector_runs_single_shot():
+    # eta = inf is a valid threshold with no F0 tail; the block width sizes
+    # by eta only when eta is finite
+    det = ShewhartDetector(PAIR, alpha=math.inf, eta=math.inf)
+    sched = make_schedule(40, 4, 1)
+    est = estimate_pollak(det, PAIR, sched, 300, seed=1)
+    assert est.value == 0.0 and est.survivors == (300,) * 4
+
+
+def test_criteria_reject_an_infinite_eta_by_name():
+    det = ShewhartDetector(PAIR, alpha=math.inf, eta=math.inf)
+    with pytest.raises(ValueError, match="eta must be finite"):
+        evaluate_criteria(det, PAIR, make_schedule(40, 4, 1), n_trials=10, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # monitored runs
 
@@ -603,8 +619,8 @@ def test_kernel_scoring_matches_monitor_sequence(mode):
     survivors = np.zeros(sched.s, dtype=int)
     for k, out in enumerate(reference):
         assert stop[k] == (-1 if out.tau is None else out.tau)
-        det_at = scores.detected_at[k]
-        assert out.first_detection_time == (sched.onsets[det_at] if det_at >= 0 else None)
+        # a run detects exactly when it stops on an onset
+        assert out.first_detection_time == (stop[k] if stop[k] in sched.onsets else None)
         assert scores.missed[k] == out.missed_onsets_before_detection
         end = sched.horizon + 1 if out.tau is None else out.tau
         survivors += np.asarray(sched.onsets) <= end
@@ -1028,7 +1044,8 @@ def test_criteria_cells_are_the_reductions_of_the_monitored_stops(mode):
             det, PAIR, sched, n_trials=n, seed=63, mode=mode, min_survivors=30
         )
         scores = _score(stop, sched)
-        detected_at = scores.detected_at
+        # the onset each run stopped on, -1 for none
+        detected_at = np.array([sched.onsets.index(t) if t in sched.onsets else -1 for t in stop])
         assert rep.detect_any_prob.value == float((detected_at >= 0).mean())
         assert rep.detect_first_prob.value == float((detected_at == 0).mean())
         x = scores.missed.astype(float)

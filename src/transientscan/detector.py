@@ -26,11 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Iterable, Protocol, runtime_checkable
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar, Iterable, Protocol, runtime_checkable
 
 from .distributions import DistributionPair
+
+if TYPE_CHECKING:  # numpy loads only in the array paths, so detect and calibrate run without it
+    import numpy as np
 
 #: tolerance at which calibration is considered exact (continuous families)
 CALIBRATION_TOL = 1e-9
@@ -128,19 +129,25 @@ class ShewhartDetector:
     def step(self, x: float, rng: np.random.Generator | None = None) -> tuple[bool, float]:
         """``(alarmed, l(x))`` for one sample; stateless, so history never matters.
 
+        Without boundary randomization ``l(x)`` is ``math.exp`` of the log
+        ratio (``inf`` past the float range), the same double on every host.
         ``rng`` is consulted only when the ratio lands exactly on a
         configured boundary atom.
         """
-        # np.exp as in alarm_mask's atom branch: math.exp differs in the last
-        # bit on some inputs, and the two must agree on every verdict
         llr = self.pair.log_likelihood_ratio(x)
-        if llr <= 709.0:
-            lr = float(np.exp(llr))
-        else:  # exp overflows to inf past about 709.78; the verdict reads the log
-            with np.errstate(over="ignore"):
-                lr = float(np.exp(llr))
         if self.randomize_boundary is None:
-            return llr >= self.log_alpha, lr
+            # the verdict reads the log; the ratio is only reported
+            try:
+                return llr >= self.log_alpha, math.exp(llr)
+            except OverflowError:  # exp overflows past about 709.78
+                return llr >= self.log_alpha, math.inf
+        # compared with the atom on the ratio scale, so through np.exp, as in
+        # alarm_mask's atom branch and likelihood_ratio, which gives a pair
+        # its atoms: math.exp can differ from np.exp in the last bit
+        import numpy as np
+
+        with np.errstate(over="ignore"):
+            lr = float(np.exp(llr))
         if lr == self.alpha:
             if rng is None:
                 raise ValueError("boundary randomization requires an rng")
@@ -151,6 +158,8 @@ class ShewhartDetector:
         self, times: np.ndarray, x: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Vectorized step verdicts; agrees with :meth:`step` sample by sample."""
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         if self.randomize_boundary is None:
             edge = self.sample_edge
@@ -249,6 +258,8 @@ class AlwaysStopRule:
     initial_stop_prob: ClassVar[float] = 0.0
 
     def alarm_mask(self, times, x, rng) -> np.ndarray:
+        import numpy as np
+
         return np.ones(np.shape(times), dtype=bool)
 
 
@@ -265,6 +276,8 @@ class FixedTimeRule:
             raise ValueError(f"stop_at must be >= 1, got {self.stop_at}")
 
     def alarm_mask(self, times, x, rng) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(times) == self.stop_at
 
 
@@ -281,4 +294,6 @@ class BernoulliStopRule:
             raise ValueError(f"stop_prob must be in (0, 1], got {self.stop_prob}")
 
     def alarm_mask(self, times, x, rng) -> np.ndarray:
+        import numpy as np
+
         return rng.random(np.shape(times)) < self.stop_prob

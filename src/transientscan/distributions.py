@@ -27,9 +27,10 @@ from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from statistics import NormalDist
-from typing import ClassVar, Literal
+from typing import TYPE_CHECKING, ClassVar, Literal
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads only in the array paths, so calibrate runs without it
+    import numpy as np
 
 Which = Literal["nominal", "alternative"]
 
@@ -98,6 +99,8 @@ class DistributionPair(ABC):
 
     def density(self, which: Which, x):
         """f0(x) or f1(x); strictly positive wherever the log density is finite."""
+        import numpy as np
+
         return np.exp(self.log_density(which, x))
 
     def log_likelihood_ratio(self, x):
@@ -106,6 +109,8 @@ class DistributionPair(ABC):
 
     def likelihood_ratio(self, x):
         """l(x) = f1(x) / f0(x); requires f0(x) > 0."""
+        import numpy as np
+
         return np.exp(self.log_likelihood_ratio(x))
 
     def log_ratio_edge(self, t: float) -> tuple[float, bool] | None:
@@ -163,6 +168,13 @@ class GaussianMeanShift(DistributionPair):
     def __post_init__(self):
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        try:
+            s2 = self._llr_constants[2]
+        except OverflowError:  # a float's ** raises where * would give inf
+            s2 = math.inf
+        if not 0.0 < s2 < math.inf:
+            # the log ratio divides by sigma**2, which must be a positive finite float
+            raise ValueError(f"sigma**2 must be positive and finite, got sigma {self.sigma}")
         if self.mean0 == self.mean1:
             raise ValueError(
                 "mean0 and mean1 must differ: with equal means the likelihood "
@@ -177,6 +189,8 @@ class GaussianMeanShift(DistributionPair):
         return float(m1 - m0), float(0.5 * (m0 + m1)), float(sigma**2)
 
     def log_density(self, which: Which, x):
+        import numpy as np
+
         _check_which(which)
         mu = self.mean0 if which == "nominal" else self.mean1
         z = (np.asarray(x, dtype=float) - mu) / self.sigma
@@ -207,6 +221,8 @@ class GaussianMeanShift(DistributionPair):
         shift, mid, s2 = self._llr_constants
         if isinstance(x, float):
             return shift * (float(x) - mid) / s2
+        import numpy as np
+
         out = np.subtract(x, mid, dtype=float)
         out *= shift
         out /= s2
@@ -218,8 +234,8 @@ class GaussianMeanShift(DistributionPair):
         # are a half-line: in u = x (shift > 0) or u = -x, the upper one.
         # Its first float is searched over the float ordering by rank.
         shift, mid, s2 = self._llr_constants
-        if not (math.isfinite(shift) and math.isfinite(mid) and 0.0 < s2 < math.inf):
-            return None  # inf * 0, x / 0 or inf / inf would break monotonicity
+        if not (math.isfinite(shift) and math.isfinite(mid)):
+            return None  # inf * 0 would break monotonicity (sigma**2 is checked finite)
         sign = 1.0 if shift > 0.0 else -1.0
 
         def passes(u: float) -> bool:
@@ -273,7 +289,9 @@ class GaussianMeanShift(DistributionPair):
         shift, _, s2 = self._llr_constants
         a = abs(shift)
         z = norm_upper_quantile(p)
-        return math.exp(a * z / self.sigma - a * a / (2.0 * s2))
+        # a * a / s2 halved, not divided by 2 * s2: the same bits, and no
+        # overflow of 2 * s2 at sigma near 1e154
+        return math.exp(a * z / self.sigma - a * a / s2 * 0.5)
 
     def to_config(self) -> dict:
         cfg = asdict(self)

@@ -15,6 +15,7 @@ from transientscan import (
     calibrate,
     equalizing_initial_stop,
 )
+from transientscan.detector import CALIBRATION_TOL
 from transientscan.distributions import norm_upper_quantile
 
 PAIR = GaussianMeanShift(mean0=0.0, mean1=1.0, sigma=1.0)
@@ -53,6 +54,15 @@ def test_calibrate_threshold_values():
     det10 = calibrate(PAIR, 10.0)
     assert det10.alpha == pytest.approx(math.exp(norm_upper_quantile(0.1) - 0.5), rel=1e-12)
     assert PAIR.lr_tail_prob_f0(det10.alpha) == pytest.approx(0.1, abs=1e-9)
+
+
+def test_calibrate_reaches_its_tail_at_sigma_near_the_top_of_the_floats():
+    # sigma**2 is 1e308, so the quantile must not form 2 * sigma**2
+    pair = GaussianMeanShift(0.0, 1e154, 1e154)
+    det = calibrate(pair, 100.0)
+    assert det.randomize_boundary is None
+    assert abs(det.per_sample_alarm_prob() - 0.01) <= CALIBRATION_TOL
+    assert det.alpha == pytest.approx(calibrate(PAIR, 100.0).alpha, rel=1e-12)
 
 
 def test_calibrate_rejects_eta_below_one():
@@ -126,7 +136,7 @@ def test_alarm_mask_agrees_with_step():
     xs = rng.normal(size=500)
     times = np.arange(1, 501)
     mask = det.alarm_mask(times, xs, rng)
-    lr = np.exp(PAIR.log_likelihood_ratio(xs))
+    lr = [math.exp(v) for v in PAIR.log_likelihood_ratio(xs)]
     for values in (xs, xs.tolist()):  # np.float64 items, then Python floats
         assert [det.step(x) for x in values] == [(bool(m), float(v)) for m, v in zip(mask, lr)]
 
@@ -248,13 +258,13 @@ def test_step_and_alarm_mask_agree_at_the_log_threshold(case):
 
 def test_step_is_silent_when_the_ratio_overflows():
     # past exp's range the ratio is inf and no warning is raised; just inside
-    # the guard it is the same double np.exp gives
+    # it the ratio is the same double math.exp gives
     det = calibrate(PAIR, 100.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert det.step(1e300) == (True, math.inf)
         assert det.step(-1e300) == (False, 0.0)
-        assert det.step(710.0) == (True, float(np.exp(709.5)))
+        assert det.step(710.0) == (True, math.exp(709.5))
 
 
 @pytest.mark.parametrize("case", THRESHOLD_CASES)

@@ -36,6 +36,22 @@ def test_construction_rejects_bad_parameters():
         GaussianMeanShift(mean0=0.5, mean1=0.5, sigma=1.0)
 
 
+@pytest.mark.parametrize("sigma", [1e-170, 1e-163, 1e155, 1e200, 10**200, math.inf])
+def test_construction_rejects_sigma_whose_square_leaves_the_floats(sigma):
+    # the log ratio divides by sigma**2: 0.0 would raise ZeroDivisionError
+    # there and in calibrate, and inf would make every ratio 0 or NaN
+    with pytest.raises(ValueError, match="sigma"):
+        GaussianMeanShift(mean0=0.0, mean1=sigma, sigma=sigma)
+    with pytest.raises(ValueError, match="sigma"), np.errstate(over="ignore"):
+        GaussianMeanShift(mean0=0.0, mean1=1.0, sigma=np.float64(sigma))
+
+
+def test_construction_accepts_sigma_whose_square_is_subnormal_or_near_the_top():
+    for sigma in (1e-160, 1e154):
+        pair = GaussianMeanShift(mean0=0.0, mean1=sigma, sigma=sigma)
+        assert math.isfinite(pair.log_likelihood_ratio(0.0))
+
+
 def test_density_at_the_modes():
     assert PAIR.density("nominal", 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-12)
     assert PAIR.density("alternative", 1.0) == pytest.approx(
@@ -178,6 +194,21 @@ def test_quantile_examples_round_trip():
     alpha10 = PAIR.lr_quantile_f0(0.1)
     assert PAIR.lr_tail_prob_f0(alpha10) == pytest.approx(0.1, abs=1e-9)
     assert alpha10 == pytest.approx(math.exp(norm_upper_quantile(0.1) - 0.5), rel=1e-12)
+
+
+def test_quantile_keeps_its_bits_and_does_not_overflow_at_large_sigma():
+    # a * a / s2 * 0.5 rounds as a * a / (2 * s2) wherever 2 * s2 is finite
+    rng = np.random.default_rng(2029)
+    for m1, sigma, p in zip(
+        10.0 ** rng.uniform(-3, 3, 2000), 10.0 ** rng.uniform(-3, 3, 2000), rng.uniform(0, 1, 2000)
+    ):
+        pair = GaussianMeanShift(0.0, float(m1), float(sigma))
+        a, sigma = float(m1), float(sigma)
+        z = norm_upper_quantile(float(p))
+        assert pair.lr_quantile_f0(float(p)) == math.exp(a * z / sigma - a * a / (2.0 * sigma**2))
+    # at sigma 1e154, 2 * s2 overflows; the standardized pair's median is exp(-0.5)
+    wide = GaussianMeanShift(0.0, 1e154, 1e154)
+    assert wide.lr_quantile_f0(0.5) == pytest.approx(math.exp(-0.5), rel=1e-12)
 
 
 def test_round_trip_identity_over_grid():

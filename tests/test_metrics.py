@@ -978,12 +978,29 @@ def single_shot_and_f0_digest() -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
+#: the F0 digest by the kernel behind np.exp: the run lengths' ``lrs`` are
+#: np.exp of the log ratios, and numpy's AVX-512 kernel differs from the C
+#: library's exp in the last bit on a few percent of inputs
+SINGLE_SHOT_AND_F0_SHA256 = {
+    "libm": "5086cb230e34f94f2ff1491340943bb82cfcda41b2e9e2f8d018c52f957a81e6",
+    "avx512": "62015d0f3f9cf7c0bfc3ec0f4a30ff5bcafef15d50d70e25c81beea445b49a37",
+}
+
+
+def np_exp_kernel() -> str:
+    """``"libm"`` when np.exp gives math.exp's bits on a fixed probe vector
+    (on which the AVX-512 kernel differs 174 times in 4001), else ``"avx512"``."""
+    probe = np.linspace(-700.0, 700.0, 4001)
+    same = all(v == math.exp(p) for p, v in zip(probe.tolist(), np.exp(probe).tolist()))
+    return "libm" if same else "avx512"
+
+
 def test_single_shot_and_f0_outputs_are_pinned():
     # no preset runs single-shot or reports per-trial F0 samples, so their
-    # bits are pinned here; a change of kernel or scoring must keep them
-    assert single_shot_and_f0_digest() == (
-        "62015d0f3f9cf7c0bfc3ec0f4a30ff5bcafef15d50d70e25c81beea445b49a37"
-    )
+    # bits are pinned here; a change of kernel or scoring must keep them.
+    # On one host exactly one digest applies; CI reruns this with numpy's
+    # AVX-512 targets disabled, so both are checked
+    assert single_shot_and_f0_digest() == SINGLE_SHOT_AND_F0_SHA256[np_exp_kernel()]
 
 
 def _random_stops(rng, sched, n):

@@ -36,7 +36,6 @@ _SUBMODULE = {
     "FixedTimeRule": "detector",
     "ShewhartDetector": "detector",
     "calibrate": "detector",
-    "equalizing_initial_stop": "detector",
     "ArlEstimate": "metrics",
     "CriteriaReport": "metrics",
     "CurveRow": "metrics",

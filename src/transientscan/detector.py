@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, ClassVar, Iterable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, ClassVar, Protocol, runtime_checkable
 
 from .distributions import DistributionPair
 
@@ -176,28 +176,6 @@ class ShewhartDetector:
             mask[at_atom] = rng.random(k) < self.randomize_boundary
         return mask
 
-    def run_stream(
-        self,
-        observations: Iterable[float],
-        rng: np.random.Generator | None = None,
-    ) -> int | None:
-        """First 1-based index whose sample alarms, 0 for an initial stop,
-        or None when the source is exhausted without an alarm.
-
-        With probability ``initial_stop_prob`` the rule stops before
-        consuming anything (one uniform is drawn up front in that case).
-        """
-        if self.initial_stop_prob > 0.0:
-            if rng is None:
-                raise ValueError("initial_stop_prob > 0 requires an rng")
-            if rng.random() < self.initial_stop_prob:
-                return 0
-        step = self.step
-        for t, x in enumerate(observations, start=1):
-            if step(x, rng)[0]:
-                return t
-        return None
-
 
 def calibrate(
     pair: DistributionPair, eta: float, *, initial_stop_prob: float = 0.0
@@ -237,17 +215,6 @@ def calibrate(
         initial_stop_prob=initial_stop_prob,
         randomize_boundary=boundary,
     )
-
-
-def equalizing_initial_stop(eta: float, mean_run_length: float) -> float:
-    """Initial stop probability that brings an overshooting rule's mean run
-    length down to eta: solves (1 - pi0) * mean_run_length = eta."""
-    if mean_run_length < eta:
-        raise ValueError(
-            f"mean run length {mean_run_length} is below the target {eta}; "
-            "nothing to equalize"
-        )
-    return 1.0 - eta / mean_run_length
 
 
 @dataclass(frozen=True)

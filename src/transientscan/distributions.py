@@ -2,7 +2,7 @@
 
 A monitored stream alternates between a nominal law F0 and a transient law
 F1.  Everything the rest of the library needs from that pair lives here:
-density evaluation, sampling, the per-sample likelihood ratio
+log densities, sampling, the per-sample likelihood ratio
 ``l(x) = f1(x) / f0(x)``, and the F0 tail behaviour of ``l`` that drives
 threshold calibration.
 
@@ -82,7 +82,7 @@ def _check_which(which: str) -> None:
 class DistributionPair(ABC):
     """A known (F0, F1) pair with likelihood-ratio machinery.
 
-    Subclasses provide densities, sampling and the three exact laws of
+    Subclasses provide log densities, sampling and the three exact laws of
     ``l``, taking ``l`` as :meth:`likelihood_ratio` computes it, so that
     calibration and the detector's comparisons see the same floats.
     """
@@ -96,12 +96,6 @@ class DistributionPair(ABC):
     @abstractmethod
     def sample(self, which: Which, rng: np.random.Generator, size=None):
         """Draw from F0 or F1 with the given generator."""
-
-    def density(self, which: Which, x):
-        """f0(x) or f1(x); strictly positive wherever the log density is finite."""
-        import numpy as np
-
-        return np.exp(self.log_density(which, x))
 
     def log_likelihood_ratio(self, x):
         """log(f1(x) / f0(x)), computed without forming either density."""

@@ -39,6 +39,13 @@ SCHEMA_VERSION = 1
 
 _MODES = ("single_shot", "restart")
 _PLACEMENTS = ("even_grid", "uniform_random", "explicit")
+#: keys whose values must be integers (each onset must be one too)
+_INT_KEYS = ("horizon", "s", "T", "n_trials", "master_seed")
+
+
+def _is_int(value) -> bool:
+    # JSON's 100.0 and "3" are not counts, and neither is true
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -63,6 +70,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"unsupported schema_version {self.schema_version}; expected {SCHEMA_VERSION}"
             )
+        for key in _INT_KEYS:
+            if not _is_int(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        if self.onsets is not None and not all(map(_is_int, self.onsets)):
+            raise ValueError(f"onsets must be integers, got {list(self.onsets)!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.placement not in _PLACEMENTS:
@@ -102,7 +114,9 @@ class ExperimentConfig:
         if data.get("mu1_grid") is not None:
             kwargs["mu1_grid"] = tuple(float(m) for m in data["mu1_grid"])
         if data.get("onsets") is not None:
-            kwargs["onsets"] = tuple(int(g) for g in data["onsets"])
+            if not isinstance(data["onsets"], (list, tuple)):
+                raise ValueError(f"onsets must be a list of integers, got {data['onsets']!r}")
+            kwargs["onsets"] = tuple(data["onsets"])
         return cls(**kwargs)
 
     @classmethod

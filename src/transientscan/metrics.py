@@ -22,14 +22,15 @@ in ``tests/oracles.py``.
 
 Reproducibility contract: the trial range is cut into fixed chunks of
 ``_CHUNK`` trials, and each chunk draws from one generator keyed by
-``(seed, stream tag, chunk index)``.  A chunk draws the initial-stop
-uniforms first.  A memoryless rule on columns of one law (pure-F0 runs, and
-restart runs, which see only F1 onset samples) takes the flat layout: the
-chunk's trials cut consecutive segments, in trial order, from one stream
-drawn a buffer at a time, each buffer followed by whatever ``alarm_mask``
-consumes.  Every other run takes the block layout: one block of samples
-per step for the trials still running (consecutive time steps, or in
-restart mode the onset samples), then whatever ``alarm_mask`` consumes.
+``(seed, stream tag, chunk index)``.  A chunk of a rule with an initial
+stop draws its initial-stop uniforms first; a rule without one draws none.
+A memoryless rule on columns of one law (pure-F0 runs, and restart runs,
+which see only F1 onset samples) takes the flat layout: the chunk's trials
+cut consecutive segments, in trial order, from one stream drawn a buffer
+at a time, each buffer followed by whatever ``alarm_mask`` consumes.
+Every other run takes the block layout: one block of samples per step for
+the trials still running (consecutive time steps, or in restart mode the
+onset samples), then whatever ``alarm_mask`` consumes.
 Aggregation reduces per-trial records in trial order, and one call runs
 its chunks in order in one process.  Parallel work is split by the rows of
 a sweep (:func:`detect_first_any_curves`), each row whole in one process,
@@ -43,7 +44,9 @@ schedule, which is linear in ``s``.
 Fixed costs per call: a schedule derives its onset array and F1 column
 mask once (read-only cached properties of :class:`ChangeSchedule`), and
 every chunk and scoring pass reads them.  A call of one chunk returns that
-chunk's arrays as they are.  Scoring is one pass over the stops: the
+chunk's arrays as they are, and a rule with no initial stop keeps no
+initial-stop bookkeeping: its runs are the chunk's stops, and every
+stopping sample gives a ratio.  Scoring is one pass over the stops: the
 per-onset hits and survivors, each run's missed onsets, and from those
 counts the conditional-detection sum; only :func:`estimate_pollak` also
 builds the per-onset terms, which the criteria report does not carry.
@@ -129,7 +132,7 @@ class RunLengthSample:
         All NaN for an empty sample; the spreads are 0 for one run."""
         if self.n == 0:
             return (math.nan,) * 5
-        x = np.stack((self.lrs, self.taus))
+        x = np.array((self.lrs, self.taus))
         mean = np.add.reduce(x, axis=1)
         mean /= self.n
         d = x - mean[:, None]
@@ -176,10 +179,13 @@ class CriteriaReport:
             est = getattr(self, name)
             if not 0.0 <= est.value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {est.value}")
-        for f in fields(self):
-            est = getattr(self, f.name)
-            if isinstance(est, Estimate) and est.std_error < 0.0:
-                raise ValueError(f"{f.name} has a negative standard error")
+        for name in _ESTIMATE_FIELDS:
+            if getattr(self, name).std_error < 0.0:
+                raise ValueError(f"{name} has a negative standard error")
+
+
+#: the :class:`Estimate` fields of a :class:`CriteriaReport`
+_ESTIMATE_FIELDS = tuple(f.name for f in fields(CriteriaReport) if f.type == "Estimate")
 
 
 def _seed_sequence(seed, *key) -> np.random.SeedSequence:
@@ -219,13 +225,6 @@ def _mean_se(values: np.ndarray) -> Estimate:
 
 # ---------------------------------------------------------------------------
 # The simulate-and-score kernel
-
-
-def _first_stops(mask: np.ndarray) -> np.ndarray:
-    """Column of each row's first alarm in a block of verdicts, -1 for none."""
-    first = mask.argmax(axis=1)  # column 0 for a row without an alarm
-    alarmed = mask.reshape(-1)[first + np.arange(0, mask.size, mask.shape[1])]
-    return np.where(alarmed, first, -1)
 
 
 def _row_times(times: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -268,15 +267,21 @@ def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float, keep_
         runs[-1] = size
         runs[1:] -= hit + 1
         runs[0] += carry
-        if runs.max() < limit:  # no trial censored: one trial per alarm
-            rest = runs
-            ends = np.arange(done, done + runs.size)
-        else:
-            censored, rest = np.divmod(runs, limit)
-            censored += 1
-            censored[0] += done - 1
-            ends = censored.cumsum()
+        if runs.max() < limit:
+            # no trial censored: trials done, done + 1, ... stop on the
+            # alarms in turn (those past the chunk's last trial are dropped)
+            k = min(n - done, hit.size)
+            at[done : done + k] = runs[:k]
+            if keep_samples:
+                x_at[done : done + k] = x[hit[:k]]
+            done += hit.size
+            carry = int(runs[-1])
+            continue
+        censored, rest = np.divmod(runs, limit)
+        censored += 1
+        censored[0] += done - 1
         # ends: the trial of each stop, then the next trial
+        ends = censored.cumsum()
         k = ends[:-1].searchsorted(n)  # stops past the chunk's last trial are dropped
         at[ends[:k]] = rest[:k]
         if keep_samples:
@@ -289,7 +294,6 @@ def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float, keep_
 def _simulate_chunk(
     lo: int,
     hi: int,
-    *,
     rule: StoppingRule,
     pair: DistributionPair,
     schedule: ChangeSchedule,
@@ -303,48 +307,61 @@ def _simulate_chunk(
 
     A stop is 0 for an initial stop, the stopping time, or ``_CENSORED``
     when the horizon ran out first; the stopping sample of a run without
-    one is NaN.  ``mode`` chooses the columns drawn, each able to end a
-    run: every time step, or the onsets.  A chunk draws the initial-stop
-    uniforms first.
-
-    Flat layout: when every drawn column has one law (restart runs see only
-    F1 onset samples, runs on an empty single-shot schedule only F0) and
-    the rule is memoryless, a run is a renewal, so the chunk's trials take
-    consecutive segments of one flat stream (see :func:`_flat_stops`); each
-    buffer draws its samples, then whatever ``alarm_mask`` consumes.
-
-    Block layout, otherwise: the trials still running are simulated
-    together, one ``(trials x columns)`` block at a time; a block draws an
-    F0 matrix whose affected columns are redrawn from F1 (restart: one F1
-    matrix of onset samples), then whatever ``alarm_mask`` consumes.
+    one is NaN.  A rule with an initial stop draws the chunk's initial-stop
+    uniforms first, and only the trials that did not stop take the runs of
+    :func:`_runs`; a rule without one draws no uniforms, and its runs are
+    the chunk's stops as they come.
     """
     rng = trial_rng(seed, stream, lo // _CHUNK)
     n = hi - lo
-    stop = np.full(n, _CENSORED, dtype=np.int64)
-    x_stop = np.full(n, np.nan) if keep_samples else None
     pi0 = getattr(rule, "initial_stop_prob", 0.0)
     if pi0 > 0.0:
-        stop[rng.random(n) < pi0] = 0
+        stop = np.zeros(n, dtype=np.int64)
+        running = (rng.random(n) >= pi0).nonzero()[0]
+        stop[running], x_run = _runs(rule, pair, schedule, mode, rng, running.size, keep_samples)
+        if not keep_samples:
+            return stop, None
+        x_stop = np.full(n, np.nan)
+        x_stop[running] = x_run
+        return stop, x_stop
+    return _runs(rule, pair, schedule, mode, rng, n, keep_samples)
+
+
+def _runs(rule, pair, schedule: ChangeSchedule, mode: Mode, rng, n: int, keep_samples: bool):
+    """Stop times of ``n`` runs drawn from ``rng`` (each the stopping time or
+    ``_CENSORED``), and with ``keep_samples`` each run's stopping sample
+    (NaN for none; else None).  ``mode`` chooses the columns drawn, each
+    able to end a run: every time step, or the onsets.
+
+    Flat layout: when the rule is memoryless and a run has columns to draw,
+    all of one law (restart runs on onsets see only F1 onset samples, runs
+    on an empty single-shot schedule only F0), a run is a renewal, so the
+    runs take consecutive segments of one flat stream (see
+    :func:`_flat_stops`); each buffer draws its samples, then whatever
+    ``alarm_mask`` consumes.
+
+    Block layout, otherwise: the runs still going are simulated together,
+    one ``(runs x columns)`` block at a time; a block draws an F0 matrix
+    whose affected columns are redrawn from F1 (restart: one F1 matrix of
+    onset samples), then whatever ``alarm_mask`` consumes.  A restart run
+    on no onsets draws nothing and is censored.
+    """
     restart = mode == "restart"
     eta = getattr(rule, "eta", None)
-    active = (stop == _CENSORED).nonzero()[0]
-    one_law = restart or not schedule.onsets
-    if one_law and getattr(rule, "memoryless", False):
+    if getattr(rule, "memoryless", False) and restart == bool(schedule.onsets):
         limit = schedule.s if restart else schedule.horizon
-        if limit:
-            law = "alternative" if restart else "nominal"
-            # eta is the mean gap of F0 runs; F1 alarms come sooner
-            gap = _MIN_BLOCK if eta is None or restart else eta
-            at, x_at = _flat_stops(rule, pair, law, rng, active.size, limit, gap, keep_samples)
-            # segment index -> stop time; a censored trial's -1 reads the
-            # appended _CENSORED in restart mode
-            if restart:
-                stop[active] = np.append(schedule.onset_times, _CENSORED)[at]
-            else:
-                stop[active] = np.where(at >= 0, at + 1, _CENSORED)
-            if keep_samples:
-                x_stop[active] = x_at
-        return stop, x_stop
+        law = "alternative" if restart else "nominal"
+        # eta is the mean gap of F0 runs; F1 alarms come sooner
+        gap = _MIN_BLOCK if eta is None or restart else eta
+        at, x_at = _flat_stops(rule, pair, law, rng, n, limit, gap, keep_samples)
+        # segment index -> stop time; a censored run's -1 reads the appended
+        # _CENSORED in restart mode
+        if restart:
+            return np.append(schedule.onset_times, _CENSORED)[at], x_at
+        return np.where(at >= 0, at + 1, _CENSORED), x_at
+    stop = np.full(n, _CENSORED, dtype=np.int64)
+    x_stop = np.full(n, np.nan) if keep_samples else None
+    active = np.arange(n)
     cols = schedule.onset_times - 1 if restart else np.arange(schedule.horizon)
     is_f1 = schedule.f1_columns
     # eta = inf (a threshold with no F0 tail) gives no mean run length to size by
@@ -357,17 +374,21 @@ def _simulate_chunk(
             x = np.asarray(pair.sample("alternative", rng, (active.size, nb)), dtype=float)
         else:
             x = np.asarray(pair.sample("nominal", rng, (active.size, nb)), dtype=float)
-            f1_cols = is_f1[block_cols].nonzero()[0]
+            # a single-shot block's columns are the time steps c0..c0+nb-1
+            f1_cols = is_f1[c0 : c0 + nb].nonzero()[0]
             if f1_cols.size:
                 x[:, f1_cols] = pair.sample("alternative", rng, (active.size, f1_cols.size))
-        first = _first_stops(rule.alarm_mask(_row_times(block_cols + 1, x.shape), x, rng))
-        done = first >= 0
-        hit = done.nonzero()[0]
-        rows, at = active[hit], first[hit]
-        if keep_samples:
-            x_stop[rows] = x[hit, at]
-        stop[rows] = block_cols[at] + 1
-        active = active[~done]
+        mask = rule.alarm_mask(_row_times(block_cols + 1, x.shape), x, rng)
+        # each row's first alarm, column 0 for a row without one
+        first = mask.argmax(axis=1)
+        alarmed = mask.reshape(-1)[first + np.arange(0, mask.size, nb)]
+        hit = alarmed.nonzero()[0]
+        if hit.size:
+            rows, at = active[hit], first[hit]
+            if keep_samples:
+                x_stop[rows] = x[hit, at]
+            stop[rows] = block_cols[at] + 1
+            active = active[~alarmed]
         c0 += nb
         block *= 2
     return stop, x_stop
@@ -390,18 +411,12 @@ def _simulate(
         raise ValueError(f"unknown mode {mode!r}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    kwargs = dict(
-        rule=rule,
-        pair=pair,
-        schedule=schedule,
-        mode=mode,
-        seed=seed,
-        stream=stream,
-        keep_samples=keep_samples,
-    )
     if n_trials <= _CHUNK:
-        return _simulate_chunk(0, n_trials, **kwargs)
-    parts = [_simulate_chunk(lo, hi, **kwargs) for lo, hi in _chunk_ranges(n_trials)]
+        return _simulate_chunk(0, n_trials, rule, pair, schedule, mode, seed, stream, keep_samples)
+    parts = [
+        _simulate_chunk(lo, hi, rule, pair, schedule, mode, seed, stream, keep_samples)
+        for lo, hi in _chunk_ranges(n_trials)
+    ]
     samples = np.concatenate([p[1] for p in parts]) if keep_samples else None
     return np.concatenate([p[0] for p in parts]), samples
 
@@ -464,9 +479,12 @@ def simulate_run_lengths(
     censored = int(stop.size - np.count_nonzero(keep))
     if censored:
         stop, x_stop = stop[keep], x_stop[keep]
-    lrs = np.zeros(stop.size)
-    moved = stop > 0
-    lrs[moved] = np.exp(pair.log_likelihood_ratio(x_stop[moved]))
+    if getattr(rule, "initial_stop_prob", 0.0) > 0.0:
+        lrs = np.zeros(stop.size)
+        moved = stop > 0
+        lrs[moved] = np.exp(pair.log_likelihood_ratio(x_stop[moved]))
+    else:  # every run consumed its stopping sample
+        lrs = np.exp(pair.log_likelihood_ratio(x_stop))
     return RunLengthSample(taus=stop.astype(float), lrs=lrs, censored=censored)
 
 
@@ -579,12 +597,15 @@ def _pollak_sum(
     """
     survivors = np.asarray(survivors)
     ok = survivors >= min_survivors
-    m = survivors[ok]
-    p = np.asarray(hits)[ok] / m
+    if ok.all():
+        m, p, degenerate = survivors, np.asarray(hits) / survivors, ()
+    else:
+        m = survivors[ok]
+        p = np.asarray(hits)[ok] / m
+        degenerate = tuple(np.asarray(onsets)[~ok].tolist())
     se = np.sqrt(p * (1.0 - p) / m)
     total = float(p.cumsum()[-1]) if p.size else 0.0
     var = float((se * se).cumsum()[-1]) if p.size else 0.0
-    degenerate = tuple(np.asarray(onsets)[~ok].tolist())
     if degenerate and on_degenerate == "raise":
         raise DegenerateEstimateError(
             f"onsets {list(degenerate)} were reached by fewer than {min_survivors} trials; "
@@ -715,14 +736,6 @@ def evaluate_criteria(
 # Sweep rows (the report schema shared with the experiment harness)
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{v:.17g}"
-
-
 @dataclass(frozen=True)
 class CurveRow:
     """One report row; its fields, in order, are the CSV columns."""
@@ -748,13 +761,18 @@ class CurveRow:
     seed: int
 
     def to_csv_line(self) -> str:
-        return ",".join(map(_csv_cell, _row_cells(self)))
+        return _CSV_LINE % _row_cells(self)
 
 
 _COLUMNS = tuple(f.name for f in fields(CurveRow))
 CSV_COLUMNS = ",".join(_COLUMNS)
 #: a row's field values in column order
 _row_cells = attrgetter(*_COLUMNS)
+#: one CSV line's format by the fields' types: floats to 17 significant
+#: digits (repr's round trip), integers exact, strings as they are
+_CSV_LINE = ",".join(
+    {"float": "%.17g", "int": "%d", "str": "%s"}[f.type] for f in fields(CurveRow)
+)
 
 
 def _curve_row(schedule: ChangeSchedule, n_trials: int, mode: Mode, cell) -> CurveRow:

@@ -6,6 +6,8 @@ None of this is part of ``transientscan``: the library needs numpy only.
     :func:`run_monitoring`) scores one concrete realization alarm by alarm;
     the vectorized kernel in ``transientscan.metrics`` must agree with it
     run by run.
+  * :func:`run_stream` runs a rule's scalar ``step`` over a stream, the
+    reference its ``alarm_mask`` and ``detect`` share one decision with.
   * Two chi-square checks (scipy): :func:`geometric_gof_pvalue` fits run
     lengths against the geometric law, and
     :func:`history_independence_pvalue` tests a rule's verdict at an onset
@@ -20,7 +22,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from transientscan import ChangeSchedule, DegenerateEstimateError, generate_sequence
-from transientscan.metrics import STREAM_MONITOR, _chunk_ranges, _first_stops, trial_rng
+from transientscan.metrics import STREAM_MONITOR, _chunk_ranges, trial_rng
 
 #: stream tag of :func:`history_independence_pvalue` (the library's
 #: estimators do not use it)
@@ -46,6 +48,31 @@ class TrialOutcome:
     alarms: tuple[tuple[int, str], ...]
     first_detection_time: int | None
     missed_onsets_before_detection: int
+
+
+def first_alarms(mask) -> np.ndarray:
+    """Column of each row's first alarm in a block of verdicts, -1 for none:
+    a scan of its own, so the replays below stay independent of the kernel."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
+
+
+def run_stream(rule, observations, rng=None) -> int | None:
+    """First 1-based index whose sample alarms under ``rule.step``, 0 for an
+    initial stop, or None when the source is exhausted without an alarm.
+
+    With probability ``initial_stop_prob`` the rule stops before consuming
+    anything (one uniform is drawn up front in that case).
+    """
+    if rule.initial_stop_prob > 0.0:
+        if rng is None:
+            raise ValueError("initial_stop_prob > 0 requires an rng")
+        if rng.random() < rule.initial_stop_prob:
+            return 0
+    step = rule.step
+    for t, x in enumerate(observations, start=1):
+        if step(x, rng)[0]:
+            return t
+    return None
 
 
 def monitor_sequence(
@@ -178,7 +205,7 @@ def history_independence_pvalue(
         x = np.asarray(pair.sample("nominal", rng, (active.size, schedule.horizon)), dtype=float)
         if f1_cols.size:
             x[:, f1_cols] = pair.sample("alternative", rng, (active.size, f1_cols.size))
-        first = _first_stops(rule.alarm_mask(np.broadcast_to(times, x.shape), x, rng))
+        first = first_alarms(rule.alarm_mask(np.broadcast_to(times, x.shape), x, rng))
         stop[active] = np.where(first >= 0, first + 1, -1)
         last[active] = x[:, onset - 2]
         stops.append(stop)

@@ -21,7 +21,7 @@ from transientscan import (
 from transientscan.cli import main
 from transientscan.sequence_model import read_sequence_csv
 
-from oracles import monitor_sequence
+from oracles import monitor_sequence, run_stream
 
 PAIR = GaussianMeanShift(mean0=0.0, mean1=1.0, sigma=1.0)
 
@@ -259,7 +259,7 @@ def test_detect_error_names_the_physical_line(capsys, monkeypatch):
 def test_step_run_stream_and_detect_share_one_decision(capsys, monkeypatch):
     det = calibrate(PAIR, 100.0)
     monkeypatch.setattr(ShewhartDetector, "step", lambda self, x, rng=None: (x > 5.0, 0.125))
-    assert det.run_stream([0.0, 6.0]) == 2
+    assert run_stream(det, [0.0, 6.0]) == 2
     monkeypatch.setattr(sys, "stdin", io.StringIO("0\n6\n"))
     code, out, _ = run_cli(capsys, "detect", "--eta", "100")
     assert code == 10
@@ -403,6 +403,36 @@ def test_experiment_rejects_bad_config(tmp_path, capsys):
     code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path))
     assert code == 2
     assert "schema_version" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_trials", 100.0),
+        ("n_trials", True),
+        ("s", "3"),
+        ("master_seed", 1.5),
+        ("horizon", 1000.5),
+        ("T", 1.0),
+        ("onsets", [4.7, 20]),
+        ("onsets", [4, False]),
+        ("onsets", 4),
+    ],
+)
+def test_experiment_rejects_a_non_integer_count(tmp_path, capsys, key, value):
+    cfg = json.loads((Path(transientscan._PRESET_DIR) / "acceptance.json").read_text())
+    cfg[key] = value
+    if key == "onsets":
+        cfg["placement"] = "explicit"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "experiment", "--config", str(cfg_path), "--out-dir", str(out_dir)
+    )
+    assert code == 2
+    assert out == "" and f"{key} must be" in err and "integer" in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -53,31 +53,33 @@ def test_construction_accepts_sigma_whose_square_is_subnormal_or_near_the_top():
 
 
 def test_density_at_the_modes():
-    assert PAIR.density("nominal", 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-12)
-    assert PAIR.density("alternative", 1.0) == pytest.approx(
-        1.0 / math.sqrt(2 * math.pi), abs=1e-12
-    )
-    assert PAIR.density("nominal", 0.0) == pytest.approx(0.398942, abs=1e-6)
+    # a density is the exp of its log density
+    mode = 1.0 / math.sqrt(2 * math.pi)
+    assert np.exp(PAIR.log_density("nominal", 0.0)) == pytest.approx(mode, abs=1e-12)
+    assert np.exp(PAIR.log_density("alternative", 1.0)) == pytest.approx(mode, abs=1e-12)
+    assert np.exp(PAIR.log_density("nominal", 0.0)) == pytest.approx(0.398942, abs=1e-6)
 
 
 def test_density_matches_direct_formula():
-    assert PAIR.density("nominal", 2.0) == pytest.approx(gauss_pdf(2.0, 0.0, 1.0), rel=1e-12)
-    assert PAIR.density("nominal", 2.0) == pytest.approx(0.053991, abs=1e-6)
+    f0_at_2 = np.exp(PAIR.log_density("nominal", 2.0))
+    assert f0_at_2 == pytest.approx(gauss_pdf(2.0, 0.0, 1.0), rel=1e-12)
+    assert f0_at_2 == pytest.approx(0.053991, abs=1e-6)
     wide = GaussianMeanShift(mean0=-1.0, mean1=2.5, sigma=3.0)
     for x in (-7.0, -1.0, 0.3, 4.2):
-        assert wide.density("nominal", x) == pytest.approx(gauss_pdf(x, -1.0, 3.0), rel=1e-12)
-        assert wide.density("alternative", x) == pytest.approx(gauss_pdf(x, 2.5, 3.0), rel=1e-12)
+        f0, f1 = (np.exp(wide.log_density(which, x)) for which in ("nominal", "alternative"))
+        assert f0 == pytest.approx(gauss_pdf(x, -1.0, 3.0), rel=1e-12)
+        assert f1 == pytest.approx(gauss_pdf(x, 2.5, 3.0), rel=1e-12)
 
 
 def test_density_strictly_positive():
     xs = np.linspace(-30, 30, 101)
-    assert (PAIR.density("nominal", xs) > 0).all()
-    assert (PAIR.density("alternative", xs) > 0).all()
+    assert (np.exp(PAIR.log_density("nominal", xs)) > 0).all()
+    assert (np.exp(PAIR.log_density("alternative", xs)) > 0).all()
 
 
 def test_density_rejects_unknown_label():
     with pytest.raises(ValueError):
-        PAIR.density("post_change", 0.0)
+        PAIR.log_density("post_change", 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from transientscan import (
 )
 from transientscan import harness, metrics
 from transientscan.harness import render_report_csv
-from transientscan.metrics import CSV_COLUMNS, STREAM_SCHEDULE, CurveRow, _csv_cell, trial_rng
+from transientscan.metrics import CSV_COLUMNS, STREAM_SCHEDULE, CurveRow, trial_rng
 from transientscan.sequence_model import make_schedule
 
 TINY = {
@@ -143,16 +143,38 @@ def test_report_csv_is_deterministic_and_embeds_provenance():
     assert len(lines) == 4 + len(cfg.eta_grid)
 
 
+def csv_cell(v) -> str:
+    """The per-cell rule a CSV line keeps: str as is, integers exact, the rest .17g."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{v:.17g}"
+
+
 def test_csv_line_formats_each_field_in_column_order():
-    # the runtime type picks the format: str as is, integers exact, the rest .17g
-    row = CurveRow(
-        5, np.float64(1.5), np.int64(100), 1, "restart", 0.1, 0.0, math.nan, math.inf,
-        2.0**-1074, 1e17, -0.0, 1 / 3, 7, np.float32(0.1), True, 1e300, 2000, 2**70,
-    )
-    values = [getattr(row, f.name) for f in dataclasses.fields(row)]
-    assert row.to_csv_line() == ",".join(_csv_cell(v) for v in values)
-    head = ["5", "1.5", "100", "1", "restart", "0.10000000000000001"]
-    assert row.to_csv_line().split(",")[:6] == head
+    # each field's declared type picks the format; rows holding other types
+    # (numpy scalars, bool, a float32, NaN, the infinities, -0.0) still print
+    # as the per-cell rule does
+    rows = [
+        CurveRow(
+            5, np.float64(1.5), np.int64(100), 1, "restart", 0.1, 0.0, math.nan, math.inf,
+            2.0**-1074, 1e17, -0.0, 1 / 3, 7, np.float32(0.1), True, 1e300, 2000, 2**70,
+        ),
+        CurveRow(
+            np.float64(-math.inf), -0.0, 0, np.int64(2**62), "single_shot", np.float64(math.nan),
+            np.float64(-0.0), -math.inf, np.float64(1e-300), -1.5, np.float64(2.0**53 + 2),
+            math.nan, -math.inf, np.float64(math.inf), -0.0, np.float64(5e-324), 0.0,
+            np.int64(1), np.int64(-(2**63)),
+        ),
+    ]
+    for row in rows:
+        values = [getattr(row, f.name) for f in dataclasses.fields(row)]
+        assert row.to_csv_line() == ",".join(csv_cell(v) for v in values)
+    head = ["5", "1.5", "100", "1", "restart", "0.10000000000000001", "0", "nan", "inf"]
+    assert rows[0].to_csv_line().split(",")[:9] == head
+    head = ["-inf", "-0", "0", str(2**62), "single_shot", "nan", "-0"]
+    assert rows[1].to_csv_line().split(",")[:7] == head
 
 
 def test_config_dict_is_the_field_by_field_dict():

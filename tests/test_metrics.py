@@ -28,7 +28,6 @@ from transientscan.metrics import (
     _CHUNK,
     STREAM_MONITOR,
     Estimate,
-    _first_stops,
     _mean_se,
     _pollak_from_counts,
     _pollak_sum,
@@ -39,6 +38,7 @@ from transientscan.metrics import (
 )
 
 from oracles import (
+    first_alarms,
     geometric_gof_pvalue,
     history_independence_pvalue,
     monitor_sequence,
@@ -252,6 +252,28 @@ def test_pollak_empty_schedule_is_zero():
     sched = make_schedule(50, 0, 1)
     est = estimate_pollak(det, PAIR, sched, 100, seed=0)
     assert est.value == 0.0 and est.std_error == 0.0
+
+
+def test_restart_runs_on_no_onsets_draw_nothing_and_are_censored(monkeypatch):
+    drawn = []
+    original = GaussianMeanShift.sample
+
+    def counting_sample(self, which, rng, size=None):
+        drawn.append(int(np.prod(size)))
+        return original(self, which, rng, size)
+
+    monkeypatch.setattr(GaussianMeanShift, "sample", counting_sample)
+    sched = make_schedule(50, 0, 1)
+    rules = (calibrate(PAIR, 10.0), BernoulliStopRule(0.5), FixedTimeRule(3))
+    for rule in rules + (calibrate(PAIR, 10.0, initial_stop_prob=0.5),):
+        pi0 = getattr(rule, "initial_stop_prob", 0.0)
+        for n in (1, 300):
+            stop, x = _simulate(rule, PAIR, sched, "restart", n, 5, STREAM_MONITOR, True)
+            assert set(stop.tolist()) <= ({-1, 0} if pi0 else {-1})
+            assert np.isnan(x).all()
+    assert drawn == []
+    rep = evaluate_criteria(rules[0], PAIR, sched, n_trials=300, seed=5, mode="restart")
+    assert rep.detect_any_prob.value == rep.avg_missed.value == rep.pollak_estimate.value == 0.0
 
 
 def test_pollak_schedule_invariance_for_memoryless_rules():
@@ -606,7 +628,7 @@ def test_kernel_scoring_matches_monitor_sequence(mode):
     # a single-shot run ends at its first alarm, a restart run at its first
     # alarm among the onset columns
     cols = np.arange(sched.horizon) if mode == "single_shot" else np.asarray(sched.onsets) - 1
-    first = _first_stops(mask[:, cols])
+    first = first_alarms(mask[:, cols])
     # row 0 of the scored stops is an initial stop
     stop = np.concatenate([[0], np.where(first >= 0, cols[first] + 1, -1)])
     scores = _score(stop, sched)
@@ -1001,6 +1023,44 @@ def test_single_shot_and_f0_outputs_are_pinned():
     # On one host exactly one digest applies; CI reruns this with numpy's
     # AVX-512 targets disabled, so both are checked
     assert single_shot_and_f0_digest() == SINGLE_SHOT_AND_F0_SHA256[np_exp_kernel()]
+
+
+def initial_stop_digest() -> str:
+    """sha256 of what no preset or pin covers: a rule with an initial stop.
+    F0 run lengths, then single-shot and restart conditional-detection terms
+    over criterion 3's schedules, at 1 and 300 trials (300 spans two chunks)."""
+    rule = calibrate(PAIR, 20.0, initial_stop_prob=0.3)
+    lines = []
+    for n in (1, 300):
+        f0 = simulate_run_lengths(rule, PAIR, n, 200, seed=313 + n)
+        lines.append(f"f0 {n} {_hexes(f0.taus)} {_hexes(f0.lrs)} {f0.censored}")
+        for mode in ("single_shot", "restart"):
+            for sched in CRITERION_3_SCHEDULES:
+                est = estimate_pollak(
+                    rule, PAIR, sched, n, seed=314 + n, mode=mode,
+                    min_survivors=1, on_degenerate="exclude",
+                )
+                terms = [v for term in est.per_onset for v in term]
+                lines.append(
+                    f"pollak {mode} {n} {sched.s} {_hexes((est.value, est.std_error))} "
+                    f"{_hexes(terms)} {est.survivors} {est.degenerate_onsets}"
+                )
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+#: :func:`initial_stop_digest` by the kernel behind np.exp, as above
+INITIAL_STOP_SHA256 = {
+    "libm": "e0eefbb49104a99eb37c8f73a6039a2eabc48184e68e9f70577ce6fa1e630ecb",
+    "avx512": "0a8fc493adb249e2ed710e40155abd7b33a640283c647ccdf04088af92782eb3",
+}
+
+
+def test_initial_stop_outputs_are_pinned():
+    # the kernel keeps initial-stop bookkeeping only for a rule with an
+    # initial stop, and every preset and the digest above run without one,
+    # so this pins the bits of the other branch in all three layouts
+    # (flat F0, flat restart, block single-shot)
+    assert initial_stop_digest() == INITIAL_STOP_SHA256[np_exp_kernel()]
 
 
 def _random_stops(rng, sched, n):

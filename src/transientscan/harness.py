@@ -23,13 +23,14 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import _PRESET_DIR, __version__, preset_names
 from .distributions import DistributionPair, pair_from_config
 from .metrics import (
     CSV_COLUMNS,
     STREAM_SCHEDULE,
     CurveRow,
-    _seed_sequence,
     detect_first_any_curves,
     trial_rng,
 )
@@ -79,6 +80,11 @@ class ExperimentConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.placement not in _PLACEMENTS:
             raise ValueError(f"placement must be one of {_PLACEMENTS}, got {self.placement!r}")
+        # explicit onsets are the schedule, and the rows report s: both must agree
+        if (self.placement == "explicit") != (self.onsets is not None):
+            raise ValueError(f"onsets go with explicit placement only, got {self.placement!r}")
+        if self.onsets is not None and len(self.onsets) != self.s:
+            raise ValueError(f"onsets must list s = {self.s} onsets, got {list(self.onsets)}")
         if not self.eta_grid:
             raise ValueError("eta_grid must be nonempty")
         if any(eta < 1.0 for eta in self.eta_grid):
@@ -161,7 +167,7 @@ def run_eta_sweep(config: ExperimentConfig, *, n_workers: int = 1) -> list[Curve
             for mi, mu1 in enumerate(config.mu1_grid)
         ]
     cells = [
-        (pair, _seed_sequence(config.master_seed, *key, gi), eta)
+        (pair, np.random.SeedSequence(config.master_seed, spawn_key=(*key, gi)), eta)
         for key, pair in keyed
         for gi, eta in enumerate(config.eta_grid)
     ]

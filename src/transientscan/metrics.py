@@ -41,14 +41,15 @@ deviation for means, delta method for the bound ratio.  Each run-length
 sample takes its moments once; they serve its ARL and the ceiling of every
 schedule, which is linear in ``s``.
 
-Fixed costs per call: a schedule derives its onset array and F1 column
-mask once (read-only cached properties of :class:`ChangeSchedule`), and
-every chunk and scoring pass reads them.  A call of one chunk returns that
+Fixed costs per call: a schedule derives its onset array, scoring edges
+and F1 column mask once (read-only cached properties of
+:class:`ChangeSchedule`).  A chunk's generator is keyed from the entropy
+words SeedSequence would assemble itself.  A call of one chunk returns that
 chunk's arrays as they are, and a rule with no initial stop keeps no
-initial-stop bookkeeping: its runs are the chunk's stops, and every
-stopping sample gives a ratio.  Scoring is one pass over the stops: the
-per-onset hits and survivors, each run's missed onsets, and from those
-counts the conditional-detection sum; only :func:`estimate_pollak` also
+initial-stop bookkeeping.  The block layout builds its times once per call.
+Scoring is one search of the stops among the scoring edges, whose ranks
+give, by one ``bincount`` and one ``cumsum``, the per-onset hits and
+survivors and each run's missed onsets; only :func:`estimate_pollak` also
 builds the per-onset terms, which the criteria report does not carry.
 """
 
@@ -137,10 +138,10 @@ class RunLengthSample:
         mean /= self.n
         d = x - mean[:, None]
         dof = max(self.n - 1, 1)
-        cov = np.dot(d, d.T)  # np.cov's own steps, so its last bit
-        cov *= np.true_divide(1, dof)
+        # np.cov's own steps, so its last bit: the products' sum times 1 / dof
+        cov = float(np.dot(d, d.T)[0, 1]) * (1.0 / dof)
         var = np.add.reduce(d * d, axis=1) / dof
-        return (*mean.tolist(), *var.tolist(), float(cov[0, 1]))
+        return (*mean.tolist(), *var.tolist(), cov)
 
 
 @dataclass(frozen=True)
@@ -188,19 +189,34 @@ class CriteriaReport:
 _ESTIMATE_FIELDS = tuple(f.name for f in fields(CriteriaReport) if f.type == "Estimate")
 
 
-def _seed_sequence(seed, *key) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, *key))
-    return np.random.SeedSequence(seed, spawn_key=key)
+def _words(value: int) -> list[int]:
+    """A nonnegative int's 32-bit words as SeedSequence splits it (low first)."""
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
 
 
 def trial_rng(seed, *key) -> np.random.Generator:
     """Generator keyed by ``key`` under ``seed`` (an int or a SeedSequence).
 
     The estimators draw chunk ``c`` of a stream from ``trial_rng(seed,
-    stream, c)``.
+    stream, c)``: the stream of ``SeedSequence(seed, spawn_key=key)``, where
+    a SeedSequence seed lends its entropy and puts its spawn key first.  For
+    nonnegative int entropy and key, the sequence is built from the words it
+    would assemble itself, which skips converting the key tuple.
     """
-    return np.random.default_rng(_seed_sequence(seed, *key))
+    if isinstance(seed, np.random.SeedSequence):
+        seed, key = seed.entropy, (*seed.spawn_key, *key)
+    if key and type(seed) is int and seed >= 0 and all(type(k) is int and k >= 0 for k in key):
+        words = _words(seed)
+        words += [0] * (4 - len(words))  # a key follows the entropy padded to 4 words
+        for k in key:
+            words += _words(k)
+        seed, key = np.array(words, dtype=np.uint32), ()
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def _chunk_ranges(n_trials: int) -> list[tuple[int, int]]:
@@ -228,8 +244,8 @@ def _mean_se(values: np.ndarray) -> Estimate:
 
 
 def _row_times(times: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The block's times, one row repeated over ``shape``: a read-only view,
-    as ``np.broadcast_to`` gives, without its checks (half the cost)."""
+    """``times``, one row repeated over ``shape``: a read-only view, as
+    ``np.broadcast_to`` gives, without its checks (half the cost)."""
     view = np.ndarray(shape, times.dtype, times, strides=(0, times.itemsize))
     view.flags.writeable = False
     return view
@@ -358,18 +374,20 @@ def _runs(rule, pair, schedule: ChangeSchedule, mode: Mode, rng, n: int, keep_sa
         # _CENSORED in restart mode
         if restart:
             return np.append(schedule.onset_times, _CENSORED)[at], x_at
-        return np.where(at >= 0, at + 1, _CENSORED), x_at
+        at += at >= 0  # a censored run keeps its -1
+        return at, x_at
     stop = np.full(n, _CENSORED, dtype=np.int64)
     x_stop = np.full(n, np.nan) if keep_samples else None
     active = np.arange(n)
-    cols = schedule.onset_times - 1 if restart else np.arange(schedule.horizon)
+    times = schedule.onset_times if restart else np.arange(1, schedule.horizon + 1)
+    row_times = _row_times(times, (n, times.size))  # each block's times are a slice
     is_f1 = schedule.f1_columns
     # eta = inf (a threshold with no F0 tail) gives no mean run length to size by
     block = max(_MIN_BLOCK, math.ceil(eta)) if eta is not None and eta < math.inf else _MIN_BLOCK
     c0 = 0
-    while active.size and c0 < cols.size:
-        nb = min(block, cols.size - c0, max(1, _MAX_BLOCK_SAMPLES // active.size))
-        block_cols = cols[c0 : c0 + nb]
+    while active.size and c0 < times.size:
+        nb = min(block, times.size - c0, max(1, _MAX_BLOCK_SAMPLES // active.size))
+        block_times = times[c0 : c0 + nb]
         if restart:
             x = np.asarray(pair.sample("alternative", rng, (active.size, nb)), dtype=float)
         else:
@@ -378,16 +396,16 @@ def _runs(rule, pair, schedule: ChangeSchedule, mode: Mode, rng, n: int, keep_sa
             f1_cols = is_f1[c0 : c0 + nb].nonzero()[0]
             if f1_cols.size:
                 x[:, f1_cols] = pair.sample("alternative", rng, (active.size, f1_cols.size))
-        mask = rule.alarm_mask(_row_times(block_cols + 1, x.shape), x, rng)
+        mask = rule.alarm_mask(row_times[: active.size, c0 : c0 + nb], x, rng)
         # each row's first alarm, column 0 for a row without one
         first = mask.argmax(axis=1)
-        alarmed = mask.reshape(-1)[first + np.arange(0, mask.size, nb)]
+        alarmed = np.logical_or(first, mask[:, 0])
         hit = alarmed.nonzero()[0]
         if hit.size:
             rows, at = active[hit], first[hit]
             if keep_samples:
                 x_stop[rows] = x[hit, at]
-            stop[rows] = block_cols[at] + 1
+            stop[rows] = block_times[at]
             active = active[~alarmed]
         c0 += nb
         block *= 2
@@ -438,15 +456,14 @@ def _score(stop: np.ndarray, schedule: ChangeSchedule) -> _Scores:
     # A restart run stops only on an onset, so every onset before its end
     # passed with no alarm at it; a single-shot run ends at its first alarm.
     # Either way the onsets before the end are the missed ones.
-    onsets = schedule.onset_times
-    end = np.where(stop == _CENSORED, schedule.horizon + 1, stop)
-    missed = onsets.searchsorted(end)
-    reached = onsets.searchsorted(end, side="right")
-    detected = reached > missed
-    # runs that reached onset i: all but those that reached fewer than i + 1
-    survivors = stop.size - np.bincount(reached, minlength=onsets.size + 1).cumsum()[:-1]
-    hits = np.bincount(missed[detected], minlength=onsets.size)
-    return _Scores(hits, survivors, missed)
+    # Each run's rank 2 * missed + detected: rank 2i + 1 stopped on onset i,
+    # and ranks up to 2i did not reach it.  The int64 stops are read as
+    # uint64, so a censored run's -1 reads 2**64 - 1, past every onset, as
+    # the end of a run that outlived the horizon should.
+    rank = schedule.onset_edges.searchsorted(stop.view(np.uint64), side="right")
+    counts = np.bincount(rank, minlength=2 * schedule.s + 1)
+    survivors = stop.size - counts.cumsum()[: 2 * schedule.s : 2]
+    return _Scores(counts[1::2], survivors, rank >> 1)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +614,7 @@ def _pollak_sum(
     """
     survivors = np.asarray(survivors)
     ok = survivors >= min_survivors
-    if ok.all():
+    if np.count_nonzero(ok) == ok.size:
         m, p, degenerate = survivors, np.asarray(hits) / survivors, ()
     else:
         m = survivors[ok]

@@ -35,9 +35,9 @@ class ChangeSchedule:
       * the last window ends at or before ``horizon``.
 
     An empty onset tuple is the no-change regime.  The array views of the
-    onsets (:attr:`onset_times`, :attr:`f1_columns`) are derived once per
-    schedule and are read-only; they are not fields, so equality, hashing
-    and :meth:`to_dict` see only the three fields.
+    onsets (:attr:`onset_times`, :attr:`onset_edges`, :attr:`f1_columns`)
+    are derived once per schedule and are read-only; they are not fields,
+    so equality, hashing and :meth:`to_dict` see only the three fields.
     """
 
     onsets: tuple[int, ...]
@@ -79,11 +79,22 @@ class ChangeSchedule:
         return _read_only(np.asarray(self.onsets, dtype=np.int64))
 
     @cached_property
+    def onset_edges(self) -> np.ndarray:
+        """Read-only uint64 array interleaving each onset ``o`` with ``o + 1``.
+        A run ending at time ``e`` ranks ``2 * missed + detected`` among them
+        (``side="right"``): ``missed`` onsets come before ``e``, and
+        ``detected`` is 1 when ``e`` is an onset."""
+        edges = np.repeat(self.onset_times.astype(np.uint64), 2)
+        edges[1::2] += 1
+        return _read_only(edges)
+
+    @cached_property
     def f1_columns(self) -> np.ndarray:
         """Read-only mask over the 0-based time indices: True where F1
         generates the sample."""
         mask = np.zeros(self.horizon, dtype=bool)
-        mask[self.affected_times() - 1] = True
+        if self.onsets:  # a pure-F0 run's schedule skips the empty index
+            mask[self.affected_times() - 1] = True
         return _read_only(mask)
 
     def __getstate__(self) -> dict:

@@ -8,6 +8,10 @@ None of this is part of ``transientscan``: the library needs numpy only.
     run by run.
   * :func:`run_stream` runs a rule's scalar ``step`` over a stream, the
     reference its ``alarm_mask`` and ``detect`` share one decision with.
+  * :class:`ThresholdSequenceRule` is a likelihood-ratio test whose
+    threshold changes with time; its run-length mean and optimality ceiling
+    are exact sums over the pair's ratio tails, the half of the optimality
+    chain that needs no Monte Carlo.
   * Two chi-square checks (scipy): :func:`geometric_gof_pvalue` fits run
     lengths against the geometric law, and
     :func:`history_independence_pvalue` tests a rule's verdict at an onset
@@ -16,12 +20,20 @@ None of this is part of ``transientscan``: the library needs numpy only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import stats as scipy_stats
 
-from transientscan import ChangeSchedule, DegenerateEstimateError, generate_sequence
+from transientscan import (
+    ChangeSchedule,
+    DegenerateEstimateError,
+    DistributionPair,
+    GaussianMeanShift,
+    generate_sequence,
+)
 from transientscan.metrics import STREAM_MONITOR, _chunk_ranges, trial_rng
 
 #: stream tag of :func:`history_independence_pvalue` (the library's
@@ -73,6 +85,56 @@ def run_stream(rule, observations, rng=None) -> int | None:
         if step(x, rng)[0]:
             return t
     return None
+
+
+@dataclass(frozen=True)
+class ThresholdSequenceRule:
+    """Alarm at time ``t`` when ``log l(x_t) >= log_alphas[t - 1]``, and
+    after the last listed step (``K = len(log_alphas)``) when ``log l(x_t)
+    >= log_alpha_inf``.  The verdict reads its time, so the rule is not
+    memoryless; it has no initial stop.
+
+    Under F0 each step alarms with probability ``q_t = P0(l >= alpha_t)``,
+    independently, so with ``S_t`` the chance of no alarm in steps 1..t:
+
+      * ``E0[tau] = sum_{t <= K} S_{t-1} + S_K / q_inf``,
+      * ``E0[l_tau] = sum_{t <= K} S_{t-1} P1(l >= alpha_t)
+        + S_K P1(l >= alpha_inf) / q_inf``,
+
+    since ``E0[l(X) 1{l(X) >= a}] = P1(l >= a)``; after step K the run is
+    geometric with stop probability ``q_inf``.
+    """
+
+    log_alphas: tuple[float, ...]
+    log_alpha_inf: float
+    pair: DistributionPair = GaussianMeanShift(mean0=0.0, mean1=1.0, sigma=1.0)
+    memoryless: ClassVar[bool] = False
+    initial_stop_prob: ClassVar[float] = 0.0
+
+    def alarm_mask(self, times, x, rng):
+        table = np.append(self.log_alphas, self.log_alpha_inf)
+        steps = np.minimum(np.asarray(times), table.size)
+        return np.asarray(self.pair.log_likelihood_ratio(x)) >= table[steps - 1]
+
+    def exact_f0_means(self) -> tuple[float, float]:
+        """``(E0[l_tau], E0[tau])``, summed as the class docstring says."""
+        survive, mean_lr, mean_tau = 1.0, 0.0, 0.0
+        for log_alpha in self.log_alphas:
+            alpha = math.exp(log_alpha)
+            mean_tau += survive
+            mean_lr += survive * self.pair.lr_tail_prob_f1(alpha)
+            survive *= 1.0 - self.pair.lr_tail_prob_f0(alpha)
+        alpha = math.exp(self.log_alpha_inf)
+        q = self.pair.lr_tail_prob_f0(alpha)
+        return (
+            mean_lr + survive * self.pair.lr_tail_prob_f1(alpha) / q,
+            mean_tau + survive / q,
+        )
+
+    def exact_ceiling(self, s: int) -> float:
+        """The optimality ceiling ``s * E0[l_tau] / E0[tau]``."""
+        mean_lr, mean_tau = self.exact_f0_means()
+        return s * mean_lr / mean_tau
 
 
 def monitor_sequence(

@@ -435,6 +435,31 @@ def test_experiment_rejects_a_non_integer_count(tmp_path, capsys, key, value):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "placement, onsets",
+    [
+        ("explicit", [4, 20]),  # s is 20
+        ("explicit", None),
+        ("even_grid", list(range(50, 1001, 50))),  # 20 onsets, but not explicit
+        ("uniform_random", [4, 20]),
+    ],
+)
+def test_experiment_rejects_onsets_that_disagree_with_the_placement(
+    tmp_path, capsys, placement, onsets
+):
+    cfg = json.loads((Path(transientscan._PRESET_DIR) / "acceptance.json").read_text())
+    cfg.update(placement=placement, onsets=onsets, n_trials=10)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "experiment", "--config", str(cfg_path), "--out-dir", str(out_dir)
+    )
+    assert code == 2
+    assert out == "" and "onsets" in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_experiment_rejects_workers_below_one(tmp_path, capsys, workers):
     code, out, err = run_cli(

@@ -300,6 +300,8 @@ def test_presets_exist_and_load():
     names = preset_names()
     for expected in ("detection_curves", "mean_sweep", "acceptance", "full_scale"):
         assert expected in names
+    for name in names:  # each passes the config checks, the onsets-placement one included
+        load_preset(name)
     curves = load_preset("detection_curves")
     assert curves.horizon == 10_000 and curves.s == 100 and curves.T == 1
     assert curves.eta_grid == (5, 10, 20, 50, 100, 200)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from transientscan import (
     AlwaysStopRule,
@@ -38,6 +40,7 @@ from transientscan.metrics import (
 )
 
 from oracles import (
+    ThresholdSequenceRule,
     first_alarms,
     geometric_gof_pvalue,
     history_independence_pvalue,
@@ -103,6 +106,51 @@ def test_trial_rng_is_keyed_and_reproducible():
     assert not np.array_equal(a, trial_rng(7, 1, 1).random(4))
     assert not np.array_equal(a, trial_rng(7, 2, 0).random(4))
     assert not np.array_equal(a, trial_rng(8, 1, 0).random(4))
+
+
+def seed_sequence_rng(seed, *key) -> np.random.Generator:
+    """The generator ``trial_rng`` must match: a SeedSequence keyed by
+    ``key`` under ``seed``, below a parent's own spawn key."""
+    if isinstance(seed, np.random.SeedSequence):
+        seed, key = seed.entropy, (*seed.spawn_key, *key)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+_SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 12_345, 2**128 + 1]),
+    st.integers(0, 2**200),
+    st.builds(
+        lambda entropy, key: np.random.SeedSequence(entropy, spawn_key=key),
+        st.integers(0, 2**70),
+        st.lists(st.integers(0, 2**40), max_size=3),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=_SEEDS, key=st.lists(st.integers(0, 2**70), max_size=4))
+@example(seed=np.random.SeedSequence(2**33, spawn_key=(5,)), key=[1, 0])
+@example(seed=7, key=[])
+def test_trial_rng_draws_the_seed_sequence_stream(seed, key):
+    # trial_rng builds the sequence from its entropy words; the stream must
+    # be SeedSequence's own, whatever the sizes of the seed and key
+    expected = seed_sequence_rng(seed, *key)
+    got = trial_rng(seed, *key)
+    assert np.array_equal(got.random(4), expected.random(4))
+    assert np.array_equal(got.integers(0, 2**63, 3), expected.integers(0, 2**63, 3))
+
+
+def test_trial_rng_keeps_seed_sequence_for_other_entropy():
+    # numpy integers, an entropy list and None take SeedSequence's own path
+    for seed, key in ((np.int64(5), (1, 0)), (5, (np.uint8(1), 0)), ([3, 2**40], (1,))):
+        expected = seed_sequence_rng(seed, *key).random(3)
+        assert np.array_equal(trial_rng(seed, *key).random(3), expected)
+    trial_rng(None, 1, 0).random()
+    for seed, key in ((-1, (1,)), (5, (1, -2))):
+        with pytest.raises(ValueError):
+            seed_sequence_rng(seed, *key)
+        with pytest.raises(ValueError):
+            trial_rng(seed, *key)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +426,49 @@ def test_bound_for_calibrated_detector_equals_detection_prob():
     det = calibrate(PAIR, 100.0)
     est = estimate_optimality_ceiling(det, PAIR, 1, 60_000, 2000, seed=16)
     assert abs(est.value - detect_prob(1.0, 100.0)) <= 3 * est.std_error
+
+
+def shewhart_detection_at_budget(eta: float) -> float:
+    """Detection probability of the Shewhart test calibrated to run length ``eta``."""
+    return PAIR.lr_tail_prob_f1(calibrate(PAIR, eta).alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_alphas=st.lists(st.floats(-1.0, 5.0), min_size=1, max_size=12),
+    log_alpha_inf=st.floats(0.0, 4.0),
+)
+def test_no_threshold_sequence_beats_the_shewhart_ceiling(log_alphas, log_alpha_inf):
+    # the exact half of the optimality chain: a rule's ceiling per onset is
+    # at most the detection probability of the Shewhart test with the same
+    # run-length budget E0[tau]
+    rule = ThresholdSequenceRule(tuple(log_alphas), log_alpha_inf)
+    _, mean_tau = rule.exact_f0_means()
+    s = 3
+    assert rule.exact_ceiling(s) / s <= shewhart_detection_at_budget(mean_tau) * (1.0 + 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 12), log_alpha=st.floats(0.0, 4.0))
+def test_a_constant_threshold_sequence_attains_the_shewhart_ceiling(k, log_alpha):
+    rule = ThresholdSequenceRule((log_alpha,) * k, log_alpha)
+    _, mean_tau = rule.exact_f0_means()
+    assert rule.exact_ceiling(1) == pytest.approx(
+        shewhart_detection_at_budget(mean_tau), rel=1e-12, abs=0.0
+    )
+
+
+def test_threshold_sequence_estimates_match_its_exact_laws():
+    # the kernel's run lengths and ceiling of the time-dependent rule agree
+    # with the oracle's sums (so those sums are the rule's laws)
+    rule = ThresholdSequenceRule((2.0, -0.5, 4.0, 1.0), 1.5)
+    _, mean_tau = rule.exact_f0_means()
+    sample = simulate_run_lengths(rule, PAIR, 20_000, 2000, seed=64)
+    assert sample.censored == 0
+    arl = estimate_arl(rule, PAIR, sample.n, 2000, seed=64, sample=sample)
+    assert abs(arl.mean - mean_tau) <= 4 * arl.std_error
+    est = estimate_optimality_ceiling(rule, PAIR, 3, sample.n, 2000, seed=64, sample=sample)
+    assert abs(est.value - rule.exact_ceiling(3)) <= 4 * est.std_error
 
 
 def test_bound_dominates_pollak_for_a_quick_battery():
@@ -1070,20 +1161,40 @@ def _random_stops(rng, sched, n):
     return rng.choice(times, n).astype(np.int64)
 
 
-def test_scoring_pass_matches_the_numpy_reductions_bit_for_bit():
-    rng = np.random.default_rng(61)
+def _scoring_schedules(rng):
+    """Random schedules (s = 0 among them): even grids of duration 1, whose
+    last onset is the horizon, and uniform placements of durations 2 and 3;
+    then onsets at the first time step and at the horizon."""
     for _ in range(300):
         horizon = int(rng.integers(1, 60))
-        sched = make_schedule(horizon, int(rng.integers(0, horizon // 2 + 1)), 1)
+        duration = int(rng.integers(1, 4))
+        s = int(rng.integers(0, horizon // (duration + 1) + 1))
+        placement = "even_grid" if duration == 1 else "uniform_random"
+        yield make_schedule(horizon, s, duration, placement, rng=rng)
+    for onsets, horizon in (((), 7), ((1,), 1), ((7,), 7), ((1, 4, 7), 7), ((2, 9), 9)):
+        yield ChangeSchedule(onsets=onsets, duration=1, horizon=horizon)
+    yield ChangeSchedule(onsets=(3, 8), duration=3, horizon=10)
+
+
+def test_scoring_pass_matches_the_numpy_reductions_bit_for_bit():
+    rng = np.random.default_rng(61)
+    seen = set()
+    for sched in _scoring_schedules(rng):
+        horizon = sched.horizon
+        seen.add((sched.duration, sched.s == 0, horizon in sched.onsets))
         n = int(rng.choice([1, 2, 3, 17, 256, 300]))
         stop = _random_stops(rng, sched, n)
         scores = _score(stop, sched)
         # survivors of each onset as the reversed cumulative count
         end = np.where(stop == -1, horizon + 1, stop)
-        reached = np.searchsorted(np.asarray(sched.onsets, dtype=np.int64), end, side="right")
+        onsets = np.asarray(sched.onsets, dtype=np.int64)
+        reached = np.searchsorted(onsets, end, side="right")
         survivors = np.cumsum(np.bincount(reached, minlength=sched.s + 1)[::-1])[::-1][1:]
         assert np.array_equal(scores.survivors, survivors)
         assert scores.survivors.dtype == survivors.dtype
+        # the onsets before each run's end, and the runs stopped on each onset
+        assert np.array_equal(scores.missed, np.searchsorted(onsets, end))
+        assert scores.hits.tolist() == [int(np.count_nonzero(stop == g)) for g in sched.onsets]
         # avg_missed: one mean for the value and the standard error
         x = scores.missed.astype(float)
         se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -1098,6 +1209,9 @@ def test_scoring_pass_matches_the_numpy_reductions_bit_for_bit():
         )
         full = _pollak_from_counts(*args, sched.onset_times, floor, "exclude")
         assert (full.value, full.std_error, full.degenerate_onsets) == total[:3]
+    # every duration, an empty schedule and an onset at the horizon were scored
+    assert {d for d, _, _ in seen} == {1, 2, 3}
+    assert any(empty for _, empty, _ in seen) and any(last for _, _, last in seen)
 
 
 def test_mean_se_matches_the_numpy_reductions_bit_for_bit():

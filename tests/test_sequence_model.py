@@ -176,19 +176,25 @@ def test_schedule_columns_are_derived_once_and_read_only():
     assert sched.onset_times.dtype == np.int64
     assert sorted(np.flatnonzero(sched.f1_columns) + 1) == sorted(brute_force_affected(sched))
     assert sched.f1_columns.size == sched.horizon
-    for derived in (sched.onset_times, sched.f1_columns):
+    assert sched.onset_edges is sched.onset_edges
+    assert sched.onset_edges.tolist() == [3, 4, 9, 10, 15, 16]  # each onset, then the next step
+    for derived in (sched.onset_times, sched.onset_edges, sched.f1_columns):
         with pytest.raises(ValueError, match="read-only"):
             derived[0] = derived[1]
     # not fields: equality, hashing and the dict form see only the three
     fresh = ChangeSchedule(onsets=(3, 9, 15), duration=2, horizon=20)
     assert fresh == sched and hash(fresh) == hash(sched)
     assert sched.to_dict() == {"onsets": [3, 9, 15], "duration": 2, "horizon": 20}
-    # a pickled copy (a worker's) derives its own, read-only again
+    # a pickled copy (a worker's) carries none of them: it derives its own,
+    # read-only again
     copy = pickle.loads(pickle.dumps(sched))
-    assert copy == sched and not copy.f1_columns.flags.writeable
-    assert np.array_equal(copy.f1_columns, sched.f1_columns)
+    assert copy == sched and not {"onset_times", "onset_edges", "f1_columns"} & set(vars(copy))
+    for name in ("onset_times", "onset_edges", "f1_columns"):
+        assert not getattr(copy, name).flags.writeable
+        assert np.array_equal(getattr(copy, name), getattr(sched, name))
     empty = make_schedule(5, 0, 1)
     assert empty.onset_times.size == 0 and not empty.f1_columns.any()
+    assert empty.onset_edges.size == 0
 
 
 def test_sequence_csv_round_trip(tmp_path):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, ClassVar, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, ClassVar, Protocol, runtime_checkable
 
 from .distributions import DistributionPair
 
@@ -39,6 +39,19 @@ CALIBRATION_TOL = 1e-9
 
 class CalibrationError(ValueError):
     """The threshold equation cannot be satisfied for the given pair."""
+
+
+class _built_method(cached_property):
+    """A ``cached_property`` whose value is the method, built once per instance.
+
+    ``obj.name`` is the built function itself, so a call skips the bound
+    method and the attribute lookups the builder folded in.  The class
+    attribute stays callable like a plain method: ``Cls.name(obj, ...)``,
+    and so a wrapper installed around it, calls ``obj``'s built function.
+    """
+
+    def __call__(self, instance, *args, **kwargs):
+        return self.__get__(instance, type(instance))(*args, **kwargs)
 
 
 @runtime_checkable
@@ -126,33 +139,56 @@ class ShewhartDetector:
         strict = self.pair.lr_tail_prob_f0(self.alpha, strict=True)
         return strict + self.randomize_boundary * (closed - strict)
 
-    def step(self, x: float, rng: np.random.Generator | None = None) -> tuple[bool, float]:
-        """``(alarmed, l(x))`` for one sample; stateless, so history never matters.
+    def __getstate__(self) -> dict:
+        # the built step is a closure, which does not pickle: a copy builds
+        # its own, and keeps the cached log_alpha
+        state = dict(vars(self))
+        state.pop("step", None)
+        return state
 
+    @_built_method
+    def step(self) -> Callable[..., tuple[bool, float]]:
+        """``step(x, rng=None)``: ``(alarmed, l(x))`` for one sample;
+        stateless, so history never matters.
+
+        Built once per detector, like :attr:`log_alpha`: a closure over the
+        pair's :attr:`~DistributionPair.float_log_ratio` and the threshold.
         Without boundary randomization ``l(x)`` is ``math.exp`` of the log
         ratio (``inf`` past the float range), the same double on every host.
         ``rng`` is consulted only when the ratio lands exactly on a
         configured boundary atom.
         """
-        llr = self.pair.log_likelihood_ratio(x)
+        llr = self.pair.float_log_ratio
+        log_alpha = self.log_alpha
         if self.randomize_boundary is None:
-            # the verdict reads the log; the ratio is only reported
-            try:
-                return llr >= self.log_alpha, math.exp(llr)
-            except OverflowError:  # exp overflows past about 709.78
-                return llr >= self.log_alpha, math.inf
+            exp = math.exp
+
+            def step(x: float, rng: np.random.Generator | None = None) -> tuple[bool, float]:
+                v = llr(x)
+                # the verdict reads the log; the ratio is only reported
+                try:
+                    return v >= log_alpha, exp(v)
+                except OverflowError:  # exp overflows past about 709.78
+                    return v >= log_alpha, math.inf
+
+            return step
         # compared with the atom on the ratio scale, so through np.exp, as in
         # alarm_mask's atom branch and likelihood_ratio, which gives a pair
         # its atoms: math.exp can differ from np.exp in the last bit
         import numpy as np
 
-        with np.errstate(over="ignore"):
-            lr = float(np.exp(llr))
-        if lr == self.alpha:
-            if rng is None:
-                raise ValueError("boundary randomization requires an rng")
-            return rng.random() < self.randomize_boundary, lr
-        return lr > self.alpha, lr
+        alpha, boundary = self.alpha, self.randomize_boundary
+
+        def step(x: float, rng: np.random.Generator | None = None) -> tuple[bool, float]:
+            with np.errstate(over="ignore"):
+                lr = float(np.exp(llr(x)))
+            if lr == alpha:
+                if rng is None:
+                    raise ValueError("boundary randomization requires an rng")
+                return rng.random() < boundary, lr
+            return lr > alpha, lr
+
+        return step
 
     def alarm_mask(
         self, times: np.ndarray, x: np.ndarray, rng: np.random.Generator

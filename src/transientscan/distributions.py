@@ -27,7 +27,7 @@ from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from statistics import NormalDist
-from typing import TYPE_CHECKING, ClassVar, Literal
+from typing import TYPE_CHECKING, Callable, ClassVar, Literal
 
 if TYPE_CHECKING:  # numpy loads only in the array paths, so calibrate runs without it
     import numpy as np
@@ -85,6 +85,13 @@ class DistributionPair(ABC):
     Subclasses provide log densities, sampling and the three exact laws of
     ``l``, taking ``l`` as :meth:`likelihood_ratio` computes it, so that
     calibration and the detector's comparisons see the same floats.
+
+    :attr:`float_log_ratio` is the hook a detector decides one sample with:
+    a function of one float giving :meth:`log_likelihood_ratio`'s value
+    there, bit for bit.  The default is the bound
+    :meth:`log_likelihood_ratio`; a pair may return a leaner closure
+    (``GaussianMeanShift`` does), and must then drop it from its pickled
+    state, as a closure does not pickle.
     """
 
     kind: ClassVar[str] = "abstract"
@@ -100,6 +107,11 @@ class DistributionPair(ABC):
     def log_likelihood_ratio(self, x):
         """log(f1(x) / f0(x)), computed without forming either density."""
         return self.log_density("alternative", x) - self.log_density("nominal", x)
+
+    @property
+    def float_log_ratio(self) -> Callable[[float], float]:
+        """``log_likelihood_ratio`` for one float; see the class docstring."""
+        return self.log_likelihood_ratio
 
     def likelihood_ratio(self, x):
         """l(x) = f1(x) / f0(x); requires f0(x) > 0."""
@@ -182,6 +194,22 @@ class GaussianMeanShift(DistributionPair):
         m0, m1, sigma = self.mean0, self.mean1, self.sigma
         return float(m1 - m0), float(0.5 * (m0 + m1)), float(sigma**2)
 
+    @cached_property
+    def float_log_ratio(self) -> Callable[[float], float]:
+        """The log ratio of one float, a closure over :attr:`_llr_constants`."""
+        shift, mid, s2 = self._llr_constants
+
+        def float_log_ratio(x: float) -> float:
+            return shift * (float(x) - mid) / s2
+
+        return float_log_ratio
+
+    def __getstate__(self) -> dict:
+        # a closure does not pickle: a copy builds its own
+        state = dict(vars(self))
+        state.pop("float_log_ratio", None)
+        return state
+
     def log_density(self, which: Which, x):
         import numpy as np
 
@@ -212,9 +240,9 @@ class GaussianMeanShift(DistributionPair):
         # A float (np.float64 included) skips the 0-d array round trip; both
         # paths round the same IEEE operations, so they agree bit for bit; the
         # array path works in place on one fresh array, never on ``x``.
-        shift, mid, s2 = self._llr_constants
         if isinstance(x, float):
-            return shift * (float(x) - mid) / s2
+            return self.float_log_ratio(x)
+        shift, mid, s2 = self._llr_constants
         import numpy as np
 
         out = np.subtract(x, mid, dtype=float)

@@ -142,8 +142,13 @@ def make_schedule(
     """Build a valid schedule of s transient changes over the horizon.
 
     Placements:
-      * ``even_grid`` (default): onsets at floor(k * horizon / s), k = 1..s.
-        Deterministic, used for reproducible experiments.
+      * ``even_grid`` (default): onsets at floor(k * last / s), k = 1..s,
+        with ``last = horizon - duration + 1`` the last legal onset (the
+        plain floor(k * horizon / s) grid at duration 1).  Where that grid
+        would put two onsets only ``duration`` apart (possible from
+        duration 3), the grid is laid on the shrunken range of
+        ``uniform_random``'s bijection instead, so every feasible request
+        gets a schedule.  Deterministic, used for reproducible experiments.
       * ``uniform_random``: exactly uniform over all valid schedules, via the
         bijection between gap-constrained onset tuples and plain s-subsets of
         a shrunken index range.  Requires ``rng``.
@@ -173,6 +178,15 @@ def make_schedule(
         # at duration 1 this is the plain floor(k * horizon / s) grid
         last_start = horizon - duration + 1
         chosen = tuple(k * last_start // s for k in range(1, s + 1))
+        # the grid's steps are last_start // s or one more, so the windows
+        # can touch only if that floor is at most the duration
+        if last_start // s <= duration and any(
+            b - a <= duration for a, b in zip(chosen, chosen[1:])
+        ):
+            # the same grid on uniform_random's shrunken range instead: its
+            # steps are at least 1, plus the duration, and it ends at last_start
+            m = horizon + 1 - s * duration
+            chosen = tuple(k * m // s + (k - 1) * duration for k in range(1, s + 1))
         return ChangeSchedule(onsets=chosen, duration=duration, horizon=horizon)
     if placement == "uniform_random":
         if rng is None:

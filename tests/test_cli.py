@@ -350,6 +350,21 @@ def test_simulate_schedule_passes_validation(tmp_path, capsys):
     assert x.size == 1000
 
 
+def test_simulate_even_grid_fits_a_tight_horizon(tmp_path, capsys):
+    # two windows of 3 need 8 samples; the floor grid would put onsets at 3 and 6
+    code, _, _ = run_cli(
+        capsys,
+        "simulate",
+        "--T", "3", "--horizon", "8", "--s", "2",
+        "--sequence-out", str(tmp_path / "seq.csv"),
+        "--schedule-out", str(tmp_path / "sched.json"),
+    )
+    assert code == 0
+    sched = ChangeSchedule.from_json((tmp_path / "sched.json").read_text())
+    assert sched == ChangeSchedule(onsets=(1, 6), duration=3, horizon=8)
+    assert read_sequence_csv(tmp_path / "seq.csv").size == 8
+
+
 def test_simulate_explicit_onsets(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys,

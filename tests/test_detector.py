@@ -1,10 +1,14 @@
+import copy
 import dataclasses
 import math
 import pickle
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from transientscan import (
     AlwaysStopRule,
@@ -154,6 +158,76 @@ def test_pickled_detector_decides_the_same_bits():
     assert vars(clone)["log_alpha"] == det.log_alpha
     assert [clone.step(x) for x in xs] == decisions
     assert np.array_equal(clone.alarm_mask(np.ones(200), np.array(xs), None), mask)
+
+
+#: samples at the edges of the floats: signed zeros, subnormals, the largest
+#: magnitudes (whose log ratio overflows exp, or the float range itself)
+EDGE_SAMPLES = [0.0, -0.0, 5e-324, -5e-324, 2.225e-308, -2.225e-308, 1e308, -1e308, 710.0]
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mean0=st.floats(-1e3, 1e3),
+    shift=st.floats(1e-3, 1e3),
+    negative=st.booleans(),
+    sigma=st.floats(1e-3, 1e3),
+    alpha=st.floats(0.0, math.inf),
+    xs=st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGE_SAMPLES)), max_size=8),
+)
+def test_built_step_matches_the_log_ratio_bit_for_bit(mean0, shift, negative, sigma, alpha, xs):
+    mean1 = mean0 - shift if negative else mean0 + shift
+    assume(mean0 != mean1)
+    pair = GaussianMeanShift(mean0, mean1, sigma)
+    det = ShewhartDetector(pair=pair, alpha=alpha, eta=math.inf)
+    step = det.step
+    assert det.step is step and step is not ShewhartDetector.step
+    # a log ratio near 1000: finite, but past exp's range (the overflow branch)
+    beyond_exp = 0.5 * (mean0 + mean1) + 1000.0 * sigma**2 / (mean1 - mean0)
+    assert 709.79 < pair.log_likelihood_ratio(beyond_exp) < math.inf
+    for x in xs + EDGE_SAMPLES + [beyond_exp]:
+        llr = pair.log_likelihood_ratio(x)
+        # the pair's float function is the float branch, and the array path's bits
+        assert _bits(pair.float_log_ratio(x)) == _bits(llr)
+        with np.errstate(over="ignore"):
+            (from_array,) = pair.log_likelihood_ratio(np.array([x]))
+        assert _bits(from_array) == _bits(llr)
+        try:
+            lr = math.exp(llr)
+        except OverflowError:
+            lr = math.inf
+        for sample in (x, np.float64(x)):
+            hit, got = step(sample)
+            assert type(hit) is bool and type(got) is float
+            assert hit == (llr >= det.log_alpha) and _bits(got) == _bits(lr), (sample, alpha)
+            assert ShewhartDetector.step(det, sample) == (hit, got)
+
+
+def test_copies_of_a_stepped_detector_build_their_own_step():
+    det = calibrate(GaussianMeanShift(2.0, -0.4, 3.0), 30.0)
+    xs = np.random.default_rng(13).normal(-0.4, 3.0, size=200).tolist()  # F1 draws
+    decisions = [det.step(x) for x in xs]
+    assert {"step", "log_alpha"} <= vars(det).keys()
+    assert "float_log_ratio" in vars(det.pair)
+    for clone in (pickle.loads(pickle.dumps(det)), copy.deepcopy(det), copy.copy(det)):
+        assert clone == det and "step" not in vars(clone)
+        assert vars(clone)["log_alpha"] == det.log_alpha
+        assert [clone.step(x) for x in xs] == decisions
+        assert clone.step is not det.step
+    pair = pickle.loads(pickle.dumps(det.pair))
+    assert pair == det.pair and "float_log_ratio" not in vars(pair)
+    assert pair.float_log_ratio is not det.pair.float_log_ratio
+    # a replaced threshold decides with its own closure, not the cached one
+    stricter = dataclasses.replace(det, alpha=det.alpha * 4.0)
+    assert "step" not in vars(stricter)
+    moved = [x for x, (hit, _) in zip(xs, decisions) if hit != stricter.step(x)[0]]
+    assert moved and all(
+        stricter.step(x)[0] == (det.pair.log_likelihood_ratio(x) >= math.log(stricter.alpha))
+        for x in xs
+    )
 
 
 def test_log_threshold_is_derived_not_a_field():

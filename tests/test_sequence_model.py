@@ -46,6 +46,29 @@ def test_even_grid_at_scale():
     assert sched.onsets[-1] + sched.duration - 1 <= sched.horizon
 
 
+def test_even_grid_builds_every_feasible_schedule():
+    # the floor grid over the legal onsets, as built before it could move:
+    # kept wherever valid, and moved only where two onsets would be
+    # `duration` apart (46 feasible triples in this range, from (8, 2, 3))
+    moved = []
+    for horizon in range(1, 80):
+        for duration in range(1, 5):
+            for s in range(1, horizon // (duration + 1) + 1):
+                floor_grid = tuple(k * (horizon - duration + 1) // s for k in range(1, s + 1))
+                sched = make_schedule(horizon, s, duration, "even_grid")
+                onsets = sched.onsets
+                assert len(onsets) == s and onsets[0] >= 1
+                assert all(b - a > duration for a, b in zip(onsets, onsets[1:]))
+                assert onsets[-1] + duration - 1 <= horizon
+                if all(b - a > duration for a, b in zip(floor_grid, floor_grid[1:])):
+                    assert onsets == floor_grid, (horizon, s, duration)
+                else:
+                    moved.append((horizon, s, duration))
+    assert len(moved) == 46 and moved[0] == (8, 2, 3)
+    assert all(duration >= 3 for _, _, duration in moved)
+    assert make_schedule(8, 2, 3).onsets == (1, 6)
+
+
 def test_explicit_overlap_rejected():
     with pytest.raises(ValueError):
         make_schedule(100, 2, 1, "explicit", onsets=[5, 6])

@@ -237,6 +237,11 @@ def calibrate(
         boundary = None
     else:
         strict = pair.lr_tail_prob_f0(alpha, strict=True)
+        if alpha == 0.0 and strict > p:  # a true 0 quantile has P(l > 0) <= p
+            raise CalibrationError(
+                f"threshold for the target tail {p} underflows below the smallest "
+                f"positive float: P(l > 0.0) = {strict}"
+            )
         if not strict <= p <= closed:
             raise CalibrationError(
                 f"threshold {alpha} does not straddle the target tail {p}: "

@@ -43,14 +43,19 @@ schedule, which is linear in ``s``.
 
 Fixed costs per call: a schedule derives its onset array, scoring edges
 and F1 column mask once (read-only cached properties of
-:class:`ChangeSchedule`).  A chunk's generator is keyed from the entropy
-words SeedSequence would assemble itself.  A call of one chunk returns that
-chunk's arrays as they are, and a rule with no initial stop keeps no
-initial-stop bookkeeping.  The block layout builds its times once per call.
-Scoring is one search of the stops among the scoring edges, whose ranks
-give, by one ``bincount`` and one ``cumsum``, the per-onset hits and
-survivors and each run's missed onsets; only :func:`estimate_pollak` also
-builds the per-onset terms, which the criteria report does not carry.
+:class:`ChangeSchedule`).  A chunk's generator is keyed in one step, from
+the entropy words SeedSequence would assemble itself.  A call of one chunk
+returns that chunk's arrays as they are, and a rule with no initial stop
+keeps no initial-stop bookkeeping.  The block layout builds its times once
+per call and keeps no running rows after its last block.  Scoring is one
+search of the stops among the scoring edges, whose ranks give, by one
+``bincount`` and one ``cumsum``, the per-onset hits and survivors and each
+run's missed onsets.  :func:`estimate_pollak`, which also returns every
+per-onset term, instead walks the rank counts once in Python floats: on the
+few onsets of a criterion-3 call that is cheaper than numpy calls on
+three-element arrays.  The criteria report builds no terms and runs at
+hundreds of onsets, where the numpy reductions are cheaper, so it keeps
+them; both take the same floating-point steps in the same order.
 """
 
 from __future__ import annotations
@@ -205,8 +210,8 @@ def trial_rng(seed, *key) -> np.random.Generator:
     The estimators draw chunk ``c`` of a stream from ``trial_rng(seed,
     stream, c)``: the stream of ``SeedSequence(seed, spawn_key=key)``, where
     a SeedSequence seed lends its entropy and puts its spawn key first.  For
-    nonnegative int entropy and key, the sequence is built from the words it
-    would assemble itself, which skips converting the key tuple.
+    nonnegative int entropy and key, the sequence is built in one step from
+    the words it would assemble itself, with no spawn key to convert.
     """
     if isinstance(seed, np.random.SeedSequence):
         seed, key = seed.entropy, (*seed.spawn_key, *key)
@@ -215,7 +220,7 @@ def trial_rng(seed, *key) -> np.random.Generator:
         words += [0] * (4 - len(words))  # a key follows the entropy padded to 4 words
         for k in key:
             words += _words(k)
-        seed, key = np.array(words, dtype=np.uint32), ()
+        return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
@@ -401,15 +406,23 @@ def _runs(rule, pair, schedule: ChangeSchedule, mode: Mode, rng, n: int, keep_sa
         first = mask.argmax(axis=1)
         alarmed = np.logical_or(first, mask[:, 0])
         hit = alarmed.nonzero()[0]
+        c0 += nb
         if hit.size:
             rows, at = active[hit], first[hit]
             if keep_samples:
                 x_stop[rows] = x[hit, at]
             stop[rows] = block_times[at]
-            active = active[~alarmed]
-        c0 += nb
+            if c0 < times.size:  # the runs still going take the next block
+                active = active[~alarmed]
         block *= 2
     return stop, x_stop
+
+
+def _check_runs(mode: str, n_trials: int) -> None:
+    if mode not in ("single_shot", "restart"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
 
 
 def _simulate(
@@ -425,10 +438,7 @@ def _simulate(
     """Per-trial stops and, with ``keep_samples``, stopping samples (see
     :func:`_simulate_chunk`).  A call of one chunk returns that chunk's
     arrays as they are."""
-    if mode not in ("single_shot", "restart"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    _check_runs(mode, n_trials)
     if n_trials <= _CHUNK:
         return _simulate_chunk(0, n_trials, rule, pair, schedule, mode, seed, stream, keep_samples)
     parts = [
@@ -452,16 +462,23 @@ class _Scores(NamedTuple):
     missed: np.ndarray
 
 
-def _score(stop: np.ndarray, schedule: ChangeSchedule) -> _Scores:
-    # A restart run stops only on an onset, so every onset before its end
-    # passed with no alarm at it; a single-shot run ends at its first alarm.
-    # Either way the onsets before the end are the missed ones.
-    # Each run's rank 2 * missed + detected: rank 2i + 1 stopped on onset i,
-    # and ranks up to 2i did not reach it.  The int64 stops are read as
-    # uint64, so a censored run's -1 reads 2**64 - 1, past every onset, as
-    # the end of a run that outlived the horizon should.
+def _rank_counts(stop: np.ndarray, schedule: ChangeSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's rank ``2 * missed + detected``, and how many runs take
+    each rank from 0 to ``2 * s``.
+
+    A restart run stops only on an onset, so every onset before its end
+    passed with no alarm at it; a single-shot run ends at its first alarm.
+    Either way the onsets before the end are the missed ones: rank 2i + 1
+    stopped on onset i, and ranks up to 2i did not reach it.  The int64
+    stops are read as uint64, so a censored run's -1 reads 2**64 - 1, past
+    every onset, as the end of a run that outlived the horizon should.
+    """
     rank = schedule.onset_edges.searchsorted(stop.view(np.uint64), side="right")
-    counts = np.bincount(rank, minlength=2 * schedule.s + 1)
+    return rank, np.bincount(rank, minlength=2 * schedule.s + 1)
+
+
+def _score(stop: np.ndarray, schedule: ChangeSchedule) -> _Scores:
+    rank, counts = _rank_counts(stop, schedule)
     survivors = stop.size - counts.cumsum()[: 2 * schedule.s : 2]
     return _Scores(counts[1::2], survivors, rank >> 1)
 
@@ -624,31 +641,50 @@ def _pollak_sum(
     total = float(p.cumsum()[-1]) if p.size else 0.0
     var = float((se * se).cumsum()[-1]) if p.size else 0.0
     if degenerate and on_degenerate == "raise":
-        raise DegenerateEstimateError(
-            f"onsets {list(degenerate)} were reached by fewer than {min_survivors} trials; "
-            "their conditional detection probability is not estimable "
-            "(pass on_degenerate='exclude' to drop them from the sum)"
-        )
+        raise _degenerate_error(degenerate, min_survivors)
     return _PollakSum(total, math.sqrt(var), degenerate, ok, p, se)
 
 
-def _pollak_from_counts(
-    hits: np.ndarray,
-    survivors: np.ndarray,
-    onsets: np.ndarray | tuple[int, ...],
-    min_survivors: int,
-    on_degenerate: str,
+def _degenerate_error(degenerate, min_survivors: int) -> DegenerateEstimateError:
+    return DegenerateEstimateError(
+        f"onsets {list(degenerate)} were reached by fewer than {min_survivors} trials; "
+        "their conditional detection probability is not estimable "
+        "(pass on_degenerate='exclude' to drop them from the sum)"
+    )
+
+
+_NAN_TERM = Estimate(math.nan, math.nan)
+
+
+def _pollak_pass(
+    stop: np.ndarray, schedule: ChangeSchedule, min_survivors: int, on_degenerate: str
 ) -> PollakEstimate:
-    """:func:`_pollak_sum` with its per-onset terms, NaN where excluded."""
-    total = _pollak_sum(hits, survivors, onsets, min_survivors, on_degenerate)
-    terms = iter(map(Estimate, total.p.tolist(), total.se.tolist()))
-    nan = Estimate(math.nan, math.nan)
+    """The conditional-detection sum of the runs' stops with its per-onset
+    terms (NaN where excluded), in one pass over the onsets in Python
+    floats (the module docstring says why): :func:`_pollak_sum`'s steps in
+    the same order, so the same bits.  An onset's survivors are the runs
+    left after those that ended before it."""
+    counts = _rank_counts(stop, schedule)[1].tolist()
+    left = stop.size
+    total = var = 0.0
+    per_onset, survivors, degenerate = [], [], []
+    for onset, ended, hits in zip(schedule.onsets, counts[::2], counts[1::2]):
+        left -= ended  # the runs that ended before reaching this onset
+        survivors.append(left)
+        if left < min_survivors:
+            degenerate.append(onset)
+            per_onset.append(_NAN_TERM)
+        else:
+            p = hits / left
+            se = math.sqrt(p * (1.0 - p) / left)
+            total += p
+            var += se * se
+            per_onset.append(Estimate(p, se))
+        left -= hits
+    if degenerate and on_degenerate == "raise":
+        raise _degenerate_error(degenerate, min_survivors)
     return PollakEstimate(
-        value=total.value,
-        std_error=total.std_error,
-        per_onset=tuple(next(terms) if k else nan for k in total.estimable.tolist()),
-        survivors=tuple(np.asarray(survivors).tolist()),
-        degenerate_onsets=total.degenerate_onsets,
+        total, math.sqrt(var), tuple(per_onset), tuple(survivors), tuple(degenerate)
     )
 
 
@@ -686,12 +722,10 @@ def estimate_pollak(
     """
     _check_degenerate_policy(on_degenerate, min_survivors)
     if schedule.s == 0:
+        _check_runs(mode, n_trials)  # as _simulate would
         return PollakEstimate(0.0, 0.0, (), (), ())
     stop, _ = _simulate(detector, pair, schedule, mode, n_trials, seed, STREAM_MONITOR)
-    scores = _score(stop, schedule)
-    return _pollak_from_counts(
-        scores.hits, scores.survivors, schedule.onset_times, min_survivors, on_degenerate
-    )
+    return _pollak_pass(stop, schedule, min_survivors, on_degenerate)
 
 
 def evaluate_criteria(

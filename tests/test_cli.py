@@ -58,6 +58,12 @@ def test_calibrate_always_alarm(capsys):
     assert payload["tail_prob"] == 1.0
 
 
+def test_calibrate_names_a_threshold_that_underflows(capsys):
+    code, out, err = run_cli(capsys, "calibrate", "--eta", "2", "--mean1", "40")
+    assert (code, out) == (2, "")
+    assert "underflows below the smallest positive float" in err
+
+
 def test_calibrate_rejects_eta_below_one(capsys):
     code, _, err = run_cli(capsys, "calibrate", "--eta", "0.5")
     assert code == 1

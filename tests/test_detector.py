@@ -18,7 +18,7 @@ from transientscan import (
     ShewhartDetector,
     calibrate,
 )
-from transientscan.detector import CALIBRATION_TOL
+from transientscan.detector import CALIBRATION_TOL, CalibrationError
 from transientscan.distributions import norm_upper_quantile
 
 from oracles import run_stream
@@ -68,6 +68,18 @@ def test_calibrate_reaches_its_tail_at_sigma_near_the_top_of_the_floats():
     assert det.randomize_boundary is None
     assert abs(det.per_sample_alarm_prob() - 0.01) <= CALIBRATION_TOL
     assert det.alpha == pytest.approx(calibrate(PAIR, 100.0).alpha, rel=1e-12)
+
+
+@pytest.mark.parametrize("mean1", [40.0, -40.0, 400.0])
+def test_calibrate_names_a_threshold_that_underflows(mean1):
+    # the F0 median of the log ratio is -mean1**2 / 2, below the log of the
+    # smallest positive float (about -745), so the threshold comes back 0.0
+    with pytest.raises(CalibrationError, match="underflows below the smallest positive float"):
+        calibrate(GaussianMeanShift(0.0, mean1, 1.0), 2.0)
+    # a threshold that does not underflow still calibrates to its tail
+    det = calibrate(GaussianMeanShift(0.0, math.copysign(30.0, mean1), 1.0), 2.0)
+    assert det.alpha > 0.0
+    assert abs(det.per_sample_alarm_prob() - 0.5) <= CALIBRATION_TOL
 
 
 def test_calibrate_rejects_eta_below_one():

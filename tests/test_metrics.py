@@ -31,7 +31,7 @@ from transientscan.metrics import (
     STREAM_MONITOR,
     Estimate,
     _mean_se,
-    _pollak_from_counts,
+    _pollak_pass,
     _pollak_sum,
     _score,
     _simulate,
@@ -364,17 +364,19 @@ def pollak_loop(hits, survivors, onsets, min_survivors):
     )
 
 
-def test_pollak_from_counts_matches_the_onset_loop():
-    # same arithmetic in the same order, so equal to the last bit (repr)
+def test_pollak_pass_matches_the_onset_loop():
+    # same arithmetic in the same order, so equal to the last bit (repr),
+    # up to 150 onsets and 400 runs
     rng = np.random.default_rng(50)
     for k in range(100):
         s = int(rng.integers(1, 150))
-        survivors = rng.integers(0, 400, s)
-        hits = rng.binomial(survivors, rng.random(s))
+        sched = ChangeSchedule(tuple(range(2, 2 * s + 1, 2)), 1, 2 * s)
+        stop = _random_stops(rng, sched, int(rng.integers(1, 400)))
+        scores = _score(stop, sched)
         floor = 1 + k % 60
-        est = _pollak_from_counts(hits, survivors, tuple(range(1, s + 1)), floor, "exclude")
+        est = _pollak_pass(stop, sched, floor, "exclude")
         got = (est.value, est.std_error, est.per_onset, est.survivors, est.degenerate_onsets)
-        assert repr(got) == repr(pollak_loop(hits, survivors, range(1, s + 1), floor))
+        assert repr(got) == repr(pollak_loop(scores.hits, scores.survivors, sched.onsets, floor))
 
 
 @pytest.mark.parametrize("estimator", ["pollak", "criteria"])
@@ -469,6 +471,37 @@ def test_threshold_sequence_estimates_match_its_exact_laws():
     assert abs(arl.mean - mean_tau) <= 4 * arl.std_error
     est = estimate_optimality_ceiling(rule, PAIR, 3, sample.n, 2000, seed=64, sample=sample)
     assert abs(est.value - rule.exact_ceiling(3)) <= 4 * est.std_error
+
+
+def test_no_criterion_3_rule_beats_the_shewhart_ceiling_at_its_budget():
+    # the second link of the optimality chain on criterion 3's rules (with
+    # its F0 horizons): a rule's ceiling per onset is at most p1(eta_hat),
+    # the detection probability of the Shewhart test calibrated to the
+    # rule's mean run length.  Both sides come from one F0 sample, so the
+    # difference's standard error is the delta method over (mean l_tau,
+    # mean tau); the ROC's slope at level 1 / eta is the threshold, so
+    # d p1 / d eta = -alpha / eta**2.  Each check is one-sided, Bonferroni
+    # at a family level of 1e-3 over the rules (fixed before the runs).
+    rules = (
+        (calibrate(PAIR, 10.0), 200),
+        (calibrate(PAIR, 100.0), 2000),
+        (AlwaysStopRule(), 10),
+        (FixedTimeRule(5), 100),
+        (FixedTimeRule(50), 1000),
+        (BernoulliStopRule(0.1), 200),
+    )
+    z = norm_upper_quantile(1e-3 / len(rules))
+    for rule, horizon in rules:
+        sample = simulate_run_lengths(rule, PAIR, 40_000, horizon, seed=65)
+        ceiling = estimate_optimality_ceiling(rule, PAIR, 1, sample.n, horizon, 65, sample=sample)
+        mean_lr, eta_hat, var_lr, var_tau, cov = sample.moments
+        budget = shewhart_detection_at_budget(eta_hat)
+        slope = -calibrate(PAIR, eta_hat).alpha / eta_hat**2
+        # the gradient of mean_lr / mean_tau - p1(mean_tau)
+        d_lr, d_tau = 1.0 / eta_hat, -mean_lr / eta_hat**2 - slope
+        var = d_lr**2 * var_lr + d_tau**2 * var_tau + 2.0 * d_lr * d_tau * cov
+        se = math.sqrt(var / sample.n)
+        assert ceiling.value - budget <= z * se, (rule, ceiling, budget, se)
 
 
 def test_bound_dominates_pollak_for_a_quick_battery():
@@ -598,6 +631,19 @@ def test_estimators_reject_an_empty_trial_range():
     ):
         with pytest.raises(ValueError, match="n_trials must be >= 1"):
             call()
+
+
+@pytest.mark.parametrize("s", [0, 4])
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [({"mode": "bogus"}, "unknown mode 'bogus'"), ({"n_trials": -5}, "n_trials must be >= 1")],
+)
+def test_estimate_pollak_checks_its_runs_on_any_schedule(s, kwargs, match):
+    # an onset-free schedule returns a zero sum without simulating, but not
+    # for a call that would fail with onsets
+    args = {"mode": "single_shot", "n_trials": 100, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        estimate_pollak(calibrate(PAIR, 10.0), PAIR, make_schedule(40, s, 1), seed=1, **args)
 
 
 def test_a_never_alarming_detector_runs_single_shot():
@@ -1178,7 +1224,7 @@ def _scoring_schedules(rng):
 
 def test_scoring_pass_matches_the_numpy_reductions_bit_for_bit():
     rng = np.random.default_rng(61)
-    seen = set()
+    seen, sizes, floors = set(), set(), set()
     for sched in _scoring_schedules(rng):
         horizon = sched.horizon
         seen.add((sched.duration, sched.s == 0, horizon in sched.onsets))
@@ -1199,19 +1245,42 @@ def test_scoring_pass_matches_the_numpy_reductions_bit_for_bit():
         x = scores.missed.astype(float)
         se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         assert repr(_mean_se(scores.missed)) == repr(Estimate(float(x.mean()), se))
-        # the sum, apart from the per-onset terms (some onsets degenerate)
+        # the sum and its terms (some onsets degenerate): the numpy
+        # reductions, the scalar pass and the onset loop agree to the bit
         floor = int(rng.integers(1, n + 2))
         args = (scores.hits, scores.survivors)
         total = _pollak_sum(*args, sched.onset_times, floor, "exclude")
-        value, se, _, _, degenerate = pollak_loop(*args, sched.onsets, floor)
-        assert repr((total.value, total.std_error, total.degenerate_onsets)) == repr(
-            (value, se, degenerate)
-        )
-        full = _pollak_from_counts(*args, sched.onset_times, floor, "exclude")
-        assert (full.value, full.std_error, full.degenerate_onsets) == total[:3]
-    # every duration, an empty schedule and an onset at the horizon were scored
+        value, se, per_onset, survivors, degenerate = pollak_loop(*args, sched.onsets, floor)
+        est = _pollak_pass(stop, sched, floor, "exclude")
+        assert _hexes((est.value, est.std_error)) == _hexes(total[:2]) == _hexes((value, se))
+        numpy_terms = zip(total.p.tolist(), total.se.tolist())
+        nan_term = _hexes((math.nan, math.nan))
+        expected = [_hexes(next(numpy_terms)) if k else nan_term for k in total.estimable.tolist()]
+        assert [_hexes(t) for t in est.per_onset] == expected == [_hexes(t) for t in per_onset]
+        assert est.survivors == tuple(scores.survivors.tolist()) == survivors
+        assert all(type(m) is int for m in est.survivors)
+        assert est.degenerate_onsets == total.degenerate_onsets == degenerate
+        floors.add(bool(degenerate))
+        if degenerate:
+            # the raise policy words its error as it always has
+            message = (
+                f"onsets {list(degenerate)} were reached by fewer than {floor} trials; "
+                "their conditional detection probability is not estimable "
+                "(pass on_degenerate='exclude' to drop them from the sum)"
+            )
+            with pytest.raises(DegenerateEstimateError) as numpy_error:
+                _pollak_sum(*args, sched.onset_times, floor, "raise")
+            with pytest.raises(DegenerateEstimateError) as pass_error:
+                _pollak_pass(stop, sched, floor, "raise")
+            assert str(pass_error.value) == str(numpy_error.value) == message
+        else:
+            assert _pollak_pass(stop, sched, floor, "raise") == est
+        sizes.add(n)
+    # every duration, an empty schedule and an onset at the horizon were
+    # scored, at 1 and 300 runs, with and without degenerate onsets
     assert {d for d, _, _ in seen} == {1, 2, 3}
     assert any(empty for _, empty, _ in seen) and any(last for _, _, last in seen)
+    assert {1, 300} <= sizes and floors == {False, True}
 
 
 def test_mean_se_matches_the_numpy_reductions_bit_for_bit():
@@ -1242,6 +1311,11 @@ def test_criteria_cells_are_the_reductions_of_the_monitored_stops(mode):
         x = scores.missed.astype(float)
         se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         assert repr(rep.avg_missed) == repr(Estimate(float(x.mean()), se))
-        est = _pollak_from_counts(scores.hits, scores.survivors, sched.onsets, 30, "exclude")
-        assert rep.pollak_estimate == (est.value, est.std_error)
+        # estimate_pollak draws the same runs: the same sum and standard
+        # error, to the bit, as the report and as the pass over the stops
+        est = estimate_pollak(
+            det, PAIR, sched, n, seed=63, mode=mode, min_survivors=30, on_degenerate="exclude"
+        )
+        assert est == _pollak_pass(stop, sched, 30, "exclude")
+        assert _hexes(rep.pollak_estimate) == _hexes((est.value, est.std_error))
         assert rep.degenerate_onsets == est.degenerate_onsets

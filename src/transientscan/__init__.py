@@ -36,7 +36,6 @@ _SUBMODULE = {
     "FixedTimeRule": "detector",
     "ShewhartDetector": "detector",
     "calibrate": "detector",
-    "ArlEstimate": "metrics",
     "CriteriaReport": "metrics",
     "CurveRow": "metrics",
     "DegenerateEstimateError": "metrics",

@@ -48,14 +48,13 @@ the entropy words SeedSequence would assemble itself.  A call of one chunk
 returns that chunk's arrays as they are, and a rule with no initial stop
 keeps no initial-stop bookkeeping.  The block layout builds its times once
 per call and keeps no running rows after its last block.  Scoring is one
-search of the stops among the scoring edges, whose ranks give, by one
-``bincount`` and one ``cumsum``, the per-onset hits and survivors and each
-run's missed onsets.  :func:`estimate_pollak`, which also returns every
-per-onset term, instead walks the rank counts once in Python floats: on the
+search of the stops among the scoring edges: each run's rank gives its
+missed onsets, and one ``bincount`` of the ranks the per-onset hits and the
+runs that ended before each onset.  :func:`estimate_pollak`, which returns
+every per-onset term, walks the rank counts once in Python floats: on the
 few onsets of a criterion-3 call that is cheaper than numpy calls on
-three-element arrays.  The criteria report builds no terms and runs at
-hundreds of onsets, where the numpy reductions are cheaper, so it keeps
-them; both take the same floating-point steps in the same order.
+three-element arrays.  The criteria report pools its onsets instead: two
+integer sums of the ranks give its whole conditional-detection sum.
 """
 
 from __future__ import annotations
@@ -106,12 +105,6 @@ class DegenerateEstimateError(RuntimeError):
 class Estimate(NamedTuple):
     value: float
     std_error: float
-
-
-class ArlEstimate(NamedTuple):
-    mean: float
-    std_error: float
-    censored: int
 
 
 @dataclass(frozen=True)
@@ -178,7 +171,6 @@ class CriteriaReport:
     detect_any_prob: Estimate
     avg_missed: Estimate
     arl_censored: int
-    degenerate_onsets: tuple[int, ...]
 
     def __post_init__(self):
         for name in ("detect_first_prob", "detect_any_prob"):
@@ -449,19 +441,6 @@ def _simulate(
     return np.concatenate([p[0] for p in parts]), samples
 
 
-class _Scores(NamedTuple):
-    """Monitored runs scored from their stops.
-
-    ``hits[i]`` counts runs that stopped exactly on onset i and
-    ``survivors[i]`` runs still going, undetected, when it arrived.
-    ``missed`` is per trial the onsets the run passed before its end.
-    """
-
-    hits: np.ndarray
-    survivors: np.ndarray
-    missed: np.ndarray
-
-
 def _rank_counts(stop: np.ndarray, schedule: ChangeSchedule) -> tuple[np.ndarray, np.ndarray]:
     """Each run's rank ``2 * missed + detected``, and how many runs take
     each rank from 0 to ``2 * s``.
@@ -475,12 +454,6 @@ def _rank_counts(stop: np.ndarray, schedule: ChangeSchedule) -> tuple[np.ndarray
     """
     rank = schedule.onset_edges.searchsorted(stop.view(np.uint64), side="right")
     return rank, np.bincount(rank, minlength=2 * schedule.s + 1)
-
-
-def _score(stop: np.ndarray, schedule: ChangeSchedule) -> _Scores:
-    rank, counts = _rank_counts(stop, schedule)
-    survivors = stop.size - counts.cumsum()[: 2 * schedule.s : 2]
-    return _Scores(counts[1::2], survivors, rank >> 1)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +503,7 @@ def estimate_arl(
     seed,
     *,
     sample: RunLengthSample | None = None,
-) -> ArlEstimate:
+) -> Estimate:
     """Mean run length to a false alarm over pure-F0 trials.
 
     For a calibrated detector the horizon must be at least 10x eta, keeping
@@ -548,7 +521,7 @@ def estimate_arl(
         sample = simulate_run_lengths(detector, pair, n_trials, max_horizon, seed)
     _, mean, _, var, _ = sample.moments
     se = math.sqrt(var) / math.sqrt(sample.n) if sample.n else math.nan
-    return ArlEstimate(mean, se, sample.censored)
+    return Estimate(mean, se)
 
 
 def estimate_optimality_ceiling(
@@ -596,63 +569,6 @@ def estimate_optimality_ceiling(
 # Criteria estimators
 
 
-def _check_degenerate_policy(on_degenerate: str, min_survivors: int) -> None:
-    if on_degenerate not in ("raise", "exclude"):
-        raise ValueError(f"on_degenerate must be 'raise' or 'exclude', got {on_degenerate!r}")
-    if min_survivors < 1:
-        # an onset no trial reached has no conditional detection to estimate
-        raise ValueError(f"min_survivors must be >= 1, got {min_survivors}")
-
-
-class _PollakSum(NamedTuple):
-    """The conditional-detection sum and the per-onset terms it adds up:
-    ``p`` and ``se`` hold the terms of the onsets where ``estimable``."""
-
-    value: float
-    std_error: float
-    degenerate_onsets: tuple[int, ...]
-    estimable: np.ndarray
-    p: np.ndarray
-    se: np.ndarray
-
-
-def _pollak_sum(
-    hits: np.ndarray,
-    survivors: np.ndarray,
-    onsets: np.ndarray | tuple[int, ...],
-    min_survivors: int,
-    on_degenerate: str,
-) -> _PollakSum:
-    """Sum the per-onset terms ``hits / survivors`` (binomial standard
-    errors) over the onsets reached by at least ``min_survivors`` trials.
-
-    The sums run in onset order (``cumsum``, not the pairwise ``sum``), so
-    the last bit of the value and its standard error is fixed.
-    """
-    survivors = np.asarray(survivors)
-    ok = survivors >= min_survivors
-    if np.count_nonzero(ok) == ok.size:
-        m, p, degenerate = survivors, np.asarray(hits) / survivors, ()
-    else:
-        m = survivors[ok]
-        p = np.asarray(hits)[ok] / m
-        degenerate = tuple(np.asarray(onsets)[~ok].tolist())
-    se = np.sqrt(p * (1.0 - p) / m)
-    total = float(p.cumsum()[-1]) if p.size else 0.0
-    var = float((se * se).cumsum()[-1]) if p.size else 0.0
-    if degenerate and on_degenerate == "raise":
-        raise _degenerate_error(degenerate, min_survivors)
-    return _PollakSum(total, math.sqrt(var), degenerate, ok, p, se)
-
-
-def _degenerate_error(degenerate, min_survivors: int) -> DegenerateEstimateError:
-    return DegenerateEstimateError(
-        f"onsets {list(degenerate)} were reached by fewer than {min_survivors} trials; "
-        "their conditional detection probability is not estimable "
-        "(pass on_degenerate='exclude' to drop them from the sum)"
-    )
-
-
 _NAN_TERM = Estimate(math.nan, math.nan)
 
 
@@ -661,28 +577,34 @@ def _pollak_pass(
 ) -> PollakEstimate:
     """The conditional-detection sum of the runs' stops with its per-onset
     terms (NaN where excluded), in one pass over the onsets in Python
-    floats (the module docstring says why): :func:`_pollak_sum`'s steps in
-    the same order, so the same bits.  An onset's survivors are the runs
-    left after those that ended before it."""
+    floats (the module docstring says why), each sum taken in onset order.
+    An onset's survivors are the runs left after those that ended before
+    it.  Terms are built by ``tuple.__new__``, skipping the NamedTuple's
+    Python-level ``__new__``."""
     counts = _rank_counts(stop, schedule)[1].tolist()
     left = stop.size
     total = var = 0.0
     per_onset, survivors, degenerate = [], [], []
+    add_term, add_survivors, new = per_onset.append, survivors.append, tuple.__new__
     for onset, ended, hits in zip(schedule.onsets, counts[::2], counts[1::2]):
         left -= ended  # the runs that ended before reaching this onset
-        survivors.append(left)
+        add_survivors(left)
         if left < min_survivors:
             degenerate.append(onset)
-            per_onset.append(_NAN_TERM)
+            add_term(_NAN_TERM)
         else:
             p = hits / left
             se = math.sqrt(p * (1.0 - p) / left)
             total += p
             var += se * se
-            per_onset.append(Estimate(p, se))
+            add_term(new(Estimate, (p, se)))
         left -= hits
     if degenerate and on_degenerate == "raise":
-        raise _degenerate_error(degenerate, min_survivors)
+        raise DegenerateEstimateError(
+            f"onsets {degenerate} were reached by fewer than {min_survivors} trials; "
+            "their conditional detection probability is not estimable "
+            "(pass on_degenerate='exclude' to drop them from the sum)"
+        )
     return PollakEstimate(
         total, math.sqrt(var), tuple(per_onset), tuple(survivors), tuple(degenerate)
     )
@@ -720,7 +642,11 @@ def estimate_pollak(
     on unit-duration changes every term is schedule-invariant, so any
     schedule attains it (property-tested, not assumed silently).
     """
-    _check_degenerate_policy(on_degenerate, min_survivors)
+    if on_degenerate not in ("raise", "exclude"):
+        raise ValueError(f"on_degenerate must be 'raise' or 'exclude', got {on_degenerate!r}")
+    if min_survivors < 1:
+        # an onset no trial reached has no conditional detection to estimate
+        raise ValueError(f"min_survivors must be >= 1, got {min_survivors}")
     if schedule.s == 0:
         _check_runs(mode, n_trials)  # as _simulate would
         return PollakEstimate(0.0, 0.0, (), (), ())
@@ -736,8 +662,6 @@ def evaluate_criteria(
     n_trials: int,
     seed,
     mode: Mode = "restart",
-    min_survivors: int = 20,
-    on_degenerate: str = "exclude",
 ) -> CriteriaReport:
     """Full criteria report for one calibrated detector on one schedule.
 
@@ -746,40 +670,49 @@ def evaluate_criteria(
     separate pure-F0 simulation of ``n_trials`` runs over a horizon of
     ``max(int(20 * eta), 1000)``, so ``eta`` must be finite.
 
-    In restart mode the conditional-detection terms condition on "no
-    detection before the onset" (false alarms do not end a restart run),
-    which for a memoryless rule estimates the same conditional as the
-    single-shot run.
+    The conditional-detection sum pools its onsets, so the rule must be
+    memoryless: then every onset has one conditional detection probability
+    ``p``, whichever history reached it, and the sum is ``s * p``.  A run
+    reached every onset it missed and, when detected, the one it stopped
+    on, so the ``M`` onsets reached over all runs number the missed onsets
+    plus the ``H`` detected runs.  The sum is ``s * H / M``, with ``s``
+    times the binomial standard error of ``M`` trials, and leaves no onset
+    out; ``M = 0`` (no onsets, or only initial stops) gives ``(0, 0)``.  In
+    restart mode the conditional is "no detection before the onset" (false
+    alarms do not end a restart run), the same ``p`` as in a single-shot
+    run.  :func:`estimate_pollak` sums any rule's per-onset terms.
     """
-    _check_degenerate_policy(on_degenerate, min_survivors)
+    if not getattr(detector, "memoryless", False):
+        raise ValueError(
+            f"evaluate_criteria pools its onsets, which is exact only for a memoryless "
+            f"rule; {detector!r} is not memoryless (estimate_pollak sums any rule's terms)"
+        )
     if not math.isfinite(detector.eta):
         raise ValueError(
             f"eta must be finite to size the run-length horizon 20 * eta, got {detector.eta}"
         )
     stop, _ = _simulate(detector, pair, schedule, mode, n_trials, seed, STREAM_MONITOR)
-    scores = _score(stop, schedule)
+    rank, counts = _rank_counts(stop, schedule)
+    hits = counts[1::2]
+    missed = rank >> 1
     # every detected run stopped on exactly one onset, counted in its hits
-    detect_any = int(scores.hits.sum()) / n_trials
-    detect_first = int(scores.hits[0]) / n_trials if scores.hits.size else 0.0
-    pollak = _pollak_sum(
-        scores.hits, scores.survivors, schedule.onset_times, min_survivors, on_degenerate
-    )
-    avg_missed = _mean_se(scores.missed)
+    detected = int(hits.sum())
+    detect_any = detected / n_trials
+    detect_first = int(hits[0]) / n_trials if hits.size else 0.0
+    reached = int(missed.sum()) + detected
+    p = detected / reached if reached else 0.0
     horizon = max(int(20 * detector.eta), 1000)
     sample = simulate_run_lengths(detector, pair, n_trials, horizon, seed)
-    arl = estimate_arl(detector, pair, sample.n, horizon, seed, sample=sample)
-    bound = estimate_optimality_ceiling(
-        detector, pair, schedule.s, sample.n, horizon, seed, sample=sample
-    )
     return CriteriaReport(
-        pollak_estimate=Estimate(pollak.value, pollak.std_error),
-        arl_to_false_alarm=Estimate(arl.mean, arl.std_error),
-        optimality_ceiling=bound,
+        pollak_estimate=Estimate(schedule.s * p, schedule.s * _binomial_se(p, reached)),
+        arl_to_false_alarm=estimate_arl(detector, pair, sample.n, horizon, seed, sample=sample),
+        optimality_ceiling=estimate_optimality_ceiling(
+            detector, pair, schedule.s, sample.n, horizon, seed, sample=sample
+        ),
         detect_first_prob=Estimate(detect_first, _binomial_se(detect_first, n_trials)),
         detect_any_prob=Estimate(detect_any, _binomial_se(detect_any, n_trials)),
-        avg_missed=avg_missed,
+        avg_missed=_mean_se(missed),
         arl_censored=sample.censored,
-        degenerate_onsets=pollak.degenerate_onsets,
     )
 
 

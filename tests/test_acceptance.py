@@ -145,9 +145,9 @@ def detection_curves_rows():
     return run_eta_sweep(load_preset("detection_curves"))
 
 
-DETECTION_CURVES_CSV_SHA256 = "1a3e15002211e351953430209a0e18ef04358b9ee697c2321bda9b052dd48d29"
-MEAN_SWEEP_CSV_SHA256 = "62540626100ff2e7b1d99521aa6c6d95eb7f00dd6a1ad9bf54199be0a8767842"
-FULL_SCALE_CSV_SHA256 = "67517eae9f18e04780c3d74a4c6b97ec8d6e7c4ff2bde8e92ae1797010cefaff"
+DETECTION_CURVES_CSV_SHA256 = "15e1593aae40cb950e43595aa5c942888d995d1e3ee31d1dc2a0a1dd7b115926"
+MEAN_SWEEP_CSV_SHA256 = "87cf76dd2d953d51c256918fe41d049acafa560ab63b01920ffa83046d9c07da"
+FULL_SCALE_CSV_SHA256 = "62154e797f1d95fe30edbd268f915cd4ba4629e0fcc8decf351673f2d78a1b57"
 
 
 def assert_report_bytes(preset, rows, expected):
@@ -165,6 +165,33 @@ def assert_report_bytes(preset, rows, expected):
 def test_detection_curves_report_bytes_are_pinned(detection_curves_rows):
     # the module's sweep, rendered: no rerun
     assert_report_bytes("detection_curves", detection_curves_rows, DETECTION_CURVES_CSV_SHA256)
+
+
+#: per-row two-sided level of the check that a row's ``pollak`` meets its
+#: ``bound``: Bonferroni at a family level of 1e-3 over every row of the
+#: four shipped presets (detection_curves 6, acceptance 2, mean_sweep 4,
+#: full_scale 6)
+CEILING_LEVEL = 1e-3 / 18
+
+
+def pollak_meets_bound(rows):
+    """Criterion 4 on the artifact: each row's conditional-detection sum
+    against its ceiling, ``z = (pollak - bound) / hypot(pollak_se,
+    bound_se)`` within the two-sided :data:`CEILING_LEVEL`.  Returns one z
+    per row and the failed checks."""
+    z_max = norm_upper_quantile(CEILING_LEVEL / 2)
+    details, problems = [], []
+    for row in rows:
+        z = (row.pollak - row.bound) / math.hypot(row.pollak_se, row.bound_se)
+        details.append(f"eta={row.eta:g} mu1={row.mu1:g}: pollak-bound z={z:+.2f}")
+        if not abs(z) <= z_max:
+            problems.append(f"pollak {row.pollak} vs bound {row.bound} at eta={row.eta:g}")
+    return details, problems
+
+
+def test_detection_curves_rows_meet_their_ceiling(detection_curves_rows):
+    details, problems = pollak_meets_bound(detection_curves_rows)
+    _report("4 on detection_curves", not problems, "; ".join(details + problems))
 
 
 def test_criterion_5_detect_first_vs_any_curves(detection_curves_rows):
@@ -213,12 +240,15 @@ def restart_exact_cells(pair, eta, s, n):
     l2 = math.exp(a * a) * norm_upper_tail(c - 2 * a) / p0
     bound_rel_var = l2 / (p1 / p0) ** 2 - 1.0 + (1.0 - p0)
     detect_any = 1.0 - q**s
+    # pollak: the pooled sum s * H / M, where the M onsets reached number
+    # n * (E[missed] + detect_any) on average
     return {
         "detect_first": (p1, math.sqrt(p1 * q / n)),
         "detect_any": (detect_any, math.sqrt(detect_any * (1.0 - detect_any) / n)),
         "avg_missed": (missed, math.sqrt(missed_var / n)),
         "arl": (eta, math.sqrt((eta * eta - eta) / n)),
         "bound": (s * p1, s * p1 * math.sqrt(bound_rel_var / n)),
+        "pollak": (s * p1, s * math.sqrt(p1 * q / (n * (missed + detect_any)))),
     }
 
 
@@ -261,10 +291,10 @@ def referee_restart_rows(config, rows, level):
 
 
 #: per-check two-sided level of the closed-form referees: Bonferroni at a
-#: family level of 1e-3 over each preset's rows x 5 cells
-DETECTION_CURVES_REFEREE_LEVEL = 1e-3 / (6 * 5)
-ACCEPTANCE_REFEREE_LEVEL = 1e-3 / (2 * 5)
-FULL_SCALE_REFEREE_LEVEL = 1e-3 / (6 * 5)
+#: family level of 1e-3 over each preset's rows x 6 cells
+DETECTION_CURVES_REFEREE_LEVEL = 1e-3 / (6 * 6)
+ACCEPTANCE_REFEREE_LEVEL = 1e-3 / (2 * 6)
+FULL_SCALE_REFEREE_LEVEL = 1e-3 / (6 * 6)
 
 
 def test_detection_curves_cells_match_the_restart_closed_forms(detection_curves_rows):
@@ -284,12 +314,21 @@ def test_acceptance_cells_match_the_restart_closed_forms():
     assert config.mode == "restart" and len(rows) == 2  # as the level counts
     details, problems = referee_restart_rows(config, rows, ACCEPTANCE_REFEREE_LEVEL)
     _report("acceptance exact", not problems, "; ".join(details + problems))
+    details, problems = pollak_meets_bound(rows)
+    _report("4 on acceptance", not problems, "; ".join(details + problems))
+
+
+#: per-row two-sided level of criterion 7's check of ``pollak`` against
+#: ``s * detect_prob``: Bonferroni at a family level of 1e-3 over its 4 rows
+MEAN_SWEEP_POLLAK_LEVEL = 1e-3 / 4
 
 
 def test_criterion_7_mean_sweep_matches_closed_form():
     config = load_preset("mean_sweep")
     rows = run_eta_sweep(config)
+    assert config.mode == "restart" and len(rows) == 4  # as the levels count
     schedule = config.build_schedule()
+    z_pollak = norm_upper_quantile(MEAN_SWEEP_POLLAK_LEVEL / 2)
     printed = {0.5: 0.0336, 1.0: 0.0924, 2.0: 0.3722, 3.0: 0.7501}
     problems = []
     details = []
@@ -311,10 +350,19 @@ def test_criterion_7_mean_sweep_matches_closed_form():
             problems.append(f"per-onset conditional detection off at mu={row.mu1:g}")
         if abs(row.detect_first - closed) > 3.0 * max(row.detect_first_se, 1e-3):
             problems.append(f"detect_first off at mu={row.mu1:g}")
+        # the row's pooled sum against s * detect_prob, at the exact SE
+        exact = row.s * closed
+        _, se = restart_exact_cells(pair, row.eta, row.s, row.n_trials)["pollak"]
+        z = (row.pollak - exact) / se
+        details.append(f"mu={row.mu1:g}: pollak z={z:+.2f}")
+        if not abs(z) <= z_pollak:
+            problems.append(f"pollak {row.pollak} vs exact {exact} at mu={row.mu1:g}")
     missed = [r.avg_missed for r in rows]
     if not all(b < a for a, b in zip(missed, missed[1:])):
         problems.append(f"avg_missed not strictly decreasing in mu: {missed}")
+    ceiling_details, ceiling_problems = pollak_meets_bound(rows)
     _report(7, not problems, "; ".join(details + problems))
+    _report("4 on mean_sweep", not ceiling_problems, "; ".join(ceiling_details + ceiling_problems))
     assert_report_bytes("mean_sweep", rows, MEAN_SWEEP_CSV_SHA256)
 
 
@@ -337,6 +385,9 @@ def test_criterion_9_full_scale_preset():
     rows = run_eta_sweep(config)
     assert config.mode == "restart" and len(rows) == 6  # as the level counts
     details, problems = referee_restart_rows(config, rows, FULL_SCALE_REFEREE_LEVEL)
+    ceiling_details, ceiling_problems = pollak_meets_bound(rows)
+    details += ceiling_details
+    problems += ceiling_problems
     if not all(r.detect_any >= r.detect_first for r in rows):
         problems.append("detect_any < detect_first somewhere")
     firsts = [r.detect_first for r in rows]

@@ -251,7 +251,7 @@ def test_a_sweep_builds_one_process_pool(monkeypatch):
         assert [(r.mu1, r.eta) for r in rows] == [(m, e) for m in means for e in etas]
 
 
-ACCEPTANCE_CSV_SHA256 = "5daad0f8e00ba822341ae75009a88fe2c97ed07c66e79ab3dd9d8ae5303e5f02"
+ACCEPTANCE_CSV_SHA256 = "8a756ad7ab36a99f00b5e7fab3ed88338d3292b4fd66604d11fde0f2f14e3563"
 
 
 def test_acceptance_preset_report_bytes_are_pinned():

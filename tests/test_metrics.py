@@ -30,10 +30,10 @@ from transientscan.metrics import (
     _CHUNK,
     STREAM_MONITOR,
     Estimate,
+    _binomial_se,
     _mean_se,
     _pollak_pass,
-    _pollak_sum,
-    _score,
+    _rank_counts,
     _simulate,
     detect_first_any_curves,
     trial_rng,
@@ -158,18 +158,21 @@ def test_trial_rng_keeps_seed_sequence_for_other_entropy():
 
 
 def test_arl_always_alarm_is_exact():
-    est = estimate_arl(calibrate(PAIR, 1.0), PAIR, 500, 50, seed=0)
-    assert est.mean == 1.0
+    det = calibrate(PAIR, 1.0)
+    est = estimate_arl(det, PAIR, 500, 50, seed=0)
+    assert est.value == 1.0
     assert est.std_error == 0.0
-    assert est.censored == 0
+    assert simulate_run_lengths(det, PAIR, 500, 50, seed=0).censored == 0
 
 
 def test_arl_matches_geometric_moments():
     eta, n = 10.0, 1_000_000
-    est = estimate_arl(calibrate(PAIR, eta), PAIR, n, 1000, seed=42)
+    det = calibrate(PAIR, eta)
+    sample = simulate_run_lengths(det, PAIR, n, 1000, seed=42)
+    est = estimate_arl(det, PAIR, n, 1000, seed=42, sample=sample)
     tol = 3.0 * math.sqrt(eta**2 - eta) / math.sqrt(n)
-    assert abs(est.mean - eta) <= tol
-    assert est.censored == 0
+    assert abs(est.value - eta) <= tol
+    assert sample.censored == 0
     assert est.std_error == pytest.approx(math.sqrt(eta**2 - eta) / math.sqrt(n), rel=0.1)
 
 
@@ -208,7 +211,7 @@ def test_initial_stop_scales_run_length_and_not_the_bound():
     slack = calibrate(PAIR, 150.0)
     equalized = dataclasses.replace(slack, initial_stop_prob=1.0 / 3.0)
     est = estimate_arl(equalized, PAIR, 40_000, 3000, seed=5)
-    assert abs(est.mean - 100.0) <= 4 * est.std_error
+    assert abs(est.value - 100.0) <= 4 * est.std_error
     b_plain = estimate_optimality_ceiling(slack, PAIR, 1, 40_000, 3000, seed=6)
     b_equal = estimate_optimality_ceiling(equalized, PAIR, 1, 40_000, 3000, seed=7)
     tol = 3 * math.hypot(b_plain.std_error, b_equal.std_error)
@@ -372,41 +375,29 @@ def test_pollak_pass_matches_the_onset_loop():
         s = int(rng.integers(1, 150))
         sched = ChangeSchedule(tuple(range(2, 2 * s + 1, 2)), 1, 2 * s)
         stop = _random_stops(rng, sched, int(rng.integers(1, 400)))
-        scores = _score(stop, sched)
+        hits, survivors, _ = searchsorted_scores(stop, sched)
         floor = 1 + k % 60
         est = _pollak_pass(stop, sched, floor, "exclude")
         got = (est.value, est.std_error, est.per_onset, est.survivors, est.degenerate_onsets)
-        assert repr(got) == repr(pollak_loop(scores.hits, scores.survivors, sched.onsets, floor))
+        assert repr(got) == repr(pollak_loop(hits, survivors, sched.onsets, floor))
 
 
-@pytest.mark.parametrize("estimator", ["pollak", "criteria"])
+@pytest.mark.parametrize("estimator", ["pollak"])
 @pytest.mark.parametrize("policy", ["rasie", "Exclude", ""])
 def test_unknown_degenerate_policy_is_rejected(estimator, policy):
     det = calibrate(PAIR, 5.0)
     sched = ChangeSchedule(onsets=(3, 200), duration=1, horizon=200)
-    call = {
-        "pollak": lambda: estimate_pollak(det, PAIR, sched, 300, seed=13, on_degenerate=policy),
-        "criteria": lambda: evaluate_criteria(
-            det, PAIR, sched, n_trials=300, seed=13, on_degenerate=policy
-        ),
-    }[estimator]
     with pytest.raises(ValueError, match="on_degenerate"):
-        call()
+        estimate_pollak(det, PAIR, sched, 300, seed=13, on_degenerate=policy)
 
 
-@pytest.mark.parametrize("estimator", ["pollak", "criteria"])
+@pytest.mark.parametrize("estimator", ["pollak"])
 def test_min_survivors_below_one_is_rejected(estimator):
     # an onset that no trial reaches would divide zero hits by zero trials
     det = calibrate(PAIR, 5.0)
     sched = ChangeSchedule(onsets=(3, 200), duration=1, horizon=200)
-    call = {
-        "pollak": lambda: estimate_pollak(det, PAIR, sched, 300, seed=13, min_survivors=0),
-        "criteria": lambda: evaluate_criteria(
-            det, PAIR, sched, n_trials=300, seed=13, min_survivors=0
-        ),
-    }[estimator]
     with pytest.raises(ValueError, match="min_survivors"):
-        call()
+        estimate_pollak(det, PAIR, sched, 300, seed=13, min_survivors=0)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +459,7 @@ def test_threshold_sequence_estimates_match_its_exact_laws():
     sample = simulate_run_lengths(rule, PAIR, 20_000, 2000, seed=64)
     assert sample.censored == 0
     arl = estimate_arl(rule, PAIR, sample.n, 2000, seed=64, sample=sample)
-    assert abs(arl.mean - mean_tau) <= 4 * arl.std_error
+    assert abs(arl.value - mean_tau) <= 4 * arl.std_error
     est = estimate_optimality_ceiling(rule, PAIR, 3, sample.n, 2000, seed=64, sample=sample)
     assert abs(est.value - rule.exact_ceiling(3)) <= 4 * est.std_error
 
@@ -564,20 +555,20 @@ def test_moments_match_the_numpy_reductions_bit_for_bit():
         assert cov == float(np.cov(sample.lrs, sample.taus, ddof=1)[0, 1])
         arl = estimate_arl(None, PAIR, sample.n, 1, seed=0, sample=sample)
         se = float(sample.taus.std(ddof=1) / math.sqrt(sample.n))
-        assert arl == (float(sample.taus.mean()), se, sample.censored)
+        assert arl == (float(sample.taus.mean()), se)
 
 
 def test_empty_and_one_run_samples_keep_their_estimates():
     fixed = FixedTimeRule(5)
     empty = simulate_run_lengths(fixed, PAIR, 3, 4, seed=0)
     arl = estimate_arl(fixed, PAIR, 3, 4, seed=0, sample=empty)
-    assert math.isnan(arl.mean) and math.isnan(arl.std_error) and arl.censored == 3
+    assert math.isnan(arl.value) and math.isnan(arl.std_error) and empty.censored == 3
     with pytest.raises(DegenerateEstimateError):
         estimate_optimality_ceiling(fixed, PAIR, 2, 3, 4, seed=0, sample=empty)
     det = calibrate(PAIR, 10.0)
     one = simulate_run_lengths(det, PAIR, 1, 200, seed=0)
     (tau,), (lr,) = one.taus, one.lrs
-    assert estimate_arl(det, PAIR, 1, 200, seed=0, sample=one) == (tau, 0.0, 0)
+    assert estimate_arl(det, PAIR, 1, 200, seed=0, sample=one) == (tau, 0.0)
     ceiling = estimate_optimality_ceiling(det, PAIR, 3, 1, 200, seed=0, sample=one)
     assert ceiling == (3 * lr / tau, 0.0)
 
@@ -604,8 +595,8 @@ def test_criteria_arl_is_estimate_arl_on_the_same_runs():
         rep = evaluate_criteria(det, PAIR, sched, n_trials=n, seed=33)
         sample = simulate_run_lengths(det, PAIR, n, horizon, seed=33)
         arl = estimate_arl(det, PAIR, n, horizon, seed=33, sample=sample)
-        assert rep.arl_to_false_alarm == (arl.mean, arl.std_error)
-        assert rep.arl_censored == arl.censored
+        assert rep.arl_to_false_alarm == arl
+        assert rep.arl_censored == sample.censored
         assert rep.optimality_ceiling == estimate_optimality_ceiling(
             det, PAIR, sched.s, n, horizon, seed=33, sample=sample
         )
@@ -746,7 +737,7 @@ def test_detect_any_zero_without_onsets():
     rep = evaluate_criteria(det, PAIR, sched, n_trials=500, seed=24, mode="single_shot")
     assert rep.detect_any_prob.value == 0.0
     assert rep.detect_first_prob.value == 0.0
-    assert rep.pollak_estimate.value == 0.0
+    assert rep.pollak_estimate == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("mode", ["single_shot", "restart"])
@@ -768,7 +759,9 @@ def test_kernel_scoring_matches_monitor_sequence(mode):
     first = first_alarms(mask[:, cols])
     # row 0 of the scored stops is an initial stop
     stop = np.concatenate([[0], np.where(first >= 0, cols[first] + 1, -1)])
-    scores = _score(stop, sched)
+    # the library's scoring: ranks for the report, survivors from the pass
+    rank, counts = _rank_counts(stop, sched)
+    survivors_of_pass = _pollak_pass(stop, sched, 1, "exclude").survivors
     initial = run_monitoring(
         dataclasses.replace(det, initial_stop_prob=1.0), PAIR, sched, mode, seed=38
     )
@@ -780,12 +773,12 @@ def test_kernel_scoring_matches_monitor_sequence(mode):
         assert stop[k] == (-1 if out.tau is None else out.tau)
         # a run detects exactly when it stops on an onset
         assert out.first_detection_time == (stop[k] if stop[k] in sched.onsets else None)
-        assert scores.missed[k] == out.missed_onsets_before_detection
+        assert rank[k] >> 1 == out.missed_onsets_before_detection
         end = sched.horizon + 1 if out.tau is None else out.tau
         survivors += np.asarray(sched.onsets) <= end
         hits += np.asarray(sched.onsets) == out.first_detection_time
-    assert np.array_equal(scores.hits, hits)
-    assert np.array_equal(scores.survivors, survivors)
+    assert np.array_equal(counts[1::2], hits)
+    assert survivors_of_pass == tuple(survivors.tolist())
 
 
 def test_restart_runs_stop_drawing_at_their_first_detection(monkeypatch):
@@ -1207,6 +1200,19 @@ def _random_stops(rng, sched, n):
     return rng.choice(times, n).astype(np.int64)
 
 
+def searchsorted_scores(stop, sched):
+    """Per-onset hits and survivors and per-run missed onsets of the runs'
+    ``stop``s, from a search of each run's end among the onsets (a censored
+    run ends after the horizon)."""
+    end = np.where(stop == -1, sched.horizon + 1, stop)
+    onsets = np.asarray(sched.onsets, dtype=np.int64)
+    # survivors of each onset as the reversed cumulative count of the onsets reached
+    reached = np.searchsorted(onsets, end, side="right")
+    survivors = np.cumsum(np.bincount(reached, minlength=sched.s + 1)[::-1])[::-1][1:]
+    hits = np.array([np.count_nonzero(stop == g) for g in sched.onsets], dtype=np.int64)
+    return hits, survivors, np.searchsorted(onsets, end)
+
+
 def _scoring_schedules(rng):
     """Random schedules (s = 0 among them): even grids of duration 1, whose
     last onset is the horizon, and uniform placements of durations 2 and 3;
@@ -1230,36 +1236,31 @@ def test_scoring_pass_matches_the_numpy_reductions_bit_for_bit():
         seen.add((sched.duration, sched.s == 0, horizon in sched.onsets))
         n = int(rng.choice([1, 2, 3, 17, 256, 300]))
         stop = _random_stops(rng, sched, n)
-        scores = _score(stop, sched)
-        # survivors of each onset as the reversed cumulative count
-        end = np.where(stop == -1, horizon + 1, stop)
-        onsets = np.asarray(sched.onsets, dtype=np.int64)
-        reached = np.searchsorted(onsets, end, side="right")
-        survivors = np.cumsum(np.bincount(reached, minlength=sched.s + 1)[::-1])[::-1][1:]
-        assert np.array_equal(scores.survivors, survivors)
-        assert scores.survivors.dtype == survivors.dtype
-        # the onsets before each run's end, and the runs stopped on each onset
-        assert np.array_equal(scores.missed, np.searchsorted(onsets, end))
-        assert scores.hits.tolist() == [int(np.count_nonzero(stop == g)) for g in sched.onsets]
+        hits, survivors, missed = searchsorted_scores(stop, sched)
+        # the report's ranks: the onsets before each run's end, and the runs
+        # stopped on each onset
+        rank, counts = _rank_counts(stop, sched)
+        assert np.array_equal(rank >> 1, missed)
+        assert np.array_equal(counts[1::2], hits)
+        # the pooled count: every onset reached was missed or stopped on
+        assert int(missed.sum()) + int(hits.sum()) == int(survivors.sum())
         # avg_missed: one mean for the value and the standard error
-        x = scores.missed.astype(float)
+        x = missed.astype(float)
         se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        assert repr(_mean_se(scores.missed)) == repr(Estimate(float(x.mean()), se))
-        # the sum and its terms (some onsets degenerate): the numpy
-        # reductions, the scalar pass and the onset loop agree to the bit
+        assert repr(_mean_se(rank >> 1)) == repr(Estimate(float(x.mean()), se))
+        # the sum and its terms (some onsets degenerate): the scalar pass and
+        # the onset loop agree to the bit
         floor = int(rng.integers(1, n + 2))
-        args = (scores.hits, scores.survivors)
-        total = _pollak_sum(*args, sched.onset_times, floor, "exclude")
-        value, se, per_onset, survivors, degenerate = pollak_loop(*args, sched.onsets, floor)
+        value, se, per_onset, loop_survivors, degenerate = pollak_loop(
+            hits, survivors, sched.onsets, floor
+        )
         est = _pollak_pass(stop, sched, floor, "exclude")
-        assert _hexes((est.value, est.std_error)) == _hexes(total[:2]) == _hexes((value, se))
-        numpy_terms = zip(total.p.tolist(), total.se.tolist())
-        nan_term = _hexes((math.nan, math.nan))
-        expected = [_hexes(next(numpy_terms)) if k else nan_term for k in total.estimable.tolist()]
-        assert [_hexes(t) for t in est.per_onset] == expected == [_hexes(t) for t in per_onset]
-        assert est.survivors == tuple(scores.survivors.tolist()) == survivors
+        assert _hexes((est.value, est.std_error)) == _hexes((value, se))
+        assert [_hexes(t) for t in est.per_onset] == [_hexes(t) for t in per_onset]
+        assert all(type(t) is Estimate for t in est.per_onset)
+        assert est.survivors == tuple(survivors.tolist()) == loop_survivors
         assert all(type(m) is int for m in est.survivors)
-        assert est.degenerate_onsets == total.degenerate_onsets == degenerate
+        assert est.degenerate_onsets == tuple(degenerate)
         floors.add(bool(degenerate))
         if degenerate:
             # the raise policy words its error as it always has
@@ -1268,11 +1269,9 @@ def test_scoring_pass_matches_the_numpy_reductions_bit_for_bit():
                 "their conditional detection probability is not estimable "
                 "(pass on_degenerate='exclude' to drop them from the sum)"
             )
-            with pytest.raises(DegenerateEstimateError) as numpy_error:
-                _pollak_sum(*args, sched.onset_times, floor, "raise")
             with pytest.raises(DegenerateEstimateError) as pass_error:
                 _pollak_pass(stop, sched, floor, "raise")
-            assert str(pass_error.value) == str(numpy_error.value) == message
+            assert str(pass_error.value) == message
         else:
             assert _pollak_pass(stop, sched, floor, "raise") == est
         sizes.add(n)
@@ -1294,28 +1293,40 @@ def test_mean_se_matches_the_numpy_reductions_bit_for_bit():
 
 
 @pytest.mark.parametrize("mode", ["single_shot", "restart"])
-def test_criteria_cells_are_the_reductions_of_the_monitored_stops(mode):
-    # initial stops, censored runs and (at min_survivors 30) degenerate onsets
+def test_criteria_cells_are_the_reductions_of_the_monitored_stops(mode, monkeypatch):
+    # initial stops (and, in restart mode, censored runs) at 1, 2 and 300 runs
     det = calibrate(PAIR, 4.0, initial_stop_prob=0.2)
     sched = make_schedule(60, 6, 1)
+    ends = set()
     for n in (1, 2, 300):
         stop, _ = _simulate(det, PAIR, sched, mode, n, 63, STREAM_MONITOR)
-        rep = evaluate_criteria(
-            det, PAIR, sched, n_trials=n, seed=63, mode=mode, min_survivors=30
-        )
-        scores = _score(stop, sched)
+        ends.update(stop[stop <= 0].tolist())
+        rep = evaluate_criteria(det, PAIR, sched, n_trials=n, seed=63, mode=mode)
+        hits, _, missed = searchsorted_scores(stop, sched)
         # the onset each run stopped on, -1 for none
         detected_at = np.array([sched.onsets.index(t) if t in sched.onsets else -1 for t in stop])
         assert rep.detect_any_prob.value == float((detected_at >= 0).mean())
         assert rep.detect_first_prob.value == float((detected_at == 0).mean())
-        x = scores.missed.astype(float)
+        x = missed.astype(float)
         se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         assert repr(rep.avg_missed) == repr(Estimate(float(x.mean()), se))
-        # estimate_pollak draws the same runs: the same sum and standard
-        # error, to the bit, as the report and as the pass over the stops
+        # the pooled sum: a run reached every onset it missed and the one it
+        # stopped on, and each onset reached is one trial of the same p
+        detected = int(hits.sum())
+        reached = int(missed.sum()) + detected
+        p = detected / reached if reached else 0.0
+        expected = (sched.s * p, sched.s * _binomial_se(p, reached))
+        assert _hexes(rep.pollak_estimate) == _hexes(expected)
+        # estimate_pollak draws the same runs: its survivors add up to the
+        # onsets reached, and its hits to the detected runs
         est = estimate_pollak(
-            det, PAIR, sched, n, seed=63, mode=mode, min_survivors=30, on_degenerate="exclude"
+            det, PAIR, sched, n, seed=63, mode=mode, min_survivors=1, on_degenerate="exclude"
         )
-        assert est == _pollak_pass(stop, sched, 30, "exclude")
-        assert _hexes(rep.pollak_estimate) == _hexes((est.value, est.std_error))
-        assert rep.degenerate_onsets == est.degenerate_onsets
+        assert reached == sum(est.survivors)
+        assert detected == sum(round(t.value * m) for t, m in zip(est.per_onset, est.survivors) if m)
+    assert ends == ({-1, 0} if mode == "restart" else {0})
+    # the pooled sum is exact only for a memoryless rule: any other is
+    # rejected by name before a run is simulated
+    monkeypatch.setattr(metrics, "_simulate", None)
+    with pytest.raises(ValueError, match="memoryless"):
+        evaluate_criteria(FixedTimeRule(3), PAIR, sched, n_trials=300, seed=63, mode=mode)

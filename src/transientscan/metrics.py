@@ -31,6 +31,9 @@ at a time, each buffer followed by whatever ``alarm_mask`` consumes.
 Every other run takes the block layout: one block of samples per step for
 the trials still running (consecutive time steps, or in restart mode the
 onset samples), then whatever ``alarm_mask`` consumes.
+The terms of :func:`estimate_pollak` take no runs: a chunk draws one F1
+matrix of its trials at the onset times (at most ``_MAX_BLOCK_SAMPLES`` per
+draw), each draw followed by whatever ``alarm_mask`` consumes.
 Aggregation reduces per-trial records in trial order, and one call runs
 its chunks in order in one process.  Parallel work is split by the rows of
 a sweep (:func:`detect_first_any_curves`), each row whole in one process,
@@ -49,12 +52,10 @@ returns that chunk's arrays as they are, and a rule with no initial stop
 keeps no initial-stop bookkeeping.  The block layout builds its times once
 per call and keeps no running rows after its last block.  Scoring is one
 search of the stops among the scoring edges: each run's rank gives its
-missed onsets, and one ``bincount`` of the ranks the per-onset hits and the
-runs that ended before each onset.  :func:`estimate_pollak`, which returns
-every per-onset term, walks the rank counts once in Python floats: on the
-few onsets of a criterion-3 call that is cheaper than numpy calls on
-three-element arrays.  The criteria report pools its onsets instead: two
-integer sums of the ranks give its whole conditional-detection sum.
+missed onsets, and two integer sums of the ranks the criteria report's
+pooled sum.  :func:`estimate_pollak` walks its per-onset alarm counts once
+in Python floats: on the few onsets of a criterion-3 call that is cheaper
+than numpy calls on three-element arrays.
 """
 
 from __future__ import annotations
@@ -147,10 +148,9 @@ class PollakEstimate:
     """Sum over onsets of the conditional detection probability.
 
     ``per_onset`` holds the per-onset estimates, ``survivors`` how many
-    trials reached each onset.  Onsets with fewer than the configured
-    minimum of survivors are excluded from the sum and listed in
-    ``degenerate_onsets`` (their conditional probability is not estimable
-    from the run).
+    trials decided each onset (every trial decides every onset).  When
+    fewer than the configured minimum did, every onset is excluded from the
+    sum and listed in ``degenerate_onsets``.
     """
 
     value: float
@@ -569,47 +569,6 @@ def estimate_optimality_ceiling(
 # Criteria estimators
 
 
-_NAN_TERM = Estimate(math.nan, math.nan)
-
-
-def _pollak_pass(
-    stop: np.ndarray, schedule: ChangeSchedule, min_survivors: int, on_degenerate: str
-) -> PollakEstimate:
-    """The conditional-detection sum of the runs' stops with its per-onset
-    terms (NaN where excluded), in one pass over the onsets in Python
-    floats (the module docstring says why), each sum taken in onset order.
-    An onset's survivors are the runs left after those that ended before
-    it.  Terms are built by ``tuple.__new__``, skipping the NamedTuple's
-    Python-level ``__new__``."""
-    counts = _rank_counts(stop, schedule)[1].tolist()
-    left = stop.size
-    total = var = 0.0
-    per_onset, survivors, degenerate = [], [], []
-    add_term, add_survivors, new = per_onset.append, survivors.append, tuple.__new__
-    for onset, ended, hits in zip(schedule.onsets, counts[::2], counts[1::2]):
-        left -= ended  # the runs that ended before reaching this onset
-        add_survivors(left)
-        if left < min_survivors:
-            degenerate.append(onset)
-            add_term(_NAN_TERM)
-        else:
-            p = hits / left
-            se = math.sqrt(p * (1.0 - p) / left)
-            total += p
-            var += se * se
-            add_term(new(Estimate, (p, se)))
-        left -= hits
-    if degenerate and on_degenerate == "raise":
-        raise DegenerateEstimateError(
-            f"onsets {degenerate} were reached by fewer than {min_survivors} trials; "
-            "their conditional detection probability is not estimable "
-            "(pass on_degenerate='exclude' to drop them from the sum)"
-        )
-    return PollakEstimate(
-        total, math.sqrt(var), tuple(per_onset), tuple(survivors), tuple(degenerate)
-    )
-
-
 def estimate_pollak(
     detector: StoppingRule,
     pair: DistributionPair,
@@ -617,26 +576,27 @@ def estimate_pollak(
     n_trials: int,
     seed,
     *,
-    mode: Mode = "single_shot",
     min_survivors: int = 100,
     on_degenerate: str = "raise",
 ) -> PollakEstimate:
     """Sum over onsets of P(stop exactly at the onset | still running there).
 
-    Direct conditioning: each onset's term is the detected fraction among
-    the trials that reached it.  For memoryless rules consecutive terms are
-    uncorrelated (the conditional law after surviving an onset does not
-    depend on how), so the summed variance is the sum of the per-term
-    binomial variances.
-
-    The sum is also the worst case over pre-onset histories (Lorden 1971)
-    for every rule the :class:`StoppingRule` protocol admits, memoryless or
-    not: a verdict reads only its time, its own sample and independent
-    randomness, so an onset's detection probability is the same whatever
-    history reached it.  One onset's term is ``per_onset[index - 1]``; the
-    conditional ``c(t)`` at one time ``t`` is the one-onset restart run
-    ``estimate_pollak(rule, pair, ChangeSchedule((t,), 1, t), n, seed,
-    mode="restart")``, which decides one F1 sample per trial at ``t``.
+    A protocol rule's verdict reads only its time, its own sample and
+    independent randomness, so an onset's term is ``c1(t) = P1(alarm at
+    t)`` whatever history reached it, which makes the sum the worst case
+    over pre-onset histories too (Lorden 1971).  So the terms are drawn
+    directly: chunk ``c`` draws one ``(trials x s)`` F1 matrix from
+    ``trial_rng(seed, STREAM_MONITOR, c)``, its onset columns split to at
+    most ``_MAX_BLOCK_SAMPLES`` per draw, and one ``alarm_mask`` call per
+    draw decides it.  A term is its column's alarmed fraction with its
+    binomial standard error, also at an onset no run reaches
+    (``AlwaysStopRule`` reads 1 past t = 1); an initial stop draws nothing,
+    as it changes no conditional.  The terms are independent, so the sum's
+    variance is the sum of theirs, each sum taken in onset order.  Every
+    trial decides every onset (``survivors``), so the onsets are all
+    degenerate exactly when ``n_trials < min_survivors``.  The conditional
+    ``c(t)`` at one time ``t`` is ``estimate_pollak(rule, pair,
+    ChangeSchedule((t,), 1, t), n, seed).per_onset[0]``.
 
     The worst case over schedules is not searched: for a memoryless rule
     on unit-duration changes every term is schedule-invariant, so any
@@ -645,13 +605,43 @@ def estimate_pollak(
     if on_degenerate not in ("raise", "exclude"):
         raise ValueError(f"on_degenerate must be 'raise' or 'exclude', got {on_degenerate!r}")
     if min_survivors < 1:
-        # an onset no trial reached has no conditional detection to estimate
+        # an onset no trial decides has no conditional detection to estimate
         raise ValueError(f"min_survivors must be >= 1, got {min_survivors}")
-    if schedule.s == 0:
-        _check_runs(mode, n_trials)  # as _simulate would
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    s = schedule.s
+    if s == 0:
         return PollakEstimate(0.0, 0.0, (), (), ())
-    stop, _ = _simulate(detector, pair, schedule, mode, n_trials, seed, STREAM_MONITOR)
-    return _pollak_pass(stop, schedule, min_survivors, on_degenerate)
+    if n_trials < min_survivors:
+        if on_degenerate == "raise":
+            raise DegenerateEstimateError(
+                f"onsets {list(schedule.onsets)} were decided by fewer than {min_survivors} "
+                "trials; their conditional detection probability is not estimable "
+                "(pass on_degenerate='exclude' to drop them from the sum)"
+            )
+        nan = Estimate(math.nan, math.nan)
+        return PollakEstimate(0.0, 0.0, (nan,) * s, (n_trials,) * s, schedule.onsets)
+    times = schedule.onset_times
+    width = _MAX_BLOCK_SAMPLES // _CHUNK
+    hits = np.zeros(s, dtype=np.int64)
+    for lo, hi in _chunk_ranges(n_trials):
+        rng = trial_rng(seed, STREAM_MONITOR, lo // _CHUNK)
+        for c0 in range(0, s, width):
+            cols = times[c0 : c0 + width]
+            x = np.asarray(pair.sample("alternative", rng, (hi - lo, cols.size)), dtype=float)
+            mask = detector.alarm_mask(_row_times(cols, x.shape), x, rng)
+            hits[c0 : c0 + cols.size] += np.count_nonzero(mask, axis=0)
+    # Python floats (the module docstring says why); terms built by
+    # tuple.__new__, skipping the NamedTuple's Python-level __new__
+    total = var = 0.0
+    per_onset, new = [], tuple.__new__
+    for h in hits.tolist():
+        p = h / n_trials
+        se = math.sqrt(p * (1.0 - p) / n_trials)
+        total += p
+        var += se * se
+        per_onset.append(new(Estimate, (p, se)))
+    return PollakEstimate(total, math.sqrt(var), tuple(per_onset), (n_trials,) * s, ())
 
 
 def evaluate_criteria(
@@ -687,10 +677,9 @@ def evaluate_criteria(
             f"evaluate_criteria pools its onsets, which is exact only for a memoryless "
             f"rule; {detector!r} is not memoryless (estimate_pollak sums any rule's terms)"
         )
-    if not math.isfinite(detector.eta):
-        raise ValueError(
-            f"eta must be finite to size the run-length horizon 20 * eta, got {detector.eta}"
-        )
+    eta = getattr(detector, "eta", math.nan)  # a rule with no run-length budget has none
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite to size the run-length horizon 20 * eta, got {eta}")
     stop, _ = _simulate(detector, pair, schedule, mode, n_trials, seed, STREAM_MONITOR)
     rank, counts = _rank_counts(stop, schedule)
     hits = counts[1::2]
@@ -701,7 +690,7 @@ def evaluate_criteria(
     detect_first = int(hits[0]) / n_trials if hits.size else 0.0
     reached = int(missed.sum()) + detected
     p = detected / reached if reached else 0.0
-    horizon = max(int(20 * detector.eta), 1000)
+    horizon = max(int(20 * eta), 1000)
     sample = simulate_run_lengths(detector, pair, n_trials, horizon, seed)
     return CriteriaReport(
         pollak_estimate=Estimate(schedule.s * p, schedule.s * _binomial_se(p, reached)),

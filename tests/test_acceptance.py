@@ -97,9 +97,7 @@ def test_criterion_3_bound_holds_for_arbitrary_rules():
     for name, (rule, horizon) in rules.items():
         f0 = simulate_run_lengths(rule, PAIR, n, horizon, seed=303)
         for s, sched in schedules.items():
-            pollak = estimate_pollak(
-                rule, PAIR, sched, n, seed=304, on_degenerate="exclude"
-            )
+            pollak = estimate_pollak(rule, PAIR, sched, n, seed=304)
             bound = estimate_optimality_ceiling(
                 rule, PAIR, s, n, horizon, seed=303, sample=f0
             )
@@ -338,13 +336,12 @@ def test_criterion_7_mean_sweep_matches_closed_form():
             problems.append(f"closed form drifted from the documented value at mu={row.mu1}")
         # per-onset conditional detection, estimated two ways: the
         # first-onset conditional from the sweep's monitored runs, and the
-        # one-onset restart run, one F1 sample per trial at the onset
+        # direct term, one F1 sample per trial decided at the onset
         pair = GaussianMeanShift(mean0=0.0, mean1=row.mu1, sigma=1.0)
         det = calibrate(pair, row.eta)
         onset = schedule.onsets[0]
-        cond = estimate_pollak(
-            det, pair, ChangeSchedule((onset,), 1, onset), 40_000, seed=707, mode="restart"
-        )
+        sched = ChangeSchedule((onset,), 1, onset)
+        cond = estimate_pollak(det, pair, sched, 40_000, seed=707).per_onset[0]
         details.append(f"mu={row.mu1:g}: {cond.value:.4f} (closed {closed:.4f})")
         if abs(cond.value - closed) > 3.0 * cond.std_error:
             problems.append(f"per-onset conditional detection off at mu={row.mu1:g}")

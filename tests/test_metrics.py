@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -32,7 +33,6 @@ from transientscan.metrics import (
     Estimate,
     _binomial_se,
     _mean_se,
-    _pollak_pass,
     _rank_counts,
     _simulate,
     detect_first_any_curves,
@@ -223,10 +223,9 @@ def test_initial_stop_scales_run_length_and_not_the_bound():
 
 
 def onset_conditional(rule, pair, t, n_trials, seed):
-    """c(t): the one-onset restart run, one F1 sample per trial at time t."""
+    """c(t): one F1 sample per trial decided at time t."""
     sched = ChangeSchedule(onsets=(t,), duration=1, horizon=t)
-    est = estimate_pollak(rule, pair, sched, n_trials, seed, mode="restart")
-    return Estimate(est.value, est.std_error)
+    return estimate_pollak(rule, pair, sched, n_trials, seed).per_onset[0]
 
 
 def test_conditional_detection_matches_closed_form():
@@ -265,8 +264,8 @@ def test_conditional_detection_always_alarm_boundary():
 
 
 def test_onset_conditional_of_time_dependent_rules():
-    # the one-onset restart run decides one F1 sample at time t, so it takes
-    # any protocol rule, not only memoryless ones
+    # the one-onset term decides one F1 sample at time t, so it takes any
+    # protocol rule, not only memoryless ones
     assert onset_conditional(FixedTimeRule(3), PAIR, 3, 500, seed=0) == (1.0, 0.0)
     assert onset_conditional(FixedTimeRule(3), PAIR, 5, 500, seed=0) == (0.0, 0.0)
     rule = AlternatingThresholdRule(even=2.0, odd=3.0)
@@ -339,47 +338,90 @@ def test_pollak_schedule_invariance_for_memoryless_rules():
 
 def test_pollak_degenerate_onset_policy():
     det = calibrate(PAIR, 5.0)
-    # survival to an onset at 200 under a per-sample alarm rate of 0.2 is ~e^-40
+    # survival to an onset at 200 under a per-sample alarm rate of 0.2 is
+    # ~e^-40, but every trial decides every onset: no onset is degenerate
     sched = ChangeSchedule(onsets=(3, 200), duration=1, horizon=200)
-    with pytest.raises(DegenerateEstimateError):
-        estimate_pollak(det, PAIR, sched, 2000, seed=13)
-    est = estimate_pollak(det, PAIR, sched, 2000, seed=13, on_degenerate="exclude")
-    assert est.degenerate_onsets == (200,)
-    assert abs(est.value - detect_prob(1.0, 5.0)) <= 4 * est.std_error
+    est = estimate_pollak(det, PAIR, sched, 2000, seed=13)
+    assert est.degenerate_onsets == () and est.survivors == (2000, 2000)
+    assert abs(est.value - 2 * detect_prob(1.0, 5.0)) <= 4 * est.std_error
+    # fewer trials than the floor leave every onset degenerate
+    message = (
+        "onsets [3, 200] were decided by fewer than 100 trials; their conditional "
+        "detection probability is not estimable (pass on_degenerate='exclude' to "
+        "drop them from the sum)"
+    )
+    with pytest.raises(DegenerateEstimateError) as error:
+        estimate_pollak(det, PAIR, sched, 99, seed=13)
+    assert str(error.value) == message
+    est = estimate_pollak(det, PAIR, sched, 99, seed=13, on_degenerate="exclude")
+    assert est.degenerate_onsets == (3, 200) and est.survivors == (99, 99)
+    assert (est.value, est.std_error) == (0.0, 0.0)
+    assert all(math.isnan(v) for term in est.per_onset for v in term)
+    floor = estimate_pollak(det, PAIR, sched, 7, seed=13, min_survivors=7)
+    assert floor.degenerate_onsets == () and floor.survivors == (7, 7)
 
 
-def pollak_loop(hits, survivors, onsets, min_survivors):
-    """The per-onset loop that sums the Pollak terms in onset order."""
-    per_onset, degenerate, total, var = [], [], 0.0, 0.0
-    for i, onset in enumerate(onsets):
-        if int(survivors[i]) < min_survivors:
-            degenerate.append(onset)
-            per_onset.append(Estimate(math.nan, math.nan))
-            continue
-        m = int(survivors[i])
-        p = float(hits[i]) / m
-        se = math.sqrt(p * (1.0 - p) / m)
+def pollak_loop(hits, n):
+    """The per-onset loop that sums the terms ``hits / n`` in onset order."""
+    per_onset, total, var = [], 0.0, 0.0
+    for h in hits:
+        p = float(h) / n
+        se = math.sqrt(p * (1.0 - p) / n)
         per_onset.append(Estimate(p, se))
         total += p
         var += se * se
-    return total, math.sqrt(var), tuple(per_onset), tuple(int(v) for v in survivors), tuple(
-        degenerate
+    return total, math.sqrt(var), tuple(per_onset), (n,) * len(hits), ()
+
+
+def direct_hits(rule, pair, sched, n_trials, seed):
+    """Per-onset alarm counts as the reproducibility contract states them:
+    per chunk one generator, then per block of at most
+    ``_MAX_BLOCK_SAMPLES // _CHUNK`` onset columns one F1 draw of the
+    chunk's trials and one ``alarm_mask`` call at the onset times."""
+    width = metrics._MAX_BLOCK_SAMPLES // _CHUNK
+    hits = np.zeros(sched.s, dtype=np.int64)
+    for c, lo in enumerate(range(0, n_trials, _CHUNK)):
+        rng = trial_rng(seed, STREAM_MONITOR, c)
+        rows = min(_CHUNK, n_trials - lo)
+        for c0 in range(0, sched.s, width):
+            cols = np.asarray(sched.onsets[c0 : c0 + width])
+            x = pair.sample("alternative", rng, (rows, cols.size))
+            mask = rule.alarm_mask(np.broadcast_to(cols, x.shape), x, rng)
+            hits[c0 : c0 + cols.size] += mask.sum(axis=0)
+    return hits
+
+
+def test_direct_terms_match_the_onset_loop(monkeypatch):
+    # the same draws and the same arithmetic in the same order, so equal to
+    # the last bit (repr): up to 1200 onsets (three column blocks of a
+    # chunk) and 600 trials (three chunks)
+    sizes = []
+    original = GaussianMeanShift.sample
+
+    def counting_sample(self, which, rng, size=None):
+        sizes.append(int(np.prod(size)))
+        return original(self, which, rng, size)
+
+    monkeypatch.setattr(GaussianMeanShift, "sample", counting_sample)
+    rules = (
+        calibrate(PAIR, 10.0),
+        calibrate(PAIR, 20.0, initial_stop_prob=0.3),
+        BernoulliStopRule(0.3),
+        AlternatingThresholdRule(),
+        FixedTimeRule(6),
+        AlwaysStopRule(),
     )
-
-
-def test_pollak_pass_matches_the_onset_loop():
-    # same arithmetic in the same order, so equal to the last bit (repr),
-    # up to 150 onsets and 400 runs
-    rng = np.random.default_rng(50)
-    for k in range(100):
-        s = int(rng.integers(1, 150))
+    cases = itertools.product((1, 2, 3, 10, 512, 513, 1200), (1, 2, 255, 256, 257, 600))
+    for k, (s, n) in enumerate(cases):
         sched = ChangeSchedule(tuple(range(2, 2 * s + 1, 2)), 1, 2 * s)
-        stop = _random_stops(rng, sched, int(rng.integers(1, 400)))
-        hits, survivors, _ = searchsorted_scores(stop, sched)
-        floor = 1 + k % 60
-        est = _pollak_pass(stop, sched, floor, "exclude")
+        rule = rules[k % len(rules)]
+        hits = direct_hits(rule, PAIR, sched, n, seed=k)
+        est = estimate_pollak(rule, PAIR, sched, n, seed=k, min_survivors=1)
         got = (est.value, est.std_error, est.per_onset, est.survivors, est.degenerate_onsets)
-        assert repr(got) == repr(pollak_loop(hits, survivors, sched.onsets, floor))
+        assert repr(got) == repr(pollak_loop(hits, n))
+        assert all(type(t) is Estimate for t in est.per_onset)
+    # a full chunk of 512 columns draws the most a block may hold
+    assert max(sizes) == metrics._MAX_BLOCK_SAMPLES
 
 
 @pytest.mark.parametrize("estimator", ["pollak"])
@@ -393,7 +435,7 @@ def test_unknown_degenerate_policy_is_rejected(estimator, policy):
 
 @pytest.mark.parametrize("estimator", ["pollak"])
 def test_min_survivors_below_one_is_rejected(estimator):
-    # an onset that no trial reaches would divide zero hits by zero trials
+    # an onset that no trial decides would divide zero hits by zero trials
     det = calibrate(PAIR, 5.0)
     sched = ChangeSchedule(onsets=(3, 200), duration=1, horizon=200)
     with pytest.raises(ValueError, match="min_survivors"):
@@ -506,9 +548,7 @@ def test_bound_dominates_pollak_for_a_quick_battery():
     for s, onsets in ((1, (4,)), (3, (4, 8, 12))):
         sched = ChangeSchedule(onsets=onsets, duration=1, horizon=onsets[-1])
         for name, rule in rules.items():
-            pollak = estimate_pollak(
-                rule, PAIR, sched, 20_000, seed=17, on_degenerate="exclude"
-            )
+            pollak = estimate_pollak(rule, PAIR, sched, 20_000, seed=17)
             bound = estimate_optimality_ceiling(
                 rule, PAIR, s, 20_000, horizons[name], seed=18
             )
@@ -627,13 +667,17 @@ def test_estimators_reject_an_empty_trial_range():
 @pytest.mark.parametrize("s", [0, 4])
 @pytest.mark.parametrize(
     "kwargs, match",
-    [({"mode": "bogus"}, "unknown mode 'bogus'"), ({"n_trials": -5}, "n_trials must be >= 1")],
+    [
+        # the direct draw has one layout for both modes: a mode is refused
+        ({"mode": "restart"}, "unexpected keyword argument 'mode'"),
+        ({"n_trials": -5}, "n_trials must be >= 1"),
+    ],
 )
 def test_estimate_pollak_checks_its_runs_on_any_schedule(s, kwargs, match):
-    # an onset-free schedule returns a zero sum without simulating, but not
+    # an onset-free schedule returns a zero sum without drawing, but not
     # for a call that would fail with onsets
-    args = {"mode": "single_shot", "n_trials": 100, **kwargs}
-    with pytest.raises(ValueError, match=match):
+    args = {"n_trials": 100, **kwargs}
+    with pytest.raises((TypeError, ValueError), match=match):
         estimate_pollak(calibrate(PAIR, 10.0), PAIR, make_schedule(40, s, 1), seed=1, **args)
 
 
@@ -642,6 +686,8 @@ def test_a_never_alarming_detector_runs_single_shot():
     # by eta only when eta is finite
     det = ShewhartDetector(PAIR, alpha=math.inf, eta=math.inf)
     sched = make_schedule(40, 4, 1)
+    stop, _ = _simulate(det, PAIR, sched, "single_shot", 300, 1, STREAM_MONITOR)
+    assert (stop == -1).all()
     est = estimate_pollak(det, PAIR, sched, 300, seed=1)
     assert est.value == 0.0 and est.survivors == (300,) * 4
 
@@ -650,6 +696,14 @@ def test_criteria_reject_an_infinite_eta_by_name():
     det = ShewhartDetector(PAIR, alpha=math.inf, eta=math.inf)
     with pytest.raises(ValueError, match="eta must be finite"):
         evaluate_criteria(det, PAIR, make_schedule(40, 4, 1), n_trials=10, seed=1)
+
+
+@pytest.mark.parametrize("rule", [BernoulliStopRule(0.1), AlwaysStopRule()])
+def test_criteria_reject_a_memoryless_rule_without_eta_by_name(rule):
+    # both pass the memoryless guard; with no run-length budget there is no
+    # horizon 20 * eta to size
+    with pytest.raises(ValueError, match="eta must be finite .*, got nan"):
+        evaluate_criteria(rule, PAIR, make_schedule(40, 4, 1), n_trials=10, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -759,9 +813,9 @@ def test_kernel_scoring_matches_monitor_sequence(mode):
     first = first_alarms(mask[:, cols])
     # row 0 of the scored stops is an initial stop
     stop = np.concatenate([[0], np.where(first >= 0, cols[first] + 1, -1)])
-    # the library's scoring: ranks for the report, survivors from the pass
+    # the library's scoring: ranks above 2i reached onset i
     rank, counts = _rank_counts(stop, sched)
-    survivors_of_pass = _pollak_pass(stop, sched, 1, "exclude").survivors
+    survivors_of_ranks = counts[::-1].cumsum()[::-1][1::2]
     initial = run_monitoring(
         dataclasses.replace(det, initial_stop_prob=1.0), PAIR, sched, mode, seed=38
     )
@@ -778,7 +832,7 @@ def test_kernel_scoring_matches_monitor_sequence(mode):
         survivors += np.asarray(sched.onsets) <= end
         hits += np.asarray(sched.onsets) == out.first_detection_time
     assert np.array_equal(counts[1::2], hits)
-    assert survivors_of_pass == tuple(survivors.tolist())
+    assert np.array_equal(survivors_of_ranks, survivors)
 
 
 def test_restart_runs_stop_drawing_at_their_first_detection(monkeypatch):
@@ -793,11 +847,10 @@ def test_restart_runs_stop_drawing_at_their_first_detection(monkeypatch):
     det = calibrate(PAIR, 5.0)
     sched = make_schedule(10_000, 100, 1, "even_grid")
     n = 300
-    est = estimate_pollak(
-        det, PAIR, sched, n, seed=39, mode="restart", on_degenerate="exclude"
-    )
+    stop, _ = _simulate(det, PAIR, sched, "restart", n, 39, STREAM_MONITOR)
     # detection at an onset has probability ~0.56, so runs end near t = 200
-    assert est.survivors[0] == n
+    _, counts = _rank_counts(stop, sched)
+    assert counts[0] == 0  # every run reached the first onset
     assert sum(drawn) < n * sched.horizon / 10
 
 
@@ -812,16 +865,13 @@ def test_restart_runs_draw_only_their_onset_samples(monkeypatch):
     monkeypatch.setattr(GaussianMeanShift, "sample", counting_sample)
     sched = make_schedule(10_000, 100, 1, "even_grid")
     n = 300
-    estimate_pollak(
-        calibrate(PAIR, 5.0), PAIR, sched, n, seed=39, mode="restart", on_degenerate="exclude"
-    )
+    _simulate(calibrate(PAIR, 5.0), PAIR, sched, "restart", n, 39, STREAM_MONITOR)
     assert 0 < sum(drawn) <= n * sched.s
     # a rule that never alarms on an onset runs every trial to the horizon
     drawn.clear()
-    never = estimate_pollak(
-        FixedTimeRule(2), PAIR, sched, n, seed=39, mode="restart", on_degenerate="exclude"
-    )
-    assert never.value == 0.0
+    stop, _ = _simulate(FixedTimeRule(2), PAIR, sched, "restart", n, 39, STREAM_MONITOR)
+    _, counts = _rank_counts(stop, sched)
+    assert counts[1::2].sum() == 0 and (stop == -1).all()
     assert sum(drawn) == n * sched.s
 
 
@@ -853,10 +903,9 @@ def test_restart_alarm_mask_sees_only_onset_times():
             return det.alarm_mask(times, x, rng)
 
     sched = make_schedule(600, 10, 3, "even_grid")
-    est = estimate_pollak(
-        RecordingRule(), PAIR, sched, 1000, seed=44, mode="restart", on_degenerate="exclude"
-    )
-    assert est.survivors[0] == 1000
+    stop, _ = _simulate(RecordingRule(), PAIR, sched, "restart", 1000, 44, STREAM_MONITOR)
+    _, counts = _rank_counts(stop, sched)
+    assert counts[0] == 0  # every run reached the first onset
     assert set(np.concatenate(seen).tolist()) <= set(sched.onsets)
 
 
@@ -1018,13 +1067,14 @@ def test_pollak_worst_case_for_time_dependent_rules():
     sched = ChangeSchedule(onsets=(5,), duration=1, horizon=8)
     hit = estimate_pollak(FixedTimeRule(5), PAIR, sched, 2000, seed=33)
     assert hit.value == 1.0
-    # survivors count the trials that reached each onset
+    # every trial decides every onset
     assert hit.survivors == (2000,)
     miss = estimate_pollak(FixedTimeRule(7), PAIR, sched, 2000, seed=34)
     assert miss.value == 0.0
-    # stopping before the onset leaves nothing to condition on
-    with pytest.raises(DegenerateEstimateError):
-        estimate_pollak(FixedTimeRule(4), PAIR, sched, 2000, seed=35)
+    # no run of a rule that stops at 4 reaches the onset at 5, but the term
+    # is still c1(5) = 0; the history check has no run to condition on
+    early = estimate_pollak(FixedTimeRule(4), PAIR, sched, 2000, seed=35)
+    assert early.value == 0.0 and early.degenerate_onsets == ()
     with pytest.raises(DegenerateEstimateError):
         history_independence_pvalue(FixedTimeRule(4), PAIR, sched, 1, 2000, seed=35)
 
@@ -1105,28 +1155,59 @@ CRITERION_3_SCHEDULES = tuple(
 )
 
 
+def test_run_based_conditionals_agree_with_the_direct_terms():
+    # the run-based estimator: single-shot stops scored by rank, each
+    # reachable onset's hits over the runs that reached it.  The two sides
+    # take different seeds: one seed would draw both from one stream.  A
+    # pooled two-proportion z test per onset, Bonferroni at a family level
+    # of 1e-3
+    n = 20_000
+    cells = []
+    for rule, _ in CRITERION_3_RULES:
+        for sched in CRITERION_3_SCHEDULES:
+            stop, _ = _simulate(rule, PAIR, sched, "single_shot", n, 401, STREAM_MONITOR)
+            counts = _rank_counts(stop, sched)[1]
+            reached = counts[::-1].cumsum()[::-1][1::2]  # ranks above 2i reached onset i
+            direct = estimate_pollak(rule, PAIR, sched, n, seed=402)
+            for h, m, term in zip(counts[1::2].tolist(), reached.tolist(), direct.per_onset):
+                if m:
+                    cells.append((h, m, round(term.value * n)))
+    # no run of always-stop reaches an onset, nor one of stop-at-5 past 4
+    assert len(cells) == 6 * 14 - 14 - 11
+    z = norm_upper_quantile(1e-3 / len(cells) / 2)
+    for h, m, d in cells:
+        pooled = (h + d) / (m + n)
+        se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / m + 1.0 / n))
+        assert abs(h / m - d / n) <= z * se, (h, m, d)
+
+
 def _hexes(values) -> str:
     return ",".join(float(v).hex() for v in values)
 
 
+def _pollak_line(label, est) -> str:
+    terms = [v for term in est.per_onset for v in term]
+    return (
+        f"pollak {label} {_hexes((est.value, est.std_error))} "
+        f"{_hexes(terms)} {est.survivors} {est.degenerate_onsets}"
+    )
+
+
 def single_shot_and_f0_digest() -> str:
     """sha256 of what no preset covers: F0 run lengths (``taus``, ``lrs``,
-    ``censored``) and single-shot conditional-detection terms (sum,
-    ``per_onset``, ``survivors``) over criterion 3's grid."""
+    ``censored``), single-shot stops (the block layout with onsets) and the
+    conditional-detection terms (sum, ``per_onset``, ``survivors``) over
+    criterion 3's grid."""
     lines = []
     for r, (rule, horizon) in enumerate(CRITERION_3_RULES):
         for n in (1, 2, 200, 300):
             f0 = simulate_run_lengths(rule, PAIR, n, horizon, seed=303 + n)
             lines.append(f"f0 {r} {n} {_hexes(f0.taus)} {_hexes(f0.lrs)} {f0.censored}")
             for sched in CRITERION_3_SCHEDULES:
-                est = estimate_pollak(
-                    rule, PAIR, sched, n, seed=304 + n, min_survivors=1, on_degenerate="exclude"
-                )
-                terms = [v for term in est.per_onset for v in term]
-                lines.append(
-                    f"pollak {r} {n} {sched.s} {_hexes((est.value, est.std_error))} "
-                    f"{_hexes(terms)} {est.survivors} {est.degenerate_onsets}"
-                )
+                stop, _ = _simulate(rule, PAIR, sched, "single_shot", n, 304 + n, STREAM_MONITOR)
+                lines.append(f"single_shot {r} {n} {sched.s} {stop.tolist()}")
+                est = estimate_pollak(rule, PAIR, sched, n, seed=304 + n, min_survivors=1)
+                lines.append(_pollak_line(f"{r} {n} {sched.s}", est))
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
@@ -1134,8 +1215,8 @@ def single_shot_and_f0_digest() -> str:
 #: np.exp of the log ratios, and numpy's AVX-512 kernel differs from the C
 #: library's exp in the last bit on a few percent of inputs
 SINGLE_SHOT_AND_F0_SHA256 = {
-    "libm": "5086cb230e34f94f2ff1491340943bb82cfcda41b2e9e2f8d018c52f957a81e6",
-    "avx512": "62015d0f3f9cf7c0bfc3ec0f4a30ff5bcafef15d50d70e25c81beea445b49a37",
+    "libm": "586982fd53ea5411ff94b5c0f8084003e8f49005758d7432393459add5742d9a",
+    "avx512": "755c88473fb9f8028cc1caf544a4d287732cac9355305ddbed3a2f6cfcd2178a",
 }
 
 
@@ -1157,31 +1238,27 @@ def test_single_shot_and_f0_outputs_are_pinned():
 
 def initial_stop_digest() -> str:
     """sha256 of what no preset or pin covers: a rule with an initial stop.
-    F0 run lengths, then single-shot and restart conditional-detection terms
-    over criterion 3's schedules, at 1 and 300 trials (300 spans two chunks)."""
+    F0 run lengths, then single-shot and restart stops and the
+    conditional-detection terms over criterion 3's schedules, at 1 and 300
+    trials (300 spans two chunks)."""
     rule = calibrate(PAIR, 20.0, initial_stop_prob=0.3)
     lines = []
     for n in (1, 300):
         f0 = simulate_run_lengths(rule, PAIR, n, 200, seed=313 + n)
         lines.append(f"f0 {n} {_hexes(f0.taus)} {_hexes(f0.lrs)} {f0.censored}")
-        for mode in ("single_shot", "restart"):
-            for sched in CRITERION_3_SCHEDULES:
-                est = estimate_pollak(
-                    rule, PAIR, sched, n, seed=314 + n, mode=mode,
-                    min_survivors=1, on_degenerate="exclude",
-                )
-                terms = [v for term in est.per_onset for v in term]
-                lines.append(
-                    f"pollak {mode} {n} {sched.s} {_hexes((est.value, est.std_error))} "
-                    f"{_hexes(terms)} {est.survivors} {est.degenerate_onsets}"
-                )
+        for sched in CRITERION_3_SCHEDULES:
+            for mode in ("single_shot", "restart"):
+                stop, _ = _simulate(rule, PAIR, sched, mode, n, 314 + n, STREAM_MONITOR)
+                lines.append(f"{mode} {n} {sched.s} {stop.tolist()}")
+            est = estimate_pollak(rule, PAIR, sched, n, seed=314 + n, min_survivors=1)
+            lines.append(_pollak_line(f"{n} {sched.s}", est))
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 #: :func:`initial_stop_digest` by the kernel behind np.exp, as above
 INITIAL_STOP_SHA256 = {
-    "libm": "e0eefbb49104a99eb37c8f73a6039a2eabc48184e68e9f70577ce6fa1e630ecb",
-    "avx512": "0a8fc493adb249e2ed710e40155abd7b33a640283c647ccdf04088af92782eb3",
+    "libm": "a4e7521ac402520af0c74ce4dcfb183993b49571c3332d139f2ceed42ff59773",
+    "avx512": "3ef7227456d11501c0803aa7a4ae536c58eb1cf6ea99cbed98d9caf0d466009b",
 }
 
 
@@ -1230,7 +1307,7 @@ def _scoring_schedules(rng):
 
 def test_scoring_pass_matches_the_numpy_reductions_bit_for_bit():
     rng = np.random.default_rng(61)
-    seen, sizes, floors = set(), set(), set()
+    seen, sizes = set(), set()
     for sched in _scoring_schedules(rng):
         horizon = sched.horizon
         seen.add((sched.duration, sched.s == 0, horizon in sched.onsets))
@@ -1248,38 +1325,12 @@ def test_scoring_pass_matches_the_numpy_reductions_bit_for_bit():
         x = missed.astype(float)
         se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         assert repr(_mean_se(rank >> 1)) == repr(Estimate(float(x.mean()), se))
-        # the sum and its terms (some onsets degenerate): the scalar pass and
-        # the onset loop agree to the bit
-        floor = int(rng.integers(1, n + 2))
-        value, se, per_onset, loop_survivors, degenerate = pollak_loop(
-            hits, survivors, sched.onsets, floor
-        )
-        est = _pollak_pass(stop, sched, floor, "exclude")
-        assert _hexes((est.value, est.std_error)) == _hexes((value, se))
-        assert [_hexes(t) for t in est.per_onset] == [_hexes(t) for t in per_onset]
-        assert all(type(t) is Estimate for t in est.per_onset)
-        assert est.survivors == tuple(survivors.tolist()) == loop_survivors
-        assert all(type(m) is int for m in est.survivors)
-        assert est.degenerate_onsets == tuple(degenerate)
-        floors.add(bool(degenerate))
-        if degenerate:
-            # the raise policy words its error as it always has
-            message = (
-                f"onsets {list(degenerate)} were reached by fewer than {floor} trials; "
-                "their conditional detection probability is not estimable "
-                "(pass on_degenerate='exclude' to drop them from the sum)"
-            )
-            with pytest.raises(DegenerateEstimateError) as pass_error:
-                _pollak_pass(stop, sched, floor, "raise")
-            assert str(pass_error.value) == message
-        else:
-            assert _pollak_pass(stop, sched, floor, "raise") == est
         sizes.add(n)
     # every duration, an empty schedule and an onset at the horizon were
-    # scored, at 1 and 300 runs, with and without degenerate onsets
+    # scored, at 1 and 300 runs
     assert {d for d, _, _ in seen} == {1, 2, 3}
     assert any(empty for _, empty, _ in seen) and any(last for _, _, last in seen)
-    assert {1, 300} <= sizes and floors == {False, True}
+    assert {1, 300} <= sizes
 
 
 def test_mean_se_matches_the_numpy_reductions_bit_for_bit():
@@ -1317,13 +1368,6 @@ def test_criteria_cells_are_the_reductions_of_the_monitored_stops(mode, monkeypa
         p = detected / reached if reached else 0.0
         expected = (sched.s * p, sched.s * _binomial_se(p, reached))
         assert _hexes(rep.pollak_estimate) == _hexes(expected)
-        # estimate_pollak draws the same runs: its survivors add up to the
-        # onsets reached, and its hits to the detected runs
-        est = estimate_pollak(
-            det, PAIR, sched, n, seed=63, mode=mode, min_survivors=1, on_degenerate="exclude"
-        )
-        assert reached == sum(est.survivors)
-        assert detected == sum(round(t.value * m) for t, m in zip(est.per_onset, est.survivors) if m)
     assert ends == ({-1, 0} if mode == "restart" else {0})
     # the pooled sum is exact only for a memoryless rule: any other is
     # rejected by name before a run is simulated

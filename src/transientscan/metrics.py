@@ -410,13 +410,6 @@ def _runs(rule, pair, schedule: ChangeSchedule, mode: Mode, rng, n: int, keep_sa
     return stop, x_stop
 
 
-def _check_runs(mode: str, n_trials: int) -> None:
-    if mode not in ("single_shot", "restart"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-
-
 def _simulate(
     rule: StoppingRule,
     pair: DistributionPair,
@@ -430,7 +423,10 @@ def _simulate(
     """Per-trial stops and, with ``keep_samples``, stopping samples (see
     :func:`_simulate_chunk`).  A call of one chunk returns that chunk's
     arrays as they are."""
-    _check_runs(mode, n_trials)
+    if mode not in ("single_shot", "restart"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if n_trials <= _CHUNK:
         return _simulate_chunk(0, n_trials, rule, pair, schedule, mode, seed, stream, keep_samples)
     parts = [

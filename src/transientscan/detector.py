@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, ClassVar, Protocol, runtime_checkable
 
-from .distributions import DistributionPair
+from .distributions import DistributionPair, Which, _check_which
 
 if TYPE_CHECKING:  # numpy loads only in the array paths, so detect and calibrate run without it
     import numpy as np
@@ -69,7 +69,18 @@ class StoppingRule(Protocol):
     and a memoryless rule's verdicts must not depend on ``times`` at all:
     when every sample of a run has one law, the estimators cut all of a
     chunk's runs from one flat 1-D stream and pass ``times`` as read-only
-    zeros shaped like ``x``.
+    zeros shaped like ``x``.  ``alarm_mask`` returns a bool array: the
+    estimators count its True verdicts.
+
+    A rule may also state its per-time alarm laws through the optional
+    ``alarm_probs(times, law)``: a float array shaped like ``times``, the
+    probability of an alarm at each 1-based time on one sample drawn from
+    ``law`` (``"nominal"`` for ``c0(t)``, ``"alternative"`` for ``c1(t)``).
+    It covers the per-sample verdicts only; an initial stop is drawn
+    separately.  The estimators size their buffers and blocks from these
+    laws and decide nothing by them.  The flat buffers of a rule whose
+    ``alarm_mask`` draws nothing cut the same samples for each trial, and
+    so give the same outputs, whatever their sizes.
     """
 
     memoryless: bool
@@ -138,6 +149,27 @@ class ShewhartDetector:
             return closed
         strict = self.pair.lr_tail_prob_f0(self.alpha, strict=True)
         return strict + self.randomize_boundary * (closed - strict)
+
+    def alarm_probs(self, times: np.ndarray, law: Which) -> np.ndarray:
+        """Per-sample alarm probability at each of ``times``, the same at
+        every time: ``c0`` is :meth:`per_sample_alarm_prob`; ``c1`` is
+        ``P1(l >= alpha)``, or ``P1(l > alpha) + r * alpha * P0(l = alpha)``
+        with the boundary randomized at rate ``r`` (an atom's F1 mass is
+        ``alpha`` times its F0 mass)."""
+        import numpy as np
+
+        _check_which(law)
+        if law == "nominal":
+            c = self.per_sample_alarm_prob()
+        elif self.randomize_boundary is None:
+            c = self.pair.lr_tail_prob_f1(self.alpha)
+        else:
+            atom = self.pair.lr_tail_prob_f0(self.alpha) - self.pair.lr_tail_prob_f0(
+                self.alpha, strict=True
+            )
+            above = self.pair.lr_tail_prob_f1(math.nextafter(self.alpha, math.inf))
+            c = above + self.randomize_boundary * self.alpha * atom
+        return np.full(np.shape(times), c)
 
     def __getstate__(self) -> dict:
         # the built step is a closure, which does not pickle: a copy builds
@@ -270,6 +302,12 @@ class AlwaysStopRule:
 
         return np.ones(np.shape(times), dtype=bool)
 
+    def alarm_probs(self, times, law) -> np.ndarray:
+        import numpy as np
+
+        _check_which(law)
+        return np.ones(np.shape(times))
+
 
 @dataclass(frozen=True)
 class FixedTimeRule:
@@ -288,6 +326,12 @@ class FixedTimeRule:
 
         return np.asarray(times) == self.stop_at
 
+    def alarm_probs(self, times, law) -> np.ndarray:
+        import numpy as np
+
+        _check_which(law)
+        return (np.asarray(times) == self.stop_at).astype(float)
+
 
 @dataclass(frozen=True)
 class BernoulliStopRule:
@@ -305,3 +349,9 @@ class BernoulliStopRule:
         import numpy as np
 
         return rng.random(np.shape(times)) < self.stop_prob
+
+    def alarm_probs(self, times, law) -> np.ndarray:
+        import numpy as np
+
+        _check_which(law)
+        return np.full(np.shape(times), self.stop_prob)

@@ -30,7 +30,13 @@ cut consecutive segments, in trial order, from one stream drawn a buffer
 at a time, each buffer followed by whatever ``alarm_mask`` consumes.
 Every other run takes the block layout: one block of samples per step for
 the trials still running (consecutive time steps, or in restart mode the
-onset samples), then whatever ``alarm_mask`` consumes.
+onset samples), then whatever ``alarm_mask`` consumes.  Buffers and blocks
+are sized from the rule's alarm laws (``alarm_probs``, see
+:func:`_runs`).  The flat samples of a rule whose ``alarm_mask`` draws
+nothing do not depend on the buffer sizes: each trial cuts the same
+samples from its chunk's stream whatever the buffer ends.  Block widths
+do decide which trial takes which sample, so a calibrated rule's blocks
+keep their ``eta`` widths.
 The terms of :func:`estimate_pollak` take no runs: a chunk draws one F1
 matrix of its trials at the onset times (at most ``_MAX_BLOCK_SAMPLES`` per
 draw), each draw followed by whatever ``alarm_mask`` consumes.
@@ -49,7 +55,11 @@ and F1 column mask once (read-only cached properties of
 :class:`ChangeSchedule`).  A chunk's generator is keyed in one step, from
 the entropy words SeedSequence would assemble itself.  A call of one chunk
 returns that chunk's arrays as they are, and a rule with no initial stop
-keeps no initial-stop bookkeeping.  The block layout builds its times once
+keeps no initial-stop bookkeeping.  Draws are sized from the rule's alarm
+laws, so few samples go undecided: a flat buffer holds the remaining trials
+times the mean gap between alarms, and a first block the columns a run
+draws in expectation (one ``alarm_probs`` call, or two for a single-shot
+block with onsets).  The block layout builds its times once
 per call and keeps no running rows after its last block.  Scoring is one
 search of the stops among the scoring edges: each run's rank gives its
 missed onsets, and two integer sums of the ranks the criteria report's
@@ -83,9 +93,9 @@ STREAM_SCHEDULE = 4
 #: trials per generator: chunk boundaries are a fixed function of the trial
 #: count only, and so are the streams each chunk draws
 _CHUNK = 256
-#: columns of a chunk's first block for rules without a run-length budget;
-#: calibrated rules start at ``eta`` columns, their mean run length.  Also
-#: the flat layout's first mean gap where ``eta`` does not give it
+#: columns of a chunk's first block, and the flat layout's first mean gap,
+#: for a rule that states no alarm laws; calibrated rules start their F0
+#: runs and single-shot blocks at ``eta``, their mean run length
 _MIN_BLOCK = 16
 #: most samples one block draws (1 MiB of float64), whatever the block width
 _MAX_BLOCK_SAMPLES = 1 << 17
@@ -351,21 +361,35 @@ def _runs(rule, pair, schedule: ChangeSchedule, mode: Mode, rng, n: int, keep_sa
     on an empty single-shot schedule only F0), a run is a renewal, so the
     runs take consecutive segments of one flat stream (see
     :func:`_flat_stops`); each buffer draws its samples, then whatever
-    ``alarm_mask`` consumes.
+    ``alarm_mask`` consumes.  The first buffer's mean gap is ``1 / c`` for
+    the alarm probability ``c`` of the law drawn (none when ``c = 0``).
 
     Block layout, otherwise: the runs still going are simulated together,
     one ``(runs x columns)`` block at a time; a block draws an F0 matrix
     whose affected columns are redrawn from F1 (restart: one F1 matrix of
-    onset samples), then whatever ``alarm_mask`` consumes.  A restart run
-    on no onsets draws nothing and is censored.
+    onset samples), then whatever ``alarm_mask`` consumes.  The first block
+    holds the columns a run draws in expectation, ``sum_k prod_{j<k} (1 -
+    c_j)`` with ``c_j`` the alarm probability of column ``j`` under the law
+    it is drawn from; each later block doubles.  A restart run on no onsets
+    draws nothing and is censored.
+
+    A calibrated rule keeps its ``eta`` sizing for F0 buffers and blocks,
+    so those streams keep their bits whatever ``alarm_mask`` draws, and a
+    rule without ``alarm_probs`` starts from ``_MIN_BLOCK``.
     """
     restart = mode == "restart"
     eta = getattr(rule, "eta", None)
+    probs = getattr(rule, "alarm_probs", None)
     if getattr(rule, "memoryless", False) and restart == bool(schedule.onsets):
         limit = schedule.s if restart else schedule.horizon
         law = "alternative" if restart else "nominal"
-        # eta is the mean gap of F0 runs; F1 alarms come sooner
-        gap = _MIN_BLOCK if eta is None or restart else eta
+        if eta is not None and not restart:
+            gap = eta  # the mean gap of F0 runs, which every calibrated F0 stream is cut by
+        elif probs is None:
+            gap = _MIN_BLOCK
+        else:  # the mean gap 1 / c, or none for a rule that never alarms
+            c = float(probs(_NO_TIMES[:1], law)[0])
+            gap = 1.0 / c if c > 0.0 else math.inf
         at, x_at = _flat_stops(rule, pair, law, rng, n, limit, gap, keep_samples)
         # segment index -> stop time; a censored run's -1 reads the appended
         # _CENSORED in restart mode
@@ -379,8 +403,17 @@ def _runs(rule, pair, schedule: ChangeSchedule, mode: Mode, rng, n: int, keep_sa
     times = schedule.onset_times if restart else np.arange(1, schedule.horizon + 1)
     row_times = _row_times(times, (n, times.size))  # each block's times are a slice
     is_f1 = schedule.f1_columns
-    # eta = inf (a threshold with no F0 tail) gives no mean run length to size by
-    block = max(_MIN_BLOCK, math.ceil(eta)) if eta is not None and eta < math.inf else _MIN_BLOCK
+    if eta is not None or probs is None:
+        # eta = inf (a threshold with no F0 tail) gives no mean run length to size by
+        block = max(_MIN_BLOCK, math.ceil(eta)) if eta is not None and eta < math.inf else _MIN_BLOCK
+    else:  # the columns a run draws in expectation: sum over k of P(no alarm before k)
+        if restart:
+            c = probs(times, "alternative")
+        else:
+            c = probs(times, "nominal")
+            if schedule.onsets:
+                c = np.where(is_f1, probs(times, "alternative"), c)
+        block = math.ceil(1.0 + float(np.cumprod(1.0 - c)[:-1].sum()))
     c0 = 0
     while active.size and c0 < times.size:
         nb = min(block, times.size - c0, max(1, _MAX_BLOCK_SAMPLES // active.size))
@@ -626,7 +659,11 @@ def estimate_pollak(
             cols = times[c0 : c0 + width]
             x = np.asarray(pair.sample("alternative", rng, (hi - lo, cols.size)), dtype=float)
             mask = detector.alarm_mask(_row_times(cols, x.shape), x, rng)
-            hits[c0 : c0 + cols.size] += np.count_nonzero(mask, axis=0)
+            if mask.dtype.kind != "b":
+                raise TypeError(
+                    f"{detector!r}.alarm_mask returned {mask.dtype} verdicts; it must return bool"
+                )
+            hits[c0 : c0 + cols.size] += mask.sum(axis=0)
     # Python floats (the module docstring says why); terms built by
     # tuple.__new__, skipping the NamedTuple's Python-level __new__
     total = var = 0.0

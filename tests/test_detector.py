@@ -19,7 +19,7 @@ from transientscan import (
     calibrate,
 )
 from transientscan.detector import CALIBRATION_TOL, CalibrationError
-from transientscan.distributions import norm_upper_quantile
+from transientscan.distributions import norm_upper_quantile, norm_upper_tail
 
 from oracles import run_stream
 
@@ -462,12 +462,13 @@ class ConstantUniforms:
         return np.full(size, self.u)
 
 
-def exact_alarm_rate(det, pair):
-    """P0(alarm) of ``det.alarm_mask`` over the support {0, 1}: a sample
-    whose verdict moves with the uniform sits on the atom, and alarms with
-    probability P(U < randomize_boundary) = randomize_boundary."""
+def exact_alarm_rate(det, pair, law="nominal"):
+    """P(alarm) of ``det.alarm_mask`` over the support {0, 1} under ``law``:
+    a sample whose verdict moves with the uniform sits on the atom, and
+    alarms with probability P(U < randomize_boundary) = randomize_boundary."""
+    p = pair.p0 if law == "nominal" else pair.p1
     rate = 0.0
-    for x, mass in ((0.0, 1.0 - pair.p0), (1.0, pair.p0)):
+    for x, mass in ((0.0, 1.0 - p), (1.0, p)):
         always, never = (det.alarm_mask(np.ones(1), np.array([x]), ConstantUniforms(u))[0]
                          for u in (0.0, 1.0))
         rate += mass * (float(always) if always == never else det.randomize_boundary)
@@ -486,6 +487,12 @@ def test_alarm_prob_matches_alarm_mask_around_each_atom(two_point_pair, randomiz
             pair=two_point_pair, alpha=alpha, eta=math.inf, randomize_boundary=randomize_boundary
         )
         assert det.per_sample_alarm_prob() == exact_alarm_rate(det, two_point_pair), alpha
+        # c1 takes each atom's F1 mass as alpha times its F0 mass: equal up to rounding
+        c0, c1 = (det.alarm_probs(np.ones(1), law)[0] for law in ("nominal", "alternative"))
+        assert c0 == det.per_sample_alarm_prob(), alpha
+        assert c1 == pytest.approx(
+            exact_alarm_rate(det, two_point_pair, "alternative"), rel=1e-12, abs=1e-15
+        ), alpha
 
 
 def test_boundary_step_uses_rng(two_point_pair):
@@ -525,3 +532,80 @@ def test_bernoulli_rule():
     assert abs(mask.mean() - 0.3) <= 3 * math.sqrt(0.3 * 0.7 / 100_000)
     with pytest.raises(ValueError):
         BernoulliStopRule(stop_prob=0.0)
+
+
+# ---------------------------------------------------------------------------
+# per-time alarm laws: c0(t) and c1(t) of every shipped rule
+
+
+def closed_form_laws(rule, times):
+    """``(c0, c1)`` at ``times`` as each rule's definition gives them."""
+    if isinstance(rule, ShewhartDetector):  # on PAIR: P(X >= edge) with X ~ N(0 or 1, 1)
+        c1 = norm_upper_tail(norm_upper_quantile(1.0 / rule.eta) - 1.0) if rule.eta > 1.0 else 1.0
+        return np.full(times.shape, 1.0 / rule.eta), np.full(times.shape, c1)
+    if isinstance(rule, AlwaysStopRule):
+        return np.ones(times.shape), np.ones(times.shape)
+    if isinstance(rule, FixedTimeRule):
+        at = (times == rule.stop_at).astype(float)
+        return at, at
+    return np.full(times.shape, rule.stop_prob), np.full(times.shape, rule.stop_prob)
+
+
+LAW_RULES = (
+    calibrate(PAIR, 1.0), calibrate(PAIR, 10.0), calibrate(PAIR, 100.0), AlwaysStopRule(),
+    FixedTimeRule(3), FixedTimeRule(50), BernoulliStopRule(0.1), BernoulliStopRule(1.0),
+)
+
+
+@pytest.mark.parametrize("rule", LAW_RULES, ids=repr)
+def test_alarm_probs_match_each_rules_closed_form(rule):
+    times = np.arange(1, 13).reshape(3, 4)
+    for law, exact in zip(("nominal", "alternative"), closed_form_laws(rule, times)):
+        c = rule.alarm_probs(times, law)
+        assert c.shape == times.shape and c.dtype == float
+        np.testing.assert_allclose(c, exact, rtol=1e-12, atol=0.0)
+    with pytest.raises(ValueError, match="which"):
+        rule.alarm_probs(times, "F1")
+
+
+def test_alarm_probs_of_a_threshold_that_never_alarms():
+    det = ShewhartDetector(PAIR, alpha=math.inf, eta=math.inf)
+    for law in ("nominal", "alternative"):
+        assert det.alarm_probs(np.arange(1, 4), law).tolist() == [0.0, 0.0, 0.0]
+
+
+def frequency_rules(two_point_pair):
+    """The rules whose laws are checked against their verdicts below, each
+    with its pair: the Gaussian edge, the two-point atoms (boundary rates
+    0.0625 on l(0) = 0.5 and 0.5 on l(1)) and the three plug-in rules."""
+    return (
+        (PAIR, calibrate(PAIR, 10.0)),
+        (PAIR, calibrate(PAIR, 100.0)),
+        (two_point_pair, calibrate(two_point_pair, 4.0)),
+        (two_point_pair, calibrate(two_point_pair, 10.0)),
+        (PAIR, AlwaysStopRule()),
+        (PAIR, FixedTimeRule(3)),
+        (PAIR, BernoulliStopRule(0.1)),
+    )
+
+
+FREQUENCY_TIMES = np.arange(1, 6)
+#: level of each exact binomial test below, fixed before they were run:
+#: Bonferroni at a family level of 1e-3 over the 7 rules' (law, time) cells
+FREQUENCY_LEVEL = 1e-3 / (7 * 2 * FREQUENCY_TIMES.size)
+
+
+def test_alarm_probs_match_the_alarm_frequencies(two_point_pair):
+    from scipy import stats as scipy_stats
+
+    n = 40_000
+    rng = np.random.default_rng(2718)
+    times = np.broadcast_to(FREQUENCY_TIMES, (n, FREQUENCY_TIMES.size))
+    rules = frequency_rules(two_point_pair)
+    assert len(rules) == 7
+    for pair, rule in rules:
+        for law in ("nominal", "alternative"):
+            hits = rule.alarm_mask(times, pair.sample(law, rng, times.shape), rng).sum(axis=0)
+            for t, h, c in zip(FREQUENCY_TIMES, hits.tolist(), rule.alarm_probs(FREQUENCY_TIMES, law)):
+                pvalue = scipy_stats.binomtest(h, n, c).pvalue
+                assert pvalue >= FREQUENCY_LEVEL, (rule, law, t, h / n, c)

@@ -51,6 +51,20 @@ from oracles import (
 PAIR = GaussianMeanShift(mean0=0.0, mean1=1.0, sigma=1.0)
 
 
+@pytest.fixture
+def drawn(monkeypatch):
+    """The size of every draw ``GaussianMeanShift.sample`` makes, in order."""
+    sizes = []
+    original = GaussianMeanShift.sample
+
+    def counting_sample(self, which, rng, size=None):
+        sizes.append(int(np.prod(size)))
+        return original(self, which, rng, size)
+
+    monkeypatch.setattr(GaussianMeanShift, "sample", counting_sample)
+    return sizes
+
+
 @dataclasses.dataclass(frozen=True)
 class AlternatingThresholdRule:
     """Per-sample rule whose threshold alternates with time: not memoryless,
@@ -304,15 +318,7 @@ def test_pollak_empty_schedule_is_zero():
     assert est.value == 0.0 and est.std_error == 0.0
 
 
-def test_restart_runs_on_no_onsets_draw_nothing_and_are_censored(monkeypatch):
-    drawn = []
-    original = GaussianMeanShift.sample
-
-    def counting_sample(self, which, rng, size=None):
-        drawn.append(int(np.prod(size)))
-        return original(self, which, rng, size)
-
-    monkeypatch.setattr(GaussianMeanShift, "sample", counting_sample)
+def test_restart_runs_on_no_onsets_draw_nothing_and_are_censored(drawn):
     sched = make_schedule(50, 0, 1)
     rules = (calibrate(PAIR, 10.0), BernoulliStopRule(0.5), FixedTimeRule(3))
     for rule in rules + (calibrate(PAIR, 10.0, initial_stop_prob=0.5),):
@@ -692,6 +698,37 @@ def test_a_never_alarming_detector_runs_single_shot():
     assert est.value == 0.0 and est.survivors == (300,) * 4
 
 
+def test_a_never_alarming_detector_censors_every_f0_and_restart_run(drawn):
+    # c0 = c1 = 0 gives no mean gap to size a buffer by: it holds the whole
+    # limit of each trial, and nothing is divided by zero
+    det = ShewhartDetector(PAIR, alpha=math.inf, eta=math.inf)
+    sched = make_schedule(40, 4, 1)
+    for n in (1, 300):
+        drawn.clear()
+        sample = simulate_run_lengths(det, PAIR, n, 40, seed=8)
+        assert sample.censored == n and sample.n == 0
+        assert sum(drawn) == 40 * n
+        drawn.clear()
+        stop, _ = _simulate(det, PAIR, sched, "restart", n, 8, STREAM_MONITOR)
+        assert (stop == -1).all()
+        assert sum(drawn) == 4 * n
+
+
+@dataclasses.dataclass(frozen=True)
+class IntVerdictRule:
+    """An edge rule whose verdicts are int 0/1, not bool."""
+
+    memoryless = True
+
+    def alarm_mask(self, times, x, rng):
+        return (x >= 1.0).astype(np.int64)
+
+
+def test_pollak_rejects_verdicts_that_are_not_bool():
+    with pytest.raises(TypeError, match=r"IntVerdictRule\(\)\.alarm_mask returned int64"):
+        estimate_pollak(IntVerdictRule(), PAIR, make_schedule(40, 4, 1), 10, seed=1, min_survivors=1)
+
+
 def test_criteria_reject_an_infinite_eta_by_name():
     det = ShewhartDetector(PAIR, alpha=math.inf, eta=math.inf)
     with pytest.raises(ValueError, match="eta must be finite"):
@@ -835,15 +872,7 @@ def test_kernel_scoring_matches_monitor_sequence(mode):
     assert np.array_equal(survivors_of_ranks, survivors)
 
 
-def test_restart_runs_stop_drawing_at_their_first_detection(monkeypatch):
-    drawn = []
-    original = GaussianMeanShift.sample
-
-    def counting_sample(self, which, rng, size=None):
-        drawn.append(int(np.prod(size)))
-        return original(self, which, rng, size)
-
-    monkeypatch.setattr(GaussianMeanShift, "sample", counting_sample)
+def test_restart_runs_stop_drawing_at_their_first_detection(drawn):
     det = calibrate(PAIR, 5.0)
     sched = make_schedule(10_000, 100, 1, "even_grid")
     n = 300
@@ -854,15 +883,7 @@ def test_restart_runs_stop_drawing_at_their_first_detection(monkeypatch):
     assert sum(drawn) < n * sched.horizon / 10
 
 
-def test_restart_runs_draw_only_their_onset_samples(monkeypatch):
-    drawn = []
-    original = GaussianMeanShift.sample
-
-    def counting_sample(self, which, rng, size=None):
-        drawn.append(int(np.prod(size)))
-        return original(self, which, rng, size)
-
-    monkeypatch.setattr(GaussianMeanShift, "sample", counting_sample)
+def test_restart_runs_draw_only_their_onset_samples(drawn):
     sched = make_schedule(10_000, 100, 1, "even_grid")
     n = 300
     _simulate(calibrate(PAIR, 5.0), PAIR, sched, "restart", n, 39, STREAM_MONITOR)
@@ -873,6 +894,41 @@ def test_restart_runs_draw_only_their_onset_samples(monkeypatch):
     _, counts = _rank_counts(stop, sched)
     assert counts[1::2].sum() == 0 and (stop == -1).all()
     assert sum(drawn) == n * sched.s
+
+
+@pytest.mark.parametrize("n", [1, 200, 300])
+def test_pure_f0_runs_of_data_free_rules_draw_only_what_decides(drawn, n):
+    # a first block or buffer of the rule's expected run: FixedTimeRule(k)
+    # stops every run at k and AlwaysStopRule at 1, so no sample is left over
+    for k in (1, 5, 50):
+        drawn.clear()
+        sample = simulate_run_lengths(FixedTimeRule(k), PAIR, n, 1000, seed=7)
+        assert sample.taus.tolist() == [k] * n
+        assert sum(drawn) == k * n
+    drawn.clear()
+    simulate_run_lengths(AlwaysStopRule(), PAIR, n, 10, seed=7)
+    assert sum(drawn) == n
+    # a run that the horizon ends draws the horizon
+    drawn.clear()
+    assert simulate_run_lengths(FixedTimeRule(50), PAIR, n, 20, seed=7).censored == n
+    assert sum(drawn) == 20 * n
+
+
+#: most samples a calibrated restart run may draw per onset sample that
+#: decides, fixed before running.  Every buffer of a chunk but its last is
+#: used up.  The first holds min(1 / c1, s) samples per trial, at most
+#: e / (e - 1) ~ 1.58 times the (1 - (1 - c1)^s) / c1 a run needs in
+#: expectation (the worst case is c1 * s = 1); the rest is noise
+RESTART_DRAW_RATIO = 1.7
+
+
+@pytest.mark.parametrize("eta,s", [(5.0, 100), (10.0, 10), (100.0, 3), (1000.0, 50)])
+def test_restart_runs_draw_little_beyond_the_onset_samples_that_decide(drawn, eta, s):
+    sched = make_schedule(100 * s, s, 1, "even_grid")
+    stop, _ = _simulate(calibrate(PAIR, eta), PAIR, sched, "restart", 2000, 50, STREAM_MONITOR)
+    rank, _ = _rank_counts(stop, sched)
+    decided = int((rank >> 1).sum() + (rank & 1).sum())  # onsets missed, plus the one detected
+    assert decided <= sum(drawn) <= RESTART_DRAW_RATIO * decided
 
 
 @pytest.mark.parametrize("T", [1, 3])
@@ -1215,8 +1271,8 @@ def single_shot_and_f0_digest() -> str:
 #: np.exp of the log ratios, and numpy's AVX-512 kernel differs from the C
 #: library's exp in the last bit on a few percent of inputs
 SINGLE_SHOT_AND_F0_SHA256 = {
-    "libm": "586982fd53ea5411ff94b5c0f8084003e8f49005758d7432393459add5742d9a",
-    "avx512": "755c88473fb9f8028cc1caf544a4d287732cac9355305ddbed3a2f6cfcd2178a",
+    "libm": "8c9f8b3a02dbfd83a96523e1384b0273960eafd30b61f7d99697542c5111a026",
+    "avx512": "3cccd5cccd64c84d9990a1701f0013c22cb1438bebcf2231bce69b4e07bfc44b",
 }
 
 

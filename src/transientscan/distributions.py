@@ -175,12 +175,21 @@ class GaussianMeanShift(DistributionPair):
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         try:
-            s2 = self._llr_constants[2]
+            shift, mid, s2 = self._llr_constants
         except OverflowError:  # a float's ** raises where * would give inf
-            s2 = math.inf
+            shift = mid = s2 = math.inf
         if not 0.0 < s2 < math.inf:
             # the log ratio divides by sigma**2, which must be a positive finite float
             raise ValueError(f"sigma**2 must be positive and finite, got sigma {self.sigma}")
+        for name in ("mean0", "mean1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # the log ratio and its sample-space edge are monotone only with
+        # both finite (inf * 0 is NaN)
+        if not math.isfinite(shift):
+            raise ValueError(f"mean1 - mean0 overflows to {shift}")
+        if not math.isfinite(mid):
+            raise ValueError(f"the midpoint (mean0 + mean1) / 2 overflows to {mid}")
         if self.mean0 == self.mean1:
             raise ValueError(
                 "mean0 and mean1 must differ: with equal means the likelihood "
@@ -252,12 +261,11 @@ class GaussianMeanShift(DistributionPair):
 
     def log_ratio_edge(self, t: float) -> tuple[float, bool] | None:
         # Each IEEE step of log_likelihood_ratio (subtract mid, multiply by
-        # shift, divide by sigma**2) is monotone in x, so the passing floats
-        # are a half-line: in u = x (shift > 0) or u = -x, the upper one.
-        # Its first float is searched over the float ordering by rank.
+        # shift, divide by sigma**2; construction keeps all three finite) is
+        # monotone in x, so the passing floats are a half-line: in u = x
+        # (shift > 0) or u = -x, the upper one.  Its first float is searched
+        # over the float ordering by rank.
         shift, mid, s2 = self._llr_constants
-        if not (math.isfinite(shift) and math.isfinite(mid)):
-            return None  # inf * 0 would break monotonicity (sigma**2 is checked finite)
         sign = 1.0 if shift > 0.0 else -1.0
 
         def passes(u: float) -> bool:

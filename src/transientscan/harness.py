@@ -20,6 +20,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,8 +88,10 @@ class ExperimentConfig:
             raise ValueError(f"onsets must list s = {self.s} onsets, got {list(self.onsets)}")
         if not self.eta_grid:
             raise ValueError("eta_grid must be nonempty")
-        if any(eta < 1.0 for eta in self.eta_grid):
-            raise ValueError("every eta must be >= 1")
+        # JSON's Infinity and NaN parse as floats; eta must be a finite budget
+        bad = [eta for eta in self.eta_grid if not 1.0 <= eta < math.inf]
+        if bad:
+            raise ValueError(f"every eta must be >= 1 and finite, got {bad}")
         if self.mu1_grid is not None and not self.mu1_grid:
             raise ValueError("mu1_grid, when given, must be nonempty")
         if self.n_trials < 1:

@@ -52,8 +52,14 @@ schedule, which is linear in ``s``.
 
 Fixed costs per call: a schedule derives its onset array, scoring edges
 and F1 column mask once (read-only cached properties of
-:class:`ChangeSchedule`).  A chunk's generator is keyed in one step, from
-the entropy words SeedSequence would assemble itself.  A call of one chunk
+:class:`ChangeSchedule`).  A chunk's generator is seeded from cached seed
+words: the four words PCG64 takes from the chunk key's SeedSequence (built
+in one step from the entropy words it would assemble itself) stay cached,
+read-only, for the last ``_SEED_CACHE`` (1024) keys, so a grid that reuses
+one seed hashes each chunk key once.  On a 2-vCPU host (Python 3.11.7,
+numpy 2.4.6) a cached key's generator costs 0.19x the uncached path's
+before the cache, and a new key's 0.95x, its words hashed in Python ints
+(:class:`_SeedWords`).  A call of one chunk
 returns that chunk's arrays as they are, and a rule with no initial stop
 keeps no initial-stop bookkeeping.  Draws are sized from the rule's alarm
 laws, so few samples go undecided: a flat buffer holds the remaining trials
@@ -71,12 +77,14 @@ than numpy calls on three-element arrays.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from operator import attrgetter
 from typing import Literal, NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .detector import ShewhartDetector, StoppingRule, calibrate
 from .distributions import DistributionPair
@@ -99,6 +107,9 @@ _CHUNK = 256
 _MIN_BLOCK = 16
 #: most samples one block draws (1 MiB of float64), whatever the block width
 _MAX_BLOCK_SAMPLES = 1 << 17
+#: chunk keys whose seed words stay cached (:func:`trial_rng`): criterion 3's
+#: 782 at 100,000 trials fit
+_SEED_CACHE = 1024
 
 _ZERO = np.zeros(1, dtype=np.int64)
 _ZERO.flags.writeable = False  # and so is every zero-stride view of it
@@ -206,23 +217,72 @@ def _words(value: int) -> list[int]:
     return words
 
 
+#: SeedSequence's output hash (numpy's ``SeedSequence.generate_state``): the
+#: first multiplier, its step and the xorshift of each 32-bit word
+_INIT_B, _MULT_B, _XSHIFT = 0x8B51F9DD, 0x58F38DED, 16
+_pack_words = struct.Struct("=4Q").pack
+
+
+class _SeedWords(ISeedSequence):
+    """A SeedSequence's PCG64 seed words, hashed once and kept read-only.
+
+    ``generate_state(4, np.uint64)``, the one request ``PCG64`` makes, returns
+    the kept words; any other request asks the SeedSequence itself.  The
+    words are SeedSequence's own output hash of its pool, taken in Python
+    ints, which costs less than numpy's call and its three array
+    conversions: eight 32-bit words that cycle the pool, paired low word
+    first.  They view an immutable bytes object, so no caller can make them
+    writable.
+    """
+
+    __slots__ = ("_seq", "_state")
+
+    def __init__(self, seq: np.random.SeedSequence):
+        self._seq = seq
+        h, w = _INIT_B, []
+        for x in seq.pool.tolist() * 2:
+            x ^= h
+            h = h * _MULT_B & 0xFFFFFFFF
+            x = x * h & 0xFFFFFFFF
+            w.append(x ^ x >> _XSHIFT)
+        words = _pack_words(
+            w[0] | w[1] << 32, w[2] | w[3] << 32, w[4] | w[5] << 32, w[6] | w[7] << 32
+        )
+        self._state = np.frombuffer(words, np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype is np.uint64:
+            return self._state
+        return self._seq.generate_state(n_words, dtype)
+
+
+@lru_cache(maxsize=_SEED_CACHE)
+def _seed_words(seed: int, key: tuple[int, ...]) -> _SeedWords:
+    """The seed words of ``SeedSequence(seed, spawn_key=key)``, built from
+    the 32-bit words it would assemble itself (no spawn key to convert)."""
+    words = _words(seed)
+    words += [0] * (4 - len(words))  # a key follows the entropy padded to 4 words
+    for k in key:
+        words += _words(k)
+    return _SeedWords(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+
+
 def trial_rng(seed, *key) -> np.random.Generator:
     """Generator keyed by ``key`` under ``seed`` (an int or a SeedSequence).
 
     The estimators draw chunk ``c`` of a stream from ``trial_rng(seed,
     stream, c)``: the stream of ``SeedSequence(seed, spawn_key=key)``, where
     a SeedSequence seed lends its entropy and puts its spawn key first.  For
-    nonnegative int entropy and key, the sequence is built in one step from
-    the words it would assemble itself, with no spawn key to convert.
+    nonnegative int entropy and key, the generator is seeded from the
+    sequence's cached seed words (the last ``_SEED_CACHE`` keys stay cached),
+    so its ``bit_generator.seed_seq`` is not a SeedSequence and
+    ``Generator.spawn`` raises TypeError; draw children from ``trial_rng``
+    with a longer key instead.
     """
     if isinstance(seed, np.random.SeedSequence):
         seed, key = seed.entropy, (*seed.spawn_key, *key)
     if key and type(seed) is int and seed >= 0 and all(type(k) is int and k >= 0 for k in key):
-        words = _words(seed)
-        words += [0] * (4 - len(words))  # a key follows the entropy padded to 4 words
-        for k in key:
-            words += _words(k)
-        return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+        return np.random.default_rng(_seed_words(seed, key))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 

@@ -79,6 +79,15 @@ def test_sigma_whose_square_underflows_is_a_runtime_error(capsys, command):
     assert f"transientscan {command}: sigma**2" in err
 
 
+@pytest.mark.parametrize("flag", ["--mean0", "--mean1"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_mean_is_a_runtime_error_naming_it(capsys, flag, value):
+    # before, --mean0 inf failed on a NaN threshold that named no input
+    code, out, err = run_cli(capsys, "calibrate", "--eta", "10", flag, value)
+    assert (code, out) == (2, "")
+    assert f"transientscan calibrate: {flag[2:]} must be finite" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -453,6 +462,19 @@ def test_experiment_rejects_a_non_integer_count(tmp_path, capsys, key, value):
     )
     assert code == 2
     assert out == "" and f"{key} must be" in err and "integer" in err
+    assert not out_dir.exists()
+
+
+def test_experiment_rejects_an_infinite_eta(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    preset = (Path(transientscan._PRESET_DIR) / "acceptance.json").read_text()
+    cfg_path.write_text(json.dumps({**json.loads(preset), "eta_grid": [10, math.inf]}))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "experiment", "--config", str(cfg_path), "--out-dir", str(out_dir)
+    )
+    assert (code, out) == (2, "")
+    assert "every eta must be >= 1 and finite, got [inf]" in err
     assert not out_dir.exists()
 
 

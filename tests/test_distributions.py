@@ -46,6 +46,27 @@ def test_construction_rejects_sigma_whose_square_leaves_the_floats(sigma):
         GaussianMeanShift(mean0=0.0, mean1=1.0, sigma=np.float64(sigma))
 
 
+@pytest.mark.parametrize("field", ["mean0", "mean1"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_construction_rejects_non_finite_means(field, value):
+    # before, inf gave a NaN midpoint and calibrate a NaN threshold
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        GaussianMeanShift(**{"mean0": 0.0, "mean1": 1.0, field: value})
+
+
+def test_construction_rejects_a_shift_or_midpoint_that_overflows():
+    big = float(np.finfo(float).max)
+    with pytest.raises(ValueError, match="mean1 - mean0"):
+        GaussianMeanShift(mean0=-big, mean1=big)
+    with pytest.raises(ValueError, match="midpoint"):
+        GaussianMeanShift(mean0=big / 2, mean1=big)
+    # the widest finite shift and midpoint still construct, with an exact edge
+    for pair in (GaussianMeanShift(-big / 2, big / 2), GaussianMeanShift(0.0, big)):
+        edge, upper = pair.log_ratio_edge(0.0)
+        assert upper and pair.log_likelihood_ratio(edge) >= 0.0
+        assert pair.log_likelihood_ratio(math.nextafter(edge, -math.inf)) < 0.0
+
+
 def test_construction_accepts_sigma_whose_square_is_subnormal_or_near_the_top():
     for sigma in (1e-160, 1e154):
         pair = GaussianMeanShift(mean0=0.0, mean1=sigma, sigma=sigma)

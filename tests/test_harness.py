@@ -82,6 +82,14 @@ def test_config_value_validation():
         tiny_config(pair={"kind": "gaussian_mean_shift", "mean0": 1.0, "mean1": 1.0, "sigma": 1.0})
 
 
+@pytest.mark.parametrize("eta", ["Infinity", "-Infinity", "NaN"])
+def test_config_rejects_a_non_finite_eta_from_json(eta):
+    # JSON allows these; before, the run failed later with an unrelated error
+    data = {**TINY, "eta_grid": json.loads(f"[5, {eta}]")}
+    with pytest.raises(ValueError, match="every eta must be >= 1 and finite"):
+        ExperimentConfig.from_dict(data)
+
+
 def test_mu_sweep_rejects_equal_means(monkeypatch):
     calls = []
     monkeypatch.setattr(metrics, "evaluate_criteria", lambda *a, **k: calls.append(a))

@@ -167,6 +167,56 @@ def test_trial_rng_keeps_seed_sequence_for_other_entropy():
             trial_rng(seed, *key)
 
 
+def assert_same_stream(got, expected):
+    assert np.array_equal(got.random(5), expected.random(5))
+    assert np.array_equal(got.standard_normal(5), expected.standard_normal(5))
+    assert np.array_equal(got.integers(0, 2**63, 5), expected.integers(0, 2**63, 5))
+
+
+def test_trial_rng_rebuilds_cached_and_evicted_keys_bit_for_bit():
+    seed, n_keys = 2**40 + 17, metrics._SEED_CACHE + 10
+    for c in range(n_keys):
+        # the cached words are SeedSequence's, hashed from each key's pool
+        seq = trial_rng(seed, STREAM_MONITOR, c).bit_generator.seed_seq
+        expected = np.random.SeedSequence(seed, spawn_key=(STREAM_MONITOR, c))
+        words = seq.generate_state(4, np.uint64)
+        assert np.array_equal(words, expected.generate_state(4, np.uint64))
+    # the first 10 keys were evicted, the last is cached
+    info = metrics._seed_words.cache_info
+    for c, hit in ((0, False), (n_keys - 1, True)):
+        hits = info().hits
+        expected = seed_sequence_rng(seed, STREAM_MONITOR, c)
+        assert_same_stream(trial_rng(seed, STREAM_MONITOR, c), expected)
+        assert info().hits == hits + hit
+    assert info().currsize == metrics._SEED_CACHE
+
+
+def test_trial_rng_generators_of_one_key_are_independent():
+    a, b = trial_rng(11, 1, 0), trial_rng(11, 1, 0)
+    assert a.bit_generator.seed_seq is b.bit_generator.seed_seq  # one cached entry
+    a.random(1000)
+    assert_same_stream(b, seed_sequence_rng(11, 1, 0))
+
+
+def test_trial_rng_seed_words_are_read_only():
+    seq = trial_rng(11, 1, 0).bit_generator.seed_seq
+    words = seq.generate_state(4, np.uint64)
+    assert not words.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        words[0] = 0
+    with pytest.raises(ValueError):
+        words.flags.writeable = True
+    reference = np.random.SeedSequence(11, spawn_key=(1, 0))
+    assert np.array_equal(words, reference.generate_state(4, np.uint64))
+    # any other request is the SeedSequence's own
+    for n_words, dtype in ((8, np.uint32), (3, np.uint32), (6, np.uint64)):
+        assert np.array_equal(
+            seq.generate_state(n_words, dtype), reference.generate_state(n_words, dtype)
+        )
+    with pytest.raises(TypeError):
+        trial_rng(11, 1, 0).spawn(1)
+
+
 # ---------------------------------------------------------------------------
 # run length to a false alarm
 

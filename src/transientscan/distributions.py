@@ -153,6 +153,15 @@ class DistributionPair(ABC):
         raise NotImplementedError
 
 
+def _float_or_inf(compute: Callable[..., object], *args) -> float:
+    """``float(compute(*args))``, or inf where a float's ``**`` or an int too
+    large for a float raises OverflowError (where ``*`` would give inf)."""
+    try:
+        return float(compute(*args))
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class GaussianMeanShift(DistributionPair):
     """Unit-family Gaussian pair: F0 = N(mean0, sigma^2), F1 = N(mean1, sigma^2).
@@ -174,15 +183,12 @@ class GaussianMeanShift(DistributionPair):
     def __post_init__(self):
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        try:
-            shift, mid, s2 = self._llr_constants
-        except OverflowError:  # a float's ** raises where * would give inf
-            shift = mid = s2 = math.inf
+        shift, mid, s2 = self._llr_constants
         if not 0.0 < s2 < math.inf:
             # the log ratio divides by sigma**2, which must be a positive finite float
             raise ValueError(f"sigma**2 must be positive and finite, got sigma {self.sigma}")
         for name in ("mean0", "mean1"):
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(_float_or_inf(float, getattr(self, name))):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # the log ratio and its sample-space edge are monotone only with
         # both finite (inf * 0 is NaN)
@@ -201,7 +207,9 @@ class GaussianMeanShift(DistributionPair):
         """``(shift, midpoint, sigma**2)``, derived once per pair; not a field,
         so equality, hashing and :meth:`to_config` see only the three fields."""
         m0, m1, sigma = self.mean0, self.mean1, self.sigma
-        return float(m1 - m0), float(0.5 * (m0 + m1)), float(sigma**2)
+        # each overflows on its own, so validation names the one that does
+        terms = (lambda: m1 - m0, lambda: 0.5 * (m0 + m1), lambda: sigma**2)
+        return tuple(map(_float_or_inf, terms))
 
     @cached_property
     def float_log_ratio(self) -> Callable[[float], float]:

@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -32,15 +33,16 @@ from .metrics import (
     CSV_COLUMNS,
     STREAM_SCHEDULE,
     CurveRow,
+    Mode,
     detect_first_any_curves,
     trial_rng,
 )
-from .sequence_model import make_schedule
+from .sequence_model import Placement, make_schedule
 
 SCHEMA_VERSION = 1
 
-_MODES = ("single_shot", "restart")
-_PLACEMENTS = ("even_grid", "uniform_random", "explicit")
+_MODES = get_args(Mode)
+_PLACEMENTS = get_args(Placement)
 #: keys whose values must be integers (each onset must be one too)
 _INT_KEYS = ("horizon", "s", "T", "n_trials", "master_seed")
 

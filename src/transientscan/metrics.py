@@ -52,14 +52,11 @@ schedule, which is linear in ``s``.
 
 Fixed costs per call: a schedule derives its onset array, scoring edges
 and F1 column mask once (read-only cached properties of
-:class:`ChangeSchedule`).  A chunk's generator is seeded from cached seed
-words: the four words PCG64 takes from the chunk key's SeedSequence (built
-in one step from the entropy words it would assemble itself) stay cached,
-read-only, for the last ``_SEED_CACHE`` (1024) keys, so a grid that reuses
-one seed hashes each chunk key once.  On a 2-vCPU host (Python 3.11.7,
-numpy 2.4.6) a cached key's generator costs 0.19x the uncached path's
-before the cache, and a new key's 0.95x, its words hashed in Python ints
-(:class:`_SeedWords`).  A call of one chunk
+:class:`ChangeSchedule`).  For int entropy a chunk's generator is seeded
+from cached seed words: the four words PCG64 takes from the chunk key's
+SeedSequence stay cached, read-only, for the last ``_SEED_CACHE`` (1024)
+keys, so a grid that reuses one seed builds each chunk key's SeedSequence
+once; other entropy is not cached (:func:`trial_rng`).  A call of one chunk
 returns that chunk's arrays as they are, and a rule with no initial stop
 keeps no initial-stop bookkeeping.  Draws are sized from the rule's alarm
 laws, so few samples go undecided: a flat buffer holds the remaining trials
@@ -77,11 +74,10 @@ than numpy calls on three-element arrays.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache, partial
 from operator import attrgetter
-from typing import Literal, NamedTuple
+from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -207,31 +203,12 @@ class CriteriaReport:
 _ESTIMATE_FIELDS = tuple(f.name for f in fields(CriteriaReport) if f.type == "Estimate")
 
 
-def _words(value: int) -> list[int]:
-    """A nonnegative int's 32-bit words as SeedSequence splits it (low first)."""
-    words = [value & 0xFFFFFFFF]
-    value >>= 32
-    while value:
-        words.append(value & 0xFFFFFFFF)
-        value >>= 32
-    return words
-
-
-#: SeedSequence's output hash (numpy's ``SeedSequence.generate_state``): the
-#: first multiplier, its step and the xorshift of each 32-bit word
-_INIT_B, _MULT_B, _XSHIFT = 0x8B51F9DD, 0x58F38DED, 16
-_pack_words = struct.Struct("=4Q").pack
-
-
 class _SeedWords(ISeedSequence):
-    """A SeedSequence's PCG64 seed words, hashed once and kept read-only.
+    """A SeedSequence's PCG64 seed words, generated once and kept read-only.
 
     ``generate_state(4, np.uint64)``, the one request ``PCG64`` makes, returns
     the kept words; any other request asks the SeedSequence itself.  The
-    words are SeedSequence's own output hash of its pool, taken in Python
-    ints, which costs less than numpy's call and its three array
-    conversions: eight 32-bit words that cycle the pool, paired low word
-    first.  They view an immutable bytes object, so no caller can make them
+    words view an immutable bytes object, so no caller can make them
     writable.
     """
 
@@ -239,16 +216,7 @@ class _SeedWords(ISeedSequence):
 
     def __init__(self, seq: np.random.SeedSequence):
         self._seq = seq
-        h, w = _INIT_B, []
-        for x in seq.pool.tolist() * 2:
-            x ^= h
-            h = h * _MULT_B & 0xFFFFFFFF
-            x = x * h & 0xFFFFFFFF
-            w.append(x ^ x >> _XSHIFT)
-        words = _pack_words(
-            w[0] | w[1] << 32, w[2] | w[3] << 32, w[4] | w[5] << 32, w[6] | w[7] << 32
-        )
-        self._state = np.frombuffer(words, np.uint64)
+        self._state = np.frombuffer(seq.generate_state(4, np.uint64).tobytes(), np.uint64)
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words == 4 and dtype is np.uint64:
@@ -256,15 +224,11 @@ class _SeedWords(ISeedSequence):
         return self._seq.generate_state(n_words, dtype)
 
 
-@lru_cache(maxsize=_SEED_CACHE)
-def _seed_words(seed: int, key: tuple[int, ...]) -> _SeedWords:
-    """The seed words of ``SeedSequence(seed, spawn_key=key)``, built from
-    the 32-bit words it would assemble itself (no spawn key to convert)."""
-    words = _words(seed)
-    words += [0] * (4 - len(words))  # a key follows the entropy padded to 4 words
-    for k in key:
-        words += _words(k)
-    return _SeedWords(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+@lru_cache(maxsize=_SEED_CACHE, typed=True)
+def _seed_words(seed: int, *key) -> _SeedWords:
+    """The seed words of ``SeedSequence(seed, spawn_key=key)``; typed, so a key
+    that only equals an int (``1.0``) reaches SeedSequence, which rejects it."""
+    return _SeedWords(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def trial_rng(seed, *key) -> np.random.Generator:
@@ -273,16 +237,17 @@ def trial_rng(seed, *key) -> np.random.Generator:
     The estimators draw chunk ``c`` of a stream from ``trial_rng(seed,
     stream, c)``: the stream of ``SeedSequence(seed, spawn_key=key)``, where
     a SeedSequence seed lends its entropy and puts its spawn key first.  For
-    nonnegative int entropy and key, the generator is seeded from the
-    sequence's cached seed words (the last ``_SEED_CACHE`` keys stay cached),
-    so its ``bit_generator.seed_seq`` is not a SeedSequence and
-    ``Generator.spawn`` raises TypeError; draw children from ``trial_rng``
-    with a longer key instead.
+    int entropy, the generator is seeded from the sequence's cached seed
+    words (the last ``_SEED_CACHE`` keys stay cached), so its
+    ``bit_generator.seed_seq`` is not a SeedSequence and ``Generator.spawn``
+    raises TypeError; draw children from ``trial_rng`` with a longer key
+    instead.  Other entropy (``None``, which draws fresh entropy on every
+    call, a list, a numpy integer) is not cached.
     """
     if isinstance(seed, np.random.SeedSequence):
         seed, key = seed.entropy, (*seed.spawn_key, *key)
-    if key and type(seed) is int and seed >= 0 and all(type(k) is int and k >= 0 for k in key):
-        return np.random.default_rng(_seed_words(seed, key))
+    if type(seed) is int:
+        return np.random.default_rng(_seed_words(seed, *key))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
@@ -516,7 +481,7 @@ def _simulate(
     """Per-trial stops and, with ``keep_samples``, stopping samples (see
     :func:`_simulate_chunk`).  A call of one chunk returns that chunk's
     arrays as they are."""
-    if mode not in ("single_shot", "restart"):
+    if mode not in get_args(Mode):
         raise ValueError(f"unknown mode {mode!r}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")

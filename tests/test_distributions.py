@@ -47,9 +47,19 @@ def test_construction_rejects_sigma_whose_square_leaves_the_floats(sigma):
 
 
 @pytest.mark.parametrize("field", ["mean0", "mean1"])
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "value",
+    [
+        math.inf,
+        -math.inf,
+        math.nan,
+        pytest.param(10**400, id="10**400"),
+        pytest.param(-(10**400), id="-10**400"),
+    ],
+)
 def test_construction_rejects_non_finite_means(field, value):
-    # before, inf gave a NaN midpoint and calibrate a NaN threshold
+    # before, inf gave a NaN midpoint and calibrate a NaN threshold, and an
+    # int too large for a float was blamed on sigma
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         GaussianMeanShift(**{"mean0": 0.0, "mean1": 1.0, field: value})
 
@@ -60,6 +70,9 @@ def test_construction_rejects_a_shift_or_midpoint_that_overflows():
         GaussianMeanShift(mean0=-big, mean1=big)
     with pytest.raises(ValueError, match="midpoint"):
         GaussianMeanShift(mean0=big / 2, mean1=big)
+    # exact ints: the shift is 1, but the midpoint overflows as it becomes a float
+    with pytest.raises(ValueError, match="midpoint"):
+        GaussianMeanShift(mean0=10**308, mean1=10**308 + 1)
     # the widest finite shift and midpoint still construct, with an exact edge
     for pair in (GaussianMeanShift(-big / 2, big / 2), GaussianMeanShift(0.0, big)):
         edge, upper = pair.log_ratio_edge(0.0)

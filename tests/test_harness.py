@@ -80,6 +80,10 @@ def test_config_value_validation():
         tiny_config(s=300)  # s*(T+1) > horizon
     with pytest.raises(ValueError):
         tiny_config(pair={"kind": "gaussian_mean_shift", "mean0": 1.0, "mean1": 1.0, "sigma": 1.0})
+    # JSON integers have no size limit; one too large for a float is named
+    pair = json.loads(f'{{"kind": "gaussian_mean_shift", "mean0": 0, "mean1": 1{"0" * 400}}}')
+    with pytest.raises(ValueError, match="mean1 must be finite"):
+        tiny_config(pair=pair)
 
 
 @pytest.mark.parametrize("eta", ["Infinity", "-Infinity", "NaN"])

@@ -146,8 +146,8 @@ _SEEDS = st.one_of(
 @example(seed=np.random.SeedSequence(2**33, spawn_key=(5,)), key=[1, 0])
 @example(seed=7, key=[])
 def test_trial_rng_draws_the_seed_sequence_stream(seed, key):
-    # trial_rng builds the sequence from its entropy words; the stream must
-    # be SeedSequence's own, whatever the sizes of the seed and key
+    # the stream must be SeedSequence's own, whatever the sizes of the seed
+    # and key, cached or not
     expected = seed_sequence_rng(seed, *key)
     got = trial_rng(seed, *key)
     assert np.array_equal(got.random(4), expected.random(4))
@@ -176,7 +176,7 @@ def assert_same_stream(got, expected):
 def test_trial_rng_rebuilds_cached_and_evicted_keys_bit_for_bit():
     seed, n_keys = 2**40 + 17, metrics._SEED_CACHE + 10
     for c in range(n_keys):
-        # the cached words are SeedSequence's, hashed from each key's pool
+        # the cached words are each key's SeedSequence's own
         seq = trial_rng(seed, STREAM_MONITOR, c).bit_generator.seed_seq
         expected = np.random.SeedSequence(seed, spawn_key=(STREAM_MONITOR, c))
         words = seq.generate_state(4, np.uint64)
@@ -189,6 +189,23 @@ def test_trial_rng_rebuilds_cached_and_evicted_keys_bit_for_bit():
         assert_same_stream(trial_rng(seed, STREAM_MONITOR, c), expected)
         assert info().hits == hits + hit
     assert info().currsize == metrics._SEED_CACHE
+
+
+def test_trial_rng_draws_fresh_entropy_for_none_and_caches_the_empty_key():
+    info = metrics._seed_words.cache_info
+    before = info()
+    assert not np.array_equal(trial_rng(None, 1, 0).random(4), trial_rng(None, 1, 0).random(4))
+    assert info() == before  # neither looked up nor added
+    trial_rng(7)
+    hits = info().hits
+    assert_same_stream(trial_rng(7), seed_sequence_rng(7))
+    assert info().hits == hits + 1
+
+
+def test_trial_rng_rejects_a_key_equal_to_a_cached_int():
+    trial_rng(5, 1, 0)
+    with pytest.raises(TypeError):
+        trial_rng(5, 1.0, 0)
 
 
 def test_trial_rng_generators_of_one_key_are_independent():

@@ -283,20 +283,19 @@ def _row_times(times: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return view
 
 
-def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float, keep_samples: bool):
+def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float):
     """Renewal runs of a memoryless rule on i.i.d. samples: ``n`` trials
     take consecutive segments of one flat stream, each ending at an alarm.
 
     Returns per trial the 0-based index within its segment of the stopping
     sample (-1 for a trial that saw ``limit`` samples without an alarm and
-    consumed exactly those) and, with ``keep_samples``, that sample's value
-    (else None).  Each buffer holds the remaining trials times the mean gap
-    between alarms (``gap`` until an alarm is seen, then the observed
-    samples per alarm), capped per trial at ``limit`` and in all at
-    ``_MAX_BLOCK_SAMPLES``.
+    consumed exactly those) and that sample's value (NaN for none).  Each
+    buffer holds the remaining trials times the mean gap between alarms
+    (``gap`` until an alarm is seen, then the observed samples per alarm),
+    capped per trial at ``limit`` and in all at ``_MAX_BLOCK_SAMPLES``.
     """
     at = np.full(n, -1, dtype=np.int64)
-    x_at = np.full(n, np.nan) if keep_samples else None
+    x_at = np.full(n, np.nan)
     done = carry = drawn = alarms = 0
     while done < n:
         if alarms:
@@ -320,8 +319,7 @@ def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float, keep_
             # alarms in turn (those past the chunk's last trial are dropped)
             k = min(n - done, hit.size)
             at[done : done + k] = runs[:k]
-            if keep_samples:
-                x_at[done : done + k] = x[hit[:k]]
+            x_at[done : done + k] = x[hit[:k]]
             done += hit.size
             carry = int(runs[-1])
             continue
@@ -332,80 +330,40 @@ def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float, keep_
         ends = censored.cumsum()
         k = ends[:-1].searchsorted(n)  # stops past the chunk's last trial are dropped
         at[ends[:k]] = rest[:k]
-        if keep_samples:
-            x_at[ends[:k]] = x[hit[:k]]
+        x_at[ends[:k]] = x[hit[:k]]
         done = int(ends[-1])
         carry = int(rest[-1])
     return at, x_at
 
 
-def _simulate_chunk(
-    lo: int,
-    hi: int,
-    rule: StoppingRule,
-    pair: DistributionPair,
-    schedule: ChangeSchedule,
-    mode: Mode,
-    seed,
-    stream: int,
-    keep_samples: bool,
-):
-    """Stop times of trials lo..hi-1, and with ``keep_samples`` the stopping
-    sample per trial (else None).
-
-    A stop is 0 for an initial stop, the stopping time, or ``_CENSORED``
-    when the horizon ran out first; the stopping sample of a run without
-    one is NaN.  A rule with an initial stop draws the chunk's initial-stop
-    uniforms first, and only the trials that did not stop take the runs of
-    :func:`_runs`; a rule without one draws no uniforms, and its runs are
-    the chunk's stops as they come.
-    """
-    rng = trial_rng(seed, stream, lo // _CHUNK)
-    n = hi - lo
-    pi0 = getattr(rule, "initial_stop_prob", 0.0)
-    if pi0 > 0.0:
-        stop = np.zeros(n, dtype=np.int64)
-        running = (rng.random(n) >= pi0).nonzero()[0]
-        stop[running], x_run = _runs(rule, pair, schedule, mode, rng, running.size, keep_samples)
-        if not keep_samples:
-            return stop, None
-        x_stop = np.full(n, np.nan)
-        x_stop[running] = x_run
-        return stop, x_stop
-    return _runs(rule, pair, schedule, mode, rng, n, keep_samples)
-
-
-def _runs(rule, pair, schedule: ChangeSchedule, mode: Mode, rng, n: int, keep_samples: bool):
+def _runs(rule, pair, schedule: ChangeSchedule, mode: Mode, rng, n: int):
     """Stop times of ``n`` runs drawn from ``rng`` (each the stopping time or
-    ``_CENSORED``), and with ``keep_samples`` each run's stopping sample
-    (NaN for none; else None).  ``mode`` chooses the columns drawn, each
-    able to end a run: every time step, or the onsets.
+    ``_CENSORED``) and each run's stopping sample (NaN for none).
 
-    Flat layout: when the rule is memoryless and a run has columns to draw,
-    all of one law (restart runs on onsets see only F1 onset samples, runs
-    on an empty single-shot schedule only F0), a run is a renewal, so the
-    runs take consecutive segments of one flat stream (see
+    Flat layout, for F0 runs of a memoryless rule (no onsets) and for every
+    restart run (a memoryless rule on onsets, see :func:`_simulate`): every
+    column a run draws has one law, F0 or F1 onset samples, so a run is a
+    renewal and the runs take consecutive segments of one flat stream (see
     :func:`_flat_stops`); each buffer draws its samples, then whatever
     ``alarm_mask`` consumes.  The first buffer's mean gap is ``1 / c`` for
     the alarm probability ``c`` of the law drawn (none when ``c = 0``).
 
-    Block layout, otherwise: the runs still going are simulated together,
-    one ``(runs x columns)`` block at a time; a block draws an F0 matrix
-    whose affected columns are redrawn from F1 (restart: one F1 matrix of
-    onset samples), then whatever ``alarm_mask`` consumes.  The first block
-    holds the columns a run draws in expectation, ``sum_k prod_{j<k} (1 -
-    c_j)`` with ``c_j`` the alarm probability of column ``j`` under the law
-    it is drawn from; each later block doubles.  A restart run on no onsets
-    draws nothing and is censored.
+    Block layout, for single-shot runs with onsets and F0 runs of a
+    time-dependent rule: the runs still going are simulated together, one
+    ``(runs x time steps)`` block at a time; a block draws an F0 matrix
+    whose affected columns are redrawn from F1, then whatever
+    ``alarm_mask`` consumes.  The first block holds the columns a run draws
+    in expectation, ``sum_k prod_{j<k} (1 - c_j)`` with ``c_j`` the alarm
+    probability of time step ``j`` under the law it is drawn from; each
+    later block doubles.
 
     A calibrated rule keeps its ``eta`` sizing for F0 buffers and blocks,
-    so those streams keep their bits whatever ``alarm_mask`` draws, and a
-    rule without ``alarm_probs`` starts from ``_MIN_BLOCK``.
+    and a rule without ``alarm_probs`` starts from ``_MIN_BLOCK``.
     """
-    restart = mode == "restart"
     eta = getattr(rule, "eta", None)
     probs = getattr(rule, "alarm_probs", None)
-    if getattr(rule, "memoryless", False) and restart == bool(schedule.onsets):
+    if mode == "restart" or (getattr(rule, "memoryless", False) and not schedule.onsets):
+        restart = mode == "restart"
         limit = schedule.s if restart else schedule.horizon
         law = "alternative" if restart else "nominal"
         if eta is not None and not restart:
@@ -415,7 +373,7 @@ def _runs(rule, pair, schedule: ChangeSchedule, mode: Mode, rng, n: int, keep_sa
         else:  # the mean gap 1 / c, or none for a rule that never alarms
             c = float(probs(_NO_TIMES[:1], law)[0])
             gap = 1.0 / c if c > 0.0 else math.inf
-        at, x_at = _flat_stops(rule, pair, law, rng, n, limit, gap, keep_samples)
+        at, x_at = _flat_stops(rule, pair, law, rng, n, limit, gap)
         # segment index -> stop time; a censored run's -1 reads the appended
         # _CENSORED in restart mode
         if restart:
@@ -423,47 +381,40 @@ def _runs(rule, pair, schedule: ChangeSchedule, mode: Mode, rng, n: int, keep_sa
         at += at >= 0  # a censored run keeps its -1
         return at, x_at
     stop = np.full(n, _CENSORED, dtype=np.int64)
-    x_stop = np.full(n, np.nan) if keep_samples else None
+    x_stop = np.full(n, np.nan)
     active = np.arange(n)
-    times = schedule.onset_times if restart else np.arange(1, schedule.horizon + 1)
-    row_times = _row_times(times, (n, times.size))  # each block's times are a slice
+    horizon = schedule.horizon
+    times = np.arange(1, horizon + 1)
+    row_times = _row_times(times, (n, horizon))  # each block's times are a slice
     is_f1 = schedule.f1_columns
     if eta is not None or probs is None:
         # eta = inf (a threshold with no F0 tail) gives no mean run length to size by
         block = max(_MIN_BLOCK, math.ceil(eta)) if eta is not None and eta < math.inf else _MIN_BLOCK
     else:  # the columns a run draws in expectation: sum over k of P(no alarm before k)
-        if restart:
-            c = probs(times, "alternative")
-        else:
-            c = probs(times, "nominal")
-            if schedule.onsets:
-                c = np.where(is_f1, probs(times, "alternative"), c)
+        c = probs(times, "nominal")
+        if schedule.onsets:
+            c = np.where(is_f1, probs(times, "alternative"), c)
         block = math.ceil(1.0 + float(np.cumprod(1.0 - c)[:-1].sum()))
     c0 = 0
-    while active.size and c0 < times.size:
-        nb = min(block, times.size - c0, max(1, _MAX_BLOCK_SAMPLES // active.size))
-        block_times = times[c0 : c0 + nb]
-        if restart:
-            x = np.asarray(pair.sample("alternative", rng, (active.size, nb)), dtype=float)
-        else:
-            x = np.asarray(pair.sample("nominal", rng, (active.size, nb)), dtype=float)
-            # a single-shot block's columns are the time steps c0..c0+nb-1
-            f1_cols = is_f1[c0 : c0 + nb].nonzero()[0]
-            if f1_cols.size:
-                x[:, f1_cols] = pair.sample("alternative", rng, (active.size, f1_cols.size))
+    while active.size and c0 < horizon:
+        nb = min(block, horizon - c0, max(1, _MAX_BLOCK_SAMPLES // active.size))
+        x = np.asarray(pair.sample("nominal", rng, (active.size, nb)), dtype=float)
+        # the block's columns are the time steps c0..c0+nb-1
+        f1_cols = is_f1[c0 : c0 + nb].nonzero()[0]
+        if f1_cols.size:
+            x[:, f1_cols] = pair.sample("alternative", rng, (active.size, f1_cols.size))
         mask = rule.alarm_mask(row_times[: active.size, c0 : c0 + nb], x, rng)
         # each row's first alarm, column 0 for a row without one
         first = mask.argmax(axis=1)
         alarmed = np.logical_or(first, mask[:, 0])
         hit = alarmed.nonzero()[0]
-        c0 += nb
         if hit.size:
             rows, at = active[hit], first[hit]
-            if keep_samples:
-                x_stop[rows] = x[hit, at]
-            stop[rows] = block_times[at]
-            if c0 < times.size:  # the runs still going take the next block
+            x_stop[rows] = x[hit, at]
+            stop[rows] = c0 + 1 + at
+            if c0 + nb < horizon:  # the runs still going take the next block
                 active = active[~alarmed]
+        c0 += nb
         block *= 2
     return stop, x_stop
 
@@ -476,23 +427,49 @@ def _simulate(
     n_trials: int,
     seed,
     stream: int,
-    keep_samples: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-trial stops and, with ``keep_samples``, stopping samples (see
-    :func:`_simulate_chunk`).  A call of one chunk returns that chunk's
-    arrays as they are."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial stops and stopping samples of ``n_trials`` runs.
+
+    A stop is 0 for an initial stop, the stopping time, or ``_CENSORED``
+    when the horizon ran out first; the stopping sample of a run without
+    one is NaN.  Chunk ``c`` draws from ``trial_rng(seed, stream, c)``: a
+    rule with an initial stop draws the chunk's initial-stop uniforms
+    first, and only the trials that did not stop take the runs of
+    :func:`_runs`; a rule without one draws no uniforms, and its runs are
+    the chunk's stops as they come.  A call of one chunk returns that
+    chunk's arrays as they are.
+
+    A restart run ends only on an onset alarm, and a false alarm does not
+    end it, so the rule must be memoryless: its runs are then renewals on
+    the onset samples alone.  A time-dependent rule is refused before
+    anything is drawn, and a restart run on no onsets draws nothing and is
+    censored.
+    """
     if mode not in get_args(Mode):
         raise ValueError(f"unknown mode {mode!r}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if n_trials <= _CHUNK:
-        return _simulate_chunk(0, n_trials, rule, pair, schedule, mode, seed, stream, keep_samples)
-    parts = [
-        _simulate_chunk(lo, hi, rule, pair, schedule, mode, seed, stream, keep_samples)
-        for lo, hi in _chunk_ranges(n_trials)
-    ]
-    samples = np.concatenate([p[1] for p in parts]) if keep_samples else None
-    return np.concatenate([p[0] for p in parts]), samples
+    if mode == "restart":
+        if not getattr(rule, "memoryless", False):
+            raise ValueError(f"restart runs need a memoryless rule; {rule!r} is not memoryless")
+        if not schedule.onsets:
+            return np.full(n_trials, _CENSORED, dtype=np.int64), np.full(n_trials, np.nan)
+    pi0 = getattr(rule, "initial_stop_prob", 0.0)
+    parts = []
+    for lo, hi in _chunk_ranges(n_trials):
+        rng = trial_rng(seed, stream, lo // _CHUNK)
+        if pi0 > 0.0:
+            stop = np.zeros(hi - lo, dtype=np.int64)
+            x_stop = np.full(hi - lo, np.nan)
+            running = (rng.random(hi - lo) >= pi0).nonzero()[0]
+            stop[running], x_stop[running] = _runs(rule, pair, schedule, mode, rng, running.size)
+            parts.append((stop, x_stop))
+        else:
+            parts.append(_runs(rule, pair, schedule, mode, rng, hi - lo))
+    if len(parts) == 1:
+        return parts[0]
+    stops, samples = zip(*parts)
+    return np.concatenate(stops), np.concatenate(samples)
 
 
 def _rank_counts(stop: np.ndarray, schedule: ChangeSchedule) -> tuple[np.ndarray, np.ndarray]:
@@ -526,26 +503,14 @@ def simulate_run_lengths(
     without alarming are censored: counted, excluded from the arrays."""
     if max_horizon < 1:
         raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
-    stop, x_stop = _simulate(
-        rule,
-        pair,
-        ChangeSchedule(onsets=(), duration=1, horizon=max_horizon),
-        "single_shot",
-        n_trials,
-        seed,
-        STREAM_RUN_LENGTH,
-        keep_samples=True,
-    )
+    f0 = ChangeSchedule(onsets=(), duration=1, horizon=max_horizon)
+    stop, x_stop = _simulate(rule, pair, f0, "single_shot", n_trials, seed, STREAM_RUN_LENGTH)
     keep = stop != _CENSORED
     censored = int(stop.size - np.count_nonzero(keep))
     if censored:
         stop, x_stop = stop[keep], x_stop[keep]
-    if getattr(rule, "initial_stop_prob", 0.0) > 0.0:
-        lrs = np.zeros(stop.size)
-        moved = stop > 0
-        lrs[moved] = np.exp(pair.log_likelihood_ratio(x_stop[moved]))
-    else:  # every run consumed its stopping sample
-        lrs = np.exp(pair.log_likelihood_ratio(x_stop))
+    lrs = np.exp(pair.log_likelihood_ratio(x_stop))
+    lrs[stop == 0] = 0.0  # an initial stop consumed no sample
     return RunLengthSample(taus=stop.astype(float), lrs=lrs, censored=censored)
 
 

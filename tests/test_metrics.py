@@ -92,18 +92,6 @@ class PreviousSampleRule:
         return (x > 1) & previous
 
 
-@dataclasses.dataclass(frozen=True)
-class AlarmAtTimesRule:
-    """Alarms at a fixed set of times whatever the data: time-dependent but
-    data-independent, so every run of a schedule has the same stop."""
-
-    at: tuple[int, ...]
-    memoryless = False
-
-    def alarm_mask(self, times, x, rng):
-        return np.isin(times, self.at)
-
-
 def detect_prob(mu, eta):
     # closed-form per-onset detection probability for the unit Gaussian pair
     return norm_upper_tail(norm_upper_quantile(1.0 / eta) - mu)
@@ -387,11 +375,11 @@ def test_pollak_empty_schedule_is_zero():
 
 def test_restart_runs_on_no_onsets_draw_nothing_and_are_censored(drawn):
     sched = make_schedule(50, 0, 1)
-    rules = (calibrate(PAIR, 10.0), BernoulliStopRule(0.5), FixedTimeRule(3))
+    rules = (calibrate(PAIR, 10.0), BernoulliStopRule(0.5), AlwaysStopRule())
     for rule in rules + (calibrate(PAIR, 10.0, initial_stop_prob=0.5),):
         pi0 = getattr(rule, "initial_stop_prob", 0.0)
         for n in (1, 300):
-            stop, x = _simulate(rule, PAIR, sched, "restart", n, 5, STREAM_MONITOR, True)
+            stop, x = _simulate(rule, PAIR, sched, "restart", n, 5, STREAM_MONITOR)
             assert set(stop.tolist()) <= ({-1, 0} if pi0 else {-1})
             assert np.isnan(x).all()
     assert drawn == []
@@ -955,9 +943,10 @@ def test_restart_runs_draw_only_their_onset_samples(drawn):
     n = 300
     _simulate(calibrate(PAIR, 5.0), PAIR, sched, "restart", n, 39, STREAM_MONITOR)
     assert 0 < sum(drawn) <= n * sched.s
-    # a rule that never alarms on an onset runs every trial to the horizon
+    # a rule that never alarms runs every trial to the horizon
     drawn.clear()
-    stop, _ = _simulate(FixedTimeRule(2), PAIR, sched, "restart", n, 39, STREAM_MONITOR)
+    never = ShewhartDetector(PAIR, alpha=math.inf, eta=math.inf)
+    stop, _ = _simulate(never, PAIR, sched, "restart", n, 39, STREAM_MONITOR)
     _, counts = _rank_counts(stop, sched)
     assert counts[1::2].sum() == 0 and (stop == -1).all()
     assert sum(drawn) == n * sched.s
@@ -999,37 +988,28 @@ def test_restart_runs_draw_little_beyond_the_onset_samples_that_decide(drawn, et
 
 
 @pytest.mark.parametrize("T", [1, 3])
-@pytest.mark.parametrize("at", [(), (1,), (2, 3), (2, 3, 6), (7, 12), (12,), (10, 11, 12)])
-def test_restart_stops_of_a_time_dependent_rule_match_monitor_sequence(T, at):
-    # one onset at t = 1 and the last window ending at the horizon (the last
-    # onset is the horizon itself when T = 1)
+@pytest.mark.parametrize(
+    "rule",
+    [AlwaysStopRule(), ShewhartDetector(PAIR, alpha=math.inf, eta=math.inf)],
+    ids=["always", "never"],
+)
+def test_restart_stops_match_monitor_sequence(T, rule):
+    # data-free verdicts, so every run of a schedule has the same stop: the
+    # first onset, or censored.  One onset at t = 1 and the last window
+    # ending at the horizon (the last onset is the horizon itself when T = 1)
     horizon = 12
     sched = ChangeSchedule(onsets=(1, 6, horizon - T + 1), duration=T, horizon=horizon)
-    rule = AlarmAtTimesRule(at)
     stop, _ = _simulate(rule, PAIR, sched, "restart", 300, 43, STREAM_MONITOR)
     expected = monitor_sequence(rule, np.zeros(horizon), sched, "restart").tau
     assert (stop == (-1 if expected is None else expected)).all()
 
 
-def test_restart_alarm_mask_sees_only_onset_times():
-    seen = []
-    det = calibrate(PAIR, 20.0)
-
-    class RecordingRule:
-        # not memoryless, so restart runs take the block layout, whose
-        # times are the onset times (the flat layout passes no times)
-        memoryless = False
-
-        def alarm_mask(self, times, x, rng):
-            assert times.shape == x.shape
-            seen.append(np.unique(times))
-            return det.alarm_mask(times, x, rng)
-
-    sched = make_schedule(600, 10, 3, "even_grid")
-    stop, _ = _simulate(RecordingRule(), PAIR, sched, "restart", 1000, 44, STREAM_MONITOR)
-    _, counts = _rank_counts(stop, sched)
-    assert counts[0] == 0  # every run reached the first onset
-    assert set(np.concatenate(seen).tolist()) <= set(sched.onsets)
+def test_restart_runs_refuse_a_time_dependent_rule_before_drawing(drawn):
+    # a restart run is a renewal on onset samples only for a memoryless rule
+    sched = make_schedule(60, 6, 1, "even_grid")
+    with pytest.raises(ValueError, match=r"FixedTimeRule\(stop_at=2\) is not memoryless"):
+        _simulate(FixedTimeRule(2), PAIR, sched, "restart", 300, 43, STREAM_MONITOR)
+    assert drawn == []
 
 
 # ---------------------------------------------------------------------------
@@ -1100,16 +1080,11 @@ def test_flat_runs_cut_one_stream_in_trial_order(monkeypatch, mode, limit, pi0):
     else:
         sched = ChangeSchedule(onsets=(), duration=1, horizon=limit)
         law, cols = "nominal", np.arange(limit)
-    stop, recorded = _simulate(
-        rule, PAIR, sched, mode, 600, 45, STREAM_MONITOR, keep_samples=True
-    )
+    stop, recorded = _simulate(rule, PAIR, sched, mode, 600, 45, STREAM_MONITOR)
     at, x_at = replay_flat_stops(rule, law, limit, 600, 45, STREAM_MONITOR)
     expected = [0 if a is None else -1 if a < 0 else int(cols[a]) + 1 for a in at]
     assert stop.tolist() == expected
     assert np.array_equal(recorded, x_at, equal_nan=True)
-    # without the samples the same draws give the same stops
-    unrecorded, none = _simulate(rule, PAIR, sched, mode, 600, 45, STREAM_MONITOR)
-    assert none is None and np.array_equal(unrecorded, stop)
     assert (stop == -1).any() and (stop > 0).any() and (stop == 0).any() == (pi0 > 0)
 
 

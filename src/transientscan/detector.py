@@ -62,15 +62,17 @@ class StoppingRule(Protocol):
     samples ``x`` observed at 1-based ``times``; it may consume ``rng`` for
     independent randomization.  The estimators pass 2-D blocks (one row per
     trial, one column per time drawn) with ``times`` broadcast to ``x``'s
-    shape, so verdicts must be elementwise.  Restart mode relies on this
-    per-sample contract: it draws and decides the onset samples only.
-    ``memoryless`` declares that the verdict distribution does not depend
-    on the time index (fixed-time rules are per-sample but not memoryless),
-    and a memoryless rule's verdicts must not depend on ``times`` at all:
-    when every sample of a run has one law, the estimators cut all of a
-    chunk's runs from one flat 1-D stream and pass ``times`` as read-only
-    zeros shaped like ``x``.  ``alarm_mask`` returns a bool array: the
-    estimators count its True verdicts.
+    shape, so verdicts must be elementwise.  ``memoryless`` declares that
+    the verdict distribution does not depend on the time index (fixed-time
+    rules are per-sample but not memoryless), and a memoryless rule's
+    verdicts must not depend on ``times`` at all: F0 runs of a memoryless
+    rule and every restart run cut all of a chunk's runs from one flat 1-D
+    stream and pass ``times`` as read-only zeros shaped like ``x``.  Restart
+    mode relies on both contracts: it draws and decides the onset samples
+    only, and refuses a rule that is not memoryless.  Single-shot runs with
+    onsets and F0 runs of a time-dependent rule take blocks of consecutive
+    time steps.  ``alarm_mask`` returns a bool array: the estimators count
+    its True verdicts.
 
     A rule may also state its per-time alarm laws through the optional
     ``alarm_probs(times, law)``: a float array shaped like ``times``, the
@@ -78,9 +80,10 @@ class StoppingRule(Protocol):
     ``law`` (``"nominal"`` for ``c0(t)``, ``"alternative"`` for ``c1(t)``).
     It covers the per-sample verdicts only; an initial stop is drawn
     separately.  The estimators size their buffers and blocks from these
-    laws and decide nothing by them.  The flat buffers of a rule whose
-    ``alarm_mask`` draws nothing cut the same samples for each trial, and
-    so give the same outputs, whatever their sizes.
+    laws (a rule without them from 16 columns) and decide nothing by them.
+    The flat buffers of a rule whose ``alarm_mask`` draws nothing cut the
+    same samples for each trial, and so give the same outputs, whatever
+    their sizes.
     """
 
     memoryless: bool

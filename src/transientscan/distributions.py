@@ -153,13 +153,14 @@ class DistributionPair(ABC):
         raise NotImplementedError
 
 
-def _float_or_inf(compute: Callable[..., object], *args) -> float:
-    """``float(compute(*args))``, or inf where a float's ``**`` or an int too
-    large for a float raises OverflowError (where ``*`` would give inf)."""
+def _float_or_inf(compute: Callable[[], object], negative: bool = False) -> float:
+    """``float(compute())``, or where a float's ``**`` or an int too large for
+    a float raises OverflowError the infinity ``*`` would give: ``-inf`` when
+    the exact value is ``negative``, else ``+inf``."""
     try:
-        return float(compute(*args))
+        return float(compute())
     except OverflowError:
-        return math.inf
+        return -math.inf if negative else math.inf
 
 
 @dataclass(frozen=True)
@@ -188,8 +189,9 @@ class GaussianMeanShift(DistributionPair):
             # the log ratio divides by sigma**2, which must be a positive finite float
             raise ValueError(f"sigma**2 must be positive and finite, got sigma {self.sigma}")
         for name in ("mean0", "mean1"):
-            if not math.isfinite(_float_or_inf(float, getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(_float_or_inf(lambda: value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         # the log ratio and its sample-space edge are monotone only with
         # both finite (inf * 0 is NaN)
         if not math.isfinite(shift):
@@ -207,9 +209,13 @@ class GaussianMeanShift(DistributionPair):
         """``(shift, midpoint, sigma**2)``, derived once per pair; not a field,
         so equality, hashing and :meth:`to_config` see only the three fields."""
         m0, m1, sigma = self.mean0, self.mean1, self.sigma
-        # each overflows on its own, so validation names the one that does
-        terms = (lambda: m1 - m0, lambda: 0.5 * (m0 + m1), lambda: sigma**2)
-        return tuple(map(_float_or_inf, terms))
+        # each overflows on its own, so validation names the one that does;
+        # the comparisons give the exact sign without forming the value
+        return (
+            _float_or_inf(lambda: m1 - m0, m1 < m0),
+            _float_or_inf(lambda: 0.5 * (m0 + m1), m0 < -m1),
+            _float_or_inf(lambda: sigma**2),
+        )
 
     @cached_property
     def float_log_ratio(self) -> Callable[[float], float]:

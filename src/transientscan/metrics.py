@@ -24,19 +24,19 @@ Reproducibility contract: the trial range is cut into fixed chunks of
 ``_CHUNK`` trials, and each chunk draws from one generator keyed by
 ``(seed, stream tag, chunk index)``.  A chunk of a rule with an initial
 stop draws its initial-stop uniforms first; a rule without one draws none.
-A memoryless rule on columns of one law (pure-F0 runs, and restart runs,
-which see only F1 onset samples) takes the flat layout: the chunk's trials
-cut consecutive segments, in trial order, from one stream drawn a buffer
-at a time, each buffer followed by whatever ``alarm_mask`` consumes.
-Every other run takes the block layout: one block of samples per step for
-the trials still running (consecutive time steps, or in restart mode the
-onset samples), then whatever ``alarm_mask`` consumes.  Buffers and blocks
-are sized from the rule's alarm laws (``alarm_probs``, see
-:func:`_runs`).  The flat samples of a rule whose ``alarm_mask`` draws
-nothing do not depend on the buffer sizes: each trial cuts the same
+F0 runs of a memoryless rule and every restart run (which needs a
+memoryless rule, and sees only F1 onset samples) take the flat layout:
+the chunk's trials cut consecutive segments, in trial order, from one
+stream drawn a buffer at a time, each buffer followed by whatever
+``alarm_mask`` consumes.  Single-shot runs with onsets and F0 runs of a
+time-dependent rule take the block layout: one block of consecutive time
+steps per step for the trials still running, then whatever
+``alarm_mask`` consumes.  Buffers and blocks are sized from the rule's
+alarm laws (``alarm_probs``), or at ``_MIN_BLOCK`` columns without them
+(see :func:`_runs`).  The flat samples of a rule whose ``alarm_mask``
+draws nothing do not depend on the buffer sizes: each trial cuts the same
 samples from its chunk's stream whatever the buffer ends.  Block widths
-do decide which trial takes which sample, so a calibrated rule's blocks
-keep their ``eta`` widths.
+do decide which trial takes which sample.
 The terms of :func:`estimate_pollak` take no runs: a chunk draws one F1
 matrix of its trials at the onset times (at most ``_MAX_BLOCK_SAMPLES`` per
 draw), each draw followed by whatever ``alarm_mask`` consumes.
@@ -61,9 +61,10 @@ returns that chunk's arrays as they are, and a rule with no initial stop
 keeps no initial-stop bookkeeping.  Draws are sized from the rule's alarm
 laws, so few samples go undecided: a flat buffer holds the remaining trials
 times the mean gap between alarms, and a first block the columns a run
-draws in expectation (one ``alarm_probs`` call, or two for a single-shot
-block with onsets).  The block layout builds its times once
-per call and keeps no running rows after its last block.  Scoring is one
+draws in expectation (one ``alarm_probs`` call, or two for a block with
+onsets); a rule without laws starts at ``_MIN_BLOCK`` (16) columns.  The
+block layout builds its times once per call and keeps no running rows
+after its last block.  Scoring is one
 search of the stops among the scoring edges: each run's rank gives its
 missed onsets, and two integer sums of the ranks the criteria report's
 pooled sum.  :func:`estimate_pollak` walks its per-onset alarm counts once
@@ -98,8 +99,7 @@ STREAM_SCHEDULE = 4
 #: count only, and so are the streams each chunk draws
 _CHUNK = 256
 #: columns of a chunk's first block, and the flat layout's first mean gap,
-#: for a rule that states no alarm laws; calibrated rules start their F0
-#: runs and single-shot blocks at ``eta``, their mean run length
+#: for a rule that states no alarm laws (``alarm_probs``)
 _MIN_BLOCK = 16
 #: most samples one block draws (1 MiB of float64), whatever the block width
 _MAX_BLOCK_SAMPLES = 1 << 17
@@ -357,18 +357,14 @@ def _runs(rule, pair, schedule: ChangeSchedule, mode: Mode, rng, n: int):
     probability of time step ``j`` under the law it is drawn from; each
     later block doubles.
 
-    A calibrated rule keeps its ``eta`` sizing for F0 buffers and blocks,
-    and a rule without ``alarm_probs`` starts from ``_MIN_BLOCK``.
+    A rule without ``alarm_probs`` starts both layouts from ``_MIN_BLOCK``.
     """
-    eta = getattr(rule, "eta", None)
     probs = getattr(rule, "alarm_probs", None)
     if mode == "restart" or (getattr(rule, "memoryless", False) and not schedule.onsets):
         restart = mode == "restart"
         limit = schedule.s if restart else schedule.horizon
         law = "alternative" if restart else "nominal"
-        if eta is not None and not restart:
-            gap = eta  # the mean gap of F0 runs, which every calibrated F0 stream is cut by
-        elif probs is None:
+        if probs is None:
             gap = _MIN_BLOCK
         else:  # the mean gap 1 / c, or none for a rule that never alarms
             c = float(probs(_NO_TIMES[:1], law)[0])
@@ -387,9 +383,8 @@ def _runs(rule, pair, schedule: ChangeSchedule, mode: Mode, rng, n: int):
     times = np.arange(1, horizon + 1)
     row_times = _row_times(times, (n, horizon))  # each block's times are a slice
     is_f1 = schedule.f1_columns
-    if eta is not None or probs is None:
-        # eta = inf (a threshold with no F0 tail) gives no mean run length to size by
-        block = max(_MIN_BLOCK, math.ceil(eta)) if eta is not None and eta < math.inf else _MIN_BLOCK
+    if probs is None:
+        block = _MIN_BLOCK
     else:  # the columns a run draws in expectation: sum over k of P(no alarm before k)
         c = probs(times, "nominal")
         if schedule.onsets:

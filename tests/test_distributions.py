@@ -73,6 +73,11 @@ def test_construction_rejects_a_shift_or_midpoint_that_overflows():
     # exact ints: the shift is 1, but the midpoint overflows as it becomes a float
     with pytest.raises(ValueError, match="midpoint"):
         GaussianMeanShift(mean0=10**308, mean1=10**308 + 1)
+    # an exact int that overflows keeps its sign
+    with pytest.raises(ValueError, match=r"mean1 - mean0 overflows to -inf$"):
+        GaussianMeanShift(mean0=10**308, mean1=-(10**308))
+    with pytest.raises(ValueError, match=r"midpoint .* overflows to -inf$"):
+        GaussianMeanShift(mean0=-(10**308), mean1=-(10**308) - 10**307)
     # the widest finite shift and midpoint still construct, with an exact edge
     for pair in (GaussianMeanShift(-big / 2, big / 2), GaussianMeanShift(0.0, big)):
         edge, upper = pair.log_ratio_edge(0.0)

@@ -11,6 +11,7 @@ import pytest
 from transientscan import (
     ExperimentConfig,
     GaussianMeanShift,
+    calibrate,
     load_preset,
     preset_names,
     run_eta_sweep,
@@ -136,6 +137,41 @@ def test_eta_one_boundary_matches_always_alarm_analytics():
     assert row.detect_first == 1.0 and row.detect_any == 1.0
     assert row.avg_missed == 0.0
     assert row.arl == 1.0 and row.arl_se == 0.0
+
+
+#: family level of the single-shot sweep's closed-form checks, fixed before running
+SINGLE_SHOT_LEVEL = 1e-3
+
+
+def single_shot_closed_forms(pair, eta, schedule):
+    """``(detect_first, detect_any)`` of single-shot runs of the detector
+    calibrated to ``eta``: survival products over the time steps.  An F0
+    sample survives at ``1 - 1/eta``, an onset's sample hits with ``p1``,
+    and each of the ``T - 1`` window samples after it survives at ``1 - p1``."""
+    p1 = pair.lr_tail_prob_f1(calibrate(pair, eta).alpha)
+    q = np.where(schedule.f1_columns, p1, 1.0 / eta)
+    reach = np.concatenate(([1.0], np.cumprod(1.0 - q)[:-1]))  # P(no alarm before t)
+    hits = reach[np.asarray(schedule.onsets) - 1] * p1
+    return float(hits[0]), float(hits.sum())
+
+
+def test_single_shot_sweep_meets_the_survival_products():
+    # single-shot runs on transient windows take the block layout; each
+    # cell takes the exact binomial test, Bonferroni over the checks
+    from scipy import stats as scipy_stats
+
+    cfg = tiny_config(mode="single_shot", horizon=100, s=20, T=3, eta_grid=[5, 20], n_trials=2000)
+    schedule = cfg.build_schedule()
+    assert schedule == make_schedule(100, 20, 3)
+    rows = run_eta_sweep(cfg, n_workers=1)
+    assert render_report_csv(rows, cfg) == render_report_csv(run_eta_sweep(cfg, n_workers=2), cfg)
+    checks = 2 * len(rows)
+    for row in rows:
+        first, any_ = single_shot_closed_forms(cfg.pair, row.eta, schedule)
+        for value, exact in ((row.detect_first, first), (row.detect_any, any_)):
+            k = round(value * row.n_trials)
+            pvalue = scipy_stats.binomtest(k, row.n_trials, exact).pvalue
+            assert pvalue >= SINGLE_SHOT_LEVEL / checks, (row.eta, value, exact, pvalue)
 
 
 # ---------------------------------------------------------------------------

@@ -1313,8 +1313,8 @@ def single_shot_and_f0_digest() -> str:
 #: np.exp of the log ratios, and numpy's AVX-512 kernel differs from the C
 #: library's exp in the last bit on a few percent of inputs
 SINGLE_SHOT_AND_F0_SHA256 = {
-    "libm": "8c9f8b3a02dbfd83a96523e1384b0273960eafd30b61f7d99697542c5111a026",
-    "avx512": "3cccd5cccd64c84d9990a1701f0013c22cb1438bebcf2231bce69b4e07bfc44b",
+    "libm": "ba14eb53b9189632531d6d176fe2757a725e28ef231c6fcbc36b6b314c893763",
+    "avx512": "5991019522055bb1f00563762e1aced5feb66ac98cb1f5a0ecd28f87fa4d735d",
 }
 
 
@@ -1355,8 +1355,8 @@ def initial_stop_digest() -> str:
 
 #: :func:`initial_stop_digest` by the kernel behind np.exp, as above
 INITIAL_STOP_SHA256 = {
-    "libm": "a4e7521ac402520af0c74ce4dcfb183993b49571c3332d139f2ceed42ff59773",
-    "avx512": "3ef7227456d11501c0803aa7a4ae536c58eb1cf6ea99cbed98d9caf0d466009b",
+    "libm": "328e5f5af968b5a834de483ae12463ad83d8d63c363afc32044fcd6a861e30cb",
+    "avx512": "cc31425c5cdc3cb20abb08bc551e84fa16cddec4cf56fb913d450203ec724c86",
 }
 
 

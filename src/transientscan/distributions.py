@@ -190,7 +190,7 @@ class GaussianMeanShift(DistributionPair):
             raise ValueError(f"sigma**2 must be positive and finite, got sigma {self.sigma}")
         for name in ("mean0", "mean1"):
             value = getattr(self, name)
-            if not math.isfinite(_float_or_inf(lambda: value)):
+            if not math.isfinite(_float_or_inf(lambda: value, value < 0)):
                 raise ValueError(f"{name} must be finite, got {value}")
         # the log ratio and its sample-space edge are monotone only with
         # both finite (inf * 0 is NaN)

@@ -743,8 +743,8 @@ def test_estimate_pollak_checks_its_runs_on_any_schedule(s, kwargs, match):
 
 
 def test_a_never_alarming_detector_runs_single_shot():
-    # eta = inf is a valid threshold with no F0 tail; the block width sizes
-    # by eta only when eta is finite
+    # eta = inf is a valid threshold with no F0 tail; its laws give no
+    # alarm, so the first block holds the whole horizon
     det = ShewhartDetector(PAIR, alpha=math.inf, eta=math.inf)
     sched = make_schedule(40, 4, 1)
     stop, _ = _simulate(det, PAIR, sched, "single_shot", 300, 1, STREAM_MONITOR)
@@ -994,8 +994,8 @@ def test_restart_runs_draw_little_beyond_the_onset_samples_that_decide(drawn, et
     ids=["always", "never"],
 )
 def test_restart_stops_match_monitor_sequence(T, rule):
-    # data-free verdicts, so every run of a schedule has the same stop: the
-    # first onset, or censored.  One onset at t = 1 and the last window
+    # verdicts fixed whatever the data, so every run of a schedule has the
+    # same stop: the first onset, or censored.  One onset at t = 1 and the last window
     # ending at the horizon (the last onset is the horizon itself when T = 1)
     horizon = 12
     sched = ChangeSchedule(onsets=(1, 6, horizon - T + 1), duration=T, horizon=horizon)

@@ -360,8 +360,8 @@ def _runs(rule, pair, schedule: ChangeSchedule, mode: Mode, rng, n: int):
     A rule without ``alarm_probs`` starts both layouts from ``_MIN_BLOCK``.
     """
     probs = getattr(rule, "alarm_probs", None)
-    if mode == "restart" or (getattr(rule, "memoryless", False) and not schedule.onsets):
-        restart = mode == "restart"
+    restart = mode == "restart"
+    if restart or (getattr(rule, "memoryless", False) and not schedule.onsets):
         limit = schedule.s if restart else schedule.horizon
         law = "alternative" if restart else "nominal"
         if probs is None:

@@ -49,13 +49,6 @@ def _alpha_flag(text: str) -> float:
     return value
 
 
-def _workers_flag(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {value}")
-    return value
-
-
 def _add_pair_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mean0", type=float, default=0.0, help="nominal mean (default 0)")
     p.add_argument("--mean1", type=float, default=1.0, help="post-change mean (default 1)")
@@ -110,9 +103,6 @@ def build_parser() -> _Parser:
     src.add_argument("--preset", help=f"named built-in config: {', '.join(preset_names())}")
     p_exp.add_argument("--out-dir", default="experiment-out")
     p_exp.add_argument("--name", default="report", help="basename for the output files")
-    p_exp.add_argument(
-        "--workers", type=_workers_flag, default=1, help="processes the sweep's rows are split over"
-    )
     return parser
 
 
@@ -195,9 +185,7 @@ def cmd_experiment(args) -> int:
         config = load_preset(args.preset)
     else:
         config = ExperimentConfig.from_json_file(args.config)
-    csv_path, meta_path = run_experiment(
-        config, args.out_dir, n_workers=args.workers, name=args.name
-    )
+    csv_path, meta_path = run_experiment(config, args.out_dir, name=args.name)
     print(f"wrote {csv_path} and {meta_path}")
     return EXIT_OK
 

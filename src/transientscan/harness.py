@@ -9,9 +9,8 @@ and a master seed.  Sweeps emit the shared report schema
 The CSV is fully deterministic: it embeds the resolved config, the seed,
 and the package version as comment lines, and contains nothing
 time-dependent.  Wall-clock provenance goes to a sidecar metadata JSON.
-``n_workers`` splits a sweep's rows over processes, each row whole in one
-process, so reruns with the same config produce byte-identical CSVs for
-any worker count.
+A sweep runs its rows in order in one process, so reruns with the same
+config produce byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -50,6 +49,13 @@ _INT_KEYS = ("horizon", "s", "T", "n_trials", "master_seed")
 def _is_int(value) -> bool:
     # JSON's 100.0 and "3" are not counts, and neither is true
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _grid(data: dict, key: str) -> tuple[float, ...]:
+    # float() takes JSON's "10" and true, which are neither budgets nor means
+    if not all(_is_int(value) or isinstance(value, float) for value in data[key]):
+        raise ValueError(f"{key} must hold numbers, got {data[key]!r}")
+    return tuple(float(value) for value in data[key])
 
 
 @dataclass(frozen=True)
@@ -121,9 +127,9 @@ class ExperimentConfig:
             raise ValueError(f"config is missing required keys: {sorted(missing)}")
         kwargs = dict(data)
         kwargs["pair"] = pair_from_config(data["pair"])
-        kwargs["eta_grid"] = tuple(float(e) for e in data["eta_grid"])
+        kwargs["eta_grid"] = _grid(data, "eta_grid")
         if data.get("mu1_grid") is not None:
-            kwargs["mu1_grid"] = tuple(float(m) for m in data["mu1_grid"])
+            kwargs["mu1_grid"] = _grid(data, "mu1_grid")
         if data.get("onsets") is not None:
             if not isinstance(data["onsets"], (list, tuple)):
                 raise ValueError(f"onsets must be a list of integers, got {data['onsets']!r}")
@@ -164,6 +170,9 @@ def run_eta_sweep(config: ExperimentConfig, *, n_workers: int = 1) -> list[Curve
     """Report rows over the run-length grid: at the configured pair, or with
     ``mu1_grid`` set, one row per (mean, eta), means outermost, each mean
     re-calibrating.  Every cell is built before any row runs."""
+    # bench/workloads.py passes n_workers=1; ROADMAP item 1's benchmark change drops it
+    if n_workers != 1:
+        raise ValueError(f"a sweep runs in one process: n_workers must be 1, got {n_workers!r}")
     if config.mu1_grid is None:
         keyed = [((), config.pair)]
     else:
@@ -176,9 +185,7 @@ def run_eta_sweep(config: ExperimentConfig, *, n_workers: int = 1) -> list[Curve
         for key, pair in keyed
         for gi, eta in enumerate(config.eta_grid)
     ]
-    return detect_first_any_curves(
-        cells, config.build_schedule(), config.n_trials, config.mode, n_workers=n_workers
-    )
+    return detect_first_any_curves(cells, config.build_schedule(), config.n_trials, config.mode)
 
 
 def render_report_csv(rows: list[CurveRow], config: ExperimentConfig) -> str:
@@ -193,13 +200,7 @@ def render_report_csv(rows: list[CurveRow], config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(
-    rows: list[CurveRow],
-    config: ExperimentConfig,
-    csv_path,
-    *,
-    n_workers: int = 1,
-) -> tuple[Path, Path]:
+def write_report(rows: list[CurveRow], config: ExperimentConfig, csv_path) -> tuple[Path, Path]:
     """Write the CSV artifact and its sidecar metadata JSON.
 
     Only the sidecar carries a timestamp; the CSV stays byte-reproducible.
@@ -213,7 +214,6 @@ def write_report(
         "csv_file": csv_path.name,
         "csv_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
         "rows": len(rows),
-        "n_workers": n_workers,
         "package_version": __version__,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -221,20 +221,14 @@ def write_report(
     return csv_path, meta_path
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    out_dir,
-    *,
-    n_workers: int = 1,
-    name: str = "report",
-) -> tuple[Path, Path]:
+def run_experiment(config: ExperimentConfig, out_dir, *, name: str = "report") -> tuple[Path, Path]:
     """Run the configured sweep and write artifacts under ``out_dir``: one
     row per (``mu1_grid`` mean, ``eta_grid`` value) when that is set, else
     one per ``eta_grid`` value."""
-    rows = run_eta_sweep(config, n_workers=n_workers)
+    rows = run_eta_sweep(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return write_report(rows, config, out_dir / f"{name}.csv", n_workers=n_workers)
+    return write_report(rows, config, out_dir / f"{name}.csv")
 
 
 def load_preset(name: str) -> ExperimentConfig:

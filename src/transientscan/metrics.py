@@ -41,9 +41,7 @@ The terms of :func:`estimate_pollak` take no runs: a chunk draws one F1
 matrix of its trials at the onset times (at most ``_MAX_BLOCK_SAMPLES`` per
 draw), each draw followed by whatever ``alarm_mask`` consumes.
 Aggregation reduces per-trial records in trial order, and one call runs
-its chunks in order in one process.  Parallel work is split by the rows of
-a sweep (:func:`detect_first_any_curves`), each row whole in one process,
-so a report is bit-identical for any worker count.
+its chunks in order in one process.
 
 Standard errors: exact binomial for probabilities, sample standard
 deviation for means, delta method for the bound ratio.  Each run-length
@@ -76,7 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Literal, NamedTuple, get_args
 
@@ -676,7 +674,7 @@ def evaluate_criteria(
     Monitored-run quantities come from ``n_trials`` runs in the requested
     mode; the run-length mean and the optimality ceiling come from a
     separate pure-F0 simulation of ``n_trials`` runs over a horizon of
-    ``max(int(20 * eta), 1000)``, so ``eta`` must be finite.
+    ``max(int(20 * eta), 1000)``, so ``20 * eta`` must be finite.
 
     The conditional-detection sum pools its onsets, so the rule must be
     memoryless: then every onset has one conditional detection probability
@@ -696,8 +694,8 @@ def evaluate_criteria(
             f"rule; {detector!r} is not memoryless (estimate_pollak sums any rule's terms)"
         )
     eta = getattr(detector, "eta", math.nan)  # a rule with no run-length budget has none
-    if not math.isfinite(eta):
-        raise ValueError(f"eta must be finite to size the run-length horizon 20 * eta, got {eta}")
+    if not math.isfinite(20 * eta):
+        raise ValueError(f"eta must be finite (20 * eta too) to size the run horizon, got {eta}")
     stop, _ = _simulate(detector, pair, schedule, mode, n_trials, seed, STREAM_MONITOR)
     rank, counts = _rank_counts(stop, schedule)
     hits = counts[1::2]
@@ -766,29 +764,11 @@ _CSV_LINE = ",".join(
 )
 
 
-def _curve_row(schedule: ChangeSchedule, n_trials: int, mode: Mode, cell) -> CurveRow:
-    """The row of :func:`detect_first_any_curves` for one ``(pair, seed, eta)`` cell."""
-    pair, seed, eta = cell
-    det = calibrate(pair, float(eta))
-    rep = evaluate_criteria(det, pair, schedule, n_trials=n_trials, seed=seed, mode=mode)
-    entropy = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
-    mu1 = float(getattr(pair, "mean1", math.nan))
-    return CurveRow(
-        float(eta), mu1, schedule.s, schedule.duration, mode,
-        # each estimate fills its (value, value_se) column pair
-        *rep.detect_first_prob, *rep.detect_any_prob, *rep.avg_missed,
-        *rep.arl_to_false_alarm, *rep.pollak_estimate, *rep.optimality_ceiling,
-        n_trials, entropy if isinstance(entropy, int) else 0,
-    )
-
-
 def detect_first_any_curves(
     cells,
     schedule: ChangeSchedule,
     n_trials: int,
     mode: Mode,
-    *,
-    n_workers: int = 1,
 ) -> list[CurveRow]:
     """One report row per ``(pair, seed, eta)`` cell, in cell order:
     detect-first / detect-any probabilities, missed-onset averages, the
@@ -796,13 +776,19 @@ def detect_first_any_curves(
     ceiling, all from independent trials under the cell's seed.  A row's
     ``seed`` is that seed's entropy (0 when that is not an int).
 
-    With ``n_workers > 1`` the rows are split over one process pool; each
-    row runs whole in one process, so the rows are the same for any worker
-    count."""
-    cells = list(cells)
-    row = partial(_curve_row, schedule, n_trials, mode)
-    if n_workers <= 1 or len(cells) < 2:
-        return list(map(row, cells))
-    from concurrent.futures import ProcessPoolExecutor  # deferred: it loads multiprocessing
-    with ProcessPoolExecutor(max_workers=min(n_workers, len(cells))) as pool:
-        return list(pool.map(row, cells))
+    The rows run in order in one process, and a row's bits depend only on
+    its cell."""
+    rows = []
+    for pair, seed, eta in cells:
+        det = calibrate(pair, float(eta))
+        rep = evaluate_criteria(det, pair, schedule, n_trials=n_trials, seed=seed, mode=mode)
+        entropy = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
+        mu1 = float(getattr(pair, "mean1", math.nan))
+        rows.append(CurveRow(
+            float(eta), mu1, schedule.s, schedule.duration, mode,
+            # each estimate fills its (value, value_se) column pair
+            *rep.detect_first_prob, *rep.detect_any_prob, *rep.avg_missed,
+            *rep.arl_to_false_alarm, *rep.pollak_estimate, *rep.optimality_ceiling,
+            n_trials, entropy if isinstance(entropy, int) else 0,
+        ))
+    return rows

@@ -98,8 +98,8 @@ class ChangeSchedule:
         return _read_only(mask)
 
     def __getstate__(self) -> dict:
-        # a copy (a worker's, say) derives its own read-only arrays: pickle
-        # would restore these writeable
+        # an unpickled copy derives its own read-only arrays: pickle would
+        # restore these writeable
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def affected_times(self) -> np.ndarray:

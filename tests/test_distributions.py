@@ -179,7 +179,7 @@ def test_cached_ratio_constants_belong_to_their_instance():
     before = pair.log_likelihood_ratio(xs)
     scalar = pair.log_likelihood_ratio(0.3)
     assert "_llr_constants" in vars(pair)
-    # a worker's copy keeps the same bits
+    # an unpickled copy keeps the same bits
     clone = pickle.loads(pickle.dumps(pair))
     assert clone.log_likelihood_ratio(xs).tobytes() == before.tobytes()
     assert struct.pack("<d", clone.log_likelihood_ratio(0.3)) == struct.pack("<d", scalar)

@@ -26,7 +26,6 @@ from transientscan import (
 )
 from transientscan.distributions import norm_upper_quantile, norm_upper_tail
 from transientscan import metrics
-from transientscan.harness import ExperimentConfig, render_report_csv, run_eta_sweep
 from transientscan.metrics import (
     _CHUNK,
     STREAM_MONITOR,
@@ -1189,7 +1188,7 @@ def test_pollak_is_exact_for_a_time_dependent_rule():
 
 
 # ---------------------------------------------------------------------------
-# sweep rows and worker determinism
+# sweep rows
 
 
 def test_detect_first_any_rows():
@@ -1208,31 +1207,33 @@ def test_detect_first_any_rows():
     assert len(line.split(",")) == 19
 
 
-def test_worker_count_does_not_change_results():
-    base = {
-        "schema_version": 1,
-        "pair": {"kind": "gaussian_mean_shift", "mean0": 0.0, "mean1": 1.0, "sigma": 1.0},
-        "horizon": 400,
-        "s": 4,
-        "T": 1,
-        "eta_grid": [4, 8, 16],
-        # 257 trials cross the first chunk boundary
-        "n_trials": _CHUNK + 1,
-        "master_seed": 40,
-    }
-    # single-shot runs on a schedule with onsets take the block layout
-    single_shot = {
-        **base, "horizon": 40, "s": 3, "placement": "explicit", "onsets": [5, 17, 30],
-        "mode": "single_shot",
-    }
-    # a mean grid's four (mean, eta) rows share one call
-    mu = {**base, "eta_grid": [4, 10], "mu1_grid": [0.5, 2]}
-    for data in (base, single_shot, mu):
-        cfg = ExperimentConfig.from_dict(data)
-        one, two, eight = (
-            render_report_csv(run_eta_sweep(cfg, n_workers=w), cfg) for w in (1, 2, 8)
-        )
-        assert one == two == eight, (cfg.mode, cfg.mu1_grid)
+@pytest.mark.parametrize(
+    "mode, sched",
+    [
+        ("restart", make_schedule(400, 4, 1)),
+        # single-shot runs on a schedule with onsets take the block layout
+        ("single_shot", ChangeSchedule(onsets=(5, 17, 30), duration=1, horizon=40)),
+    ],
+)
+def test_sweep_rows_equal_their_cells_run_alone(mode, sched):
+    # a sweep's rows share one process, so they share the seed-word cache and
+    # each mean's pair with its cached properties; neither may leak between
+    # rows.  600 trials cross two chunk boundaries.
+    n_trials = 2 * _CHUNK + 88
+    pairs = [GaussianMeanShift(0.0, mu1, 1.0) for mu1 in (0.5, 2.0)]
+    cells = [
+        (pair, np.random.SeedSequence(40, spawn_key=(100 + mi, gi)), eta)
+        for mi, pair in enumerate(pairs)
+        for gi, eta in enumerate((4.0, 8.0, 16.0))
+    ]
+    rows = detect_first_any_curves(cells, sched, n_trials, mode)
+    assert [(row.mu1, row.eta) for row in rows] == [(pair.mean1, eta) for pair, _, eta in cells]
+    for (pair, seed, eta), row in reversed(list(zip(cells, rows))):
+        metrics._seed_words.cache_clear()
+        # a fresh copy of the pair, with none of the sweep's cached properties
+        alone = ((dataclasses.replace(pair), seed, eta),)
+        (again,) = detect_first_any_curves(alone, sched, n_trials, mode)
+        assert again.to_csv_line() == row.to_csv_line(), (pair, eta)
 
 
 # ---------------------------------------------------------------------------

@@ -208,8 +208,8 @@ def test_schedule_columns_are_derived_once_and_read_only():
     fresh = ChangeSchedule(onsets=(3, 9, 15), duration=2, horizon=20)
     assert fresh == sched and hash(fresh) == hash(sched)
     assert sched.to_dict() == {"onsets": [3, 9, 15], "duration": 2, "horizon": 20}
-    # a pickled copy (a worker's) carries none of them: it derives its own,
-    # read-only again
+    # a pickled copy carries none of them: it derives its own, read-only
+    # again
     copy = pickle.loads(pickle.dumps(sched))
     assert copy == sched and not {"onset_times", "onset_edges", "f1_columns"} & set(vars(copy))
     for name in ("onset_times", "onset_edges", "f1_columns"):

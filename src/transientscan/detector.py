@@ -10,8 +10,9 @@ The decision is ``log l(x) >= log alpha`` on the log ratio, computed in
 place.  Where the pair gives the sample-space edge of that decision (a
 Gaussian pair does), a block of samples is decided by one comparison with
 the edge, which passes exactly the floats the log decision passes.  Only
-the randomized-boundary (atom) branch compares on the ratio scale, where
-equality with the atom is exact.
+the randomized-boundary (atom) branch compares on the ratio scale, formed
+by the pair's ``likelihood_ratio`` as the atoms are, so equality with the
+atom is exact on every host.
 
 The decision at each step is a pure function of the current sample, so the
 rule is measurable with respect to the coarse filtration that forgets
@@ -189,9 +190,9 @@ class ShewhartDetector:
         Built once per detector, like :attr:`log_alpha`: a closure over the
         pair's :attr:`~DistributionPair.float_log_ratio` and the threshold.
         Without boundary randomization ``l(x)`` is ``math.exp`` of the log
-        ratio (``inf`` past the float range), the same double on every host.
-        ``rng`` is consulted only when the ratio lands exactly on a
-        configured boundary atom.
+        ratio (``inf`` past the float range), the same double on every host;
+        with it, the pair's :meth:`~DistributionPair.likelihood_ratio`, which
+        forms the atoms, and ``rng`` is consulted only on the atom.
         """
         llr = self.pair.float_log_ratio
         log_alpha = self.log_alpha
@@ -207,16 +208,14 @@ class ShewhartDetector:
                     return v >= log_alpha, math.inf
 
             return step
-        # compared with the atom on the ratio scale, so through np.exp, as in
-        # alarm_mask's atom branch and likelihood_ratio, which gives a pair
-        # its atoms: math.exp can differ from np.exp in the last bit
+        # on the ratio scale, formed as the pair forms its atoms
         import numpy as np
 
-        alpha, boundary = self.alpha, self.randomize_boundary
+        ratio, alpha, boundary = self.pair.likelihood_ratio, self.alpha, self.randomize_boundary
 
         def step(x: float, rng: np.random.Generator | None = None) -> tuple[bool, float]:
             with np.errstate(over="ignore"):
-                lr = float(np.exp(llr(x)))
+                lr = ratio(x)
             if lr == alpha:
                 if rng is None:
                     raise ValueError("boundary randomization requires an rng")
@@ -238,8 +237,7 @@ class ShewhartDetector:
                 at, upper = edge
                 return np.atleast_1d(x >= at if upper else x <= at)
             return np.atleast_1d(self.pair.log_likelihood_ratio(x)) >= self.log_alpha
-        llr = np.atleast_1d(self.pair.log_likelihood_ratio(x))
-        lr = np.exp(llr)
+        lr = np.atleast_1d(self.pair.likelihood_ratio(x))
         mask = lr > self.alpha
         at_atom = lr == self.alpha
         k = int(at_atom.sum())

@@ -7,7 +7,8 @@ log densities, sampling, the per-sample likelihood ratio
 threshold calibration.
 
 Likelihood ratios are computed in log space and exponentiated only at the
-boundary, so the density quotient cannot overflow or turn into 0/0 for
+boundary, by ``DistributionPair.likelihood_ratio`` alone (the same bits on
+every host), so the density quotient cannot overflow or turn into 0/0 for
 extreme samples.  A pair whose computed log ratio is monotone in the sample
 also gives the sample-space edge of a log threshold, so a detector can
 decide samples without forming their ratio.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import struct
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from statistics import NormalDist
 from typing import TYPE_CHECKING, Callable, ClassVar, Literal
@@ -114,10 +115,18 @@ class DistributionPair(ABC):
         return self.log_likelihood_ratio
 
     def likelihood_ratio(self, x):
-        """l(x) = f1(x) / f0(x); requires f0(x) > 0."""
+        """l(x) = f1(x) / f0(x); requires f0(x) > 0.
+
+        The library's one exponential of a log ratio: numpy's complex
+        ``exp``, the C library's ``cexp``, which numpy does not dispatch by
+        CPU.  Up to a log ratio of 709 it is ``math.exp`` bit for bit; above,
+        ``cexp`` scales by ``exp(709)`` and may differ from it in the last
+        bit, and past about 709.78 it is ``inf`` (numpy warns of overflow).
+        """
         import numpy as np
 
-        return np.exp(self.log_likelihood_ratio(x))
+        lr = np.exp(np.asarray(self.log_likelihood_ratio(x), complex)).real
+        return lr if lr.ndim else float(lr)
 
     def log_ratio_edge(self, t: float) -> tuple[float, bool] | None:
         """The float edge of ``log_likelihood_ratio(x) >= t`` in sample space.
@@ -353,14 +362,19 @@ def pair_from_config(config: dict) -> DistributionPair:
 
     ``{"kind": "gaussian_mean_shift", "mean0": 0.0, "mean1": 1.0, "sigma": 1.0}``
     """
-    if "kind" not in config:
-        raise ValueError("distribution config must carry a 'kind' field")
+    if not isinstance(config, dict) or "kind" not in config:
+        raise ValueError(f"distribution config must be a mapping with a 'kind', got {config!r}")
     kind = config["kind"]
     try:
         cls = PAIR_KINDS[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # a JSON list or object is no kind either
         raise ValueError(
             f"unknown distribution kind {kind!r}; known: {sorted(PAIR_KINDS)}"
         ) from None
     kwargs = {k: v for k, v in config.items() if k != "kind"}
+    for key, value in kwargs.items():
+        if key not in {f.name for f in fields(cls)}:
+            raise ValueError(f"unknown {kind} config key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):  # JSON's "0", true
+            raise ValueError(f"{key} must be a number, got {value!r}")
     return cls(**kwargs)

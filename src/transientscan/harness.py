@@ -20,6 +20,7 @@ import datetime
 import hashlib
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import get_args
@@ -52,10 +53,13 @@ def _is_int(value) -> bool:
 
 
 def _grid(data: dict, key: str) -> tuple[float, ...]:
-    # float() takes JSON's "10" and true, which are neither budgets nor means
-    if not all(_is_int(value) or isinstance(value, float) for value in data[key]):
-        raise ValueError(f"{key} must hold numbers, got {data[key]!r}")
-    return tuple(float(value) for value in data[key])
+    # a list of ints and floats: float() takes JSON's "10" and true, which
+    # are neither budgets nor means, and overflows on an int past the floats
+    grid = data[key]
+    if isinstance(grid, (list, tuple)) and all(_is_int(v) or isinstance(v, float) for v in grid):
+        with suppress(OverflowError):
+            return tuple(map(float, grid))
+    raise ValueError(f"{key} must hold numbers in the float range, got {grid!r}")
 
 
 @dataclass(frozen=True)

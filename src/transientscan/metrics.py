@@ -24,16 +24,11 @@ Reproducibility contract: the trial range is cut into fixed chunks of
 ``_CHUNK`` trials, and each chunk draws from one generator keyed by
 ``(seed, stream tag, chunk index)``.  A chunk of a rule with an initial
 stop draws its initial-stop uniforms first; a rule without one draws none.
-F0 runs of a memoryless rule and every restart run (which needs a
-memoryless rule, and sees only F1 onset samples) take the flat layout:
-the chunk's trials cut consecutive segments, in trial order, from one
-stream drawn a buffer at a time, each buffer followed by whatever
-``alarm_mask`` consumes.  Single-shot runs with onsets and F0 runs of a
-time-dependent rule take the block layout: one block of consecutive time
-steps per step for the trials still running, then whatever
-``alarm_mask`` consumes.  Buffers and blocks are sized from the rule's
-alarm laws (``alarm_probs``), or at ``_MIN_BLOCK`` columns without them
-(see :func:`_runs`).  The flat samples of a rule whose ``alarm_mask``
+F0 runs of a memoryless rule and every restart run take the flat layout,
+the trials' consecutive segments of one stream; single-shot runs with
+onsets and F0 runs of a time-dependent rule take the block layout, time
+steps in blocks (both in :func:`_runs`, which sizes buffers and blocks
+from the rule's alarm laws).  The flat samples of a rule whose ``alarm_mask``
 draws nothing do not depend on the buffer sizes: each trial cuts the same
 samples from its chunk's stream whatever the buffer ends.  Block widths
 do decide which trial takes which sample.
@@ -50,24 +45,13 @@ schedule, which is linear in ``s``.
 
 Fixed costs per call: a schedule derives its onset array, scoring edges
 and F1 column mask once (read-only cached properties of
-:class:`ChangeSchedule`).  For int entropy a chunk's generator is seeded
-from cached seed words: the four words PCG64 takes from the chunk key's
-SeedSequence stay cached, read-only, for the last ``_SEED_CACHE`` (1024)
-keys, so a grid that reuses one seed builds each chunk key's SeedSequence
-once; other entropy is not cached (:func:`trial_rng`).  A call of one chunk
-returns that chunk's arrays as they are, and a rule with no initial stop
-keeps no initial-stop bookkeeping.  Draws are sized from the rule's alarm
-laws, so few samples go undecided: a flat buffer holds the remaining trials
-times the mean gap between alarms, and a first block the columns a run
-draws in expectation (one ``alarm_probs`` call, or two for a block with
-onsets); a rule without laws starts at ``_MIN_BLOCK`` (16) columns.  The
-block layout builds its times once per call and keeps no running rows
-after its last block.  Scoring is one
-search of the stops among the scoring edges: each run's rank gives its
-missed onsets, and two integer sums of the ranks the criteria report's
-pooled sum.  :func:`estimate_pollak` walks its per-onset alarm counts once
-in Python floats: on the few onsets of a criterion-3 call that is cheaper
-than numpy calls on three-element arrays.
+:class:`ChangeSchedule`); for int entropy a chunk's generator is seeded
+from cached seed words (:func:`trial_rng`); a rule with no initial stop
+keeps no initial-stop bookkeeping; scoring is one search of the stops
+among the scoring edges (:func:`_rank_counts`); and
+:func:`estimate_pollak` walks its per-onset alarm counts once in Python
+floats: on the few onsets of a criterion-3 call that is cheaper than numpy
+calls on three-element arrays.
 """
 
 from __future__ import annotations
@@ -502,7 +486,7 @@ def simulate_run_lengths(
     censored = int(stop.size - np.count_nonzero(keep))
     if censored:
         stop, x_stop = stop[keep], x_stop[keep]
-    lrs = np.exp(pair.log_likelihood_ratio(x_stop))
+    lrs = pair.likelihood_ratio(x_stop)
     lrs[stop == 0] = 0.0  # an initial stop consumed no sample
     return RunLengthSample(taus=stop.astype(float), lrs=lrs, censored=censored)
 

@@ -48,8 +48,8 @@ class ChangeSchedule:
         object.__setattr__(self, "onsets", tuple(int(g) for g in self.onsets))
         if self.duration < 1:
             raise ValueError(f"duration must be a positive integer, got {self.duration}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
+        if not 1 <= self.horizon < 2**63:  # times are int64
+            raise ValueError(f"horizon must be a positive integer below 2**63, got {self.horizon}")
         prev = 0
         for g in self.onsets:
             if g < 1:

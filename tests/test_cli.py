@@ -472,6 +472,34 @@ def test_experiment_rejects_a_non_integer_count(tmp_path, capsys, key, value):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("eta_grid", 10, "eta_grid"),
+        ("mu1_grid", 1.5, "mu1_grid"),
+        ("pair", {"kind": "gaussian_mean_shift", "mean0": 0.0, "mean1": 1.0, "foo": 2}, "'foo'"),
+        ("pair", {"kind": "gaussian_mean_shift", "mean0": "0", "mean1": 1.0}, "mean0"),
+        pytest.param("eta_grid", [10**400], "eta_grid", id="eta_grid-10**400"),
+        pytest.param("horizon", 10**400, "horizon", id="horizon-10**400"),
+    ],
+)
+def test_experiment_names_the_key_of_a_config_it_cannot_hold(
+    tmp_path, capsys, key, value, named
+):
+    # a TypeError or OverflowError from deep in the run would exit 1 with a traceback
+    cfg = json.loads((Path(transientscan._PRESET_DIR) / "acceptance.json").read_text())
+    cfg[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "experiment", "--config", str(cfg_path), "--out-dir", str(out_dir)
+    )
+    assert (code, out) == (2, "")
+    assert f"transientscan experiment: {named}" in err or f"key {named}" in err
+    assert not out_dir.exists()
+
+
 def test_experiment_rejects_an_infinite_eta(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     preset = (Path(transientscan._PRESET_DIR) / "acceptance.json").read_text()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from transientscan import GaussianMeanShift, pair_from_config
+from transientscan import GaussianMeanShift, ShewhartDetector, pair_from_config
 from transientscan.distributions import (
     DistributionPair,
     norm_upper_quantile,
@@ -141,6 +141,66 @@ def test_likelihood_ratio_stable_for_extreme_samples():
     # naive f1/f0 underflows to 0/0 out here; the log-space path must not
     assert PAIR.likelihood_ratio(-60.0) == pytest.approx(math.exp(-60.5), rel=1e-12)
     assert math.isfinite(PAIR.log_likelihood_ratio(1e6))
+
+
+def _exp_bits(lr) -> bytes:
+    return np.asarray(lr, dtype=float).tobytes()
+
+
+def test_likelihood_ratio_is_math_exp_bit_for_bit_up_to_709():
+    # the library's one exponential: math.exp's bits whichever kernel numpy
+    # dispatches for its real exp (its AVX-512 kernel differs in the last
+    # bit); the span reaches past the subnormal results into exact zeros
+    rng = np.random.default_rng(17)
+    x = np.concatenate(
+        (np.linspace(-745.2, 709.0, 200_001), rng.normal(0.0, 5.0, 20_000), [-np.inf])
+    ) + 0.5  # PAIR's log ratio is x - 0.5
+    llr = PAIR.log_likelihood_ratio(x)
+    assert llr.max() <= 709.0
+    lr = PAIR.likelihood_ratio(x)
+    assert _exp_bits(lr) == _exp_bits([math.exp(v) for v in llr.tolist()])
+    assert 0.0 < lr[lr < 2.2250738585072014e-308].max() and lr[0] == lr[-1] == 0.0
+    assert math.isnan(PAIR.likelihood_ratio(math.nan))
+    assert np.isnan(PAIR.likelihood_ratio(np.array([math.nan]))).all()
+    # a float in, a float out, with the array's bits
+    for i in range(0, x.size, 997):
+        scalar = PAIR.likelihood_ratio(float(x[i]))
+        assert type(scalar) is float and _exp_bits(scalar) == _exp_bits(lr[i])
+
+
+def test_likelihood_ratio_above_709_is_finite_until_math_exp_overflows():
+    # above 709 the C library's complex exp scales by exp(709) and may leave
+    # math.exp's last bit, but it is finite exactly where math.exp is
+    x = np.linspace(709.0, 710.0, 10_001) + 0.5
+    with np.errstate(over="ignore"):
+        lr = PAIR.likelihood_ratio(x)
+    for v, got in zip(PAIR.log_likelihood_ratio(x).tolist(), lr.tolist()):
+        try:
+            assert got == pytest.approx(math.exp(v), rel=1e-15), v
+        except OverflowError:
+            assert got == math.inf, v
+    assert np.isfinite(lr).any() and np.isinf(lr).any()
+    with np.errstate(over="ignore"):
+        assert PAIR.likelihood_ratio(1e300) == PAIR.likelihood_ratio(math.inf) == math.inf
+
+
+@pytest.mark.parametrize("boundary", [0.0, 1.0])
+def test_atom_step_and_alarm_mask_agree_on_each_atom(two_point_pair, boundary):
+    # both decide on likelihood_ratio, the function that gives the atoms, so
+    # a sample on the atom is on it in both; a boundary of 0 or 1 makes the
+    # randomized verdict there certain
+    rng = np.random.default_rng(5)
+    for atom, _, _ in two_point_pair.atoms():
+        det = ShewhartDetector(
+            pair=two_point_pair, alpha=atom, eta=math.inf, randomize_boundary=boundary
+        )
+        for x in (0.0, 1.0):
+            alarmed, lr = det.step(x, rng)
+            (masked,) = det.alarm_mask(np.ones(1), np.array([x]), rng)
+            assert alarmed == masked, (atom, x)
+            assert lr == two_point_pair.likelihood_ratio(x)
+            if lr == atom:
+                assert alarmed == bool(boundary), (atom, x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,6 +438,8 @@ def test_config_rejects_unknown_kind():
         pair_from_config({"kind": "cauchy_pair"})
     with pytest.raises(ValueError):
         pair_from_config({"mean0": 0.0})
+    with pytest.raises(ValueError, match="distribution config must be a mapping"):
+        pair_from_config([PAIR.to_config()])
 
 
 EXACT_LAWS = ("lr_tail_prob_f0", "lr_quantile_f0", "lr_tail_prob_f1")

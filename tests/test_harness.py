@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -95,12 +96,41 @@ def test_config_value_validation():
         ("mu1_grid", ["2", 1.5]),
         ("mu1_grid", [False, 1.5]),
         ("mu1_grid", [None, 1.5]),
+        pytest.param("eta_grid", 10, id="eta_grid-bare-10"),  # a number is not a grid
+        pytest.param("mu1_grid", 1.5, id="mu1_grid-bare-1.5"),
+        pytest.param("eta_grid", [10**400], id="eta_grid-10**400"),
+        pytest.param("mu1_grid", [1.5, -(10**400)], id="mu1_grid--10**400"),
     ],
 )
 def test_config_grids_reject_entries_that_are_not_numbers(key, grid):
-    # float() takes "10" and true, though n_trials refuses "300"
+    # float() takes "10" and true, though n_trials refuses "300"; iterating
+    # a bare number raises TypeError, and float() of an int past the floats
+    # OverflowError
     with pytest.raises(ValueError, match=f"{key} must hold numbers"):
         ExperimentConfig.from_dict({**TINY, "eta_grid": [2, 5], key: grid})
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ({"foo": 2}, "unknown gaussian_mean_shift config key 'foo'"),
+        ({"mean0": "0"}, "mean0 must be a number, got '0'"),
+        ({"sigma": True}, "sigma must be a number, got True"),
+        ({"mean1": None}, "mean1 must be a number, got None"),
+        ({"kind": ["gaussian_mean_shift"]}, "unknown distribution kind"),
+    ],
+)
+def test_config_pair_rejects_keys_and_values_it_cannot_hold(pair, message):
+    # each would raise TypeError in the pair's constructor
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tiny_config(pair={**TINY["pair"], **pair})
+
+
+def test_a_horizon_past_int64_is_named_before_anything_runs():
+    # the stops are int64, and numpy raises OverflowError past them
+    cfg = tiny_config(horizon=10**400)
+    with pytest.raises(ValueError, match=r"horizon must be a positive integer below 2\*\*63"):
+        run_eta_sweep(cfg)
 
 
 @pytest.mark.parametrize("eta", ["Infinity", "-Infinity", "NaN"])

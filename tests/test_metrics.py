@@ -1310,29 +1310,18 @@ def single_shot_and_f0_digest() -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-#: the F0 digest by the kernel behind np.exp: the run lengths' ``lrs`` are
-#: np.exp of the log ratios, and numpy's AVX-512 kernel differs from the C
-#: library's exp in the last bit on a few percent of inputs
-SINGLE_SHOT_AND_F0_SHA256 = {
-    "libm": "ba14eb53b9189632531d6d176fe2757a725e28ef231c6fcbc36b6b314c893763",
-    "avx512": "5991019522055bb1f00563762e1aced5feb66ac98cb1f5a0ecd28f87fa4d735d",
-}
-
-
-def np_exp_kernel() -> str:
-    """``"libm"`` when np.exp gives math.exp's bits on a fixed probe vector
-    (on which the AVX-512 kernel differs 174 times in 4001), else ``"avx512"``."""
-    probe = np.linspace(-700.0, 700.0, 4001)
-    same = all(v == math.exp(p) for p, v in zip(probe.tolist(), np.exp(probe).tolist()))
-    return "libm" if same else "avx512"
+#: the F0 run lengths' ``lrs`` are the pair's ``likelihood_ratio``, the C
+#: library's exp on every host, so the digest has one value whichever
+#: kernel numpy dispatches for its real ``exp``
+SINGLE_SHOT_AND_F0_SHA256 = "ba14eb53b9189632531d6d176fe2757a725e28ef231c6fcbc36b6b314c893763"
 
 
 def test_single_shot_and_f0_outputs_are_pinned():
     # no preset runs single-shot or reports per-trial F0 samples, so their
     # bits are pinned here; a change of kernel or scoring must keep them.
-    # On one host exactly one digest applies; CI reruns this with numpy's
-    # AVX-512 targets disabled, so both are checked
-    assert single_shot_and_f0_digest() == SINGLE_SHOT_AND_F0_SHA256[np_exp_kernel()]
+    # CI reruns this with numpy's AVX-512 targets disabled: both runs must
+    # read this one value
+    assert single_shot_and_f0_digest() == SINGLE_SHOT_AND_F0_SHA256
 
 
 def initial_stop_digest() -> str:
@@ -1354,11 +1343,8 @@ def initial_stop_digest() -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-#: :func:`initial_stop_digest` by the kernel behind np.exp, as above
-INITIAL_STOP_SHA256 = {
-    "libm": "328e5f5af968b5a834de483ae12463ad83d8d63c363afc32044fcd6a861e30cb",
-    "avx512": "cc31425c5cdc3cb20abb08bc551e84fa16cddec4cf56fb913d450203ec724c86",
-}
+#: :func:`initial_stop_digest`, one value on every host, as above
+INITIAL_STOP_SHA256 = "328e5f5af968b5a834de483ae12463ad83d8d63c363afc32044fcd6a861e30cb"
 
 
 def test_initial_stop_outputs_are_pinned():
@@ -1366,7 +1352,7 @@ def test_initial_stop_outputs_are_pinned():
     # initial stop, and every preset and the digest above run without one,
     # so this pins the bits of the other branch in all three layouts
     # (flat F0, flat restart, block single-shot)
-    assert initial_stop_digest() == INITIAL_STOP_SHA256[np_exp_kernel()]
+    assert initial_stop_digest() == INITIAL_STOP_SHA256
 
 
 def _random_stops(rng, sched, n):

@@ -85,12 +85,19 @@ class StoppingRule(Protocol):
     The flat buffers of a rule whose ``alarm_mask`` draws nothing cut the
     same samples for each trial, and so give the same outputs, whatever
     their sizes.
+
+    A rule whose verdicts read only the time and ``rng`` may declare
+    ``reads_samples = False`` (a rule without the attribute reads its
+    samples).  The estimators then draw no sample for its verdicts and
+    pass ``x=None`` to ``alarm_mask``; uniforms that ``alarm_mask`` draws
+    are still drawn.  Such a rule's stopping sample is drawn after its
+    stop, from the law at its stop time.
     """
 
     memoryless: bool
 
     def alarm_mask(
-        self, times: np.ndarray, x: np.ndarray, rng: np.random.Generator
+        self, times: np.ndarray, x: np.ndarray | None, rng: np.random.Generator
     ) -> np.ndarray: ...
 
 
@@ -296,6 +303,7 @@ class AlwaysStopRule:
     """Alarms on every sample (run length 1)."""
 
     memoryless: ClassVar[bool] = True
+    reads_samples: ClassVar[bool] = False
     initial_stop_prob: ClassVar[float] = 0.0
 
     def alarm_mask(self, times, x, rng) -> np.ndarray:
@@ -316,6 +324,7 @@ class FixedTimeRule:
 
     stop_at: int
     memoryless: ClassVar[bool] = False
+    reads_samples: ClassVar[bool] = False
     initial_stop_prob: ClassVar[float] = 0.0
 
     def __post_init__(self):
@@ -340,6 +349,7 @@ class BernoulliStopRule:
 
     stop_prob: float
     memoryless: ClassVar[bool] = True
+    reads_samples: ClassVar[bool] = False
     initial_stop_prob: ClassVar[float] = 0.0
 
     def __post_init__(self):

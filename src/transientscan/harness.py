@@ -108,6 +108,8 @@ class ExperimentConfig:
             raise ValueError("mu1_grid, when given, must be nonempty")
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        if self.n_trials >= 2**63:  # stops and counts are int64, as horizon's times are
+            raise ValueError(f"n_trials must be below 2**63, got {self.n_trials}")
         if self.s < 0:
             raise ValueError(f"s must be nonnegative, got {self.s}")
         if self.T < 1:

@@ -27,14 +27,20 @@ stop draws its initial-stop uniforms first; a rule without one draws none.
 F0 runs of a memoryless rule and every restart run take the flat layout,
 the trials' consecutive segments of one stream; single-shot runs with
 onsets and F0 runs of a time-dependent rule take the block layout, time
-steps in blocks (both in :func:`_runs`, which sizes buffers and blocks
-from the rule's alarm laws).  The flat samples of a rule whose ``alarm_mask``
-draws nothing do not depend on the buffer sizes: each trial cuts the same
-samples from its chunk's stream whatever the buffer ends.  Block widths
-do decide which trial takes which sample.
+steps in blocks (both in :func:`_runs`; a call sizes the first buffer or
+block once, from the rule's alarm laws).  The flat samples of a rule whose
+``alarm_mask`` draws nothing do not depend on the buffer sizes: each trial
+cuts the same samples from its chunk's stream whatever the buffer ends.
+Block widths do decide which trial takes which sample.  A rule that
+declares ``reads_samples = False`` draws no sample in either layout, only
+what its ``alarm_mask`` consumes; once the chunk's stops are known, its
+stopped runs draw their stopping samples, one F0 draw for those stopped
+at unaffected times and then one F1 draw for those stopped at affected
+times, each in trial order.
 The terms of :func:`estimate_pollak` take no runs: a chunk draws one F1
 matrix of its trials at the onset times (at most ``_MAX_BLOCK_SAMPLES`` per
-draw), each draw followed by whatever ``alarm_mask`` consumes.
+draw; none for a rule that reads no sample), each draw followed by
+whatever ``alarm_mask`` consumes.
 Aggregation reduces per-trial records in trial order, and one call runs
 its chunks in order in one process.
 
@@ -60,7 +66,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import Literal, NamedTuple, get_args
+from typing import Iterator, Literal, NamedTuple, get_args
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -233,8 +239,10 @@ def trial_rng(seed, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _chunk_ranges(n_trials: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK, n_trials)) for lo in range(0, n_trials, _CHUNK)]
+def _chunk_ranges(n_trials: int) -> Iterator[tuple[int, int]]:
+    """Each chunk's trial bounds ``(lo, hi)``, in order, made as they are taken."""
+    for lo in range(0, n_trials, _CHUNK):
+        yield lo, min(lo + _CHUNK, n_trials)
 
 
 def _binomial_se(p: float, n: int) -> float:
@@ -265,25 +273,29 @@ def _row_times(times: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return view
 
 
-def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float):
+def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float, reads: bool):
     """Renewal runs of a memoryless rule on i.i.d. samples: ``n`` trials
     take consecutive segments of one flat stream, each ending at an alarm.
 
     Returns per trial the 0-based index within its segment of the stopping
     sample (-1 for a trial that saw ``limit`` samples without an alarm and
-    consumed exactly those) and that sample's value (NaN for none).  Each
-    buffer holds the remaining trials times the mean gap between alarms
-    (``gap`` until an alarm is seen, then the observed samples per alarm),
-    capped per trial at ``limit`` and in all at ``_MAX_BLOCK_SAMPLES``.
+    consumed exactly those) and that sample's value (NaN for none, and for
+    every trial of a rule that reads no sample: ``reads`` false draws no
+    sample and passes ``x=None``).  Each buffer holds the remaining trials
+    times the mean gap between alarms (``gap`` until an alarm is seen, then
+    the observed samples per alarm), capped per trial at ``limit`` and in
+    all at ``_MAX_BLOCK_SAMPLES``.
     """
     at = np.full(n, -1, dtype=np.int64)
     x_at = np.full(n, np.nan)
     done = carry = drawn = alarms = 0
+    x = None
     while done < n:
         if alarms:
             gap = drawn / alarms
         size = min(_MAX_BLOCK_SAMPLES, max(1, math.ceil((n - done) * min(gap, limit))))
-        x = np.asarray(pair.sample(law, rng, size), dtype=float)
+        if reads:
+            x = np.asarray(pair.sample(law, rng, size), dtype=float)
         hit = rule.alarm_mask(_NO_TIMES[:size], x, rng).nonzero()[0]
         drawn += size
         alarms += hit.size
@@ -301,7 +313,8 @@ def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float):
             # alarms in turn (those past the chunk's last trial are dropped)
             k = min(n - done, hit.size)
             at[done : done + k] = runs[:k]
-            x_at[done : done + k] = x[hit[:k]]
+            if reads:
+                x_at[done : done + k] = x[hit[:k]]
             done += hit.size
             carry = int(runs[-1])
             continue
@@ -312,74 +325,32 @@ def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float):
         ends = censored.cumsum()
         k = ends[:-1].searchsorted(n)  # stops past the chunk's last trial are dropped
         at[ends[:k]] = rest[:k]
-        x_at[ends[:k]] = x[hit[:k]]
+        if reads:
+            x_at[ends[:k]] = x[hit[:k]]
         done = int(ends[-1])
         carry = int(rest[-1])
     return at, x_at
 
 
-def _runs(rule, pair, schedule: ChangeSchedule, mode: Mode, rng, n: int):
-    """Stop times of ``n`` runs drawn from ``rng`` (each the stopping time or
-    ``_CENSORED``) and each run's stopping sample (NaN for none).
-
-    Flat layout, for F0 runs of a memoryless rule (no onsets) and for every
-    restart run (a memoryless rule on onsets, see :func:`_simulate`): every
-    column a run draws has one law, F0 or F1 onset samples, so a run is a
-    renewal and the runs take consecutive segments of one flat stream (see
-    :func:`_flat_stops`); each buffer draws its samples, then whatever
-    ``alarm_mask`` consumes.  The first buffer's mean gap is ``1 / c`` for
-    the alarm probability ``c`` of the law drawn (none when ``c = 0``).
-
-    Block layout, for single-shot runs with onsets and F0 runs of a
-    time-dependent rule: the runs still going are simulated together, one
-    ``(runs x time steps)`` block at a time; a block draws an F0 matrix
-    whose affected columns are redrawn from F1, then whatever
-    ``alarm_mask`` consumes.  The first block holds the columns a run draws
-    in expectation, ``sum_k prod_{j<k} (1 - c_j)`` with ``c_j`` the alarm
-    probability of time step ``j`` under the law it is drawn from; each
-    later block doubles.
-
-    A rule without ``alarm_probs`` starts both layouts from ``_MIN_BLOCK``.
-    """
-    probs = getattr(rule, "alarm_probs", None)
-    restart = mode == "restart"
-    if restart or (getattr(rule, "memoryless", False) and not schedule.onsets):
-        limit = schedule.s if restart else schedule.horizon
-        law = "alternative" if restart else "nominal"
-        if probs is None:
-            gap = _MIN_BLOCK
-        else:  # the mean gap 1 / c, or none for a rule that never alarms
-            c = float(probs(_NO_TIMES[:1], law)[0])
-            gap = 1.0 / c if c > 0.0 else math.inf
-        at, x_at = _flat_stops(rule, pair, law, rng, n, limit, gap)
-        # segment index -> stop time; a censored run's -1 reads the appended
-        # _CENSORED in restart mode
-        if restart:
-            return np.append(schedule.onset_times, _CENSORED)[at], x_at
-        at += at >= 0  # a censored run keeps its -1
-        return at, x_at
+def _block_stops(rule, pair, schedule: ChangeSchedule, block: int, reads: bool, rng, n: int):
+    """The block layout of :func:`_runs`, from a first block of ``block`` columns."""
     stop = np.full(n, _CENSORED, dtype=np.int64)
     x_stop = np.full(n, np.nan)
     active = np.arange(n)
     horizon = schedule.horizon
-    times = np.arange(1, horizon + 1)
-    row_times = _row_times(times, (n, horizon))  # each block's times are a slice
+    # each block's times are a slice
+    row_times = _row_times(np.arange(1, horizon + 1), (n, horizon))
     is_f1 = schedule.f1_columns
-    if probs is None:
-        block = _MIN_BLOCK
-    else:  # the columns a run draws in expectation: sum over k of P(no alarm before k)
-        c = probs(times, "nominal")
-        if schedule.onsets:
-            c = np.where(is_f1, probs(times, "alternative"), c)
-        block = math.ceil(1.0 + float(np.cumprod(1.0 - c)[:-1].sum()))
+    x = None
     c0 = 0
     while active.size and c0 < horizon:
         nb = min(block, horizon - c0, max(1, _MAX_BLOCK_SAMPLES // active.size))
-        x = np.asarray(pair.sample("nominal", rng, (active.size, nb)), dtype=float)
-        # the block's columns are the time steps c0..c0+nb-1
-        f1_cols = is_f1[c0 : c0 + nb].nonzero()[0]
-        if f1_cols.size:
-            x[:, f1_cols] = pair.sample("alternative", rng, (active.size, f1_cols.size))
+        if reads:
+            x = np.asarray(pair.sample("nominal", rng, (active.size, nb)), dtype=float)
+            # the block's columns are the time steps c0..c0+nb-1
+            f1_cols = is_f1[c0 : c0 + nb].nonzero()[0]
+            if f1_cols.size:
+                x[:, f1_cols] = pair.sample("alternative", rng, (active.size, f1_cols.size))
         mask = rule.alarm_mask(row_times[: active.size, c0 : c0 + nb], x, rng)
         # each row's first alarm, column 0 for a row without one
         first = mask.argmax(axis=1)
@@ -387,12 +358,97 @@ def _runs(rule, pair, schedule: ChangeSchedule, mode: Mode, rng, n: int):
         hit = alarmed.nonzero()[0]
         if hit.size:
             rows, at = active[hit], first[hit]
-            x_stop[rows] = x[hit, at]
+            if reads:
+                x_stop[rows] = x[hit, at]
             stop[rows] = c0 + 1 + at
             if c0 + nb < horizon:  # the runs still going take the next block
                 active = active[~alarmed]
         c0 += nb
         block *= 2
+    return stop, x_stop
+
+
+def _stopping_samples(pair, rng, stop: np.ndarray, f1_columns: np.ndarray) -> np.ndarray:
+    """The stopping sample of each run in ``stop`` (NaN for a censored run)
+    of a rule that reads no sample, drawn once the runs are done: one F0
+    draw for the runs stopped at unaffected times, then one F1 draw for
+    those stopped at affected times (``f1_columns``), each in trial order.
+    The rule's verdicts read no sample, so a run's stopping sample has the
+    law of its stop time, as it would had it been drawn before the verdict."""
+    x_stop = np.full(stop.size, np.nan)
+    stopped = stop != _CENSORED
+    # a censored run's index is clipped into range, then masked out
+    f1 = f1_columns.take(stop - 1, mode="clip") & stopped
+    for law, rows in (("nominal", stopped ^ f1), ("alternative", f1)):
+        k = int(np.count_nonzero(rows))
+        if k:
+            x_stop[rows] = np.asarray(pair.sample(law, rng, k), dtype=float)
+    return x_stop
+
+
+def _first_draw(rule, schedule: ChangeSchedule, flat: bool, law: str) -> float:
+    """The first buffer's mean gap (flat layout) or the first block's width
+    (block layout) of every chunk of a call, from the rule's alarm laws
+    (see :func:`_runs`); ``_MIN_BLOCK`` for a rule that states none."""
+    probs = getattr(rule, "alarm_probs", None)
+    if probs is None:
+        return _MIN_BLOCK
+    if flat:  # the mean gap 1 / c, or none for a rule that never alarms
+        c = float(probs(_NO_TIMES[:1], law)[0])
+        return 1.0 / c if c > 0.0 else math.inf
+    # the columns a run draws in expectation: sum over k of P(no alarm before k)
+    times = np.arange(1, schedule.horizon + 1)
+    c = probs(times, "nominal")
+    if schedule.onsets:
+        c = np.where(schedule.f1_columns, probs(times, "alternative"), c)
+    return math.ceil(1.0 + float(np.cumprod(1.0 - c)[:-1].sum()))
+
+
+def _runs(
+    rule, pair, schedule: ChangeSchedule, restart: bool, flat: bool, first: float, reads: bool,
+    rng, n: int,
+):
+    """Stop times of ``n`` runs drawn from ``rng`` (each the stopping time or
+    ``_CENSORED``) and each run's stopping sample (NaN for none).
+
+    Flat layout (``flat``), for F0 runs of a memoryless rule (no onsets)
+    and for every ``restart`` run (a memoryless rule on onsets, see
+    :func:`_simulate`): every column a run draws has one law, F0 or F1
+    onset samples, so a run is a renewal and the runs take consecutive
+    segments of one flat stream (see :func:`_flat_stops`); each buffer
+    draws its samples, then whatever ``alarm_mask`` consumes.  The first
+    buffer's mean gap ``first`` is ``1 / c`` for the alarm probability
+    ``c`` of the law drawn (none when ``c = 0``).
+
+    Block layout, for single-shot runs with onsets and F0 runs of a
+    time-dependent rule: the runs still going are simulated together, one
+    ``(runs x time steps)`` block at a time; a block draws an F0 matrix
+    whose affected columns are redrawn from F1, then whatever
+    ``alarm_mask`` consumes.  The first block holds ``first`` columns, the
+    columns a run draws in expectation, ``sum_k prod_{j<k} (1 - c_j)`` with
+    ``c_j`` the alarm probability of time step ``j`` under the law it is
+    drawn from; each later block doubles.
+
+    ``first`` is :func:`_first_draw`'s, taken once per call.  A rule that
+    reads no sample (``reads`` false) draws none in either layout and
+    passes ``x=None`` to ``alarm_mask``; once the stops are known, its
+    stopped runs draw their stopping samples (:func:`_stopping_samples`).
+    """
+    if flat:
+        law = "alternative" if restart else "nominal"
+        limit = schedule.s if restart else schedule.horizon
+        at, x_stop = _flat_stops(rule, pair, law, rng, n, limit, first, reads)
+        # segment index -> stop time; a censored run's -1 reads the appended
+        # _CENSORED in restart mode
+        if restart:
+            stop = np.append(schedule.onset_times, _CENSORED)[at]
+        else:
+            stop = at
+            stop += at >= 0  # a censored run keeps its -1
+    else:
+        stop, x_stop = _block_stops(rule, pair, schedule, first, reads, rng, n)
+    if not reads:
+        x_stop = _stopping_samples(pair, rng, stop, schedule.f1_columns)
     return stop, x_stop
 
 
@@ -413,8 +469,9 @@ def _simulate(
     rule with an initial stop draws the chunk's initial-stop uniforms
     first, and only the trials that did not stop take the runs of
     :func:`_runs`; a rule without one draws no uniforms, and its runs are
-    the chunk's stops as they come.  A call of one chunk returns that
-    chunk's arrays as they are.
+    the chunk's stops as they come.  The layout and its first draw's size
+    are taken once per call.  A call of one chunk returns that chunk's
+    arrays as they are.
 
     A restart run ends only on an onset alarm, and a false alarm does not
     end it, so the rule must be memoryless: its runs are then renewals on
@@ -426,11 +483,16 @@ def _simulate(
         raise ValueError(f"unknown mode {mode!r}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if mode == "restart":
-        if not getattr(rule, "memoryless", False):
+    restart = mode == "restart"
+    memoryless = getattr(rule, "memoryless", False)
+    if restart:
+        if not memoryless:
             raise ValueError(f"restart runs need a memoryless rule; {rule!r} is not memoryless")
         if not schedule.onsets:
             return np.full(n_trials, _CENSORED, dtype=np.int64), np.full(n_trials, np.nan)
+    flat = restart or (memoryless and not schedule.onsets)
+    first = _first_draw(rule, schedule, flat, "alternative" if restart else "nominal")
+    layout = (rule, pair, schedule, restart, flat, first, getattr(rule, "reads_samples", True))
     pi0 = getattr(rule, "initial_stop_prob", 0.0)
     parts = []
     for lo, hi in _chunk_ranges(n_trials):
@@ -439,10 +501,10 @@ def _simulate(
             stop = np.zeros(hi - lo, dtype=np.int64)
             x_stop = np.full(hi - lo, np.nan)
             running = (rng.random(hi - lo) >= pi0).nonzero()[0]
-            stop[running], x_stop[running] = _runs(rule, pair, schedule, mode, rng, running.size)
+            stop[running], x_stop[running] = _runs(*layout, rng, running.size)
             parts.append((stop, x_stop))
         else:
-            parts.append(_runs(rule, pair, schedule, mode, rng, hi - lo))
+            parts.append(_runs(*layout, rng, hi - lo))
     if len(parts) == 1:
         return parts[0]
     stops, samples = zip(*parts)
@@ -584,8 +646,9 @@ def estimate_pollak(
     directly: chunk ``c`` draws one ``(trials x s)`` F1 matrix from
     ``trial_rng(seed, STREAM_MONITOR, c)``, its onset columns split to at
     most ``_MAX_BLOCK_SAMPLES`` per draw, and one ``alarm_mask`` call per
-    draw decides it.  A term is its column's alarmed fraction with its
-    binomial standard error, also at an onset no run reaches
+    draw decides it (a rule that reads no sample draws none, and its
+    ``alarm_mask`` gets ``x=None``).  A term is its column's alarmed
+    fraction with its binomial standard error, also at an onset no run reaches
     (``AlwaysStopRule`` reads 1 past t = 1); an initial stop draws nothing,
     as it changes no conditional.  The terms are independent, so the sum's
     variance is the sum of theirs, each sum taken in onset order.  Every
@@ -619,13 +682,17 @@ def estimate_pollak(
         return PollakEstimate(0.0, 0.0, (nan,) * s, (n_trials,) * s, schedule.onsets)
     times = schedule.onset_times
     width = _MAX_BLOCK_SAMPLES // _CHUNK
+    reads = getattr(detector, "reads_samples", True)
+    x = None
     hits = np.zeros(s, dtype=np.int64)
     for lo, hi in _chunk_ranges(n_trials):
         rng = trial_rng(seed, STREAM_MONITOR, lo // _CHUNK)
         for c0 in range(0, s, width):
             cols = times[c0 : c0 + width]
-            x = np.asarray(pair.sample("alternative", rng, (hi - lo, cols.size)), dtype=float)
-            mask = detector.alarm_mask(_row_times(cols, x.shape), x, rng)
+            shape = (hi - lo, cols.size)
+            if reads:
+                x = np.asarray(pair.sample("alternative", rng, shape), dtype=float)
+            mask = detector.alarm_mask(_row_times(cols, shape), x, rng)
             if mask.dtype.kind != "b":
                 raise TypeError(
                     f"{detector!r}.alarm_mask returned {mask.dtype} verdicts; it must return bool"

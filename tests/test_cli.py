@@ -481,6 +481,8 @@ def test_experiment_rejects_a_non_integer_count(tmp_path, capsys, key, value):
         ("pair", {"kind": "gaussian_mean_shift", "mean0": "0", "mean1": 1.0}, "mean0"),
         pytest.param("eta_grid", [10**400], "eta_grid", id="eta_grid-10**400"),
         pytest.param("horizon", 10**400, "horizon", id="horizon-10**400"),
+        pytest.param("n_trials", 10**400, "n_trials", id="n_trials-10**400"),
+        pytest.param("n_trials", 2**63, "n_trials", id="n_trials-2**63"),
     ],
 )
 def test_experiment_names_the_key_of_a_config_it_cannot_hold(

@@ -133,6 +133,15 @@ def test_a_horizon_past_int64_is_named_before_anything_runs():
         run_eta_sweep(cfg)
 
 
+def test_a_trial_count_past_int64_is_refused_by_the_config():
+    # the config is refused as it is built, before any chunk is made;
+    # the largest int64 count is a config (never run here)
+    assert tiny_config(n_trials=2**63 - 1).n_trials == 2**63 - 1
+    for n in (2**63, 10**400):
+        with pytest.raises(ValueError, match=r"^n_trials must be below 2\*\*63"):
+            tiny_config(n_trials=n)
+
+
 @pytest.mark.parametrize("eta", ["Infinity", "-Infinity", "NaN"])
 def test_config_rejects_a_non_finite_eta_from_json(eta):
     # JSON allows these; before, the run failed later with an unrelated error

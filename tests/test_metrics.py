@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import math
 
@@ -29,6 +30,7 @@ from transientscan import metrics
 from transientscan.metrics import (
     _CHUNK,
     STREAM_MONITOR,
+    STREAM_RUN_LENGTH,
     Estimate,
     _binomial_se,
     _mean_se,
@@ -437,7 +439,8 @@ def direct_hits(rule, pair, sched, n_trials, seed):
     """Per-onset alarm counts as the reproducibility contract states them:
     per chunk one generator, then per block of at most
     ``_MAX_BLOCK_SAMPLES // _CHUNK`` onset columns one F1 draw of the
-    chunk's trials and one ``alarm_mask`` call at the onset times."""
+    chunk's trials (none for a rule that reads no sample) and one
+    ``alarm_mask`` call at the onset times."""
     width = metrics._MAX_BLOCK_SAMPLES // _CHUNK
     hits = np.zeros(sched.s, dtype=np.int64)
     for c, lo in enumerate(range(0, n_trials, _CHUNK)):
@@ -445,8 +448,11 @@ def direct_hits(rule, pair, sched, n_trials, seed):
         rows = min(_CHUNK, n_trials - lo)
         for c0 in range(0, sched.s, width):
             cols = np.asarray(sched.onsets[c0 : c0 + width])
-            x = pair.sample("alternative", rng, (rows, cols.size))
-            mask = rule.alarm_mask(np.broadcast_to(cols, x.shape), x, rng)
+            shape = (rows, cols.size)
+            x = None  # a rule that reads no sample decides on the times and rng alone
+            if getattr(rule, "reads_samples", True):
+                x = pair.sample("alternative", rng, shape)
+            mask = rule.alarm_mask(np.broadcast_to(cols, shape), x, rng)
             hits[c0 : c0 + cols.size] += mask.sum(axis=0)
     return hits
 
@@ -953,20 +959,75 @@ def test_restart_runs_draw_only_their_onset_samples(drawn):
 
 @pytest.mark.parametrize("n", [1, 200, 300])
 def test_pure_f0_runs_of_data_free_rules_draw_only_what_decides(drawn, n):
-    # a first block or buffer of the rule's expected run: FixedTimeRule(k)
-    # stops every run at k and AlwaysStopRule at 1, so no sample is left over
+    # these rules read no sample, so a run draws only its stopping sample,
+    # once its stop is known: FixedTimeRule(k) stops every run at k and
+    # AlwaysStopRule at 1
     for k in (1, 5, 50):
         drawn.clear()
         sample = simulate_run_lengths(FixedTimeRule(k), PAIR, n, 1000, seed=7)
         assert sample.taus.tolist() == [k] * n
-        assert sum(drawn) == k * n
+        assert sum(drawn) == n
     drawn.clear()
     simulate_run_lengths(AlwaysStopRule(), PAIR, n, 10, seed=7)
     assert sum(drawn) == n
-    # a run that the horizon ends draws the horizon
+    # BernoulliStopRule(0.1) outlives 20 samples with probability 0.12
+    drawn.clear()
+    sample = simulate_run_lengths(BernoulliStopRule(0.1), PAIR, n, 20, seed=7)
+    assert sum(drawn) == sample.n == n - sample.censored
+    # a run censored at the horizon draws none
     drawn.clear()
     assert simulate_run_lengths(FixedTimeRule(50), PAIR, n, 20, seed=7).censored == n
-    assert sum(drawn) == 20 * n
+    assert sum(drawn) == 0
+
+
+def test_rules_that_read_no_sample_draw_no_sample_for_their_terms(drawn):
+    # their verdicts read only the time and the rng: no term draws a
+    # Gaussian, and a single-shot run draws its stopping sample alone
+    for rule in (AlwaysStopRule(), FixedTimeRule(4), BernoulliStopRule(0.3)):
+        for sched in CRITERION_3_SCHEDULES:
+            drawn.clear()
+            estimate_pollak(rule, PAIR, sched, 300, seed=5, min_survivors=1)
+            assert drawn == []
+            stop, _ = _simulate(rule, PAIR, sched, "single_shot", 300, 5, STREAM_MONITOR)
+            assert sum(drawn) == np.count_nonzero(stop != -1)
+
+
+ONSETS_4_8_12 = ChangeSchedule(onsets=(4, 8, 12), duration=1, horizon=12)
+
+
+@pytest.mark.parametrize(
+    "rule, schedule, mode, laws",
+    [
+        (calibrate(PAIR, 10.0), ONSETS_4_8_12, "single_shot", ["nominal", "alternative"]),
+        (calibrate(PAIR, 10.0), ONSETS_4_8_12, "restart", ["alternative"]),
+        (calibrate(PAIR, 10.0), ChangeSchedule((), 1, 200), "single_shot", ["nominal"]),
+        (FixedTimeRule(5), ChangeSchedule((), 1, 100), "single_shot", ["nominal"]),
+        (BernoulliStopRule(0.1), ONSETS_4_8_12, "single_shot", ["nominal", "alternative"]),
+    ],
+    ids=["blocks-with-onsets", "restart", "flat-f0", "blocks-f0", "data-free-blocks"],
+)
+def test_draw_sizes_are_taken_once_per_call(monkeypatch, rule, schedule, mode, laws):
+    # 600 trials are three chunks, and every chunk's first draw has one size
+    calls = []
+    original = type(rule).alarm_probs
+
+    def counting_alarm_probs(self, times, law):
+        calls.append(law)
+        return original(self, times, law)
+
+    monkeypatch.setattr(type(rule), "alarm_probs", counting_alarm_probs)
+    _simulate(rule, PAIR, schedule, mode, 600, 8, STREAM_MONITOR)
+    assert calls == laws
+
+
+def test_chunk_bounds_are_made_as_they_are_taken():
+    # taking the first of 10**18 trials' bounds must not build the rest; a
+    # list-building function is refused before it is called with that count
+    assert inspect.isgeneratorfunction(metrics._chunk_ranges)
+    chunks = metrics._chunk_ranges(10**18)
+    assert next(chunks) == (0, _CHUNK)
+    assert next(chunks) == (_CHUNK, 2 * _CHUNK)
+    assert list(metrics._chunk_ranges(600)) == [(0, 256), (256, 512), (512, 600)]
 
 
 #: most samples a calibrated restart run may draw per onset sample that
@@ -1280,6 +1341,81 @@ def test_run_based_conditionals_agree_with_the_direct_terms():
         assert abs(h / m - d / n) <= z * se, (h, m, d)
 
 
+#: the rules that read no sample.  Each stochastic check of their closed
+#: forms below takes a Bonferroni share of a family level of 1e-3, fixed
+#: before running: one geometric fit, criterion 3's 14 binomial terms, and
+#: per rule three KS tests (F0 runs; single-shot stops off and at an onset)
+#: and one likelihood-ratio mean
+DATA_FREE_RULES = (AlwaysStopRule(), FixedTimeRule(4), FixedTimeRule(5), BernoulliStopRule(0.1))
+DATA_FREE_LEVEL = 1e-3 / (1 + 14 + 3 * len(DATA_FREE_RULES) + len(DATA_FREE_RULES))
+
+
+def test_always_and_fixed_time_rules_meet_their_closed_forms_exactly():
+    # every run stops at k (or the horizon ends it first), and every term
+    # is 1 at the onset k (at every onset for always-stop) and 0 elsewhere
+    n = 300
+    for rule, k in ((AlwaysStopRule(), 1), (FixedTimeRule(4), 4), (FixedTimeRule(50), 50)):
+        always = isinstance(rule, AlwaysStopRule)
+        f0 = simulate_run_lengths(rule, PAIR, n, 10, seed=501)
+        if k <= 10:
+            assert f0.taus.tolist() == [k] * n and f0.censored == 0
+        else:
+            assert f0.taus.size == 0 and f0.censored == n
+        for sched in CRITERION_3_SCHEDULES:
+            est = estimate_pollak(rule, PAIR, sched, n, seed=502, min_survivors=1)
+            terms = [(float(always or t == k), 0.0) for t in sched.onsets]
+            assert [tuple(term) for term in est.per_onset] == terms
+            assert (est.value, est.std_error) == (float(sum(p for p, _ in terms)), 0.0)
+
+
+def test_bernoulli_stop_rule_meets_its_closed_forms():
+    from scipy import stats as scipy_stats
+
+    p, n = 0.1, 2000
+    rule = BernoulliStopRule(p)
+    f0 = simulate_run_lengths(rule, PAIR, n, 1000, seed=503)
+    assert f0.censored == 0  # 0.9 ** 1000 is about 2e-46 per run
+    assert geometric_gof_pvalue(f0.taus, p) >= DATA_FREE_LEVEL
+    for sched in CRITERION_3_SCHEDULES:
+        est = estimate_pollak(rule, PAIR, sched, n, seed=504)
+        for term in est.per_onset:
+            assert scipy_stats.binomtest(round(term.value * n), n, p).pvalue >= DATA_FREE_LEVEL
+
+
+def test_stopping_samples_of_data_free_rules_have_the_law_of_their_stop_time():
+    # drawn after the stop, from F1 at an onset and F0 elsewhere; a
+    # censored run has none
+    from scipy import stats as scipy_stats
+
+    n = 2000
+    for rule in DATA_FREE_RULES:
+        groups = []
+        f0 = ChangeSchedule((), 1, 100)
+        for sched, stream in ((f0, STREAM_RUN_LENGTH), (ONSETS_4_8_12, STREAM_MONITOR)):
+            stop, x = _simulate(rule, PAIR, sched, "single_shot", n, 505, stream)
+            assert np.isnan(x[stop == -1]).all() and not np.isnan(x[stop != -1]).any()
+            at_onset = np.isin(stop, sched.onsets)
+            groups += [(x[(stop != -1) & ~at_onset], PAIR.mean0), (x[at_onset], PAIR.mean1)]
+        assert sum(sample.size > 0 for sample, _ in groups) <= 3
+        for sample, mean in groups:
+            if sample.size:
+                pvalue = scipy_stats.kstest(sample, "norm", args=(mean, PAIR.sigma)).pvalue
+                assert pvalue >= DATA_FREE_LEVEL, (rule, mean)
+
+
+def test_f0_likelihood_ratios_at_data_free_stops_have_mean_one():
+    # the stopping sample is an F0 draw whatever the stop, so E0[l] = 1 and
+    # Var0[l] = exp(shift^2 / sigma^2) - 1 for the Gaussian pair
+    n = 20_000
+    var = math.expm1(((PAIR.mean1 - PAIR.mean0) / PAIR.sigma) ** 2)
+    z = norm_upper_quantile(DATA_FREE_LEVEL / 2)
+    for rule in DATA_FREE_RULES:
+        f0 = simulate_run_lengths(rule, PAIR, n, 1000, seed=507)
+        assert f0.censored == 0
+        mean_lr = f0.moments[0]
+        assert abs(mean_lr - 1.0) <= z * math.sqrt(var / f0.n), rule
+
+
 def _hexes(values) -> str:
     return ",".join(float(v).hex() for v in values)
 
@@ -1312,8 +1448,10 @@ def single_shot_and_f0_digest() -> str:
 
 #: the F0 run lengths' ``lrs`` are the pair's ``likelihood_ratio``, the C
 #: library's exp on every host, so the digest has one value whichever
-#: kernel numpy dispatches for its real ``exp``
-SINGLE_SHOT_AND_F0_SHA256 = "ba14eb53b9189632531d6d176fe2757a725e28ef231c6fcbc36b6b314c893763"
+#: kernel numpy dispatches for its real ``exp``.  The rules that read no
+#: sample draw none for their verdicts, only their stopping samples once
+#: stopped, so their streams differ from those of the rules that do
+SINGLE_SHOT_AND_F0_SHA256 = "f76eae0f82585a9b46f3d37f8761484cba091d16e7dc251048fc919b6f42c240"
 
 
 def test_single_shot_and_f0_outputs_are_pinned():

@@ -166,7 +166,12 @@ def cmd_simulate(args) -> int:
     pair = _pair_from_args(args)
     onsets = None
     if args.onsets is not None:
-        onsets = tuple(int(v) for v in args.onsets.split(","))
+        try:
+            onsets = tuple(int(v) for v in args.onsets.split(","))
+        except ValueError:
+            raise ValueError(f"--onsets must list integers, got {args.onsets!r}") from None
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     rng = trial_rng(args.seed)
     schedule = make_schedule(
         args.horizon, args.s, args.T, args.placement, rng=rng, onsets=onsets

@@ -152,7 +152,8 @@ def make_schedule(
       * ``uniform_random``: exactly uniform over all valid schedules, via the
         bijection between gap-constrained onset tuples and plain s-subsets of
         a shrunken index range.  Requires ``rng``.
-      * ``explicit``: validates the provided ``onsets``.
+      * ``explicit``: validates the provided ``onsets``, which must number
+        ``s``.
 
     Raises :class:`InfeasibleScheduleError` when ``s * (duration + 1) >
     horizon`` for the generated placements; explicit lists are checked only
@@ -163,7 +164,10 @@ def make_schedule(
     if placement == "explicit":
         if onsets is None:
             raise ValueError("explicit placement requires onsets")
-        return ChangeSchedule(onsets=tuple(onsets), duration=duration, horizon=horizon)
+        onsets = tuple(onsets)
+        if len(onsets) != s:
+            raise ValueError(f"explicit placement needs s = {s} onsets, got {list(onsets)}")
+        return ChangeSchedule(onsets=onsets, duration=duration, horizon=horizon)
     if onsets is not None:
         raise ValueError(f"onsets are only accepted with explicit placement, not {placement!r}")
     if s == 0:

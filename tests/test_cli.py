@@ -400,6 +400,29 @@ def test_simulate_explicit_onsets(tmp_path, capsys):
     assert sched.onsets == (5, 20)
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--s", "3", "--placement", "explicit", "--onsets", "5,20"], "s = 3 onsets, got [5, 20]"),
+        (["--s", "0", "--placement", "explicit", "--onsets", "5,20"], "s = 0 onsets, got [5, 20]"),
+        (["--s", "3", "--placement", "explicit", "--onsets", "5,,20"], "--onsets must list integers"),
+        (["--s", "2", "--placement", "explicit", "--onsets", "5.0,20"], "--onsets must list integers"),
+        (["--s", "2", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+    ],
+    ids=["more-s", "s-0", "empty-entry", "float-entry", "negative-seed"],
+)
+def test_simulate_names_what_it_cannot_use(tmp_path, capsys, flags, message):
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--horizon", "50", *flags,
+        "--sequence-out", str(tmp_path / "seq.csv"),
+        "--schedule-out", str(tmp_path / "sched.json"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("transientscan simulate: ") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # experiment
 

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from transientscan.metrics import (
     STREAM_MONITOR,
     STREAM_RUN_LENGTH,
     Estimate,
+    PollakEstimate,
     _binomial_se,
     _mean_se,
     _rank_counts,
@@ -488,6 +490,38 @@ def test_direct_terms_match_the_onset_loop(monkeypatch):
         assert all(type(t) is Estimate for t in est.per_onset)
     # a full chunk of 512 columns draws the most a block may hold
     assert max(sizes) == metrics._MAX_BLOCK_SAMPLES
+
+
+def test_pollak_estimate_keeps_its_public_behaviour():
+    # a NamedTuple like Estimate: its fields, order, equality, hash, pickle
+    # and repr are those it had as a frozen dataclass
+    assert PollakEstimate._fields == (
+        "value", "std_error", "per_onset", "survivors", "degenerate_onsets"
+    )
+    est = PollakEstimate(0.75, 0.125, (Estimate(0.5, 0.0625),), (200,), ())
+    same = PollakEstimate(0.75, 0.125, (Estimate(0.5, 0.0625),), (200,), ())
+    assert est == same and hash(est) == hash(same)
+    assert est != est._replace(value=0.5)
+    assert pickle.loads(pickle.dumps(est)) == est
+    terms = (Estimate(0.5, 0.0625), Estimate(0.25, math.nan))
+    assert repr(PollakEstimate(0.75, 0.125, terms, (200, 200), (4,))) == (
+        "PollakEstimate(value=0.75, std_error=0.125, per_onset=(Estimate(value=0.5, "
+        "std_error=0.0625), Estimate(value=0.25, std_error=nan)), survivors=(200, 200), "
+        "degenerate_onsets=(4,))"
+    )
+    # every return path: no onsets, the excluded degenerate onsets, the terms
+    det = calibrate(PAIR, 10.0)
+    sched = ChangeSchedule(onsets=(3, 200), duration=1, horizon=200)
+    paths = (
+        estimate_pollak(det, PAIR, make_schedule(40, 0, 1), 10, seed=1),
+        estimate_pollak(det, PAIR, sched, 10, seed=1, on_degenerate="exclude"),
+        estimate_pollak(det, PAIR, sched, 300, seed=1),
+    )
+    for got in paths:
+        assert type(got) is PollakEstimate
+        assert all(type(term) is Estimate for term in got.per_onset)
+    assert [got.degenerate_onsets for got in paths] == [(), (3, 200), ()]
+    assert [got.survivors for got in paths] == [(), (10, 10), (300, 300)]
 
 
 @pytest.mark.parametrize("estimator", ["pollak"])

@@ -74,6 +74,13 @@ def test_explicit_overlap_rejected():
         make_schedule(100, 2, 1, "explicit", onsets=[5, 6])
 
 
+@pytest.mark.parametrize("s", [0, 1, 3])
+def test_explicit_onsets_must_number_s(s):
+    with pytest.raises(ValueError, match=rf"s = {s} onsets, got \[5, 20\]"):
+        make_schedule(50, s, 1, "explicit", onsets=[5, 20])
+    assert make_schedule(50, 2, 1, "explicit", onsets=iter([5, 20])).onsets == (5, 20)
+
+
 def test_explicit_validation():
     with pytest.raises(ValueError):
         ChangeSchedule(onsets=(0,), duration=1, horizon=10)

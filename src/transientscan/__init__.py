@@ -42,7 +42,6 @@ _SUBMODULE = {
     "Estimate": "metrics",
     "PollakEstimate": "metrics",
     "detect_first_any_curves": "metrics",
-    "estimate_arl": "metrics",
     "estimate_pollak": "metrics",
     "estimate_optimality_ceiling": "metrics",
     "evaluate_criteria": "metrics",

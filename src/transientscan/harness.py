@@ -37,13 +37,12 @@ from .metrics import (
     detect_first_any_curves,
     trial_rng,
 )
-from .sequence_model import Placement, make_schedule
+from .sequence_model import ChangeSchedule, make_schedule
 
 SCHEMA_VERSION = 1
 
 _MODES = get_args(Mode)
-_PLACEMENTS = get_args(Placement)
-#: keys whose values must be integers (each onset must be one too)
+#: keys whose values must be integers (the schedule checks the onsets)
 _INT_KEYS = ("horizon", "s", "T", "n_trials", "master_seed")
 
 
@@ -87,17 +86,10 @@ class ExperimentConfig:
         for key in _INT_KEYS:
             if not _is_int(getattr(self, key)):
                 raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
-        if self.onsets is not None and not all(map(_is_int, self.onsets)):
-            raise ValueError(f"onsets must be integers, got {list(self.onsets)!r}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.placement not in _PLACEMENTS:
-            raise ValueError(f"placement must be one of {_PLACEMENTS}, got {self.placement!r}")
-        # explicit onsets are the schedule, and the rows report s: both must agree
-        if (self.placement == "explicit") != (self.onsets is not None):
-            raise ValueError(f"onsets go with explicit placement only, got {self.placement!r}")
-        if self.onsets is not None and len(self.onsets) != self.s:
-            raise ValueError(f"onsets must list s = {self.s} onsets, got {list(self.onsets)}")
         if not self.eta_grid:
             raise ValueError("eta_grid must be nonempty")
         # JSON's Infinity and NaN parse as floats; eta must be a finite budget
@@ -110,18 +102,17 @@ class ExperimentConfig:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.n_trials >= 2**63:  # stops and counts are int64, as horizon's times are
             raise ValueError(f"n_trials must be below 2**63, got {self.n_trials}")
-        if self.s < 0:
-            raise ValueError(f"s must be nonnegative, got {self.s}")
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.s and self.s * (self.T + 1) > self.horizon:
-            raise ValueError(
-                f"infeasible schedule: s*(T+1) = {self.s * (self.T + 1)} exceeds "
-                f"horizon {self.horizon}"
-            )
+        # the schedule checks s, T, horizon, the placement and the onsets; only
+        # uniform_random placement draws, so no other placement gets a generator
+        uniform = self.placement == "uniform_random"
+        rng = trial_rng(self.master_seed, STREAM_SCHEDULE) if uniform else None
+        schedule = make_schedule(self.horizon, self.s, self.T, self.placement, rng, self.onsets)
+        object.__setattr__(self, "_schedule", schedule)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         if "schema_version" not in data:
             raise ValueError("config is missing the required schema_version field")
         known = {f.name for f in dataclasses.fields(cls)}
@@ -160,16 +151,9 @@ class ExperimentConfig:
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    def build_schedule(self):
-        # only uniform_random placement draws: the other placements get no generator
-        rng = (
-            trial_rng(self.master_seed, STREAM_SCHEDULE)
-            if self.placement == "uniform_random"
-            else None
-        )
-        return make_schedule(
-            self.horizon, self.s, self.T, self.placement, rng=rng, onsets=self.onsets
-        )
+    def build_schedule(self) -> ChangeSchedule:
+        """The config's schedule, built once, as the config is checked."""
+        return self._schedule
 
 
 def run_eta_sweep(config: ExperimentConfig, *, n_workers: int = 1) -> list[CurveRow]:

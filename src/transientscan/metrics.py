@@ -46,8 +46,10 @@ its chunks in order in one process.
 
 Standard errors: exact binomial for probabilities, sample standard
 deviation for means, delta method for the bound ratio.  Each run-length
-sample takes its moments once; they serve its ARL and the ceiling of every
-schedule, which is linear in ``s``.
+sample takes its moments once for its ARL and the ceiling of every schedule
+(linear in ``s``); both refuse a sample whose censored count does not fit a
+censoring probability of at most e^-10 (exact binomial tail at level 1e-3),
+which ``horizon >= 10 * eta`` meets for a calibrated rule.
 
 Fixed costs per call: a schedule derives its onset array, scoring edges
 and F1 column mask once (read-only cached properties of
@@ -106,6 +108,10 @@ _ZERO.flags.writeable = False  # and so is every zero-stride view of it
 _NO_TIMES = np.ndarray(_MAX_BLOCK_SAMPLES, np.int64, _ZERO, strides=(0,))
 
 _CENSORED = -1
+#: the censoring probability a run-length sample may show (the bias bound of
+#: dropping its censored runs), and the level at which its count refutes it
+_MAX_CENSORING = math.exp(-10)
+_CENSORING_LEVEL = 1e-3
 
 
 class DegenerateEstimateError(RuntimeError):
@@ -119,16 +125,22 @@ class Estimate(NamedTuple):
 
 @dataclass(frozen=True)
 class RunLengthSample:
-    """Uncensored stopping times and the ratio value at each stop, under F0.
+    """Uncensored stopping times and the ratio value at each stop, under F0,
+    of runs simulated to ``horizon``; ``censored`` runs reached it first.
 
     Initial stops (time 0, no sample consumed) carry a ratio value of 0, so
     expectations pick up the ``(1 - initial_stop_prob)`` factor they should.
-    The estimators share :attr:`moments`, taken once per sample.
+    :meth:`arl` and :meth:`ceiling` share :attr:`moments`, taken once per
+    sample.  Censored runs are the long ones, and dropping them biases both
+    means low, so both refuse a sample whose censored count does not fit a
+    censoring probability of at most e^-10 (exact binomial tail at level
+    1e-3); for a rule calibrated to ``eta``, ``horizon >= 10 * eta`` meets it.
     """
 
     taus: np.ndarray
     lrs: np.ndarray
     censored: int
+    horizon: int
 
     @property
     def n(self) -> int:
@@ -150,6 +162,62 @@ class RunLengthSample:
         cov = float(np.dot(d, d.T)[0, 1]) * (1.0 / dof)
         var = np.add.reduce(d * d, axis=1) / dof
         return (*mean.tolist(), *var.tolist(), cov)
+
+    def _check_censoring(self) -> None:
+        if not self.censored:  # the common case costs one integer test
+            return
+        runs = self.n + self.censored
+        if _censoring_tail(self.censored, runs) < _CENSORING_LEVEL:
+            raise ValueError(
+                f"{self.censored} of {runs} runs were censored at horizon {self.horizon}, "
+                "more than a censoring probability of e^-10 explains at level 1e-3, so the "
+                "run-length means would be biased (a calibrated rule needs a horizon of 10 * eta)"
+            )
+
+    def arl(self) -> Estimate:
+        """Mean run length to a false alarm, with its standard error."""
+        self._check_censoring()
+        _, mean, _, var, _ = self.moments
+        return Estimate(mean, math.sqrt(var) / math.sqrt(self.n) if self.n else math.nan)
+
+    def ceiling(self, s: int) -> Estimate:
+        """The optimality ceiling ``s * E0[l_tau] / E0[tau]`` for any plug-in
+        rule, from the uncensored runs, with the delta method's standard error
+        over the empirical covariance of ``(l_tau, tau)``; both are linear in ``s``."""
+        if s < 0:
+            raise ValueError(f"s must be nonnegative, got {s}")
+        self._check_censoring()
+        mean_lr, mean_tau, var_lr, var_tau, cov = self.moments
+        if not mean_tau > 0.0:
+            raise DegenerateEstimateError(
+                "no run stopped after a sample (every uncensored run was an initial "
+                "stop, or there was none); cannot form the bound"
+            )
+        value = s * mean_lr / mean_tau
+        if self.n < 2 or value == 0.0:
+            return Estimate(value, 0.0)
+        rel_var = (
+            var_lr / mean_lr**2 + var_tau / mean_tau**2 - 2.0 * cov / (mean_lr * mean_tau)
+        ) / self.n
+        return Estimate(value, abs(value) * math.sqrt(max(rel_var, 0.0)))
+
+
+def _censoring_tail(c: int, n: int) -> float:
+    """``P(X >= c)`` for ``X ~ Binomial(n, e^-10)``: the terms from ``X = 0``
+    by their ratios in log space, summed from ``c`` until they are negligible
+    past the mode (0.0 once they underflow before reaching ``c``)."""
+    q = _MAX_CENSORING
+    log_p, log_odds = n * math.log1p(-q), math.log(q) - math.log1p(-q)
+    tail = 0.0
+    for k in range(n + 1):
+        if k:
+            log_p += math.log((n - k + 1) / k) + log_odds
+        p = math.exp(log_p)
+        if k >= c:
+            tail += p
+        if k > n * q and p <= tail * 2**-60:
+            break
+    return tail
 
 
 class PollakEstimate(NamedTuple):
@@ -554,77 +622,19 @@ def simulate_run_lengths(
         stop, x_stop = stop[keep], x_stop[keep]
     lrs = pair.likelihood_ratio(x_stop)
     lrs[stop == 0] = 0.0  # an initial stop consumed no sample
-    return RunLengthSample(taus=stop.astype(float), lrs=lrs, censored=censored)
-
-
-def estimate_arl(
-    detector: StoppingRule,
-    pair: DistributionPair,
-    n_trials: int,
-    max_horizon: int,
-    seed,
-    *,
-    sample: RunLengthSample | None = None,
-) -> Estimate:
-    """Mean run length to a false alarm over pure-F0 trials.
-
-    For a calibrated detector the horizon must be at least 10x eta, keeping
-    the censoring probability (and hence the exclusion bias) below ~e^-10.
-    Pass a precomputed ``sample`` to reuse one simulation for several
-    estimators.
-    """
-    eta = getattr(detector, "eta", None)
-    if eta is not None and max_horizon < 10 * eta:
-        raise ValueError(
-            f"max_horizon {max_horizon} is below 10 * eta = {10 * eta:g}; "
-            "censoring would bias the run-length mean"
-        )
-    if sample is None:
-        sample = simulate_run_lengths(detector, pair, n_trials, max_horizon, seed)
-    _, mean, _, var, _ = sample.moments
-    se = math.sqrt(var) / math.sqrt(sample.n) if sample.n else math.nan
-    return Estimate(mean, se)
+    return RunLengthSample(stop.astype(float), lrs, censored, max_horizon)
 
 
 def estimate_optimality_ceiling(
-    stopping_rule: StoppingRule,
-    pair: DistributionPair,
-    s: int,
-    n_trials: int,
-    max_horizon: int,
-    seed,
-    *,
-    sample: RunLengthSample | None = None,
+    stopping_rule: StoppingRule, pair: DistributionPair, s: int, n_trials: int,
+    max_horizon: int, seed, *, sample: RunLengthSample | None = None,
 ) -> Estimate:
-    """The optimality ceiling s * E0[l_tau] / E0[tau] for any plug-in rule.
-
-    Both expectations are estimated under pure F0 from the same runs;
-    censored runs are excluded from both means.  The standard error of the
-    ratio comes from the delta method with the empirical covariance of
-    (l_tau, tau), both read from ``sample.moments``, taken once per sample.
-    The ceiling is linear in ``s``: so is its standard error.
-    """
-    if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
+    """``sample.ceiling(s)``, simulating the sample when none is passed; kept
+    for the benchmark, which calls it (``bench/workloads.py``) and traces it
+    by name (``bench/tracer.py``).  New code calls :meth:`RunLengthSample.ceiling`."""
     if sample is None:
         sample = simulate_run_lengths(stopping_rule, pair, n_trials, max_horizon, seed)
-    n = sample.n
-    if n == 0:
-        raise DegenerateEstimateError("all runs were censored; cannot form the bound")
-    mean_lr, mean_tau, var_lr, var_tau, cov = sample.moments
-    if mean_tau == 0.0:
-        raise DegenerateEstimateError(
-            "every uncensored run was an initial stop (mean run length 0); "
-            "cannot form the bound"
-        )
-    value = s * mean_lr / mean_tau
-    if n < 2 or value == 0.0:
-        return Estimate(value, 0.0)
-    rel_var = (
-        var_lr / mean_lr**2 + var_tau / mean_tau**2 - 2.0 * cov / (mean_lr * mean_tau)
-    ) / n
-    se = abs(value) * math.sqrt(max(rel_var, 0.0))
-    return Estimate(value, se)
+    return sample.ceiling(s)
 
 
 # ---------------------------------------------------------------------------
@@ -771,10 +781,8 @@ def evaluate_criteria(
     sample = simulate_run_lengths(detector, pair, n_trials, horizon, seed)
     return CriteriaReport(
         pollak_estimate=Estimate(schedule.s * p, schedule.s * _binomial_se(p, reached)),
-        arl_to_false_alarm=estimate_arl(detector, pair, sample.n, horizon, seed, sample=sample),
-        optimality_ceiling=estimate_optimality_ceiling(
-            detector, pair, schedule.s, sample.n, horizon, seed, sample=sample
-        ),
+        arl_to_false_alarm=sample.arl(),
+        optimality_ceiling=sample.ceiling(schedule.s),
         detect_first_prob=Estimate(detect_first, _binomial_se(detect_first, n_trials)),
         detect_any_prob=Estimate(detect_any, _binomial_se(detect_any, n_trials)),
         avg_missed=_mean_se(missed),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Literal
+from typing import Iterable, Literal, get_args
 
 import numpy as np
 
@@ -45,7 +45,10 @@ class ChangeSchedule:
     horizon: int
 
     def __post_init__(self):
-        object.__setattr__(self, "onsets", tuple(int(g) for g in self.onsets))
+        onsets = tuple(_integer(g, "onsets must be integers") for g in self.onsets)
+        object.__setattr__(self, "onsets", onsets)
+        object.__setattr__(self, "duration", _integer(self.duration, "duration must be an integer"))
+        object.__setattr__(self, "horizon", _integer(self.horizon, "horizon must be an integer"))
         if self.duration < 1:
             raise ValueError(f"duration must be a positive integer, got {self.duration}")
         if not 1 <= self.horizon < 2**63:  # times are int64
@@ -115,15 +118,18 @@ class ChangeSchedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChangeSchedule":
-        return cls(
-            onsets=tuple(data["onsets"]),
-            duration=int(data["duration"]),
-            horizon=int(data["horizon"]),
-        )
+        return cls(tuple(data["onsets"]), data["duration"], data["horizon"])
 
     @classmethod
     def from_json(cls, text: str) -> "ChangeSchedule":
         return cls.from_dict(json.loads(text))
+
+
+def _integer(value, rule: str) -> int:
+    """``value`` as an int; a bool, float or string, which ``int()`` takes, fails ``rule``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{rule}, got {value!r}")
+    return int(value)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -161,13 +167,15 @@ def make_schedule(
     """
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
+    if placement not in get_args(Placement):
+        raise ValueError(f"placement must be one of {get_args(Placement)}, got {placement!r}")
     if placement == "explicit":
         if onsets is None:
             raise ValueError("explicit placement requires onsets")
-        onsets = tuple(onsets)
-        if len(onsets) != s:
-            raise ValueError(f"explicit placement needs s = {s} onsets, got {list(onsets)}")
-        return ChangeSchedule(onsets=onsets, duration=duration, horizon=horizon)
+        schedule = ChangeSchedule(onsets=tuple(onsets), duration=duration, horizon=horizon)
+        if schedule.s != s:
+            raise ValueError(f"explicit placement needs s = {s} onsets, got {[*schedule.onsets]}")
+        return schedule
     if onsets is not None:
         raise ValueError(f"onsets are only accepted with explicit placement, not {placement!r}")
     if s == 0:
@@ -192,16 +200,14 @@ def make_schedule(
             m = horizon + 1 - s * duration
             chosen = tuple(k * m // s + (k - 1) * duration for k in range(1, s + 1))
         return ChangeSchedule(onsets=chosen, duration=duration, horizon=horizon)
-    if placement == "uniform_random":
-        if rng is None:
-            raise ValueError("uniform_random placement requires an rng")
-        # Subtracting (i-1)*duration from the i-th onset maps valid schedules
-        # one-to-one onto s-subsets of {1, ..., horizon + 1 - s*duration}.
-        m = horizon + 1 - s * duration
-        base = np.sort(rng.choice(m, size=s, replace=False)) + 1
-        chosen = tuple(int(b + i * duration) for i, b in enumerate(base))
-        return ChangeSchedule(onsets=chosen, duration=duration, horizon=horizon)
-    raise ValueError(f"unknown placement {placement!r}")
+    if rng is None:
+        raise ValueError("uniform_random placement requires an rng")
+    # Subtracting (i-1)*duration from the i-th onset maps valid schedules
+    # one-to-one onto s-subsets of {1, ..., horizon + 1 - s*duration}.
+    m = horizon + 1 - s * duration
+    base = np.sort(rng.choice(m, size=s, replace=False)) + 1
+    chosen = tuple(int(b + i * duration) for i, b in enumerate(base))
+    return ChangeSchedule(onsets=chosen, duration=duration, horizon=horizon)
 
 
 def generate_sequence(

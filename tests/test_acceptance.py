@@ -18,7 +18,6 @@ from transientscan import (
     GaussianMeanShift,
     calibrate,
     estimate_pollak,
-    estimate_optimality_ceiling,
     load_preset,
     run_eta_sweep,
     run_experiment,
@@ -98,9 +97,7 @@ def test_criterion_3_bound_holds_for_arbitrary_rules():
         f0 = simulate_run_lengths(rule, PAIR, n, horizon, seed=303)
         for s, sched in schedules.items():
             pollak = estimate_pollak(rule, PAIR, sched, n, seed=304)
-            bound = estimate_optimality_ceiling(
-                rule, PAIR, s, n, horizon, seed=303, sample=f0
-            )
+            bound = f0.ceiling(s)
             slack = 3.0 * math.hypot(pollak.std_error, bound.std_error)
             checked += 1
             if pollak.value > bound.value + slack:
@@ -124,7 +121,7 @@ def test_criterion_4_shewhart_achieves_the_bound():
         det = calibrate(PAIR, eta)
         closed = sched.s * detect_prob(1.0, eta)
         pollak = estimate_pollak(det, PAIR, sched, n, seed=404)
-        bound = estimate_optimality_ceiling(det, PAIR, sched.s, n, int(20 * eta), seed=405)
+        bound = simulate_run_lengths(det, PAIR, n, int(20 * eta), seed=405).ceiling(sched.s)
         gap_tol = 3.0 * math.hypot(pollak.std_error, bound.std_error)
         details.append(
             f"eta={eta:g}: sum={pollak.value:.4f}, ceiling={bound.value:.4f}, closed={closed:.4f}"

@@ -466,6 +466,39 @@ def test_experiment_rejects_bad_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("null", "config must be a JSON object, got NoneType"),
+        ("3", "config must be a JSON object, got int"),
+        ("[1, 2]", "config must be a JSON object, got list"),
+        ('"x"', "config must be a JSON object, got str"),
+    ],
+    ids=["null", "number", "list", "string"],
+)
+def test_experiment_refuses_a_config_that_is_not_an_object(tmp_path, capsys, text, message):
+    # null and 3 exited 1 with a TypeError traceback; a list and a string
+    # were reported as missing schema_version
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert f"transientscan experiment: {message}" in err
+
+
+def test_experiment_names_a_negative_master_seed(tmp_path, capsys):
+    cfg = json.loads((Path(transientscan._PRESET_DIR) / "acceptance.json").read_text())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg, "master_seed": -1}))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "experiment", "--config", str(cfg_path), "--out-dir", str(out_dir)
+    )
+    assert (code, out) == (2, "")
+    assert "transientscan experiment: master_seed must be nonnegative, got -1" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("n_trials", 100.0),

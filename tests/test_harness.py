@@ -127,10 +127,32 @@ def test_config_pair_rejects_keys_and_values_it_cannot_hold(pair, message):
 
 
 def test_a_horizon_past_int64_is_named_before_anything_runs():
-    # the stops are int64, and numpy raises OverflowError past them
-    cfg = tiny_config(horizon=10**400)
+    # the stops are int64, and numpy raises OverflowError past them; the
+    # config builds its schedule, which refuses the horizon
     with pytest.raises(ValueError, match=r"horizon must be a positive integer below 2\*\*63"):
-        run_eta_sweep(cfg)
+        tiny_config(horizon=10**400)
+
+
+@pytest.mark.parametrize("data", [None, 3, [1, 2], "x"])
+def test_config_must_be_an_object(data):
+    # None and 3 raised TypeError; a list and a string were missing schema_version
+    with pytest.raises(ValueError, match="^config must be a JSON object, got "):
+        ExperimentConfig.from_dict(data)
+
+
+def test_config_refuses_a_negative_master_seed_by_name():
+    for placement in ("even_grid", "uniform_random"):
+        with pytest.raises(ValueError, match="^master_seed must be nonnegative, got -1"):
+            tiny_config(master_seed=-1, placement=placement)
+
+
+def test_config_accepts_the_schedules_make_schedule_accepts():
+    # explicit onsets are checked against the schedule's invariants only, as
+    # make_schedule checks them: windows [1] and [3] fit a horizon of 3
+    cfg = tiny_config(horizon=3, s=2, T=1, placement="explicit", onsets=[1, 3])
+    assert cfg.build_schedule() == make_schedule(3, 2, 1, "explicit", onsets=[1, 3])
+    with pytest.raises(ValueError, match="^placement must be one of"):
+        tiny_config(s=0, placement="bogus")
 
 
 def test_a_trial_count_past_int64_is_refused_by_the_config():

@@ -19,7 +19,6 @@ from transientscan import (
     GaussianMeanShift,
     ShewhartDetector,
     calibrate,
-    estimate_arl,
     estimate_pollak,
     estimate_optimality_ceiling,
     evaluate_criteria,
@@ -230,27 +229,60 @@ def test_trial_rng_seed_words_are_read_only():
 
 
 def test_arl_always_alarm_is_exact():
-    det = calibrate(PAIR, 1.0)
-    est = estimate_arl(det, PAIR, 500, 50, seed=0)
+    sample = simulate_run_lengths(calibrate(PAIR, 1.0), PAIR, 500, 50, seed=0)
+    est = sample.arl()
     assert est.value == 1.0
     assert est.std_error == 0.0
-    assert simulate_run_lengths(det, PAIR, 500, 50, seed=0).censored == 0
+    assert sample.censored == 0
 
 
 def test_arl_matches_geometric_moments():
     eta, n = 10.0, 1_000_000
     det = calibrate(PAIR, eta)
     sample = simulate_run_lengths(det, PAIR, n, 1000, seed=42)
-    est = estimate_arl(det, PAIR, n, 1000, seed=42, sample=sample)
+    est = sample.arl()
     tol = 3.0 * math.sqrt(eta**2 - eta) / math.sqrt(n)
     assert abs(est.value - eta) <= tol
     assert sample.censored == 0
     assert est.std_error == pytest.approx(math.sqrt(eta**2 - eta) / math.sqrt(n), rel=0.1)
 
 
-def test_arl_rejects_short_horizon():
-    with pytest.raises(ValueError):
-        estimate_arl(calibrate(PAIR, 100.0), PAIR, 100, 500, seed=0)
+def test_arl_rejects_short_horizon(monkeypatch):
+    # horizon 50 at eta 100 censors 1,206 of 2,000 runs; dropping them read
+    # an ARL of 23.7 and a ceiling 4.2 times p1, with no error on any path
+    det = calibrate(PAIR, 100.0)
+    sample = simulate_run_lengths(det, PAIR, 2000, 50, seed=1)
+    assert (sample.censored, sample.horizon) == (1206, 50)
+    message = "^1206 of 2000 runs were censored at horizon 50,"
+    for estimate in (
+        sample.arl,
+        lambda: sample.ceiling(1),
+        lambda: estimate_optimality_ceiling(det, PAIR, 1, 2000, 50, 1),
+        lambda: estimate_optimality_ceiling(det, PAIR, 1, 2000, 10**6, 1, sample=sample),
+    ):
+        with pytest.raises(ValueError, match=message):
+            estimate()
+    # evaluate_criteria sizes its own horizon, so it is handed this sample
+    monkeypatch.setattr(metrics, "simulate_run_lengths", lambda *args: sample)
+    with pytest.raises(ValueError, match=message):
+        evaluate_criteria(det, PAIR, make_schedule(40, 4, 1), n_trials=2000, seed=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 22, 23, 100, 2000, 22_026, 100_000, 10**6])
+def test_censoring_guard_tail_is_the_exact_binomial_tail(n):
+    # P(Binomial(n, e^-10) >= c): to 1e-9 relative wherever it exceeds 1e-12,
+    # and on scipy's side of the guard's level 1e-3 everywhere
+    from scipy import stats as scipy_stats
+
+    q = math.exp(-10)
+    for c in sorted({1, 2, 3, 5, 8, 13, 21, 34, 45, 55, 70, 89, 144, 1206, n // 2, n}):
+        if c > n:
+            continue
+        tail = metrics._censoring_tail(c, n)
+        exact = float(scipy_stats.binom.sf(c - 1, n, q))
+        if exact > 1e-12:
+            assert tail == pytest.approx(exact, rel=1e-9, abs=0.0), (c, n)
+        assert (tail < 1e-3) == (exact < 1e-3), (c, n, tail, exact)
 
 
 def test_run_lengths_censoring_is_reported():
@@ -282,10 +314,10 @@ def test_initial_stop_scales_run_length_and_not_the_bound():
     # 1/3 brings the overall mean back to 100 without moving the bound ratio
     slack = calibrate(PAIR, 150.0)
     equalized = dataclasses.replace(slack, initial_stop_prob=1.0 / 3.0)
-    est = estimate_arl(equalized, PAIR, 40_000, 3000, seed=5)
+    est = simulate_run_lengths(equalized, PAIR, 40_000, 3000, seed=5).arl()
     assert abs(est.value - 100.0) <= 4 * est.std_error
-    b_plain = estimate_optimality_ceiling(slack, PAIR, 1, 40_000, 3000, seed=6)
-    b_equal = estimate_optimality_ceiling(equalized, PAIR, 1, 40_000, 3000, seed=7)
+    b_plain = simulate_run_lengths(slack, PAIR, 40_000, 3000, seed=6).ceiling(1)
+    b_equal = simulate_run_lengths(equalized, PAIR, 40_000, 3000, seed=7).ceiling(1)
     tol = 3 * math.hypot(b_plain.std_error, b_equal.std_error)
     assert abs(b_plain.value - b_equal.value) <= tol
 
@@ -547,19 +579,19 @@ def test_min_survivors_below_one_is_rejected(estimator):
 
 
 def test_bound_for_always_stop_is_s():
-    est = estimate_optimality_ceiling(AlwaysStopRule(), PAIR, 4, 50_000, 10, seed=14)
+    est = simulate_run_lengths(AlwaysStopRule(), PAIR, 50_000, 10, seed=14).ceiling(4)
     # tau = 1 exactly and E0[l] = 1, so the ceiling is s
     assert abs(est.value - 4.0) <= 3 * est.std_error
 
 
 def test_bound_for_fixed_time_is_s_over_k():
-    est = estimate_optimality_ceiling(FixedTimeRule(5), PAIR, 3, 50_000, 100, seed=15)
+    est = simulate_run_lengths(FixedTimeRule(5), PAIR, 50_000, 100, seed=15).ceiling(3)
     assert abs(est.value - 3.0 / 5.0) <= 3 * est.std_error
 
 
 def test_bound_for_calibrated_detector_equals_detection_prob():
     det = calibrate(PAIR, 100.0)
-    est = estimate_optimality_ceiling(det, PAIR, 1, 60_000, 2000, seed=16)
+    est = simulate_run_lengths(det, PAIR, 60_000, 2000, seed=16).ceiling(1)
     assert abs(est.value - detect_prob(1.0, 100.0)) <= 3 * est.std_error
 
 
@@ -600,9 +632,9 @@ def test_threshold_sequence_estimates_match_its_exact_laws():
     _, mean_tau = rule.exact_f0_means()
     sample = simulate_run_lengths(rule, PAIR, 20_000, 2000, seed=64)
     assert sample.censored == 0
-    arl = estimate_arl(rule, PAIR, sample.n, 2000, seed=64, sample=sample)
+    arl = sample.arl()
     assert abs(arl.value - mean_tau) <= 4 * arl.std_error
-    est = estimate_optimality_ceiling(rule, PAIR, 3, sample.n, 2000, seed=64, sample=sample)
+    est = sample.ceiling(3)
     assert abs(est.value - rule.exact_ceiling(3)) <= 4 * est.std_error
 
 
@@ -626,7 +658,7 @@ def test_no_criterion_3_rule_beats_the_shewhart_ceiling_at_its_budget():
     z = norm_upper_quantile(1e-3 / len(rules))
     for rule, horizon in rules:
         sample = simulate_run_lengths(rule, PAIR, 40_000, horizon, seed=65)
-        ceiling = estimate_optimality_ceiling(rule, PAIR, 1, sample.n, horizon, 65, sample=sample)
+        ceiling = sample.ceiling(1)
         mean_lr, eta_hat, var_lr, var_tau, cov = sample.moments
         budget = shewhart_detection_at_budget(eta_hat)
         slope = -calibrate(PAIR, eta_hat).alpha / eta_hat**2
@@ -649,9 +681,7 @@ def test_bound_dominates_pollak_for_a_quick_battery():
         sched = ChangeSchedule(onsets=onsets, duration=1, horizon=onsets[-1])
         for name, rule in rules.items():
             pollak = estimate_pollak(rule, PAIR, sched, 20_000, seed=17)
-            bound = estimate_optimality_ceiling(
-                rule, PAIR, s, 20_000, horizons[name], seed=18
-            )
+            bound = simulate_run_lengths(rule, PAIR, 20_000, horizons[name], seed=18).ceiling(s)
             slack = 3 * math.hypot(pollak.std_error, bound.std_error)
             assert pollak.value <= bound.value + slack, (name, s)
 
@@ -665,7 +695,7 @@ def _run_length_samples():
     for n in (0, 1, 2, 3, 5, 17, 256, 1001, *rng.integers(4, 3000, 40)):
         taus = rng.integers(0, 40, n).astype(float)
         lrs = np.where(taus > 0, np.exp(rng.normal(0.0, 2.0, n)), 0.0)
-        samples.append(metrics.RunLengthSample(taus, lrs, censored=int(rng.integers(0, 3))))
+        samples.append(metrics.RunLengthSample(taus, lrs, int(rng.integers(0, 3)), horizon=40))
     rules = (
         (calibrate(PAIR, 20.0, initial_stop_prob=0.2), 15),
         (BernoulliStopRule(0.3), 6),
@@ -678,9 +708,24 @@ def _run_length_samples():
     return samples
 
 
+def _refused(sample) -> bool:
+    """Whether the censoring guard should refuse ``sample``: its censored
+    count is in the upper 1e-3 tail of Binomial(runs, e^-10) (scipy's)."""
+    from scipy import stats as scipy_stats
+
+    runs, q = sample.n + sample.censored, math.exp(-10)
+    return sample.censored > 0 and scipy_stats.binom.sf(sample.censored - 1, runs, q) < 1e-3
+
+
 def test_moments_match_the_numpy_reductions_bit_for_bit():
+    refused = []
     for sample in _run_length_samples():
         assert sample.moments is sample.moments  # taken once per sample
+        refused.append(_refused(sample))
+        if refused[-1]:
+            for estimate in (sample.arl, lambda: sample.ceiling(1)):
+                with pytest.raises(ValueError, match=f"censored at horizon {sample.horizon},"):
+                    estimate()
         mean_lr, mean_tau, var_lr, var_tau, cov = sample.moments
         if sample.n == 0:
             assert all(math.isnan(v) for v in sample.moments)
@@ -693,24 +738,32 @@ def test_moments_match_the_numpy_reductions_bit_for_bit():
         assert var_lr == float(sample.lrs.var(ddof=1))
         assert var_tau == float(sample.taus.var(ddof=1))
         assert cov == float(np.cov(sample.lrs, sample.taus, ddof=1)[0, 1])
-        arl = estimate_arl(None, PAIR, sample.n, 1, seed=0, sample=sample)
-        se = float(sample.taus.std(ddof=1) / math.sqrt(sample.n))
-        assert arl == (float(sample.taus.mean()), se)
+        if not refused[-1]:
+            se = float(sample.taus.std(ddof=1) / math.sqrt(sample.n))
+            assert sample.arl() == (float(sample.taus.mean()), se)
+    # both sides are taken: hand-built samples of a few thousand runs pass
+    # with a censored run or two, and short simulated horizons are refused
+    assert any(refused) and not all(refused)
 
 
 def test_empty_and_one_run_samples_keep_their_estimates():
-    fixed = FixedTimeRule(5)
-    empty = simulate_run_lengths(fixed, PAIR, 3, 4, seed=0)
-    arl = estimate_arl(fixed, PAIR, 3, 4, seed=0, sample=empty)
-    assert math.isnan(arl.value) and math.isnan(arl.std_error) and empty.censored == 3
+    # every run censored: the guard refuses both estimates
+    censored = simulate_run_lengths(FixedTimeRule(5), PAIR, 3, 4, seed=0)
+    assert (censored.n, censored.censored, censored.horizon) == (0, 3, 4)
+    for estimate in (censored.arl, lambda: censored.ceiling(2)):
+        with pytest.raises(ValueError, match="^3 of 3 runs were censored at horizon 4,"):
+            estimate()
+    # no runs at all: the mean is NaN, and the ceiling has no run length
+    empty = metrics.RunLengthSample(np.zeros(0), np.zeros(0), 0, horizon=4)
+    arl = empty.arl()
+    assert math.isnan(arl.value) and math.isnan(arl.std_error)
     with pytest.raises(DegenerateEstimateError):
-        estimate_optimality_ceiling(fixed, PAIR, 2, 3, 4, seed=0, sample=empty)
+        empty.ceiling(2)
     det = calibrate(PAIR, 10.0)
     one = simulate_run_lengths(det, PAIR, 1, 200, seed=0)
     (tau,), (lr,) = one.taus, one.lrs
-    assert estimate_arl(det, PAIR, 1, 200, seed=0, sample=one) == (tau, 0.0)
-    ceiling = estimate_optimality_ceiling(det, PAIR, 3, 1, 200, seed=0, sample=one)
-    assert ceiling == (3 * lr / tau, 0.0)
+    assert one.arl() == (tau, 0.0)
+    assert one.ceiling(3) == (3 * lr / tau, 0.0)
 
 
 def test_ceiling_is_linear_in_s_over_one_sample():
@@ -720,7 +773,7 @@ def test_ceiling_is_linear_in_s_over_one_sample():
     ratio = mean_lr / mean_tau
     rel_se = None
     for s in (1, 3, 10):
-        est = estimate_optimality_ceiling(det, PAIR, s, 2000, 200, seed=32, sample=sample)
+        est = sample.ceiling(s)
         assert est.value == pytest.approx(s * ratio, rel=1e-15, abs=0.0)
         rel_se = rel_se or est.std_error / est.value
         assert est.std_error / est.value == pytest.approx(rel_se, rel=1e-15, abs=0.0)
@@ -734,11 +787,10 @@ def test_criteria_arl_is_estimate_arl_on_the_same_runs():
     for n in (1, 2, 300):
         rep = evaluate_criteria(det, PAIR, sched, n_trials=n, seed=33)
         sample = simulate_run_lengths(det, PAIR, n, horizon, seed=33)
-        arl = estimate_arl(det, PAIR, n, horizon, seed=33, sample=sample)
-        assert rep.arl_to_false_alarm == arl
+        assert rep.arl_to_false_alarm == sample.arl()
         assert rep.arl_censored == sample.censored
-        assert rep.optimality_ceiling == estimate_optimality_ceiling(
-            det, PAIR, sched.s, n, horizon, seed=33, sample=sample
+        assert rep.optimality_ceiling == sample.ceiling(sched.s) == estimate_optimality_ceiling(
+            det, PAIR, sched.s, n, horizon, seed=33
         )
 
 
@@ -747,9 +799,14 @@ def test_ceiling_of_initial_stops_only_is_degenerate():
     det = calibrate(PAIR, 10.0, initial_stop_prob=0.5)
     with pytest.raises(DegenerateEstimateError, match="initial stop"):
         evaluate_criteria(det, PAIR, make_schedule(40, 4, 1), n_trials=1, seed=3)
-    sample = metrics.RunLengthSample(np.zeros(3), np.zeros(3), censored=2)
+    # three initial stops and no censored run: the ratio is 0 / 0
+    sample = metrics.RunLengthSample(np.zeros(3), np.zeros(3), 0, horizon=200)
     with pytest.raises(DegenerateEstimateError, match="initial stop"):
-        estimate_optimality_ceiling(det, PAIR, 4, 5, 200, seed=0, sample=sample)
+        estimate_optimality_ceiling(det, PAIR, 4, 3, 200, seed=0, sample=sample)
+    # two of five runs censored is far past a censoring probability of e^-10
+    sample = metrics.RunLengthSample(np.zeros(3), np.zeros(3), 2, horizon=200)
+    with pytest.raises(ValueError, match="^2 of 5 runs were censored at horizon 200,"):
+        sample.ceiling(4)
 
 
 def test_estimators_reject_an_empty_trial_range():

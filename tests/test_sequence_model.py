@@ -92,6 +92,48 @@ def test_explicit_validation():
     assert sched.affected_times().size == 8
 
 
+@pytest.mark.parametrize(
+    "onsets, duration, horizon, field",
+    [
+        ((4.7,), 1, 10, "onsets"),
+        (("4",), 1, 10, "onsets"),
+        ((True,), 1, 10, "onsets"),
+        ((4, np.float64(6.0)), 1, 10, "onsets"),
+        ((4,), 1.5, 10, "duration"),
+        ((4,), True, 10, "duration"),
+        ((4,), 1, 10.9, "horizon"),
+        ((4,), 1, "10", "horizon"),
+    ],
+)
+def test_schedule_refuses_what_int_would_truncate_or_parse(onsets, duration, horizon, field):
+    # int() would build onsets (4,) from 4.7 and "4", and (1,) from True
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ChangeSchedule(onsets, duration, horizon)
+
+
+def test_schedule_takes_numpy_integers_as_ints():
+    sched = ChangeSchedule((np.int64(4), np.uint8(7)), np.int32(1), np.int64(10))
+    assert sched == ChangeSchedule((4, 7), 1, 10)
+    assert all(type(v) is int for v in (*sched.onsets, sched.duration, sched.horizon))
+    assert json.loads(sched.to_json()) == {"onsets": [4, 7], "duration": 1, "horizon": 10}
+
+
+def test_schedule_from_dict_refuses_non_integers():
+    with pytest.raises(ValueError, match="^onsets must be integers, got 4.7"):
+        ChangeSchedule.from_dict({"onsets": [4.7], "duration": 1, "horizon": 10})
+    with pytest.raises(ValueError, match="^duration must be an integer, got 1.5"):
+        ChangeSchedule.from_dict({"onsets": [4], "duration": 1.5, "horizon": 10})
+    with pytest.raises(ValueError, match="^horizon must be an integer, got 10.9"):
+        ChangeSchedule.from_dict({"onsets": [4], "duration": 1, "horizon": 10.9})
+
+
+def test_make_schedule_checks_the_placement_before_anything_else():
+    # s = 0 returned a schedule for any placement name
+    for s in (0, 2):
+        with pytest.raises(ValueError, match="^placement must be one of .*, got 'bogus'"):
+            make_schedule(10, s, 1, "bogus")
+
+
 def test_generated_placements_check_feasibility():
     with pytest.raises(InfeasibleScheduleError):
         make_schedule(100, 60, 1, "even_grid")

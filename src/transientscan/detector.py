@@ -25,6 +25,7 @@ samples).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, ClassVar, Protocol, runtime_checkable
@@ -262,10 +263,10 @@ def calibrate(
     families solve the equation exactly; when the ratio has an atom
     straddling 1/eta the threshold is placed on the atom and
     ``randomize_boundary`` is set so the per-sample alarm probability is
-    exactly 1/eta anyway.
+    exactly 1/eta anyway.  ``eta`` must be finite.
     """
-    if not eta >= 1.0:
-        raise ValueError(f"eta must be >= 1, got {eta}")
+    if not 1.0 <= eta < math.inf:
+        raise ValueError(f"eta must be >= 1 and finite, got {eta}")
     if eta == 1.0:
         return ShewhartDetector(
             pair=pair, alpha=0.0, eta=1.0, initial_stop_prob=initial_stop_prob
@@ -328,6 +329,9 @@ class FixedTimeRule:
     initial_stop_prob: ClassVar[float] = 0.0
 
     def __post_init__(self):
+        if isinstance(self.stop_at, bool) or not isinstance(self.stop_at, numbers.Integral):
+            raise ValueError(f"stop_at must be an integer, got {self.stop_at!r}")
+        object.__setattr__(self, "stop_at", int(self.stop_at))
         if self.stop_at < 1:
             raise ValueError(f"stop_at must be >= 1, got {self.stop_at}")
 

@@ -34,6 +34,7 @@ from .metrics import (
     STREAM_SCHEDULE,
     CurveRow,
     Mode,
+    _trial_count,
     detect_first_any_curves,
     trial_rng,
 )
@@ -98,11 +99,10 @@ class ExperimentConfig:
             raise ValueError(f"every eta must be >= 1 and finite, got {bad}")
         if self.mu1_grid is not None and not self.mu1_grid:
             raise ValueError("mu1_grid, when given, must be nonempty")
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.n_trials >= 2**63:  # stops and counts are int64, as horizon's times are
-            raise ValueError(f"n_trials must be below 2**63, got {self.n_trials}")
-        # the schedule checks s, T, horizon, the placement and the onsets; only
+        _trial_count(self.n_trials)  # the estimators' own check
+        if self.T < 1:  # the schedule would name it duration
+            raise ValueError(f"T must be >= 1, got {self.T}")
+        # the schedule checks s, horizon, the placement and the onsets; only
         # uniform_random placement draws, so no other placement gets a generator
         uniform = self.placement == "uniform_random"
         rng = trial_rng(self.master_seed, STREAM_SCHEDULE) if uniform else None

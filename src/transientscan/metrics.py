@@ -79,7 +79,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .detector import ShewhartDetector, StoppingRule, calibrate
 from .distributions import DistributionPair
-from .sequence_model import ChangeSchedule
+from .sequence_model import ChangeSchedule, _integer
 
 Mode = Literal["single_shot", "restart"]
 
@@ -115,7 +115,8 @@ _CENSORING_LEVEL = 1e-3
 
 
 class DegenerateEstimateError(RuntimeError):
-    """Too few surviving trials to estimate a conditional probability."""
+    """No run that an estimate needs, as when no run stopped after a sample
+    for :meth:`RunLengthSample.ceiling`; :func:`estimate_pollak` never raises it."""
 
 
 class Estimate(NamedTuple):
@@ -224,17 +225,15 @@ class PollakEstimate(NamedTuple):
     """Sum over onsets of the conditional detection probability.
 
     ``per_onset`` holds the per-onset estimates, ``survivors`` how many
-    trials decided each onset (every trial decides every onset).  When
-    fewer than the configured minimum did, every onset is excluded from the
-    sum and listed in ``degenerate_onsets``.  A tuple, like
-    :class:`Estimate`: ``_replace`` and ``_asdict`` derive from it.
+    trials decided each onset: ``(n_trials,) * s``, kept for the benchmark
+    (``bench/workloads.py``).  A tuple, like :class:`Estimate`:
+    ``_replace`` and ``_asdict`` derive from it.
     """
 
     value: float
     std_error: float
     per_onset: tuple[Estimate, ...]
     survivors: tuple[int, ...]
-    degenerate_onsets: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -315,6 +314,15 @@ def _chunk_ranges(n_trials: int) -> Iterator[tuple[int, int]]:
     """Each chunk's trial bounds ``(lo, hi)``, in order, made as they are taken."""
     for lo in range(0, n_trials, _CHUNK):
         yield lo, min(lo + _CHUNK, n_trials)
+
+
+def _trial_count(n) -> int:
+    """``n_trials`` ``n`` as an int, refused by name unless it counts int64 trials."""
+    if type(n) is not int:  # an int costs this one type test
+        n = _integer(n, "n_trials must be an integer")  # a bool is no count
+    if not 1 <= n < 2**63:
+        raise ValueError(f"n_trials must be {'>= 1' if n < 1 else 'below 2**63'}, got {n}")
+    return n
 
 
 def _binomial_se(p: float, n: int) -> float:
@@ -553,8 +561,7 @@ def _simulate(
     """
     if mode not in get_args(Mode):
         raise ValueError(f"unknown mode {mode!r}")
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    n_trials = _trial_count(n_trials)
     restart = mode == "restart"
     memoryless = getattr(rule, "memoryless", False)
     if restart:
@@ -648,7 +655,6 @@ def estimate_pollak(
     n_trials: int,
     seed,
     *,
-    min_survivors: int = 100,
     on_degenerate: str = "raise",
 ) -> PollakEstimate:
     """Sum over onsets of P(stop exactly at the onset | still running there).
@@ -666,10 +672,11 @@ def estimate_pollak(
     (``AlwaysStopRule`` reads 1 past t = 1); an initial stop draws nothing,
     as it changes no conditional.  The terms are independent, so the sum's
     variance is the sum of theirs, each sum taken in onset order.  Every
-    trial decides every onset (``survivors``), so the onsets are all
-    degenerate exactly when ``n_trials < min_survivors``.  The conditional
-    ``c(t)`` at one time ``t`` is ``estimate_pollak(rule, pair,
-    ChangeSchedule((t,), 1, t), n, seed).per_onset[0]``.
+    trial decides every onset, so the conditional ``c(t)`` at one time
+    ``t`` is ``estimate_pollak(rule, pair, ChangeSchedule((t,), 1, t), n,
+    seed).per_onset[0]`` at any ``n >= 1``.  ``on_degenerate`` (``"raise"``
+    or ``"exclude"``) has no effect, as no onset is ever degenerate; it is
+    kept for the benchmark (``bench/workloads.py``).
 
     The worst case over schedules is not searched: for a memoryless rule
     on unit-duration changes every term is schedule-invariant, so any
@@ -677,23 +684,10 @@ def estimate_pollak(
     """
     if on_degenerate not in ("raise", "exclude"):
         raise ValueError(f"on_degenerate must be 'raise' or 'exclude', got {on_degenerate!r}")
-    if min_survivors < 1:
-        # an onset no trial decides has no conditional detection to estimate
-        raise ValueError(f"min_survivors must be >= 1, got {min_survivors}")
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    n_trials = _trial_count(n_trials)
     s = schedule.s
     if s == 0:
-        return PollakEstimate(0.0, 0.0, (), (), ())
-    if n_trials < min_survivors:
-        if on_degenerate == "raise":
-            raise DegenerateEstimateError(
-                f"onsets {list(schedule.onsets)} were decided by fewer than {min_survivors} "
-                "trials; their conditional detection probability is not estimable "
-                "(pass on_degenerate='exclude' to drop them from the sum)"
-            )
-        nan = Estimate(math.nan, math.nan)
-        return PollakEstimate(0.0, 0.0, (nan,) * s, (n_trials,) * s, schedule.onsets)
+        return PollakEstimate(0.0, 0.0, (), ())
     times = schedule.onset_times
     width = _MAX_BLOCK_SAMPLES // _CHUNK
     reads = getattr(detector, "reads_samples", True)
@@ -728,7 +722,7 @@ def estimate_pollak(
         total += p
         var += se * se
         per_onset.append(new(Estimate, (p, se)))
-    return new(PollakEstimate, (total, math.sqrt(var), tuple(per_onset), (n_trials,) * s, ()))
+    return new(PollakEstimate, (total, math.sqrt(var), tuple(per_onset), (n_trials,) * s))
 
 
 def evaluate_criteria(
@@ -764,6 +758,7 @@ def evaluate_criteria(
             f"evaluate_criteria pools its onsets, which is exact only for a memoryless "
             f"rule; {detector!r} is not memoryless (estimate_pollak sums any rule's terms)"
         )
+    n_trials = _trial_count(n_trials)  # its shares are Python floats
     eta = getattr(detector, "eta", math.nan)  # a rule with no run-length budget has none
     if not math.isfinite(20 * eta):
         raise ValueError(f"eta must be finite (20 * eta too) to size the run horizon, got {eta}")

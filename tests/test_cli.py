@@ -539,6 +539,9 @@ def test_experiment_rejects_a_non_integer_count(tmp_path, capsys, key, value):
         pytest.param("horizon", 10**400, "horizon", id="horizon-10**400"),
         pytest.param("n_trials", 10**400, "n_trials", id="n_trials-10**400"),
         pytest.param("n_trials", 2**63, "n_trials", id="n_trials-2**63"),
+        # the schedule would name T its duration
+        pytest.param("T", 0, "T", id="T-0"),
+        pytest.param("T", -3, "T", id="T--3"),
     ],
 )
 def test_experiment_names_the_key_of_a_config_it_cannot_hold(

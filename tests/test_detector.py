@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 import struct
 import warnings
 
@@ -103,6 +104,14 @@ def test_detector_rejects_nan_thresholds(alpha, eta):
 def test_calibrate_rejects_nan_eta():
     with pytest.raises(ValueError, match="eta must be >= 1"):
         calibrate(PAIR, math.nan)
+
+
+@pytest.mark.parametrize("eta", [math.inf, 1e400, -math.inf, 0.5])
+def test_calibrate_names_an_eta_it_cannot_solve_for(eta):
+    # an infinite eta reached the quantile as p = 0 and named p, an argument
+    # the caller never passed
+    with pytest.raises(ValueError, match=rf"^eta must be >= 1 and finite, got {eta}$"):
+        calibrate(PAIR, eta)
 
 
 def test_infinite_threshold_is_valid():
@@ -521,8 +530,18 @@ def test_fixed_time_rule():
     mask = rule.alarm_mask(np.arange(1, 8), np.zeros(7), np.random.default_rng(0))
     assert mask.tolist() == [False, False, True, False, False, False, False]
     assert not rule.memoryless
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^stop_at must be >= 1, got 0$"):
         FixedTimeRule(stop_at=0)
+    # numpy's integers are stored as int
+    for stop_at in (np.int64(3), np.uint8(3)):
+        assert type(FixedTimeRule(stop_at).stop_at) is int and FixedTimeRule(stop_at) == rule
+
+
+@pytest.mark.parametrize("stop_at", [2.5, 3.0, True, "3", None, np.float64(3.0)])
+def test_fixed_time_rule_refuses_a_stop_time_that_is_not_an_integer(stop_at):
+    # 2.5 never alarmed, True stopped at 1 and "3" failed its comparison
+    with pytest.raises(ValueError, match=rf"^stop_at must be an integer, got {re.escape(repr(stop_at))}$"):
+        FixedTimeRule(stop_at)
 
 
 def test_bernoulli_rule():

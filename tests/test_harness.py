@@ -155,6 +155,14 @@ def test_config_accepts_the_schedules_make_schedule_accepts():
         tiny_config(s=0, placement="bogus")
 
 
+@pytest.mark.parametrize("T", [0, -3])
+def test_config_names_a_bad_T_before_building_its_schedule(T):
+    # the schedule calls T its duration, a name the config never uses
+    for placement in ("even_grid", "uniform_random"):
+        with pytest.raises(ValueError, match=rf"^T must be >= 1, got {T}$"):
+            tiny_config(T=T, placement=placement)
+
+
 def test_a_trial_count_past_int64_is_refused_by_the_config():
     # the config is refused as it is built, before any chunk is made;
     # the largest int64 count is a config (never run here)

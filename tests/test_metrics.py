@@ -385,7 +385,7 @@ def test_pollak_sums_equal_terms():
     expected = 3.0 * detect_prob(1.0, 100.0)
     assert abs(est.value - expected) <= 3 * est.std_error
     assert len(est.per_onset) == 3
-    assert est.degenerate_onsets == ()
+    assert est.survivors == (60_000,) * 3
     # memoryless rule: every term estimates the same probability
     for term in est.per_onset:
         assert abs(term.value - detect_prob(1.0, 100.0)) <= 4 * term.std_error
@@ -435,26 +435,24 @@ def test_pollak_schedule_invariance_for_memoryless_rules():
 def test_pollak_degenerate_onset_policy():
     det = calibrate(PAIR, 5.0)
     # survival to an onset at 200 under a per-sample alarm rate of 0.2 is
-    # ~e^-40, but every trial decides every onset: no onset is degenerate
+    # ~e^-40, but every trial decides every onset, so no onset lacks trials
     sched = ChangeSchedule(onsets=(3, 200), duration=1, horizon=200)
     est = estimate_pollak(det, PAIR, sched, 2000, seed=13)
-    assert est.degenerate_onsets == () and est.survivors == (2000, 2000)
+    assert est.survivors == (2000, 2000)
     assert abs(est.value - 2 * detect_prob(1.0, 5.0)) <= 4 * est.std_error
-    # fewer trials than the floor leave every onset degenerate
-    message = (
-        "onsets [3, 200] were decided by fewer than 100 trials; their conditional "
-        "detection probability is not estimable (pass on_degenerate='exclude' to "
-        "drop them from the sum)"
-    )
-    with pytest.raises(DegenerateEstimateError) as error:
-        estimate_pollak(det, PAIR, sched, 99, seed=13)
-    assert str(error.value) == message
-    est = estimate_pollak(det, PAIR, sched, 99, seed=13, on_degenerate="exclude")
-    assert est.degenerate_onsets == (3, 200) and est.survivors == (99, 99)
-    assert (est.value, est.std_error) == (0.0, 0.0)
-    assert all(math.isnan(v) for term in est.per_onset for v in term)
-    floor = estimate_pollak(det, PAIR, sched, 7, seed=13, min_survivors=7)
-    assert floor.degenerate_onsets == () and floor.survivors == (7, 7)
+    # a few trials give finite terms, and the policy changes nothing
+    for n in (99, 7):
+        est = estimate_pollak(det, PAIR, sched, n, seed=13)
+        assert est.survivors == (n, n)
+        assert all(math.isfinite(v) for term in est.per_onset for v in term)
+        assert estimate_pollak(det, PAIR, sched, n, seed=13, on_degenerate="exclude") == est
+    # README's recipe for c(t) at one time t holds at 50 trials
+    term = estimate_pollak(calibrate(PAIR, 10.0), PAIR, ChangeSchedule((5,), 1, 5), 50, seed=1)
+    assert math.isfinite(term.per_onset[0].value) and term.survivors == (50,)
+    # every count below the old floor of 100 is the onset loop's, to the last bit
+    for n in range(1, 100):
+        got = estimate_pollak(det, PAIR, sched, n, seed=n)
+        assert repr(tuple(got)) == repr(pollak_loop(direct_hits(det, PAIR, sched, n, seed=n), n))
 
 
 def pollak_loop(hits, n):
@@ -466,7 +464,7 @@ def pollak_loop(hits, n):
         per_onset.append(Estimate(p, se))
         total += p
         var += se * se
-    return total, math.sqrt(var), tuple(per_onset), (n,) * len(hits), ()
+    return total, math.sqrt(var), tuple(per_onset), (n,) * len(hits)
 
 
 def direct_hits(rule, pair, sched, n_trials, seed):
@@ -516,9 +514,8 @@ def test_direct_terms_match_the_onset_loop(monkeypatch):
         sched = ChangeSchedule(tuple(range(2, 2 * s + 1, 2)), 1, 2 * s)
         rule = rules[k % len(rules)]
         hits = direct_hits(rule, PAIR, sched, n, seed=k)
-        est = estimate_pollak(rule, PAIR, sched, n, seed=k, min_survivors=1)
-        got = (est.value, est.std_error, est.per_onset, est.survivors, est.degenerate_onsets)
-        assert repr(got) == repr(pollak_loop(hits, n))
+        est = estimate_pollak(rule, PAIR, sched, n, seed=k)
+        assert repr(tuple(est)) == repr(pollak_loop(hits, n))
         assert all(type(t) is Estimate for t in est.per_onset)
     # a full chunk of 512 columns draws the most a block may hold
     assert max(sizes) == metrics._MAX_BLOCK_SAMPLES
@@ -527,32 +524,28 @@ def test_direct_terms_match_the_onset_loop(monkeypatch):
 def test_pollak_estimate_keeps_its_public_behaviour():
     # a NamedTuple like Estimate: its fields, order, equality, hash, pickle
     # and repr are those it had as a frozen dataclass
-    assert PollakEstimate._fields == (
-        "value", "std_error", "per_onset", "survivors", "degenerate_onsets"
-    )
-    est = PollakEstimate(0.75, 0.125, (Estimate(0.5, 0.0625),), (200,), ())
-    same = PollakEstimate(0.75, 0.125, (Estimate(0.5, 0.0625),), (200,), ())
+    assert PollakEstimate._fields == ("value", "std_error", "per_onset", "survivors")
+    est = PollakEstimate(0.75, 0.125, (Estimate(0.5, 0.0625),), (200,))
+    same = PollakEstimate(0.75, 0.125, (Estimate(0.5, 0.0625),), (200,))
     assert est == same and hash(est) == hash(same)
     assert est != est._replace(value=0.5)
     assert pickle.loads(pickle.dumps(est)) == est
     terms = (Estimate(0.5, 0.0625), Estimate(0.25, math.nan))
-    assert repr(PollakEstimate(0.75, 0.125, terms, (200, 200), (4,))) == (
+    assert repr(PollakEstimate(0.75, 0.125, terms, (200, 200))) == (
         "PollakEstimate(value=0.75, std_error=0.125, per_onset=(Estimate(value=0.5, "
-        "std_error=0.0625), Estimate(value=0.25, std_error=nan)), survivors=(200, 200), "
-        "degenerate_onsets=(4,))"
+        "std_error=0.0625), Estimate(value=0.25, std_error=nan)), survivors=(200, 200))"
     )
-    # every return path: no onsets, the excluded degenerate onsets, the terms
+    # both return paths: no onsets, and the terms at any trial count
     det = calibrate(PAIR, 10.0)
     sched = ChangeSchedule(onsets=(3, 200), duration=1, horizon=200)
     paths = (
         estimate_pollak(det, PAIR, make_schedule(40, 0, 1), 10, seed=1),
-        estimate_pollak(det, PAIR, sched, 10, seed=1, on_degenerate="exclude"),
+        estimate_pollak(det, PAIR, sched, 10, seed=1),
         estimate_pollak(det, PAIR, sched, 300, seed=1),
     )
     for got in paths:
         assert type(got) is PollakEstimate
         assert all(type(term) is Estimate for term in got.per_onset)
-    assert [got.degenerate_onsets for got in paths] == [(), (3, 200), ()]
     assert [got.survivors for got in paths] == [(), (10, 10), (300, 300)]
 
 
@@ -563,15 +556,6 @@ def test_unknown_degenerate_policy_is_rejected(estimator, policy):
     sched = ChangeSchedule(onsets=(3, 200), duration=1, horizon=200)
     with pytest.raises(ValueError, match="on_degenerate"):
         estimate_pollak(det, PAIR, sched, 300, seed=13, on_degenerate=policy)
-
-
-@pytest.mark.parametrize("estimator", ["pollak"])
-def test_min_survivors_below_one_is_rejected(estimator):
-    # an onset that no trial decides would divide zero hits by zero trials
-    det = calibrate(PAIR, 5.0)
-    sched = ChangeSchedule(onsets=(3, 200), duration=1, horizon=200)
-    with pytest.raises(ValueError, match="min_survivors"):
-        estimate_pollak(det, PAIR, sched, 300, seed=13, min_survivors=0)
 
 
 # ---------------------------------------------------------------------------
@@ -821,6 +805,56 @@ def test_estimators_reject_an_empty_trial_range():
             call()
 
 
+def _estimator_call(name, n_trials):
+    det = calibrate(PAIR, 10.0)
+    sched = make_schedule(40, 4, 1)
+    if name == "simulate_run_lengths":
+        return simulate_run_lengths(det, PAIR, n_trials, 200, seed=1)
+    if name == "estimate_pollak":
+        return estimate_pollak(det, PAIR, sched, n_trials, seed=1)
+    return evaluate_criteria(det, PAIR, sched, n_trials=n_trials, seed=1)
+
+
+ESTIMATORS = ["simulate_run_lengths", "estimate_pollak", "evaluate_criteria"]
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize(
+    "n_trials, match",
+    [
+        # a float reached range() with an unnamed TypeError, True ran one
+        # trial, and 2**63 grew the chunk list without bound
+        pytest.param(2.5, r"an integer, got 2\.5$", id="2.5"),
+        pytest.param(300.0, r"an integer, got 300\.0$", id="300.0"),
+        pytest.param(np.float64(300), r"an integer, got np\.float64\(300\.0\)$", id="np.float64"),
+        pytest.param(True, r"an integer, got True$", id="True"),
+        pytest.param("300", r"an integer, got '300'$", id="str"),
+        pytest.param(np.int64(0), r">= 1, got 0$", id="np.int64(0)"),
+        pytest.param(2**63, r"below 2\*\*63, got 9223372036854775808$", id="2**63"),
+        pytest.param(np.uint64(2**63), r"below 2\*\*63, got 9223372036854775808$", id="np.uint64"),
+        pytest.param(10**400, r"below 2\*\*63, got 1000", id="10**400"),
+    ],
+)
+def test_estimators_refuse_a_trial_count_before_drawing(
+    monkeypatch, drawn, estimator, n_trials, match
+):
+    generators = []
+    monkeypatch.setattr(metrics, "trial_rng", lambda *key: generators.append(key))
+    with pytest.raises(ValueError, match="^n_trials must be " + match):
+        _estimator_call(estimator, n_trials)
+    assert drawn == [] and generators == []
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_estimators_take_a_numpy_trial_count_as_an_int(estimator):
+    # np.int64(300) made every Pollak term an np.float64
+    got, expected = (_estimator_call(estimator, n) for n in (np.int64(300), 300))
+    assert repr(got) == repr(expected)
+    if estimator == "estimate_pollak":
+        assert all(type(v) is float for term in got.per_onset for v in term)
+        assert got.survivors == (300,) * 4 and type(got.survivors[0]) is int
+
+
 @pytest.mark.parametrize("s", [0, 4])
 @pytest.mark.parametrize(
     "kwargs, match",
@@ -877,7 +911,7 @@ class IntVerdictRule:
 
 def test_pollak_rejects_verdicts_that_are_not_bool():
     with pytest.raises(TypeError, match=r"IntVerdictRule\(\)\.alarm_mask returned int64"):
-        estimate_pollak(IntVerdictRule(), PAIR, make_schedule(40, 4, 1), 10, seed=1, min_survivors=1)
+        estimate_pollak(IntVerdictRule(), PAIR, make_schedule(40, 4, 1), 10, seed=1)
 
 
 def test_criteria_reject_an_infinite_eta_by_name():
@@ -1077,7 +1111,7 @@ def test_rules_that_read_no_sample_draw_no_sample_for_their_terms(drawn):
     for rule in (AlwaysStopRule(), FixedTimeRule(4), BernoulliStopRule(0.3)):
         for sched in CRITERION_3_SCHEDULES:
             drawn.clear()
-            estimate_pollak(rule, PAIR, sched, 300, seed=5, min_survivors=1)
+            estimate_pollak(rule, PAIR, sched, 300, seed=5)
             assert drawn == []
             stop, _ = _simulate(rule, PAIR, sched, "single_shot", 300, 5, STREAM_MONITOR)
             assert sum(drawn) == np.count_nonzero(stop != -1)
@@ -1323,7 +1357,7 @@ def test_pollak_worst_case_for_time_dependent_rules():
     # no run of a rule that stops at 4 reaches the onset at 5, but the term
     # is still c1(5) = 0; the history check has no run to condition on
     early = estimate_pollak(FixedTimeRule(4), PAIR, sched, 2000, seed=35)
-    assert early.value == 0.0 and early.degenerate_onsets == ()
+    assert early.value == 0.0 and early.survivors == (2000,)
     with pytest.raises(DegenerateEstimateError):
         history_independence_pvalue(FixedTimeRule(4), PAIR, sched, 1, 2000, seed=35)
 
@@ -1335,7 +1369,7 @@ def test_pollak_is_exact_for_a_time_dependent_rule():
     rule = AlternatingThresholdRule(even=2.0, odd=3.0)
     sched = ChangeSchedule(onsets=tuple(range(4, 81, 4)), duration=1, horizon=80)
     est = estimate_pollak(rule, PAIR, sched, 20_000, seed=1)
-    assert not est.degenerate_onsets
+    assert est.survivors == (20_000,) * 20
     assert abs(est.value - 20 * norm_upper_tail(1.0)) <= Z_CHECK * est.std_error
 
 
@@ -1453,7 +1487,7 @@ def test_always_and_fixed_time_rules_meet_their_closed_forms_exactly():
         else:
             assert f0.taus.size == 0 and f0.censored == n
         for sched in CRITERION_3_SCHEDULES:
-            est = estimate_pollak(rule, PAIR, sched, n, seed=502, min_survivors=1)
+            est = estimate_pollak(rule, PAIR, sched, n, seed=502)
             terms = [(float(always or t == k), 0.0) for t in sched.onsets]
             assert [tuple(term) for term in est.per_onset] == terms
             assert (est.value, est.std_error) == (float(sum(p for p, _ in terms)), 0.0)
@@ -1515,7 +1549,7 @@ def _pollak_line(label, est) -> str:
     terms = [v for term in est.per_onset for v in term]
     return (
         f"pollak {label} {_hexes((est.value, est.std_error))} "
-        f"{_hexes(terms)} {est.survivors} {est.degenerate_onsets}"
+        f"{_hexes(terms)} {est.survivors}"
     )
 
 
@@ -1532,7 +1566,7 @@ def single_shot_and_f0_digest() -> str:
             for sched in CRITERION_3_SCHEDULES:
                 stop, _ = _simulate(rule, PAIR, sched, "single_shot", n, 304 + n, STREAM_MONITOR)
                 lines.append(f"single_shot {r} {n} {sched.s} {stop.tolist()}")
-                est = estimate_pollak(rule, PAIR, sched, n, seed=304 + n, min_survivors=1)
+                est = estimate_pollak(rule, PAIR, sched, n, seed=304 + n)
                 lines.append(_pollak_line(f"{r} {n} {sched.s}", est))
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
@@ -1542,7 +1576,7 @@ def single_shot_and_f0_digest() -> str:
 #: kernel numpy dispatches for its real ``exp``.  The rules that read no
 #: sample draw none for their verdicts, only their stopping samples once
 #: stopped, so their streams differ from those of the rules that do
-SINGLE_SHOT_AND_F0_SHA256 = "f76eae0f82585a9b46f3d37f8761484cba091d16e7dc251048fc919b6f42c240"
+SINGLE_SHOT_AND_F0_SHA256 = "ed85c2355c9d39e867dbb2de4fc178302317348a063b8ebe0ee34c1713d13048"
 
 
 def test_single_shot_and_f0_outputs_are_pinned():
@@ -1567,13 +1601,13 @@ def initial_stop_digest() -> str:
             for mode in ("single_shot", "restart"):
                 stop, _ = _simulate(rule, PAIR, sched, mode, n, 314 + n, STREAM_MONITOR)
                 lines.append(f"{mode} {n} {sched.s} {stop.tolist()}")
-            est = estimate_pollak(rule, PAIR, sched, n, seed=314 + n, min_survivors=1)
+            est = estimate_pollak(rule, PAIR, sched, n, seed=314 + n)
             lines.append(_pollak_line(f"{n} {sched.s}", est))
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 #: :func:`initial_stop_digest`, one value on every host, as above
-INITIAL_STOP_SHA256 = "328e5f5af968b5a834de483ae12463ad83d8d63c363afc32044fcd6a861e30cb"
+INITIAL_STOP_SHA256 = "35bc6b9fd148564c3377ee82da6991cbb55bf9ceeabfde70d3f7a26cc5b1fc7e"
 
 
 def test_initial_stop_outputs_are_pinned():

@@ -16,7 +16,7 @@ from pathlib import Path
 # the harness are imported by the commands that use them
 from . import __version__, preset_names
 from .detector import ShewhartDetector, calibrate
-from .distributions import GaussianMeanShift
+from .distributions import GaussianMeanShift, _count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -170,9 +170,7 @@ def cmd_simulate(args) -> int:
             onsets = tuple(int(v) for v in args.onsets.split(","))
         except ValueError:
             raise ValueError(f"--onsets must list integers, got {args.onsets!r}") from None
-    if args.seed < 0:
-        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-    rng = trial_rng(args.seed)
+    rng = trial_rng(_count(args.seed, "--seed"))
     schedule = make_schedule(
         args.horizon, args.s, args.T, args.placement, rng=rng, onsets=onsets
     )

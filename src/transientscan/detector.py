@@ -25,12 +25,11 @@ samples).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, ClassVar, Protocol, runtime_checkable
 
-from .distributions import DistributionPair, Which, _check_which
+from .distributions import DistributionPair, Which, _check_which, _count, _real
 
 if TYPE_CHECKING:  # numpy loads only in the array paths, so detect and calibrate run without it
     import numpy as np
@@ -132,6 +131,10 @@ class ShewhartDetector:
     memoryless: ClassVar[bool] = True
 
     def __post_init__(self):
+        for name in ("alpha", "eta", "initial_stop_prob"):
+            _real(getattr(self, name), name)
+        if self.randomize_boundary is not None:
+            _real(self.randomize_boundary, "randomize_boundary")
         # written so that NaN fails; eta = inf (a threshold with zero F0 tail) passes
         if not self.eta >= 1.0:
             raise ValueError(f"eta must be >= 1, got {self.eta}")
@@ -265,6 +268,7 @@ def calibrate(
     ``randomize_boundary`` is set so the per-sample alarm probability is
     exactly 1/eta anyway.  ``eta`` must be finite.
     """
+    _real(eta, "eta")
     if not 1.0 <= eta < math.inf:
         raise ValueError(f"eta must be >= 1 and finite, got {eta}")
     if eta == 1.0:
@@ -329,11 +333,7 @@ class FixedTimeRule:
     initial_stop_prob: ClassVar[float] = 0.0
 
     def __post_init__(self):
-        if isinstance(self.stop_at, bool) or not isinstance(self.stop_at, numbers.Integral):
-            raise ValueError(f"stop_at must be an integer, got {self.stop_at!r}")
-        object.__setattr__(self, "stop_at", int(self.stop_at))
-        if self.stop_at < 1:
-            raise ValueError(f"stop_at must be >= 1, got {self.stop_at}")
+        object.__setattr__(self, "stop_at", _count(self.stop_at, "stop_at", 1))
 
     def alarm_mask(self, times, x, rng) -> np.ndarray:
         import numpy as np
@@ -357,6 +357,7 @@ class BernoulliStopRule:
     initial_stop_prob: ClassVar[float] = 0.0
 
     def __post_init__(self):
+        _real(self.stop_prob, "stop_prob")
         if not 0.0 < self.stop_prob <= 1.0:
             raise ValueError(f"stop_prob must be in (0, 1], got {self.stop_prob}")
 

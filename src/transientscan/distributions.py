@@ -23,6 +23,7 @@ form.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, fields
@@ -78,6 +79,27 @@ _RANK_BELOW, _RANK_ABOVE = _float_rank(-math.inf) - 1, _float_rank(math.inf) + 1
 def _check_which(which: str) -> None:
     if which not in ("nominal", "alternative"):
         raise ValueError(f"which must be 'nominal' or 'alternative', got {which!r}")
+
+
+def _count(value, name: str, low: int = 0) -> int:
+    """The library's one count check: ``value`` as an int in ``[low, 2**63)``
+    (times and counts are int64), refused by ``name`` otherwise.  Any
+    integer, numpy's included, is taken; a bool, float or string, which
+    ``int()`` would truncate or parse, is not."""
+    if type(value) is not int:  # an int costs this one type test
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if not low <= value < 2**63:
+        floor = "nonnegative" if low == 0 else f">= {low}"
+        raise ValueError(f"{name} must be {floor if value < low else 'below 2**63'}, got {value}")
+    return value
+
+
+def _real(value, name: str) -> None:
+    """Refuse by ``name`` a ``value`` that is no real number: a bool, a string, None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 class DistributionPair(ABC):
@@ -191,6 +213,8 @@ class GaussianMeanShift(DistributionPair):
     kind: ClassVar[str] = "gaussian_mean_shift"
 
     def __post_init__(self):
+        for name in ("mean0", "mean1", "sigma"):  # before _llr_constants computes with them
+            _real(getattr(self, name), name)
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         shift, mid, s2 = self._llr_constants
@@ -372,9 +396,7 @@ def pair_from_config(config: dict) -> DistributionPair:
             f"unknown distribution kind {kind!r}; known: {sorted(PAIR_KINDS)}"
         ) from None
     kwargs = {k: v for k, v in config.items() if k != "kind"}
-    for key, value in kwargs.items():
+    for key in kwargs:
         if key not in {f.name for f in fields(cls)}:
             raise ValueError(f"unknown {kind} config key {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):  # JSON's "0", true
-            raise ValueError(f"{key} must be a number, got {value!r}")
-    return cls(**kwargs)
+    return cls(**kwargs)  # the pair checks its values, JSON's "0" and true included

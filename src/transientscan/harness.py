@@ -28,13 +28,12 @@ from typing import get_args
 import numpy as np
 
 from . import _PRESET_DIR, __version__, preset_names
-from .distributions import DistributionPair, pair_from_config
+from .distributions import DistributionPair, _count, pair_from_config
 from .metrics import (
     CSV_COLUMNS,
     STREAM_SCHEDULE,
     CurveRow,
     Mode,
-    _trial_count,
     detect_first_any_curves,
     trial_rng,
 )
@@ -43,20 +42,15 @@ from .sequence_model import ChangeSchedule, make_schedule
 SCHEMA_VERSION = 1
 
 _MODES = get_args(Mode)
-#: keys whose values must be integers (the schedule checks the onsets)
-_INT_KEYS = ("horizon", "s", "T", "n_trials", "master_seed")
-
-
-def _is_int(value) -> bool:
-    # JSON's 100.0 and "3" are not counts, and neither is true
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _grid(data: dict, key: str) -> tuple[float, ...]:
     # a list of ints and floats: float() takes JSON's "10" and true, which
     # are neither budgets nor means, and overflows on an int past the floats
     grid = data[key]
-    if isinstance(grid, (list, tuple)) and all(_is_int(v) or isinstance(v, float) for v in grid):
+    if isinstance(grid, (list, tuple)) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in grid
+    ):
         with suppress(OverflowError):
             return tuple(map(float, grid))
     raise ValueError(f"{key} must hold numbers in the float range, got {grid!r}")
@@ -84,11 +78,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"unsupported schema_version {self.schema_version}; expected {SCHEMA_VERSION}"
             )
-        for key in _INT_KEYS:
-            if not _is_int(getattr(self, key)):
-                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
+        # each count's least value; stored as ints, so a numpy integer
+        # reaches canonical_json as the int json.dumps writes
+        for key, low in {"horizon": 1, "s": 0, "T": 1, "n_trials": 1, "master_seed": 0}.items():
+            object.__setattr__(self, key, _count(getattr(self, key), key, low))
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not self.eta_grid:
@@ -99,15 +92,14 @@ class ExperimentConfig:
             raise ValueError(f"every eta must be >= 1 and finite, got {bad}")
         if self.mu1_grid is not None and not self.mu1_grid:
             raise ValueError("mu1_grid, when given, must be nonempty")
-        _trial_count(self.n_trials)  # the estimators' own check
-        if self.T < 1:  # the schedule would name it duration
-            raise ValueError(f"T must be >= 1, got {self.T}")
-        # the schedule checks s, horizon, the placement and the onsets; only
+        # the schedule checks the placement and the onsets; only
         # uniform_random placement draws, so no other placement gets a generator
         uniform = self.placement == "uniform_random"
         rng = trial_rng(self.master_seed, STREAM_SCHEDULE) if uniform else None
         schedule = make_schedule(self.horizon, self.s, self.T, self.placement, rng, self.onsets)
         object.__setattr__(self, "_schedule", schedule)
+        if self.onsets is not None:  # explicit onsets, as the schedule's ints
+            object.__setattr__(self, "onsets", schedule.onsets)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -69,6 +69,7 @@ plain tuple.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from operator import attrgetter
@@ -78,8 +79,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .detector import ShewhartDetector, StoppingRule, calibrate
-from .distributions import DistributionPair
-from .sequence_model import ChangeSchedule, _integer
+from .distributions import DistributionPair, _count
+from .sequence_model import ChangeSchedule
 
 Mode = Literal["single_shot", "restart"]
 
@@ -185,8 +186,7 @@ class RunLengthSample:
         """The optimality ceiling ``s * E0[l_tau] / E0[tau]`` for any plug-in
         rule, from the uncensored runs, with the delta method's standard error
         over the empirical covariance of ``(l_tau, tau)``; both are linear in ``s``."""
-        if s < 0:
-            raise ValueError(f"s must be nonnegative, got {s}")
+        s = _count(s, "s")
         self._check_censoring()
         mean_lr, mean_tau, var_lr, var_tau, cov = self.moments
         if not mean_tau > 0.0:
@@ -300,29 +300,24 @@ def trial_rng(seed, *key) -> np.random.Generator:
     words (the last ``_SEED_CACHE`` keys stay cached), so its
     ``bit_generator.seed_seq`` is not a SeedSequence and ``Generator.spawn``
     raises TypeError; draw children from ``trial_rng`` with a longer key
-    instead.  Other entropy (``None``, which draws fresh entropy on every
-    call, a list, a numpy integer) is not cached.
+    instead.  A numpy integer seed is taken as its int, and a bool is
+    refused; other entropy (``None``, which draws fresh entropy on every
+    call, a list) is not cached.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        seed, key = seed.entropy, (*seed.spawn_key, *key)
-    if type(seed) is int:
-        return np.random.default_rng(_seed_words(seed, *key))
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    if type(seed) is not int:  # an int costs this one type test
+        if isinstance(seed, np.random.SeedSequence):
+            seed, key = seed.entropy, (*seed.spawn_key, *key)
+        elif isinstance(seed, numbers.Integral):
+            seed = _count(seed, "seed")
+        if type(seed) is not int:
+            return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    return np.random.default_rng(_seed_words(seed, *key))
 
 
 def _chunk_ranges(n_trials: int) -> Iterator[tuple[int, int]]:
     """Each chunk's trial bounds ``(lo, hi)``, in order, made as they are taken."""
     for lo in range(0, n_trials, _CHUNK):
         yield lo, min(lo + _CHUNK, n_trials)
-
-
-def _trial_count(n) -> int:
-    """``n_trials`` ``n`` as an int, refused by name unless it counts int64 trials."""
-    if type(n) is not int:  # an int costs this one type test
-        n = _integer(n, "n_trials must be an integer")  # a bool is no count
-    if not 1 <= n < 2**63:
-        raise ValueError(f"n_trials must be {'>= 1' if n < 1 else 'below 2**63'}, got {n}")
-    return n
 
 
 def _binomial_se(p: float, n: int) -> float:
@@ -561,7 +556,7 @@ def _simulate(
     """
     if mode not in get_args(Mode):
         raise ValueError(f"unknown mode {mode!r}")
-    n_trials = _trial_count(n_trials)
+    n_trials = _count(n_trials, "n_trials", 1)
     restart = mode == "restart"
     memoryless = getattr(rule, "memoryless", False)
     if restart:
@@ -619,8 +614,7 @@ def simulate_run_lengths(
     """Run the rule on pure-F0 streams; collect stopping times and the
     likelihood ratio of the stopping sample.  Runs that reach the horizon
     without alarming are censored: counted, excluded from the arrays."""
-    if max_horizon < 1:
-        raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
+    max_horizon = _count(max_horizon, "max_horizon", 1)
     f0 = ChangeSchedule(onsets=(), duration=1, horizon=max_horizon)
     stop, x_stop = _simulate(rule, pair, f0, "single_shot", n_trials, seed, STREAM_RUN_LENGTH)
     keep = stop != _CENSORED
@@ -684,7 +678,7 @@ def estimate_pollak(
     """
     if on_degenerate not in ("raise", "exclude"):
         raise ValueError(f"on_degenerate must be 'raise' or 'exclude', got {on_degenerate!r}")
-    n_trials = _trial_count(n_trials)
+    n_trials = _count(n_trials, "n_trials", 1)
     s = schedule.s
     if s == 0:
         return PollakEstimate(0.0, 0.0, (), ())
@@ -758,7 +752,7 @@ def evaluate_criteria(
             f"evaluate_criteria pools its onsets, which is exact only for a memoryless "
             f"rule; {detector!r} is not memoryless (estimate_pollak sums any rule's terms)"
         )
-    n_trials = _trial_count(n_trials)  # its shares are Python floats
+    n_trials = _count(n_trials, "n_trials", 1)  # its shares are Python floats
     eta = getattr(detector, "eta", math.nan)  # a rule with no run-length budget has none
     if not math.isfinite(20 * eta):
         raise ValueError(f"eta must be finite (20 * eta too) to size the run horizon, got {eta}")

@@ -15,7 +15,7 @@ from typing import Iterable, Literal, get_args
 
 import numpy as np
 
-from .distributions import DistributionPair
+from .distributions import DistributionPair, _count
 
 Placement = Literal["even_grid", "uniform_random", "explicit"]
 
@@ -45,18 +45,11 @@ class ChangeSchedule:
     horizon: int
 
     def __post_init__(self):
-        onsets = tuple(_integer(g, "onsets must be integers") for g in self.onsets)
-        object.__setattr__(self, "onsets", onsets)
-        object.__setattr__(self, "duration", _integer(self.duration, "duration must be an integer"))
-        object.__setattr__(self, "horizon", _integer(self.horizon, "horizon must be an integer"))
-        if self.duration < 1:
-            raise ValueError(f"duration must be a positive integer, got {self.duration}")
-        if not 1 <= self.horizon < 2**63:  # times are int64
-            raise ValueError(f"horizon must be a positive integer below 2**63, got {self.horizon}")
+        object.__setattr__(self, "onsets", tuple(_count(g, "onsets", 1) for g in self.onsets))
+        object.__setattr__(self, "duration", _count(self.duration, "duration", 1))
+        object.__setattr__(self, "horizon", _count(self.horizon, "horizon", 1))
         prev = 0
         for g in self.onsets:
-            if g < 1:
-                raise ValueError(f"onsets must be positive integers, got {g}")
             if prev and g <= prev:
                 raise ValueError(f"onsets must be strictly increasing, got {prev} then {g}")
             if prev and g - prev <= self.duration:
@@ -125,13 +118,6 @@ class ChangeSchedule:
         return cls.from_dict(json.loads(text))
 
 
-def _integer(value, rule: str) -> int:
-    """``value`` as an int; a bool, float or string, which ``int()`` takes, fails ``rule``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{rule}, got {value!r}")
-    return int(value)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -165,8 +151,8 @@ def make_schedule(
     horizon`` for the generated placements; explicit lists are checked only
     against the schedule invariants.
     """
-    if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
+    s, horizon = _count(s, "s"), _count(horizon, "horizon", 1)
+    duration = _count(duration, "duration", 1)
     if placement not in get_args(Placement):
         raise ValueError(f"placement must be one of {get_args(Placement)}, got {placement!r}")
     if placement == "explicit":

@@ -510,6 +510,10 @@ def test_experiment_names_a_negative_master_seed(tmp_path, capsys):
         ("onsets", [4.7, 20]),
         ("onsets", [4, False]),
         ("onsets", 4),
+        ("master_seed", True),
+        ("T", "1"),
+        ("horizon", None),
+        ("onsets", [4, 20.0]),
     ],
 )
 def test_experiment_rejects_a_non_integer_count(tmp_path, capsys, key, value):

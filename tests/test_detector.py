@@ -127,6 +127,24 @@ def test_detector_field_validation():
         ShewhartDetector(pair=PAIR, alpha=1.0, eta=2.0, initial_stop_prob=1.5)
     with pytest.raises(ValueError):
         ShewhartDetector(pair=PAIR, alpha=1.0, eta=2.0, randomize_boundary=-0.1)
+    # a bool passed as a number (calibrate(PAIR, True) built the always-alarm
+    # rule, BernoulliStopRule(True) returned bool laws), and a string raised
+    # an unnamed TypeError
+    for call, name, value in (
+        (lambda v: calibrate(PAIR, v), "eta", True),
+        (lambda v: calibrate(PAIR, v), "eta", "10"),
+        (lambda v: ShewhartDetector(pair=PAIR, alpha=v, eta=2.0), "alpha", True),
+        (lambda v: ShewhartDetector(pair=PAIR, alpha=1.0, eta=v), "eta", "2"),
+        (lambda v: calibrate(PAIR, 2.0, initial_stop_prob=v), "initial_stop_prob", True),
+        (lambda v: ShewhartDetector(PAIR, 1.0, 2.0, randomize_boundary=v), "randomize_boundary", True),
+        (lambda v: BernoulliStopRule(v), "stop_prob", True),
+        (lambda v: BernoulliStopRule(v), "stop_prob", "0.5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got {re.escape(repr(value))}$"):
+            call(value)
+    # numpy's reals are numbers
+    assert calibrate(PAIR, np.float64(10.0)) == calibrate(PAIR, 10.0)
+    assert BernoulliStopRule(np.float64(0.5)) == BernoulliStopRule(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +555,21 @@ def test_fixed_time_rule():
         assert type(FixedTimeRule(stop_at).stop_at) is int and FixedTimeRule(stop_at) == rule
 
 
-@pytest.mark.parametrize("stop_at", [2.5, 3.0, True, "3", None, np.float64(3.0)])
+@pytest.mark.parametrize(
+    "stop_at",
+    [
+        2.5, 3.0, True, "3", None, np.float64(3.0),
+        pytest.param(np.bool_(True), id="np.bool_"),
+        pytest.param(2**63, id="2**63"),
+    ],
+)
 def test_fixed_time_rule_refuses_a_stop_time_that_is_not_an_integer(stop_at):
     # 2.5 never alarmed, True stopped at 1 and "3" failed its comparison
-    with pytest.raises(ValueError, match=rf"^stop_at must be an integer, got {re.escape(repr(stop_at))}$"):
+    if isinstance(stop_at, int) and not isinstance(stop_at, bool):  # an int past int64 times
+        match = rf"^stop_at must be below 2\*\*63, got {stop_at}$"
+    else:
+        match = rf"^stop_at must be an integer, got {re.escape(repr(stop_at))}$"
+    with pytest.raises(ValueError, match=match):
         FixedTimeRule(stop_at)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 import struct
 
 import numpy as np
@@ -34,6 +35,15 @@ def test_construction_rejects_bad_parameters():
         GaussianMeanShift(mean0=0.0, mean1=1.0, sigma=-1.0)
     with pytest.raises(ValueError):
         GaussianMeanShift(mean0=0.5, mean1=0.5, sigma=1.0)
+    # True was a mean whose config pair_from_config refused, and "0" raised
+    # an unnamed TypeError before any check
+    for kwargs, message in (
+        ({"mean0": 0, "mean1": True}, "mean1 must be a number, got True"),
+        ({"mean0": "0", "mean1": 1}, "mean0 must be a number, got '0'"),
+        ({"mean0": 0.0, "mean1": 1.0, "sigma": None}, "sigma must be a number, got None"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GaussianMeanShift(**kwargs)
 
 
 @pytest.mark.parametrize("sigma", [1e-170, 1e-163, 1e155, 1e200, 10**200, math.inf])

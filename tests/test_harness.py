@@ -128,8 +128,8 @@ def test_config_pair_rejects_keys_and_values_it_cannot_hold(pair, message):
 
 def test_a_horizon_past_int64_is_named_before_anything_runs():
     # the stops are int64, and numpy raises OverflowError past them; the
-    # config builds its schedule, which refuses the horizon
-    with pytest.raises(ValueError, match=r"horizon must be a positive integer below 2\*\*63"):
+    # config's count check refuses the horizon
+    with pytest.raises(ValueError, match=r"horizon must be below 2\*\*63"):
         tiny_config(horizon=10**400)
 
 
@@ -170,6 +170,14 @@ def test_a_trial_count_past_int64_is_refused_by_the_config():
     for n in (2**63, 10**400):
         with pytest.raises(ValueError, match=r"^n_trials must be below 2\*\*63"):
             tiny_config(n_trials=n)
+    # numpy integers were refused, though the estimators take them; they are
+    # stored as the ints json.dumps writes
+    preset = load_preset("acceptance")
+    cfg = dataclasses.replace(preset, n_trials=np.int64(preset.n_trials), T=np.uint8(preset.T))
+    assert type(cfg.n_trials) is int and type(cfg.T) is int
+    assert cfg.canonical_json() == preset.canonical_json()
+    cfg = tiny_config(horizon=3, s=2, placement="explicit", onsets=(np.int64(1), np.uint8(3)))
+    assert cfg.onsets == (1, 3) and json.loads(cfg.canonical_json())["onsets"] == [1, 3]
 
 
 @pytest.mark.parametrize("eta", ["Infinity", "-Infinity", "NaN"])

@@ -145,11 +145,20 @@ def test_trial_rng_draws_the_seed_sequence_stream(seed, key):
 
 
 def test_trial_rng_keeps_seed_sequence_for_other_entropy():
-    # numpy integers, an entropy list and None take SeedSequence's own path
+    # a numpy integer seed takes its int's cached words, a numpy integer key
+    # element, an entropy list and None SeedSequence's own path
     for seed, key in ((np.int64(5), (1, 0)), (5, (np.uint8(1), 0)), ([3, 2**40], (1,))):
         expected = seed_sequence_rng(seed, *key).random(3)
         assert np.array_equal(trial_rng(seed, *key).random(3), expected)
+    hits = metrics._seed_words.cache_info().hits
+    trial_rng(np.uint8(5), 1, 0)
+    assert metrics._seed_words.cache_info().hits == hits + 1
     trial_rng(None, 1, 0).random()
+    # a bool ran as seed 1
+    with pytest.raises(ValueError, match="^seed must be an integer, got True$"):
+        trial_rng(True, 1, 0)
+    with pytest.raises(ValueError, match="^seed must be an integer, got True$"):
+        estimate_pollak(calibrate(PAIR, 10.0), PAIR, make_schedule(40, 4, 1), 10, seed=True)
     for seed, key in ((-1, (1,)), (5, (1, -2))):
         with pytest.raises(ValueError):
             seed_sequence_rng(seed, *key)
@@ -389,6 +398,43 @@ def test_pollak_sums_equal_terms():
     # memoryless rule: every term estimates the same probability
     for term in est.per_onset:
         assert abs(term.value - detect_prob(1.0, 100.0)) <= 4 * term.std_error
+
+
+def test_pollak_standard_errors_match_the_exact_variances():
+    # K independent estimates per rule, each term against its exact c(1-c)/n:
+    # (a) the spread of the K values, by a two-sided chi-square with K
+    # degrees of freedom about the exact c, and (b) the mean reported SE^2
+    # against its expectation (1 - 1/n) c(1-c)/n, by a z on the sample sd of
+    # SE^2.  The terms are independent, so the sum's variances add.  Family
+    # level 1e-3, Bonferroni over the 24 checks; SE x 2 and SE x 0.5 must
+    # fail (b), as only byte pins caught a scaled SE before
+    from scipy import stats as scipy_stats
+
+    k, n = 400, 200
+    sched = ChangeSchedule((4, 8, 12), 1, 12)
+    rules = (calibrate(PAIR, 10.0), calibrate(PAIR, 100.0), BernoulliStopRule(0.1))
+    level = 1e-3 / (len(rules) * (sched.s + 1) * 2)
+    z_max = scipy_stats.norm.isf(level / 2)
+
+    def z_of_mean(se2, expected):
+        return (se2.mean() - expected) / (se2.std(ddof=1) / math.sqrt(k))
+
+    for rule in rules:
+        c = rule.alarm_probs(sched.onset_times, "alternative")
+        mean, var = np.append(c, c.sum()), np.append(c * (1 - c), (c * (1 - c)).sum()) / n
+        ests = [estimate_pollak(rule, PAIR, sched, n, seed=10_000 + i) for i in range(k)]
+        values, ses = (
+            np.array([[*(term[f] for term in est.per_onset), est[f]] for est in ests]).T
+            for f in (0, 1)
+        )
+        for j in range(sched.s + 1):
+            chi2 = float(((values[j] - mean[j]) ** 2).sum() / var[j])
+            p = 2.0 * min(scipy_stats.chi2.cdf(chi2, k), scipy_stats.chi2.sf(chi2, k))
+            assert p >= level, (rule, j, chi2)
+            expected = (1.0 - 1.0 / n) * var[j]
+            assert abs(z_of_mean(ses[j] ** 2, expected)) <= z_max, (rule, j)
+            for scale in (2.0, 0.5):
+                assert abs(z_of_mean((scale * ses[j]) ** 2, expected)) > z_max, (rule, j, scale)
 
 
 def test_pollak_raw_sum_may_exceed_one():
@@ -762,6 +808,11 @@ def test_ceiling_is_linear_in_s_over_one_sample():
         rel_se = rel_se or est.std_error / est.value
         assert est.std_error / est.value == pytest.approx(rel_se, rel=1e-15, abs=0.0)
     assert rel_se > 0.0
+    assert sample.ceiling(np.int64(3)) == sample.ceiling(3)
+    # 2.5 and True gave estimates
+    for s, match in ((2.5, "an integer, got 2.5"), (True, "an integer, got True"), (-1, "nonnegative")):
+        with pytest.raises(ValueError, match=f"^s must be {match}"):
+            sample.ceiling(s)
 
 
 def test_criteria_arl_is_estimate_arl_on_the_same_runs():
@@ -805,11 +856,11 @@ def test_estimators_reject_an_empty_trial_range():
             call()
 
 
-def _estimator_call(name, n_trials):
+def _estimator_call(name, n_trials=300, max_horizon=200):
     det = calibrate(PAIR, 10.0)
     sched = make_schedule(40, 4, 1)
     if name == "simulate_run_lengths":
-        return simulate_run_lengths(det, PAIR, n_trials, 200, seed=1)
+        return simulate_run_lengths(det, PAIR, n_trials, max_horizon, seed=1)
     if name == "estimate_pollak":
         return estimate_pollak(det, PAIR, sched, n_trials, seed=1)
     return evaluate_criteria(det, PAIR, sched, n_trials=n_trials, seed=1)
@@ -818,30 +869,43 @@ def _estimator_call(name, n_trials):
 ESTIMATORS = ["simulate_run_lengths", "estimate_pollak", "evaluate_criteria"]
 
 
-@pytest.mark.parametrize("estimator", ESTIMATORS)
+_BAD_COUNTS = [
+    # a float reached range() with an unnamed TypeError, True ran one
+    # trial, and 2**63 grew the chunk list without bound
+    ("2.5", "n_trials", 2.5, r"an integer, got 2\.5$"),
+    ("300.0", "n_trials", 300.0, r"an integer, got 300\.0$"),
+    ("np.float64", "n_trials", np.float64(300), r"an integer, got np\.float64\(300\.0\)$"),
+    ("True", "n_trials", True, r"an integer, got True$"),
+    ("str", "n_trials", "300", r"an integer, got '300'$"),
+    ("np.int64(0)", "n_trials", np.int64(0), r">= 1, got 0$"),
+    ("2**63", "n_trials", 2**63, r"below 2\*\*63, got 9223372036854775808$"),
+    ("np.uint64", "n_trials", np.uint64(2**63), r"below 2\*\*63, got 9223372036854775808$"),
+    ("10**400", "n_trials", 10**400, r"below 2\*\*63, got 1000"),
+    # the schedule named a bad max_horizon horizon, and "5" raised TypeError
+    ("max_horizon-2.5", "max_horizon", 2.5, r"an integer, got 2\.5$"),
+    ("max_horizon-str", "max_horizon", "5", r"an integer, got '5'$"),
+    ("max_horizon-True", "max_horizon", True, r"an integer, got True$"),
+    ("max_horizon-0", "max_horizon", np.int64(0), r">= 1, got 0$"),
+    ("max_horizon-2**63", "max_horizon", 2**63, r"below 2\*\*63, got 9223372036854775808$"),
+]
+
+
 @pytest.mark.parametrize(
-    "n_trials, match",
+    "estimator, count, value, match",
     [
-        # a float reached range() with an unnamed TypeError, True ran one
-        # trial, and 2**63 grew the chunk list without bound
-        pytest.param(2.5, r"an integer, got 2\.5$", id="2.5"),
-        pytest.param(300.0, r"an integer, got 300\.0$", id="300.0"),
-        pytest.param(np.float64(300), r"an integer, got np\.float64\(300\.0\)$", id="np.float64"),
-        pytest.param(True, r"an integer, got True$", id="True"),
-        pytest.param("300", r"an integer, got '300'$", id="str"),
-        pytest.param(np.int64(0), r">= 1, got 0$", id="np.int64(0)"),
-        pytest.param(2**63, r"below 2\*\*63, got 9223372036854775808$", id="2**63"),
-        pytest.param(np.uint64(2**63), r"below 2\*\*63, got 9223372036854775808$", id="np.uint64"),
-        pytest.param(10**400, r"below 2\*\*63, got 1000", id="10**400"),
+        pytest.param(estimator, count, value, match, id=f"{case}-{estimator}")
+        for case, count, value, match in _BAD_COUNTS
+        for estimator in ESTIMATORS
+        if count in inspect.signature(getattr(metrics, estimator)).parameters
     ],
 )
 def test_estimators_refuse_a_trial_count_before_drawing(
-    monkeypatch, drawn, estimator, n_trials, match
+    monkeypatch, drawn, estimator, count, value, match
 ):
     generators = []
     monkeypatch.setattr(metrics, "trial_rng", lambda *key: generators.append(key))
-    with pytest.raises(ValueError, match="^n_trials must be " + match):
-        _estimator_call(estimator, n_trials)
+    with pytest.raises(ValueError, match=f"^{count} must be " + match):
+        _estimator_call(estimator, **{count: value})
     assert drawn == [] and generators == []
 
 
@@ -853,6 +917,9 @@ def test_estimators_take_a_numpy_trial_count_as_an_int(estimator):
     if estimator == "estimate_pollak":
         assert all(type(v) is float for term in got.per_onset for v in term)
         assert got.survivors == (300,) * 4 and type(got.survivors[0]) is int
+    if estimator == "simulate_run_lengths":  # its horizon was stored as np.int64
+        sample = _estimator_call(estimator, 300, np.int64(200))
+        assert repr(sample) == repr(expected) and type(sample.horizon) is int
 
 
 @pytest.mark.parametrize("s", [0, 4])

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -119,12 +120,26 @@ def test_schedule_takes_numpy_integers_as_ints():
 
 
 def test_schedule_from_dict_refuses_non_integers():
-    with pytest.raises(ValueError, match="^onsets must be integers, got 4.7"):
+    with pytest.raises(ValueError, match="^onsets must be an integer, got 4.7"):
         ChangeSchedule.from_dict({"onsets": [4.7], "duration": 1, "horizon": 10})
     with pytest.raises(ValueError, match="^duration must be an integer, got 1.5"):
         ChangeSchedule.from_dict({"onsets": [4], "duration": 1.5, "horizon": 10})
     with pytest.raises(ValueError, match="^horizon must be an integer, got 10.9"):
         ChangeSchedule.from_dict({"onsets": [4], "duration": 1, "horizon": 10.9})
+    # make_schedule names its counts before its grid arithmetic: s = 2.5
+    # raised an unnamed TypeError, True built one onset, and a horizon of
+    # 100.0 was blamed on the onsets it made
+    for args, match in (
+        ((100, 2.5, 1), "s must be an integer, got 2.5"),
+        ((100, True, 1), "s must be an integer, got True"),
+        ((100.0, 2, 1), "horizon must be an integer, got 100.0"),
+        ((100, 2, np.float64(1)), "duration must be an integer, got np.float64(1.0)"),
+        ((0, 0, 1), "horizon must be >= 1, got 0"),
+        ((100, -1, 1), "s must be nonnegative, got -1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+            make_schedule(*args)
+    assert make_schedule(np.int64(100), np.uint8(2), np.int32(1)) == make_schedule(100, 2, 1)
 
 
 def test_make_schedule_checks_the_placement_before_anything_else():

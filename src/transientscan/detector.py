@@ -246,7 +246,8 @@ class ShewhartDetector:
             edge = self.sample_edge
             if edge is not None:
                 at, upper = edge
-                return np.atleast_1d(x >= at if upper else x <= at)
+                mask = x >= at if upper else x <= at
+                return mask if mask.ndim else np.atleast_1d(mask)  # a scalar's 1-element array
             return np.atleast_1d(self.pair.log_likelihood_ratio(x)) >= self.log_alpha
         lr = np.atleast_1d(self.pair.likelihood_ratio(x))
         mask = lr > self.alpha

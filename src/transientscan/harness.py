@@ -23,25 +23,21 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import get_args
-
-import numpy as np
 
 from . import _PRESET_DIR, __version__, preset_names
 from .distributions import DistributionPair, _count, pair_from_config
 from .metrics import (
+    _MODES,
     CSV_COLUMNS,
     STREAM_SCHEDULE,
     CurveRow,
-    Mode,
+    _SpawnKey,
     detect_first_any_curves,
     trial_rng,
 )
 from .sequence_model import ChangeSchedule, make_schedule
 
 SCHEMA_VERSION = 1
-
-_MODES = get_args(Mode)
 
 
 def _grid(data: dict, key: str) -> tuple[float, ...]:
@@ -119,10 +115,6 @@ class ExperimentConfig:
         kwargs["eta_grid"] = _grid(data, "eta_grid")
         if data.get("mu1_grid") is not None:
             kwargs["mu1_grid"] = _grid(data, "mu1_grid")
-        if data.get("onsets") is not None:
-            if not isinstance(data["onsets"], (list, tuple)):
-                raise ValueError(f"onsets must be a list of integers, got {data['onsets']!r}")
-            kwargs["onsets"] = tuple(data["onsets"])
         return cls(**kwargs)
 
     @classmethod
@@ -163,7 +155,7 @@ def run_eta_sweep(config: ExperimentConfig, *, n_workers: int = 1) -> list[Curve
             for mi, mu1 in enumerate(config.mu1_grid)
         ]
     cells = [
-        (pair, np.random.SeedSequence(config.master_seed, spawn_key=(*key, gi)), eta)
+        (pair, _SpawnKey(config.master_seed, (*key, gi)), eta)
         for key, pair in keyed
         for gi, eta in enumerate(config.eta_grid)
     ]

@@ -51,12 +51,14 @@ sample takes its moments once for its ARL and the ceiling of every schedule
 censoring probability of at most e^-10 (exact binomial tail at level 1e-3),
 which ``horizon >= 10 * eta`` meets for a calibrated rule.
 
-Fixed costs per call: a schedule derives its onset array, scoring edges
-and F1 column mask once (read-only cached properties of
-:class:`ChangeSchedule`); for int entropy a chunk's generator is seeded
-from cached seed words (:func:`trial_rng`); a rule with no initial stop
-keeps no initial-stop bookkeeping; scoring is one search of the stops
-among the scoring edges (:func:`_rank_counts`); and
+Fixed costs per call: a schedule derives its onset array, scoring edges,
+restart stop table and F1 column mask once (read-only cached properties of
+:class:`ChangeSchedule`); a sweep's rows share what they can: F0 runs at
+one horizon share one schedule, and a cell's seed is its entropy and spawn
+key (``_SpawnKey``), no SeedSequence; for int entropy a chunk's generator
+is seeded from cached seed words (:func:`trial_rng`); a rule with no
+initial stop keeps no initial-stop bookkeeping; scoring is one search of
+the stops among the scoring edges (:func:`_rank_counts`); and
 :func:`estimate_pollak` counts each onset's alarms along one contiguous
 row of the transposed verdicts (half the cost of a strided column sum at
 s = 3), takes those counts as its hits when the call is one chunk and one
@@ -83,6 +85,7 @@ from .distributions import DistributionPair, _count
 from .sequence_model import ChangeSchedule
 
 Mode = Literal["single_shot", "restart"]
+_MODES = get_args(Mode)
 
 #: stream tags keying independent substreams under one master seed (tag 3
 #: keys the history check that the tests run, so it is not reused here)
@@ -155,14 +158,15 @@ class RunLengthSample:
         All NaN for an empty sample; the spreads are 0 for one run."""
         if self.n == 0:
             return (math.nan,) * 5
-        x = np.array((self.lrs, self.taus))
-        mean = np.add.reduce(x, axis=1)
+        d = np.array((self.lrs, self.taus))
+        mean = np.add.reduce(d, axis=1)
         mean /= self.n
-        d = x - mean[:, None]
+        d -= mean[:, None]  # in place, on the fresh copy: the deviations
         dof = max(self.n - 1, 1)
         # np.cov's own steps, so its last bit: the products' sum times 1 / dof
         cov = float(np.dot(d, d.T)[0, 1]) * (1.0 / dof)
-        var = np.add.reduce(d * d, axis=1) / dof
+        d *= d
+        var = np.add.reduce(d, axis=1) / dof
         return (*mean.tolist(), *var.tolist(), cov)
 
     def _check_censoring(self) -> None:
@@ -290,6 +294,13 @@ def _seed_words(seed: int, *key) -> _SeedWords:
     return _SeedWords(np.random.SeedSequence(seed, spawn_key=key))
 
 
+class _SpawnKey(NamedTuple):
+    """A SeedSequence's entropy and spawn key without the pool it mixes when built."""
+
+    entropy: int
+    spawn_key: tuple[int, ...]
+
+
 def trial_rng(seed, *key) -> np.random.Generator:
     """Generator keyed by ``key`` under ``seed`` (an int or a SeedSequence).
 
@@ -302,10 +313,10 @@ def trial_rng(seed, *key) -> np.random.Generator:
     raises TypeError; draw children from ``trial_rng`` with a longer key
     instead.  A numpy integer seed is taken as its int, and a bool is
     refused; other entropy (``None``, which draws fresh entropy on every
-    call, a list) is not cached.
+    call, a list) is not cached.  A ``_SpawnKey`` reads as its SeedSequence.
     """
     if type(seed) is not int:  # an int costs this one type test
-        if isinstance(seed, np.random.SeedSequence):
+        if isinstance(seed, (np.random.SeedSequence, _SpawnKey)):
             seed, key = seed.entropy, (*seed.spawn_key, *key)
         elif isinstance(seed, numbers.Integral):
             seed = _count(seed, "seed")
@@ -361,8 +372,9 @@ def _flat_stops(rule, pair, law: str, rng, n: int, limit: int, gap: float, reads
     the observed samples per alarm), capped per trial at ``limit`` and in
     all at ``_MAX_BLOCK_SAMPLES``.
     """
-    at = np.full(n, -1, dtype=np.int64)
-    x_at = np.full(n, np.nan)
+    at, x_at = np.empty(n, np.int64), np.empty(n)  # np.full's Python layer costs more
+    at.fill(-1)
+    x_at.fill(np.nan)
     done = carry = drawn = alarms = 0
     x = None
     while done < n:
@@ -513,10 +525,10 @@ def _runs(
         law = "alternative" if restart else "nominal"
         limit = schedule.s if restart else schedule.horizon
         at, x_stop = _flat_stops(rule, pair, law, rng, n, limit, first, reads)
-        # segment index -> stop time; a censored run's -1 reads the appended
-        # _CENSORED in restart mode
+        # segment index -> stop time; a censored run's -1 reads the table's
+        # last entry, _CENSORED, in restart mode
         if restart:
-            stop = np.append(schedule.onset_times, _CENSORED)[at]
+            stop = schedule.restart_stops[at]
         else:
             stop = at
             stop += at >= 0  # a censored run keeps its -1
@@ -554,7 +566,7 @@ def _simulate(
     anything is drawn, and a restart run on no onsets draws nothing and is
     censored.
     """
-    if mode not in get_args(Mode):
+    if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
     n_trials = _count(n_trials, "n_trials", 1)
     restart = mode == "restart"
@@ -615,15 +627,23 @@ def simulate_run_lengths(
     likelihood ratio of the stopping sample.  Runs that reach the horizon
     without alarming are censored: counted, excluded from the arrays."""
     max_horizon = _count(max_horizon, "max_horizon", 1)
-    f0 = ChangeSchedule(onsets=(), duration=1, horizon=max_horizon)
+    f0 = _f0_schedule(max_horizon)
     stop, x_stop = _simulate(rule, pair, f0, "single_shot", n_trials, seed, STREAM_RUN_LENGTH)
     keep = stop != _CENSORED
     censored = int(stop.size - np.count_nonzero(keep))
     if censored:
         stop, x_stop = stop[keep], x_stop[keep]
     lrs = pair.likelihood_ratio(x_stop)
-    lrs[stop == 0] = 0.0  # an initial stop consumed no sample
+    if getattr(rule, "initial_stop_prob", 0.0) > 0.0:  # only an initial stop has stop 0
+        lrs[stop == 0] = 0.0  # it consumed no sample
     return RunLengthSample(stop.astype(float), lrs, censored, max_horizon)
+
+
+@lru_cache(maxsize=8)
+def _f0_schedule(horizon: int) -> ChangeSchedule:
+    """The pure-F0 schedule of a horizon, shared by the calls at that horizon
+    (a sweep's rows at eta up to 50 share 1000); frozen, its arrays read-only."""
+    return ChangeSchedule(onsets=(), duration=1, horizon=horizon)
 
 
 def estimate_optimality_ceiling(
@@ -761,10 +781,10 @@ def evaluate_criteria(
     hits = counts[1::2]
     missed = rank >> 1
     # every detected run stopped on exactly one onset, counted in its hits
-    detected = int(hits.sum())
+    detected = int(np.add.reduce(hits))
     detect_any = detected / n_trials
     detect_first = int(hits[0]) / n_trials if hits.size else 0.0
-    reached = int(missed.sum()) + detected
+    reached = int(np.add.reduce(missed)) + detected
     p = detected / reached if reached else 0.0
     horizon = max(int(20 * eta), 1000)
     sample = simulate_run_lengths(detector, pair, n_trials, horizon, seed)
@@ -840,7 +860,7 @@ def detect_first_any_curves(
     for pair, seed, eta in cells:
         det = calibrate(pair, float(eta))
         rep = evaluate_criteria(det, pair, schedule, n_trials=n_trials, seed=seed, mode=mode)
-        entropy = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
+        entropy = getattr(seed, "entropy", seed)
         mu1 = float(getattr(pair, "mean1", math.nan))
         rows.append(CurveRow(
             float(eta), mu1, schedule.s, schedule.duration, mode,

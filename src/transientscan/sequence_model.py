@@ -9,9 +9,10 @@ two onsets must be more than ``duration`` apart so windows never touch.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Literal, get_args
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -34,10 +35,12 @@ class ChangeSchedule:
         with at least one nominal sample between windows),
       * the last window ends at or before ``horizon``.
 
-    An empty onset tuple is the no-change regime.  The array views of the
-    onsets (:attr:`onset_times`, :attr:`onset_edges`, :attr:`f1_columns`)
-    are derived once per schedule and are read-only; they are not fields,
-    so equality, hashing and :meth:`to_dict` see only the three fields.
+    ``onsets`` is any iterable of integers but a string or a mapping, kept
+    as a tuple; an empty one is the no-change regime.  The array views of
+    the onsets (:attr:`onset_times`, :attr:`onset_edges`,
+    :attr:`restart_stops`, :attr:`f1_columns`) are derived once per
+    schedule and are read-only; they are not fields, so equality, hashing
+    and :meth:`to_dict` see only the three fields.
     """
 
     onsets: tuple[int, ...]
@@ -45,6 +48,8 @@ class ChangeSchedule:
     horizon: int
 
     def __post_init__(self):
+        if isinstance(self.onsets, (str, bytes, dict)) or not isinstance(self.onsets, Iterable):
+            raise ValueError(f"onsets must be a list of integers, got {self.onsets!r}")
         object.__setattr__(self, "onsets", tuple(_count(g, "onsets", 1) for g in self.onsets))
         object.__setattr__(self, "duration", _count(self.duration, "duration", 1))
         object.__setattr__(self, "horizon", _count(self.horizon, "horizon", 1))
@@ -85,6 +90,12 @@ class ChangeSchedule:
         return _read_only(edges)
 
     @cached_property
+    def restart_stops(self) -> np.ndarray:
+        """Read-only int64 array of the onsets, then -1: a restart run's stop
+        by the index of its onset, or -1 (censored) by index -1."""
+        return _read_only(np.append(self.onset_times, -1))
+
+    @cached_property
     def f1_columns(self) -> np.ndarray:
         """Read-only mask over the 0-based time indices: True where F1
         generates the sample."""
@@ -111,7 +122,7 @@ class ChangeSchedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChangeSchedule":
-        return cls(tuple(data["onsets"]), data["duration"], data["horizon"])
+        return cls(data["onsets"], data["duration"], data["horizon"])
 
     @classmethod
     def from_json(cls, text: str) -> "ChangeSchedule":
@@ -158,7 +169,7 @@ def make_schedule(
     if placement == "explicit":
         if onsets is None:
             raise ValueError("explicit placement requires onsets")
-        schedule = ChangeSchedule(onsets=tuple(onsets), duration=duration, horizon=horizon)
+        schedule = ChangeSchedule(onsets=onsets, duration=duration, horizon=horizon)
         if schedule.s != s:
             raise ValueError(f"explicit placement needs s = {s} onsets, got {[*schedule.onsets]}")
         return schedule

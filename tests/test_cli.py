@@ -532,6 +532,21 @@ def test_experiment_rejects_a_non_integer_count(tmp_path, capsys, key, value):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("onsets", [4, "40", {"40": 1}], ids=["int", "str", "dict"])
+def test_experiment_names_onsets_that_are_no_list(tmp_path, capsys, onsets):
+    cfg = json.loads((Path(transientscan._PRESET_DIR) / "acceptance.json").read_text())
+    cfg.update(onsets=onsets, placement="explicit")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "experiment", "--config", str(cfg_path), "--out-dir", str(out_dir)
+    )
+    assert (code, out) == (2, "")
+    assert f"transientscan experiment: onsets must be a list of integers, got {onsets!r}" in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "key, value, named",
     [

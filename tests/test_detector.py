@@ -303,6 +303,27 @@ def test_alarm_mask_keeps_its_shape_contract_and_never_writes_x():
         assert one.shape == (1,) and one[0] == det.step(2.4)[0]
 
 
+class _EdgelessPair(GaussianMeanShift):
+    """The Gaussian pair without its sample-space edge: a detector decides on
+    the log ratio."""
+
+    def log_ratio_edge(self, t):
+        return None
+
+
+def test_alarm_mask_on_the_log_ratio_keeps_its_shape_contract():
+    det = calibrate(_EdgelessPair(0.0, 1.0), 30.0)
+    assert det.sample_edge is None
+    x = np.random.default_rng(14).normal(0.0, 2.0, size=(5, 9))
+    mask = det.alarm_mask(np.ones(x.shape), x, None)
+    assert mask.shape == x.shape and mask.dtype == bool and mask.any() and not mask.all()
+    assert mask.tolist() == [[det.step(float(v))[0] for v in row] for row in x]
+    # a scalar sample, a Python float among them, gives a 1-element array
+    for scalar in (2.4, np.float64(2.4), np.asarray(2.4)):
+        one = det.alarm_mask(np.ones(()), scalar, None)
+        assert one.shape == (1,) and one.dtype == bool and one[0] == det.step(2.4)[0]
+
+
 #: the pair whose log ratio is the sample itself: shift 1, midpoint 0, sigma 1
 IDENTITY_PAIR = GaussianMeanShift(mean0=-0.5, mean1=0.5)
 THRESHOLD_CASES = {

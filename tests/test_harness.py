@@ -317,6 +317,60 @@ def test_csv_line_formats_each_field_in_column_order():
     assert rows[1].to_csv_line().split(",")[:7] == head
 
 
+def float_bits(row) -> list:
+    """A row's fields in column order, each float as its exact hex form."""
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row)]
+
+
+@pytest.mark.parametrize("mu1_grid", [None, (0.5, 2.0)])
+def test_sweep_cell_seeds_give_the_seed_sequence_rows_bit_for_bit(mu1_grid):
+    # run_eta_sweep keys each cell by its master seed and spawn key without
+    # building a SeedSequence; its rows must be the SeedSequence cells' rows
+    config = dataclasses.replace(load_preset("detection_curves"), n_trials=300, mu1_grid=mu1_grid)
+    keyed = [((), config.pair)] if mu1_grid is None else [
+        ((100 + mi,), dataclasses.replace(config.pair, mean1=mu1)) for mi, mu1 in enumerate(mu1_grid)
+    ]
+    cells = [
+        (pair, np.random.SeedSequence(config.master_seed, spawn_key=(*key, gi)), eta)
+        for key, pair in keyed
+        for gi, eta in enumerate(config.eta_grid)
+    ]
+    expected = metrics.detect_first_any_curves(cells, config.build_schedule(), 300, config.mode)
+    rows = run_eta_sweep(config)
+    assert [float_bits(row) for row in rows] == [float_bits(row) for row in expected]
+    assert {row.seed for row in rows} == {config.master_seed}
+
+
+def test_int_and_seed_sequence_cells_still_run():
+    # an int seed is the entropy of a SeedSequence with no spawn key, and so
+    # is the private key that carries them alone
+    schedule = make_schedule(400, 4, 1)
+    pair = GaussianMeanShift(0.0, 1.0, 1.0)
+    rows = [
+        metrics.detect_first_any_curves([(pair, seed, 8.0)], schedule, 300, "restart")[0]
+        for seed in (27, np.random.SeedSequence(27), metrics._SpawnKey(27, ()))
+    ]
+    assert float_bits(rows[0]) == float_bits(rows[1]) == float_bits(rows[2])
+    assert rows[0].seed == 27
+    (other,) = metrics.detect_first_any_curves(
+        [(pair, np.random.SeedSequence(27, spawn_key=(1,)), 8.0)], schedule, 300, "restart"
+    )
+    assert other.seed == 27 and float_bits(other) != float_bits(rows[0])
+
+
+@pytest.mark.parametrize("onsets", [4, "40", {"40": 1}], ids=["int", "str", "dict"])
+def test_config_refuses_onsets_that_are_no_list_by_name(onsets):
+    # a config built in Python reached the schedule's tuple of onsets and
+    # raised an unnamed TypeError; the JSON path keeps its message
+    message = f"^onsets must be a list of integers, got {re.escape(repr(onsets))}$"
+    preset = load_preset("acceptance")
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(preset, onsets=onsets, placement="explicit")
+    data = {**preset.to_dict(), "onsets": onsets, "placement": "explicit"}
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(data)
+
+
 def test_config_dict_is_the_field_by_field_dict():
     for cfg in (
         tiny_config(),

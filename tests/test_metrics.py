@@ -1440,6 +1440,49 @@ def test_pollak_is_exact_for_a_time_dependent_rule():
     assert abs(est.value - 20 * norm_upper_tail(1.0)) <= Z_CHECK * est.std_error
 
 
+def run_length_bits(sample) -> tuple:
+    return sample.taus.tobytes(), sample.lrs.tobytes(), sample.censored, sample.horizon
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        calibrate(PAIR, 20.0),
+        calibrate(PAIR, 20.0, initial_stop_prob=0.3),  # its initial stops carry ratio 0
+        FixedTimeRule(50),  # the block layout, and stopping samples drawn after the stops
+    ],
+    ids=["memoryless", "initial-stop", "time-dependent"],
+)
+def test_f0_runs_at_one_horizon_share_a_read_only_schedule_and_their_bits(rule):
+    # simulate_run_lengths keeps one F0 schedule per horizon across calls, so
+    # a call at horizon 1000 must give the same bits whether a call at 40
+    # (which censors runs) ran before it or not
+    metrics._f0_schedule.cache_clear()
+    alone = simulate_run_lengths(rule, PAIR, 600, 1000, seed=8)
+    metrics._f0_schedule.cache_clear()
+    assert simulate_run_lengths(rule, PAIR, 600, 40, seed=8).censored
+    after = simulate_run_lengths(rule, PAIR, 600, 1000, seed=8)
+    assert run_length_bits(after) == run_length_bits(alone)
+    if rule.initial_stop_prob:
+        assert (after.lrs[after.taus == 0] == 0.0).all() and (after.taus == 0).any()
+    # the one shared schedule is frozen, and every array it derives read-only
+    shared = metrics._f0_schedule(1000)
+    assert shared is metrics._f0_schedule(1000) and shared == ChangeSchedule((), 1, 1000)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shared.horizon = 400
+    for derived in (shared.onset_times, shared.onset_edges, shared.restart_stops, shared.f1_columns):
+        assert not derived.flags.writeable
+
+
+def test_restart_runs_read_censored_stops_from_the_schedule_table():
+    # a restart run that detects no onset reads the table's last entry
+    sched = make_schedule(400, 4, 1)
+    assert sched.restart_stops[-1] == metrics._CENSORED
+    stop, _ = _simulate(calibrate(PAIR, 1e6), PAIR, sched, "restart", 300, 2, STREAM_MONITOR)
+    assert (stop == metrics._CENSORED).any() and stop.flags.writeable
+    assert set(stop.tolist()) <= set(sched.restart_stops.tolist())
+
+
 # ---------------------------------------------------------------------------
 # sweep rows
 

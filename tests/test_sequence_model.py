@@ -82,6 +82,29 @@ def test_explicit_onsets_must_number_s(s):
     assert make_schedule(50, 2, 1, "explicit", onsets=iter([5, 20])).onsets == (5, 20)
 
 
+@pytest.mark.parametrize(
+    "onsets", [4, 4.0, True, None, "40", b"40", {40: 1}],
+    ids=["int", "float", "bool", "None", "str", "bytes", "dict"],
+)
+def test_onsets_that_are_no_list_are_refused_by_name(onsets):
+    # an int raised an unnamed TypeError from the tuple of onsets; a string
+    # or a mapping was read element by element
+    message = f"^onsets must be a list of integers, got {re.escape(repr(onsets))}$"
+    with pytest.raises(ValueError, match=message):
+        ChangeSchedule(onsets, 1, 100)
+    with pytest.raises(ValueError, match=message):
+        ChangeSchedule.from_dict({"onsets": onsets, "duration": 1, "horizon": 100})
+    if onsets is not None:  # explicit placement refuses no onsets by its own message
+        with pytest.raises(ValueError, match=message):
+            make_schedule(100, 1, 1, "explicit", onsets=onsets)
+
+
+def test_onsets_may_be_any_iterable_of_integers():
+    for onsets in ([5, 20], (5, 20), range(5, 21, 15), np.array([5, 20]), iter([5, 20])):
+        assert ChangeSchedule(onsets, 1, 50).onsets == (5, 20)
+    assert make_schedule(50, 2, 1, "explicit", onsets=np.array([5, 20])).onsets == (5, 20)
+
+
 def test_explicit_validation():
     with pytest.raises(ValueError):
         ChangeSchedule(onsets=(0,), duration=1, horizon=10)
@@ -253,6 +276,18 @@ def test_schedule_json_round_trip():
     text = sched.to_json()
     assert json.loads(text) == {"onsets": [3, 9], "duration": 2, "horizon": 20}
     assert ChangeSchedule.from_json(text) == sched
+
+
+def test_restart_stop_table_is_the_onsets_then_censored_and_read_only():
+    sched = ChangeSchedule(onsets=(3, 9, 15), duration=2, horizon=20)
+    assert sched.restart_stops is sched.restart_stops  # derived once
+    assert sched.restart_stops.dtype == np.int64
+    assert sched.restart_stops.tolist() == [3, 9, 15, -1]  # index -1 reads -1
+    with pytest.raises(ValueError, match="read-only"):
+        sched.restart_stops[0] = 4
+    copy = pickle.loads(pickle.dumps(sched))
+    assert "restart_stops" not in vars(copy) and not copy.restart_stops.flags.writeable
+    assert make_schedule(5, 0, 1).restart_stops.tolist() == [-1]
 
 
 def test_schedule_columns_are_derived_once_and_read_only():
